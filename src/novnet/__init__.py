@@ -68,7 +68,6 @@ from .novelty_eval import (
     calibrate_threshold,
     closed_set_accuracy,
     decide,
-    novelty_score,
     roc_auc,
     score_dataset,
 )

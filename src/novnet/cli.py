@@ -3,55 +3,29 @@
 Commands: train, eval, calibrate, ablate, inspect-filters. Commands take
 a JSON experiment config (dataset/model/training/evaluation sections)
 and/or a checkpoint, are deterministic given config + seed, and write
-reports atomically (temp file, rename on success). Module errors surface
-as a one-line diagnostic on stderr and a nonzero exit code.
+reports atomically (temp file, rename on success). Training and
+evaluation run through the library's own `experiments.train_model` and
+`experiments.evaluate_detection`. Module errors surface as a one-line
+diagnostic on stderr and a nonzero exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-import tempfile
+from dataclasses import replace
 
 from . import experiments, novelty_eval
-from .dual_trainer import load_checkpoint, save_checkpoint, train
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    NovnetError,
-    ProtocolError,
-    UnsupportedArchitectureError,
-)
+from .data_io import csv_text, write_atomic
+from .dual_trainer import load_checkpoint, save_checkpoint
+from .errors import ConfigError, NovnetError, UnsupportedArchitectureError
 from .experiments import ABLATION_MODES, parse_experiment_config
 from .filter_analysis import build_filter_report
 from .nn_core import GlobalAveragePool
 
 CHECKPOINT_NAME = "checkpoint.nvfg"
-
-
-def _write_atomic(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _ensure_out(out_dir) -> str:
@@ -61,13 +35,10 @@ def _ensure_out(out_dir) -> str:
 
 def _load_config(args) -> experiments.ExperimentConfig:
     cfg = parse_experiment_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
+    overrides = {key: getattr(args, key) for key in ("seed", "mode")
+                 if getattr(args, key, None) is not None}
     if overrides:
-        cfg.training = type(cfg.training).from_dict({**cfg.training.to_dict(), **overrides})
+        cfg.training = replace(cfg.training, **overrides)
     return cfg
 
 
@@ -75,64 +46,36 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
     data = experiments.assemble_datasets(cfg.dataset)
-    training = cfg.training
-    if training.uses_reference and data.reference is None:
-        raise ConfigError(f"mode {training.mode!r} needs a reference dataset")
-    reference = data.reference if training.uses_reference else None
-    num_reference = reference.n_classes if reference is not None else 0
-    model = experiments.build_dual_model(
-        cfg.backbone, data.train_T.n_classes, num_reference,
-        seed=training.seed, combined_head=training.mode == "finetune-cC")
-    model, history = train(model, data.train_T, reference, training)
+    model, history = experiments.train_model(cfg, data)
 
+    history_path = os.path.join(out, "history.csv")
     history_rows = [[h.epoch, repr(h.loss_ce_R), repr(h.loss_ce_T), repr(h.loss_m_T), repr(h.cumulative)]
                     for h in history]
-    _write_atomic(os.path.join(out, "history.csv"),
-                  _csv_text(["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"], history_rows))
+    write_atomic(history_path,
+                 csv_text(["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"], history_rows))
     final_metrics = history[-1].to_dict() if history else {}
     checkpoint_path = os.path.join(out, CHECKPOINT_NAME)
-    save_checkpoint(model, training, checkpoint_path, epoch=len(history), metrics=final_metrics)
+    save_checkpoint(model, cfg.training, checkpoint_path, epoch=len(history), metrics=final_metrics)
     print(checkpoint_path)
-    print(os.path.join(out, "history.csv"))
+    print(history_path)
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
-    checkpoint = load_checkpoint(args.checkpoint)
-    model = checkpoint.model
+    model = load_checkpoint(args.checkpoint).model
     data = experiments.assemble_datasets(cfg.dataset)
-    if model.num_known != data.train_T.n_classes:
-        raise ProtocolError(
-            f"checkpoint has {model.num_known} known classes but dataset has {data.train_T.n_classes}")
-    if data.novel is None or len(data.novel) == 0:
-        raise ProtocolError("evaluation needs novel samples; AUC is undefined without them")
-
-    known_records = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
-    novel_records = novelty_eval.score_dataset(model, data.novel, is_novel=True,
-                                               start_id=len(known_records))
-    records = known_records + novel_records
-    roc = novelty_eval.roc_auc([r.score for r in known_records],
-                               [r.score for r in novel_records])
-    accuracy = novelty_eval.closed_set_accuracy(model, data.test_T)
-
-    scores_path = os.path.join(out, "scores.csv")
-    rows = [[r.sample_id, repr(r.score), r.predicted_class, r.true_class, int(r.is_novel)]
-            for r in records]
-    _write_atomic(scores_path, _csv_text(novelty_eval.SCORE_CSV_HEADER, rows))
-
-    roc_rows = [[repr(t), repr(fpr), repr(tpr)] for t, (fpr, tpr) in zip(roc.thresholds, roc.points)]
-    roc_rows.append(["auc", repr(roc.auc)])
-    _write_atomic(os.path.join(out, "roc.csv"), _csv_text(["threshold", "fpr", "tpr"], roc_rows))
-
+    records, roc, accuracy = experiments.evaluate_detection(model, data)
+    novelty_eval.write_score_report(records, os.path.join(out, "scores.csv"))
+    novelty_eval.write_roc_csv(roc, os.path.join(out, "roc.csv"))
     summary = {
         "auc": round(roc.auc, 4),
         "accuracy": round(accuracy, 4),
-        "n_known_test": len(known_records),
-        "n_novel_test": len(novel_records),
+        "n_known_test": len(data.test_T),
+        "n_novel_test": len(data.novel),
     }
-    _write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     return 0
 
@@ -143,11 +86,8 @@ def cmd_calibrate(args) -> int:
     target_fnr = args.target_fnr if args.target_fnr is not None else cfg.evaluation.target_fnr
     if not 0.0 < target_fnr < 1.0:
         raise ConfigError(f"target false-negative rate must be in (0, 1), got {target_fnr}")
-    checkpoint = load_checkpoint(args.checkpoint)
-    model = checkpoint.model
+    model = load_checkpoint(args.checkpoint).model
     data = experiments.assemble_datasets(cfg.dataset)
-    if len(data.test_T) == 0:
-        raise CalibrationError("no known validation samples to calibrate on")
     records = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
     scores = [r.score for r in records]
     threshold = novelty_eval.calibrate_threshold(scores, target_fnr)
@@ -157,7 +97,7 @@ def cmd_calibrate(args) -> int:
         "sample_count": threshold.sample_count,
         "realized_fnr": novelty_eval.realized_fnr(scores, threshold),
     }
-    _write_atomic(os.path.join(out, "threshold.json"), json.dumps(payload, indent=2) + "\n")
+    write_atomic(os.path.join(out, "threshold.json"), json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload))
     return 0
 
@@ -175,8 +115,8 @@ def cmd_ablate(args) -> int:
     means = experiments.ablation_means(rows)
     for mode in modes:
         csv_rows.append([mode, "mean", repr(means[mode]), ""])
-    _write_atomic(os.path.join(out, "ablation.csv"),
-                  _csv_text(["mode", "seed", "auc", "accuracy"], csv_rows))
+    write_atomic(os.path.join(out, "ablation.csv"),
+                 csv_text(["mode", "seed", "auc", "accuracy"], csv_rows))
     for mode in modes:
         print(f"{mode}\t{means[mode]:.4f}")
     return 0
@@ -192,8 +132,8 @@ def cmd_inspect_filters(args) -> int:
             "filter inspection needs a backbone ending in global-average-pool feeding the dense head")
     weights = model.head_T["layer0.weight"][: model.num_known]
     report = build_filter_report(weights)
-    _write_atomic(os.path.join(out, "filter_report.json"),
-                  json.dumps(report.to_json_dict(), indent=2) + "\n")
+    write_atomic(os.path.join(out, "filter_report.json"),
+                 json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(os.path.join(out, "filter_report.json"))
     return 0
 

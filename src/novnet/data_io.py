@@ -1,15 +1,21 @@
-"""Dataset loading (IDX, CSV), synthetic Gaussian clusters, and the
-known/novel + train/test split protocol.
+"""Dataset loading (IDX, CSV), synthetic Gaussian clusters, the
+known/novel + train/test split protocol, and the atomic file writer the
+other modules share.
 
-Datasets are immutable value objects: a list of (tensor, label) samples,
-an ordered list of class names, and a provenance string. Labels are always
-dense in [0, n_classes) and every class is non-empty.
+A dataset is a value object: a float64 feature array `x` of shape
+[n, ...], an int64 label array `y` of shape [n], an ordered list of class
+names, and a provenance string. Features are finite, labels are dense in
+[0, n_classes), and every class is non-empty. Readers and splits build the
+arrays directly; no per-sample objects exist.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,28 +36,36 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    samples: list[tuple[np.ndarray, int]]
+    x: np.ndarray
+    y: np.ndarray
     class_names: list[str]
     provenance: str = ""
 
     def __post_init__(self):
-        if not self.samples:
+        try:
+            self.x = np.asarray(self.x, dtype=np.float64)
+            self.y = np.asarray(self.y, dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"dataset {self.provenance!r} is not a numeric array: {exc}") from None
+        if self.x.ndim < 2 or self.y.shape != self.x.shape[:1]:
+            raise DatasetError(f"dataset {self.provenance!r} needs x of shape [n, ...] and y of "
+                               f"shape [n], got {self.x.shape} and {self.y.shape}")
+        if len(self.y) == 0:
             raise DatasetError(f"dataset {self.provenance!r} has no samples")
+        # min/max propagate NaN and reach +-inf, so no boolean mask is needed
+        if not (np.isfinite(self.x.min()) and np.isfinite(self.x.max())):
+            row = int(np.argwhere(~np.isfinite(self.x))[0, 0])
+            raise DatasetError(f"dataset {self.provenance!r} has a non-finite feature in sample {row}")
         n_classes = len(self.class_names)
-        seen = set()
-        shape = self.samples[0][0].shape
-        for x, y in self.samples:
-            if x.shape != shape:
-                raise DatasetError(f"sample shapes differ: {x.shape} vs {shape}")
-            if not 0 <= y < n_classes:
-                raise DatasetError(f"label {y} outside [0, {n_classes})")
-            seen.add(y)
-        if seen != set(range(n_classes)):
-            missing = sorted(set(range(n_classes)) - seen)
-            raise DatasetError(f"classes {missing} have no samples")
+        if self.y.min() < 0 or self.y.max() >= n_classes:
+            bad = self.y[(self.y < 0) | (self.y >= n_classes)][0]
+            raise DatasetError(f"label {bad} outside [0, {n_classes})")
+        missing = np.flatnonzero(np.bincount(self.y, minlength=n_classes) == 0)
+        if missing.size:
+            raise DatasetError(f"classes {missing.tolist()} have no samples")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.y)
 
     @property
     def n_classes(self) -> int:
@@ -59,17 +73,15 @@ class Dataset:
 
     @property
     def sample_shape(self) -> tuple[int, ...]:
-        return tuple(self.samples[0][0].shape)
+        return tuple(self.x.shape[1:])
 
     def features(self) -> np.ndarray:
-        """All sample tensors stacked into one [n, ...] array."""
-        return np.stack([x for x, _ in self.samples])
+        """The [n, ...] feature array (stored, not copied)."""
+        return self.x
 
     def labels(self) -> np.ndarray:
-        return np.asarray([y for _, y in self.samples], dtype=np.int64)
-
-    def class_indices(self, label: int) -> list[int]:
-        return [i for i, (_, y) in enumerate(self.samples) if y == label]
+        """The [n] int64 label array (stored, not copied)."""
+        return self.y
 
 
 @dataclass(frozen=True)
@@ -79,15 +91,12 @@ class SplitSpec:
     known_fraction: float = 0.5
     train_fraction: float = 0.5
     seed: int = 0
-    ordering: str = "alphabetical"
 
     def __post_init__(self):
         if not 0.0 < self.known_fraction < 1.0:
             raise ConfigError(f"known_fraction must be in (0, 1), got {self.known_fraction}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.ordering != "alphabetical":
-            raise ConfigError(f"unsupported class ordering: {self.ordering!r}")
 
 
 @dataclass(frozen=True)
@@ -155,11 +164,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     images = np.frombuffer(payload, dtype=np.uint8).reshape(count, 1, rows, cols)
     images = images.astype(np.float64) / 255.0
-    raw_labels = np.frombuffer(label_bytes, dtype=np.uint8)
-    values = sorted(set(int(v) for v in raw_labels))
-    remap = {v: i for i, v in enumerate(values)}
-    samples = [(images[i], remap[int(raw_labels[i])]) for i in range(count)]
-    return Dataset(samples, [str(v) for v in values], provenance=str(images_path))
+    values, labels = np.unique(np.frombuffer(label_bytes, dtype=np.uint8), return_inverse=True)
+    return Dataset(images, labels, [str(int(v)) for v in values], provenance=str(images_path))
 
 
 def load_csv(path) -> Dataset:
@@ -178,21 +184,19 @@ def load_csv(path) -> Dataset:
         width = len(header) - 1
         if width < 1:
             raise FormatError(f"{path}: no feature columns in header")
-        rows = []
+        label_names, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width + 1:
                 raise FormatError(f"{path}:{lineno}: expected {width + 1} cells, got {len(row)}")
             try:
-                values = np.asarray([float(cell) for cell in row[1:]], dtype=np.float64)
+                rows.append(np.asarray([float(cell) for cell in row[1:]], dtype=np.float64))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            rows.append((row[0], values))
+            label_names.append(row[0])
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    names = sorted(set(name for name, _ in rows))
-    remap = {name: i for i, name in enumerate(names)}
-    samples = [(values, remap[name]) for name, values in rows]
-    return Dataset(samples, names, provenance=str(path))
+    names, labels = np.unique(np.asarray(label_names), return_inverse=True)
+    return Dataset(np.stack(rows), labels, names.tolist(), provenance=str(path))
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -200,33 +204,36 @@ def save_csv(dataset: Dataset, path) -> None:
     decimal floats (repr round-trips every float64 exactly)."""
     if len(dataset.sample_shape) != 1:
         raise DatasetError(f"CSV datasets must hold flat tensors, got shape {dataset.sample_shape}")
-    width = dataset.sample_shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(width)])
-        for x, y in dataset.samples:
-            writer.writerow([dataset.class_names[y]] + [repr(float(v)) for v in x])
+    header = ["label"] + [f"f{i}" for i in range(dataset.sample_shape[0])]
+    rows = ([dataset.class_names[y]] + [repr(float(v)) for v in x] for x, y in zip(dataset.x, dataset.y))
+    write_atomic(path, csv_text(header, rows))
 
 
 def synth_gaussian(spec: SyntheticSpec) -> tuple[Dataset, Dataset, "Dataset | None"]:
     """Draw isotropic Gaussian clusters and route them to the (known,
     novel, reference) datasets by role. Deterministic given spec.seed.
-    The reference slot is None when the spec has no reference clusters."""
+    The reference slot is None when the spec has no reference clusters.
+
+    Each cluster is drawn in spec order straight into its rows of the
+    role's preallocated feature array, so no per-cluster copies exist."""
     rng = np.random.default_rng(spec.seed)
-    buckets: dict[str, list] = {"known": [], "novel": [], "reference": []}
-    names: dict[str, list[str]] = {"known": [], "novel": [], "reference": []}
     prefix = {"known": "known", "novel": "novel", "reference": "ref"}
+    clusters = {role: [c for c in spec.clusters if c.role == role] for role in prefix}
+    x = {role: np.empty((sum(c.count for c in group), spec.dimension))
+         for role, group in clusters.items()}
+    filled = dict.fromkeys(prefix, 0)
     for cluster in spec.clusters:
-        mean = np.asarray(cluster.mean, dtype=np.float64)
-        points = mean + cluster.stddev * rng.standard_normal((cluster.count, spec.dimension))
-        label = len(names[cluster.role])
-        names[cluster.role].append(f"{prefix[cluster.role]}_{label}")
-        buckets[cluster.role].extend((points[i], label) for i in range(cluster.count))
-    out = []
-    for role in ("known", "novel", "reference"):
-        out.append(Dataset(buckets[role], names[role], provenance=f"synthetic:{role}:seed={spec.seed}")
-                   if buckets[role] else None)
-    known, novel, reference = out
+        start = filled[cluster.role]
+        block = x[cluster.role][start:start + cluster.count]
+        rng.standard_normal(out=block)
+        block *= cluster.stddev
+        block += np.asarray(cluster.mean, dtype=np.float64)
+        filled[cluster.role] += cluster.count
+    known, novel, reference = (
+        Dataset(x[role], np.repeat(np.arange(len(group)), [c.count for c in group]),
+                [f"{prefix[role]}_{i}" for i in range(len(group))],
+                provenance=f"synthetic:{role}:seed={spec.seed}") if group else None
+        for role, group in clusters.items())
     return known, novel, reference
 
 
@@ -249,34 +256,58 @@ def split_known_novel(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datas
 
 
 def _subset_by_names(dataset: Dataset, names: list[str], tag: str) -> Dataset:
-    remap = {dataset.class_names.index(name): i for i, name in enumerate(names)}
-    samples = [(x, remap[y]) for x, y in dataset.samples if y in remap]
-    return Dataset(samples, list(names), provenance=f"{dataset.provenance}#{tag}")
+    remap = np.full(dataset.n_classes, -1)
+    remap[[dataset.class_names.index(name) for name in names]] = np.arange(len(names))
+    labels = remap[dataset.y]
+    keep = labels >= 0
+    return Dataset(dataset.x[keep], labels[keep], list(names), provenance=f"{dataset.provenance}#{tag}")
 
 
 def split_train_test(dataset: Dataset, seed: int, train_fraction: float = 0.5) -> tuple[Dataset, Dataset]:
     """Per-class random split; odd counts give the extra sample to train.
 
     Every class must have at least 2 samples so both halves contain every
-    class. Deterministic given seed.
+    class. Deterministic given seed; both halves keep the dataset's order.
     """
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    train_idx, test_idx = [], []
     for label in range(dataset.n_classes):
-        idx = dataset.class_indices(label)
+        idx = np.flatnonzero(dataset.y == label)
         if len(idx) < 2:
             raise ProtocolError(f"class {dataset.class_names[label]!r} has {len(idx)} sample(s); needs >= 2")
         order = rng.permutation(len(idx))
         n_train = int(np.ceil(train_fraction * len(idx)))
         n_train = min(max(n_train, 1), len(idx) - 1)
-        train_idx.extend(idx[i] for i in order[:n_train])
-        test_idx.extend(idx[i] for i in order[n_train:])
-    train_idx.sort()
-    test_idx.sort()
-    return (
-        Dataset([dataset.samples[i] for i in train_idx], list(dataset.class_names),
-                provenance=f"{dataset.provenance}#train"),
-        Dataset([dataset.samples[i] for i in test_idx], list(dataset.class_names),
-                provenance=f"{dataset.provenance}#test"),
-    )
+        train_idx.append(idx[order[:n_train]])
+        test_idx.append(idx[order[n_train:]])
+    train, test = (
+        Dataset(dataset.x[idx], dataset.y[idx], list(dataset.class_names),
+                provenance=f"{dataset.provenance}#{tag}")
+        for idx, tag in ((np.sort(np.concatenate(train_idx)), "train"),
+                         (np.sort(np.concatenate(test_idx)), "test")))
+    return train, test
+
+
+def csv_text(header, rows) -> str:
+    """CSV document text: one header row, then the rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_atomic(path, data: "str | bytes") -> None:
+    """Write `data` (text is UTF-8 encoded) to a temp file beside `path`
+    and rename it into place only once the write has succeeded."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -20,15 +20,15 @@ Training modes (ablation/baseline variants):
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn_core
-from .data_io import Dataset
+from .data_io import Dataset, write_atomic
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -69,10 +69,17 @@ class TrainingConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}; expected one of {MODES}")
-        if self.lam <= 0:
+        # Written so that NaN fails every check.
+        if not self.lam > 0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if self.alpha1 < 0 or self.alpha2 < 0:
+        if not (self.alpha1 >= 0 and self.alpha2 >= 0):
             raise ConfigError("alpha1 and alpha2 must be >= 0")
+        if not self.lr >= 0:
+            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size_T < 1 or self.batch_size_R < 1:
@@ -125,10 +132,6 @@ class DualBranchModel:
     num_known: int
     num_reference: int
     combined_head: bool = False
-
-    @property
-    def feature_width(self) -> int:
-        return self.backbone_spec.output_shape[0]
 
     def backbone_features(self, x: np.ndarray) -> np.ndarray:
         return nn_core.forward(self.backbone_spec, self.backbone, x)[0]
@@ -432,34 +435,22 @@ def save_checkpoint(model: DualBranchModel, cfg: TrainingConfig, path,
         "metrics": metrics or {},
     }
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<Q", len(meta_bytes)))
-            fh.write(meta_bytes)
-            for name, value in _named_params(model):
-                name_bytes = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(name_bytes)))
-                fh.write(name_bytes)
-                fh.write(struct.pack("<I", value.ndim))
-                for dim in value.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+             struct.pack("<Q", len(meta_bytes)), meta_bytes]
+    for name, value in _named_params(model):
+        name_bytes = name.encode("utf-8")
+        parts += [struct.pack("<I", len(name_bytes)), name_bytes, struct.pack("<I", value.ndim),
+                  struct.pack(f"<{value.ndim}Q", *value.shape),
+                  np.ascontiguousarray(value, dtype="<f8").tobytes()]
+    write_atomic(path, b"".join(parts))
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    # Checked against the file size first, so a corrupt length field
+    # cannot request a huge read.
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CorruptionError(f"checkpoint truncated while reading {what}")
-    return data
+    return fh.read(count)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -487,16 +478,21 @@ def load_checkpoint(path) -> Checkpoint:
             name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)
             data = _read_exact(fh, 8 * count, f"data of {name}")
             tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
 
-    backbone_spec = nn_core.spec_from_dicts(metadata["backbone"]["input_shape"],
-                                            metadata["backbone"]["layers"])
-    cfg = TrainingConfig.from_dict(metadata["config"])
-    model = build_dual_model(backbone_spec, int(metadata["num_known"]),
-                             int(metadata["num_reference"]), seed=0,
-                             combined_head=bool(metadata["combined_head"]))
+    try:
+        backbone_spec = nn_core.spec_from_dicts(metadata["backbone"]["input_shape"],
+                                                metadata["backbone"]["layers"])
+        cfg = TrainingConfig.from_dict(metadata["config"])
+        num_known, num_reference = int(metadata["num_known"]), int(metadata["num_reference"])
+        combined_head = bool(metadata["combined_head"])
+        epoch, metrics = int(metadata["epoch"]), dict(metadata["metrics"])
+    except (KeyError, TypeError) as exc:
+        raise CorruptionError(f"{path}: checkpoint metadata is missing or malformed: {exc!r}") from None
+    model = build_dual_model(backbone_spec, num_known, num_reference, seed=0,
+                             combined_head=combined_head)
 
     def restore(group: ParamSet, prefix: str) -> ParamSet:
         out: ParamSet = {}
@@ -514,5 +510,7 @@ def load_checkpoint(path) -> Checkpoint:
     model.head_T = restore(model.head_T, "head_T")
     if model.head_R is not None:
         model.head_R = restore(model.head_R, "head_R")
-    return Checkpoint(version=version, model=model, config=cfg,
-                      epoch=int(metadata["epoch"]), metrics=dict(metadata["metrics"]))
+    unknown = sorted(set(tensors) - {name for name, _ in _named_params(model)})
+    if unknown:
+        raise FormatError(f"{path}: checkpoint has parameters the model does not: {unknown}")
+    return Checkpoint(version=version, model=model, config=cfg, epoch=epoch, metrics=metrics)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -183,10 +183,10 @@ def assemble_datasets(dataset_section: dict) -> ExperimentData:
 def _reshape_dataset(dataset: "Dataset | None", shape: tuple[int, ...]) -> "Dataset | None":
     if dataset is None:
         return None
-    first = dataset.samples[0][0]
-    if int(np.prod(shape)) != first.size:
-        raise ConfigError(f"cannot reshape samples of {first.size} values to {shape}")
-    return Dataset([(x.reshape(shape), y) for x, y in dataset.samples],
+    size = int(np.prod(dataset.sample_shape))
+    if int(np.prod(shape)) != size:
+        raise ConfigError(f"cannot reshape samples of {size} values to {shape}")
+    return Dataset(dataset.x.reshape((len(dataset),) + shape), dataset.y,
                    list(dataset.class_names), provenance=dataset.provenance)
 
 
@@ -262,7 +262,7 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, mode: str | None = None,
-                   seed: int | None = None, epoch_callback=None,
+                   seed: int | None = None,
                    data: ExperimentData | None = None) -> ExperimentResult:
     """Assemble data, build and train a model, and evaluate novelty AUC
     plus closed-set accuracy on the held-out splits.
@@ -270,29 +270,37 @@ def run_experiment(cfg: ExperimentConfig, mode: str | None = None,
     Pass pre-assembled `data` to share one draw across several runs."""
     if data is None:
         data = assemble_datasets(cfg.dataset)
-    training = TrainingConfig.from_dict(cfg.training.to_dict())
-    if mode is not None:
-        training = TrainingConfig.from_dict({**training.to_dict(), "mode": mode})
-    if seed is not None:
-        training = TrainingConfig.from_dict({**training.to_dict(), "seed": seed})
+    overrides = {key: value for key, value in (("mode", mode), ("seed", seed)) if value is not None}
+    if overrides:
+        cfg = replace(cfg, training=replace(cfg.training, **overrides))
+    model, history = train_model(cfg, data)
+    _, roc, accuracy = evaluate_detection(model, data)
+    return ExperimentResult(mode=cfg.training.mode, training_seed=cfg.training.seed, auc=roc.auc,
+                            accuracy=accuracy, model=model, history=history, data=data)
 
+
+def train_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranchModel, list[EpochStats]]:
+    """Build a dual-branch model for the training mode and train it on the
+    train split (plus the reference data when the mode uses it)."""
+    training = cfg.training
     if training.uses_reference and data.reference is None:
         raise ConfigError(f"mode {training.mode!r} needs a reference dataset")
     reference = data.reference if training.uses_reference else None
     num_reference = reference.n_classes if reference is not None else 0
-
     model = build_dual_model(cfg.backbone, data.train_T.n_classes, num_reference,
                              seed=training.seed, combined_head=training.mode == "finetune-cC")
-    model, history = train(model, data.train_T, reference, training, epoch_callback=epoch_callback)
-
-    auc, accuracy = evaluate_detection(model, data)
-    return ExperimentResult(mode=training.mode, training_seed=training.seed, auc=auc,
-                            accuracy=accuracy, model=model, history=history, data=data)
+    return train(model, data.train_T, reference, training)
 
 
-def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[float, float]:
-    """(novelty AUC, closed-set accuracy) on the test splits."""
-    if data.novel is None or len(data.novel) == 0:
+def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[
+        list[novelty_eval.ScoreRecord], novelty_eval.RocResult, float]:
+    """Score the known test split and the novel data, and return the score
+    records (known first), the ROC curve with its AUC, and the closed-set
+    accuracy on the known test split."""
+    if model.num_known != data.train_T.n_classes:
+        raise ProtocolError(
+            f"checkpoint has {model.num_known} known classes but dataset has {data.train_T.n_classes}")
+    if data.novel is None:
         raise ProtocolError("evaluation needs novel samples; AUC is undefined without them")
     known_records = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
     novel_records = novelty_eval.score_dataset(model, data.novel, is_novel=True,
@@ -300,7 +308,7 @@ def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[fl
     roc = novelty_eval.roc_auc([r.score for r in known_records],
                                [r.score for r in novel_records])
     accuracy = novelty_eval.closed_set_accuracy(model, data.test_T)
-    return roc.auc, accuracy
+    return known_records + novel_records, roc, accuracy
 
 
 @dataclass
@@ -337,6 +345,8 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
     training seeds advance deterministically.
     """
     modes = tuple(modes)
+    if n_seeds < 1:
+        raise ConfigError(f"ablation needs at least one seed, got {n_seeds}")
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ConfigError(f"ablation mode must be one of {ABLATION_MODES}, got {mode!r}")

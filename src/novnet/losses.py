@@ -56,12 +56,6 @@ def sigmoid(t):
     return out
 
 
-def sigmoid_prime(t):
-    """Derivative of the logistic function: sigma(t) * (1 - sigma(t))."""
-    s = sigmoid(t)
-    return s * (1.0 - s)
-
-
 def _as_logit_batch(f: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
     """Normalize (f, y) to 2-D logits and a 1-D label array."""
     f = np.asarray(f, dtype=np.float64)
@@ -98,27 +92,6 @@ def cross_entropy(f: np.ndarray, y) -> LossResult:
     grad[rows, y] -= 1.0
     grad /= n
     return LossResult(value, grad[0] if single else grad)
-
-
-def membership_risk_components(f: np.ndarray, y) -> tuple[float, float]:
-    """The two risk terms of the membership loss, batch-averaged.
-
-    Returns (correct_term, wrong_term) where correct_term penalizes a low
-    sigmoid score on the true class, [1 - sigma(f_y)]^2, and wrong_term
-    penalizes high scores on the other classes,
-    (1/(c-1)) * sum_{i != y} sigma(f_i)^2. The loss combines them as
-    correct_term + lambda * wrong_term.
-    """
-    f, y, _ = _as_logit_batch(f, y)
-    n, c = f.shape
-    if c < 2:
-        raise ConfigError("membership loss needs at least 2 classes")
-    s = sigmoid(f)
-    rows = np.arange(n)
-    correct = (1.0 - s[rows, y]) ** 2
-    sq = s ** 2
-    wrong = (sq.sum(axis=1) - sq[rows, y]) / (c - 1)
-    return float(correct.mean()), float(wrong.mean())
 
 
 def membership_loss(f: np.ndarray, y, params: MembershipParams = MembershipParams()) -> LossResult:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, csv_text, write_atomic
 from .dual_trainer import DualBranchModel
 from .errors import CalibrationError, EvaluationError, ProtocolError
 
@@ -46,24 +46,16 @@ class RocResult:
     thresholds: list[float]  # parallel to points; starts at +inf
 
 
-def novelty_score(model: DualBranchModel, x: np.ndarray, sample_id: int = 0,
-                  true_class: int = NOVEL_MARKER, is_novel: bool = False) -> ScoreRecord:
-    """Score one sample through the known branch only.
+def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
+                  start_id: int = 0) -> list[ScoreRecord]:
+    """Score every sample of a dataset in one batched forward pass through
+    the known branch only.
 
     score = max over the known-class activations, predicted class = their
     argmax. For combined-head (finetune-cC) models only the first c
     outputs count; reference-class activations are evidence of novelty,
     not identity.
     """
-    f = model.known_class_logits(np.asarray(x, dtype=np.float64)[None, ...])[0]
-    predicted = int(np.argmax(f))
-    return ScoreRecord(sample_id=sample_id, score=float(f[predicted]),
-                       predicted_class=predicted, true_class=true_class, is_novel=is_novel)
-
-
-def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
-                  start_id: int = 0) -> list[ScoreRecord]:
-    """Score every sample of a dataset in one batched forward pass."""
     f = model.known_class_logits(dataset.features())
     predicted = np.argmax(f, axis=1)
     labels = dataset.labels()
@@ -124,6 +116,8 @@ def roc_auc(known_scores, novel_scores) -> RocResult:
     novel = np.asarray(list(novel_scores), dtype=np.float64)
     if known.size == 0 or novel.size == 0:
         raise EvaluationError("ROC needs at least one known and one novel score")
+    if not (np.all(np.isfinite(known)) and np.all(np.isfinite(novel))):
+        raise EvaluationError("ROC needs finite scores")
     thresholds = np.unique(np.concatenate([known, novel]))[::-1]
     points = [(0.0, 0.0)]
     out_thresholds = [math.inf]
@@ -170,12 +164,9 @@ SCORE_CSV_HEADER = ["sample_id", "score", "predicted_class", "true_class", "is_n
 
 
 def write_score_report(records: list[ScoreRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_CSV_HEADER)
-        for r in records:
-            writer.writerow([r.sample_id, repr(r.score), r.predicted_class,
-                             r.true_class, int(r.is_novel)])
+    rows = ([r.sample_id, repr(r.score), r.predicted_class, r.true_class, int(r.is_novel)]
+            for r in records)
+    write_atomic(path, csv_text(SCORE_CSV_HEADER, rows))
 
 
 def read_score_report(path) -> list[ScoreRecord]:
@@ -194,12 +185,9 @@ def read_score_report(path) -> list[ScoreRecord]:
 
 def write_roc_csv(roc: RocResult, path) -> None:
     """`threshold,fpr,tpr` rows followed by a one-line `auc,<value>` trailer."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for t, (fpr, tpr) in zip(roc.thresholds, roc.points):
-            writer.writerow([repr(t), repr(fpr), repr(tpr)])
-        writer.writerow(["auc", repr(roc.auc)])
+    rows = [[repr(t), repr(fpr), repr(tpr)] for t, (fpr, tpr) in zip(roc.thresholds, roc.points)]
+    rows.append(["auc", repr(roc.auc)])
+    write_atomic(path, csv_text(["threshold", "fpr", "tpr"], rows))
 
 
 def read_roc_csv(path) -> RocResult:

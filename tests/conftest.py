@@ -52,7 +52,5 @@ def trained_ce_only(toy_datasets):
 
 def rng_dataset(rng, n, dim, n_classes, names=None):
     """Random dense-labeled dataset for protocol tests."""
-    samples = []
-    for i in range(n):
-        samples.append((rng.standard_normal(dim), i % n_classes))
-    return Dataset(samples, names or [f"c{i}" for i in range(n_classes)], provenance="test")
+    return Dataset(rng.standard_normal((n, dim)), np.arange(n) % n_classes,
+                   names or [f"c{i}" for i in range(n_classes)], provenance="test")

@@ -88,6 +88,38 @@ class TestTrain:
         assert ckpt.model.head_R is None
 
 
+class TestBadInputExitsCleanly:
+    """Each bad input exits 1 with exactly one line on stderr."""
+
+    def run_failing(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    @pytest.mark.parametrize("key", ["lambda", "lr"])
+    def test_nan_training_value(self, tmp_path, capsys, key):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["training"][key] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))  # json writes the bare NaN token
+        err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert "nan" in err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        err = self.run_failing(["train", "--config", str(config), "--out", str(tmp_path / "o"),
+                                "--seed", "-1"], capsys)
+        assert "seed" in err
+
+    def test_zero_ablation_seeds(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        err = self.run_failing(["ablate", "--config", str(config), "--out", str(tmp_path / "o"),
+                                "--seeds", "0"], capsys)
+        assert "seed" in err
+
+
 class TestEval:
     def run_train(self, tmp_path, **kwargs):
         config = write_config(tmp_path, **kwargs)
@@ -262,9 +294,9 @@ class TestInspectFilters:
             ClusterSpec(tuple(1 - ref), 0.15, 20, "reference"),
         ), seed=1)
         known, _, reference = synth_gaussian(spec)
-        known = type(known)([(x.reshape(1, 4, 4), y) for x, y in known.samples],
+        known = type(known)(known.features().reshape(-1, 1, 4, 4), known.labels(),
                             known.class_names, known.provenance)
-        reference = type(reference)([(x.reshape(1, 4, 4), y) for x, y in reference.samples],
+        reference = type(reference)(reference.features().reshape(-1, 1, 4, 4), reference.labels(),
                                     reference.class_names, reference.provenance)
         backbone = NetworkSpec((1, 4, 4), (Conv2d(1, 4, 3), Relu(), GlobalAveragePool()))
         model = build_dual_model(backbone, 2, 2, seed=2)

@@ -8,12 +8,14 @@ from novnet.data_io import (
     Dataset,
     SplitSpec,
     SyntheticSpec,
+    csv_text,
     load_csv,
     load_idx,
     save_csv,
     split_known_novel,
     split_train_test,
     synth_gaussian,
+    write_atomic,
 )
 from novnet.errors import (
     ConfigError,
@@ -55,7 +57,7 @@ class TestLoadIdx:
     def test_pixel_scaling_endpoint(self, tmp_path):
         images = np.full((2, 2, 2), 255, dtype=np.uint8)
         ds = load_idx(*write_idx_pair(tmp_path, images, [0, 1]))
-        assert ds.samples[0][0].max() == 1.0
+        assert ds.features()[0].max() == 1.0
 
     def test_truncated_payload(self, tmp_path):
         images = np.zeros((4, 3, 3), dtype=np.uint8)
@@ -97,6 +99,12 @@ class TestCsv:
         with pytest.raises(FormatError):
             load_csv(path)
 
+    def test_non_finite_cells_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,f0\nx,nan\nx,1\ny,inf\ny,2\n")
+        with pytest.raises(DatasetError):
+            load_csv(path)
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("label,f0\nx,oops\nx,1.0\n")
@@ -112,8 +120,7 @@ class TestCsv:
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(1)
         values = rng.standard_normal((6, 3)) * np.array([1e-12, 1.0, 1e12])
-        samples = [(values[i], i % 2) for i in range(6)]
-        ds = Dataset(samples, ["one", "two"], provenance="mem")
+        ds = Dataset(values, np.arange(6) % 2, ["one", "two"], provenance="mem")
         path = tmp_path / "rt.csv"
         save_csv(ds, path)
         back = load_csv(path)
@@ -137,7 +144,7 @@ class TestSynthGaussian:
 
     def test_degenerate_spread(self):
         known, _, _ = synth_gaussian(self.spec(stddev=1e-12))
-        for x, y in known.samples:
+        for x, y in zip(known.features(), known.labels()):
             mean = (1.0, 0.0, 0.0) if y == 0 else (0.0, 1.0, 0.0)
             assert np.max(np.abs(x - np.asarray(mean))) < 1e-9
 
@@ -181,11 +188,8 @@ class TestSynthGaussian:
 def four_class_dataset():
     rng = np.random.default_rng(7)
     names = ["ant", "bee", "cat", "dog"]
-    samples = []
-    for label in range(4):
-        for _ in range(6 + label):  # uneven counts
-            samples.append((rng.standard_normal(3), label))
-    return Dataset(samples, names, provenance="zoo")
+    labels = np.repeat(np.arange(4), [6, 7, 8, 9])  # uneven counts
+    return Dataset(rng.standard_normal((len(labels), 3)), labels, names, provenance="zoo")
 
 
 class TestSplitKnownNovel:
@@ -195,7 +199,7 @@ class TestSplitKnownNovel:
         assert novel.class_names == ["cat", "dog"]
 
     def test_single_class_error(self):
-        ds = Dataset([(np.zeros(2), 0), (np.zeros(2), 0)], ["only"], provenance="x")
+        ds = Dataset(np.zeros((2, 2)), [0, 0], ["only"], provenance="x")
         with pytest.raises(ProtocolError):
             split_known_novel(ds, SplitSpec())
 
@@ -203,16 +207,13 @@ class TestSplitKnownNovel:
         ds = four_class_dataset()
         known, novel = split_known_novel(ds, SplitSpec())
         assert len(known) + len(novel) == len(ds)
-        combined = sorted(
-            tuple(x.tolist()) for x, _ in known.samples + novel.samples)
-        original = sorted(tuple(x.tolist()) for x, _ in ds.samples)
+        combined = sorted(map(tuple, np.concatenate([known.features(), novel.features()]).tolist()))
+        original = sorted(map(tuple, ds.features().tolist()))
         assert combined == original
 
     def test_unsorted_input_classes(self):
         rng = np.random.default_rng(8)
-        samples = [(rng.standard_normal(2), 0), (rng.standard_normal(2), 0),
-                   (rng.standard_normal(2), 1), (rng.standard_normal(2), 1)]
-        ds = Dataset(samples, ["zebra", "ant"], provenance="x")
+        ds = Dataset(rng.standard_normal((4, 2)), [0, 0, 1, 1], ["zebra", "ant"], provenance="x")
         known, novel = split_known_novel(ds, SplitSpec())
         assert known.class_names == ["ant"]
         assert novel.class_names == ["zebra"]
@@ -221,24 +222,23 @@ class TestSplitKnownNovel:
 class TestSplitTrainTest:
     def test_even_count(self):
         rng = np.random.default_rng(9)
-        ds = Dataset([(rng.standard_normal(2), i % 2) for i in range(20)], ["a", "b"], "x")
+        ds = Dataset(rng.standard_normal((20, 2)), np.arange(20) % 2, ["a", "b"], "x")
         train, test = split_train_test(ds, seed=0)
-        assert sum(1 for _, y in train.samples if y == 0) == 5
-        assert sum(1 for _, y in test.samples if y == 0) == 5
+        assert np.count_nonzero(train.labels() == 0) == 5
+        assert np.count_nonzero(test.labels() == 0) == 5
 
     def test_odd_count_extra_to_train(self):
         rng = np.random.default_rng(10)
-        ds = Dataset([(rng.standard_normal(2), 0) for _ in range(7)]
-                     + [(rng.standard_normal(2), 1) for _ in range(4)], ["a", "b"], "x")
+        ds = Dataset(rng.standard_normal((11, 2)), [0] * 7 + [1] * 4, ["a", "b"], "x")
         train, test = split_train_test(ds, seed=0)
-        assert sum(1 for _, y in train.samples if y == 0) == 4
-        assert sum(1 for _, y in test.samples if y == 0) == 3
+        assert np.count_nonzero(train.labels() == 0) == 4
+        assert np.count_nonzero(test.labels() == 0) == 3
 
     def test_partition_per_class(self):
         ds = four_class_dataset()
         train, test = split_train_test(ds, seed=1)
-        combined = sorted(tuple(x.tolist()) for x, _ in train.samples + test.samples)
-        original = sorted(tuple(x.tolist()) for x, _ in ds.samples)
+        combined = sorted(map(tuple, np.concatenate([train.features(), test.features()]).tolist()))
+        original = sorted(map(tuple, ds.features().tolist()))
         assert combined == original
         assert set(train.labels().tolist()) == set(range(4))
         assert set(test.labels().tolist()) == set(range(4))
@@ -251,7 +251,7 @@ class TestSplitTrainTest:
         assert np.array_equal(a_test.features(), b_test.features())
 
     def test_small_class_error(self):
-        ds = Dataset([(np.zeros(2), 0), (np.zeros(2), 0), (np.zeros(2), 1)], ["a", "b"], "x")
+        ds = Dataset(np.zeros((3, 2)), [0, 0, 1], ["a", "b"], "x")
         with pytest.raises(ProtocolError):
             split_train_test(ds, seed=0)
 
@@ -259,20 +259,53 @@ class TestSplitTrainTest:
 class TestDatasetInvariants:
     def test_ragged_shapes_rejected(self):
         with pytest.raises(DatasetError):
-            Dataset([(np.zeros(2), 0), (np.zeros(3), 0)], ["a"], "x")
+            Dataset([np.zeros(2), np.zeros(3)], [0, 0], ["a"], "x")
+        with pytest.raises(DatasetError):  # x must be [n, ...] with ndim >= 2
+            Dataset(np.zeros(2), [0, 0], ["a"], "x")
+        with pytest.raises(DatasetError):  # len(x) != len(y)
+            Dataset(np.zeros((3, 2)), [0, 0], ["a"], "x")
 
     def test_label_gap_rejected(self):
         with pytest.raises(DatasetError):
-            Dataset([(np.zeros(2), 0), (np.zeros(2), 2)], ["a", "b", "c"], "x")
+            Dataset(np.zeros((2, 2)), [0, 2], ["a", "b", "c"], "x")
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
-            Dataset([], [], "x")
+            Dataset(np.zeros((0, 2)), [], [], "x")
+
+    def test_non_finite_features_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.zeros((2, 2))
+            x[1, 0] = bad
+            with pytest.raises(DatasetError, match="sample 1"):
+                Dataset(x, [0, 1], ["a", "b"], "x")
+
+    def test_arrays_stored_not_copied(self):
+        x, y = np.zeros((2, 2)), np.array([0, 1], dtype=np.int64)
+        ds = Dataset(x, y, ["a", "b"], "x")
+        assert ds.features() is x and ds.labels() is y
 
     def test_split_spec_validation(self):
         with pytest.raises(ConfigError):
             SplitSpec(known_fraction=0.0)
         with pytest.raises(ConfigError):
             SplitSpec(train_fraction=1.0)
-        with pytest.raises(ConfigError):
-            SplitSpec(ordering="reverse")
+
+
+class TestWriteAtomic:
+    def test_text_and_bytes(self, tmp_path):
+        write_atomic(tmp_path / "a.txt", "h\u00e9\n")
+        write_atomic(tmp_path / "b.bin", b"\x00\x01")
+        assert (tmp_path / "a.txt").read_bytes() == "h\u00e9\n".encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
+
+    def test_failed_write_leaves_target_and_no_temp(self, tmp_path):
+        target = tmp_path / "keep.txt"
+        target.write_text("old")
+        with pytest.raises(TypeError):
+            write_atomic(target, 42)
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+    def test_csv_text(self):
+        assert csv_text(["a", "b"], [[1, "x,y"]]) == 'a,b\r\n1,"x,y"\r\n'

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -157,12 +160,9 @@ class TestTrain:
     @pytest.mark.parametrize("seed", range(5))
     def test_loss_decreases_on_separable_data(self, seed):
         rng = np.random.default_rng(seed)
-        samples = []
-        for i in range(40):
-            label = i % 2
-            center = np.array([3.0, 0.0]) if label else np.array([-3.0, 0.0])
-            samples.append((center + 0.3 * rng.standard_normal(2), label))
-        ds = Dataset(samples, ["neg", "pos"], "sep")
+        labels = np.arange(40) % 2
+        centers = np.where(labels[:, None] == 1, [3.0, 0.0], [-3.0, 0.0])
+        ds = Dataset(centers + 0.3 * rng.standard_normal((40, 2)), labels, ["neg", "pos"], "sep")
         model = build_dual_model(NetworkSpec((2,), (Dense(2, 8), Relu())), 2, 0, seed=seed)
         cfg = TrainingConfig(mode="ce-only", epochs=10, lr=0.05, seed=seed, batch_size_T=8)
         model, history = train(model, ds, None, cfg)
@@ -291,6 +291,15 @@ class TestTrainingConfig:
         assert TrainingConfig(mode="dual-ce", alpha2=3.0).effective_alpha2 == 0.0
         assert TrainingConfig(mode="dual-full", alpha2=3.0).effective_alpha2 == 3.0
 
+    @pytest.mark.parametrize("field", ["lam", "lr", "alpha1", "alpha2", "momentum"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ConfigError):
+            TrainingConfig(**{field: float("nan")})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            TrainingConfig(seed=-1)
+
 
 class TestCheckpoint:
     def make_model(self, c=4, ref=8, combined=False):
@@ -345,6 +354,36 @@ class TestCheckpoint:
         assert ckpt.model.head_R["layer0.weight"].shape == (8, 16)
         assert ckpt.model.num_known == 4
         assert ckpt.model.num_reference == 8
+
+    def saved_bytes(self, tmp_path):
+        path = tmp_path / "m.nvfg"
+        save_checkpoint(self.make_model(), TrainingConfig(seed=0), path)
+        return path, path.read_bytes()
+
+    def test_huge_metadata_length(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        path.write_bytes(data[:8] + (2 ** 62).to_bytes(8, "little") + data[16:])
+        with pytest.raises(CorruptionError):
+            load_checkpoint(path)
+
+    def test_missing_metadata_key(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        meta_len = int.from_bytes(data[8:16], "little")
+        metadata = json.loads(data[16:16 + meta_len])
+        del metadata["epoch"]
+        meta = json.dumps(metadata, sort_keys=True).encode()
+        path.write_bytes(data[:8] + len(meta).to_bytes(8, "little") + meta + data[16 + meta_len:])
+        with pytest.raises(CorruptionError, match="epoch"):
+            load_checkpoint(path)
+
+    def test_unknown_tensor_record(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        name = b"head_X.layer0.bias"
+        record = (struct.pack("<I", len(name)) + name + struct.pack("<IQ", 1, 2)
+                  + np.zeros(2, dtype="<f8").tobytes())
+        path.write_bytes(data + record)
+        with pytest.raises(FormatError, match="head_X"):
+            load_checkpoint(path)
 
     def test_combined_head_round_trip(self, tmp_path):
         model = self.make_model(c=3, ref=2, combined=True)

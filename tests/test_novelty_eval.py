@@ -13,7 +13,6 @@ from novnet.novelty_eval import (
     calibrate_threshold,
     closed_set_accuracy,
     decide,
-    novelty_score,
     read_roc_csv,
     read_score_report,
     realized_fnr,
@@ -33,9 +32,16 @@ def passthrough_model(c=3):
     return model
 
 
+def score_one(model, x, is_novel=True):
+    """The record score_dataset gives for a one-sample dataset."""
+    one = Dataset(np.asarray(x, dtype=np.float64)[None], [0], ["only"], "one")
+    [record] = score_dataset(model, one, is_novel=is_novel)
+    return record
+
+
 class TestNoveltyScore:
     def test_argmax_definition(self):
-        record = novelty_score(passthrough_model(), np.array([3.0, -1.0, 0.5]))
+        record = score_one(passthrough_model(), np.array([3.0, -1.0, 0.5]))
         assert record.score == 3.0
         assert record.predicted_class == 0
         assert record.true_class == NOVEL_MARKER
@@ -43,17 +49,17 @@ class TestNoveltyScore:
     def test_constant_shift_moves_score_not_class(self):
         model = passthrough_model()
         x = np.array([0.2, 1.7, -0.4])
-        base = novelty_score(model, x)
+        base = score_one(model, x)
         model.head_T["layer0.bias"] = model.head_T["layer0.bias"] + 2.5
-        shifted = novelty_score(model, x)
+        shifted = score_one(model, x)
         assert shifted.predicted_class == base.predicted_class
         assert abs(shifted.score - (base.score + 2.5)) < 1e-12
 
     def test_matches_hand_forward_pass(self, trained_dual_full):
         model, _, datasets = trained_dual_full
         known, _, _ = datasets
-        x = known.samples[0][0]
-        record = novelty_score(model, x)
+        x = known.features()[0]
+        record = score_one(model, x, is_novel=False)
         # hand-executed forward: dense+relu backbone, dense head
         h = np.maximum(model.backbone["layer0.weight"] @ x + model.backbone["layer0.bias"], 0.0)
         f = model.head_T["layer0.weight"] @ h + model.head_T["layer0.bias"]
@@ -65,7 +71,7 @@ class TestNoveltyScore:
         model = build_dual_model(spec, 2, 2, seed=0, combined_head=True)
         model.backbone = {"layer0.weight": np.eye(4), "layer0.bias": np.zeros(4)}
         model.head_T = {"layer0.weight": np.eye(4), "layer0.bias": np.zeros(4)}
-        record = novelty_score(model, np.array([0.5, 1.0, 9.0, 9.0]))
+        record = score_one(model, np.array([0.5, 1.0, 9.0, 9.0]))
         assert record.score == 1.0  # reference activations are ignored
         assert record.predicted_class == 1
 
@@ -82,7 +88,7 @@ class TestNoveltyScore:
 
 class TestDecide:
     def rec(self, score):
-        return novelty_score(passthrough_model(), np.array([score, -50.0, -50.0]))
+        return score_one(passthrough_model(), np.array([score, -50.0, -50.0]))
 
     def test_below_threshold_is_novel(self):
         assert decide(self.rec(2.0), 2.5) == "novel"
@@ -161,6 +167,13 @@ class TestRocAuc:
         with pytest.raises(EvaluationError):
             roc_auc([1.0], [])
 
+    def test_non_finite_scores_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(EvaluationError):
+                roc_auc([1.0, bad], [0.5])
+            with pytest.raises(EvaluationError):
+                roc_auc([1.0], [0.5, bad])
+
     def test_swap_complements_auc(self):
         rng = np.random.default_rng(2)
         known = rng.standard_normal(30) + 1.0
@@ -207,23 +220,15 @@ class TestClosedSetAccuracy:
     def test_perfect_model(self):
         model = passthrough_model(c=3)
         rng = np.random.default_rng(5)
-        samples = []
-        for _ in range(30):
-            y = int(rng.integers(0, 3))
-            onehot = np.zeros(3)
-            onehot[y] = 1.0
-            samples.append((onehot, y))
-        ds = Dataset(samples, ["a", "b", "c"], "onehot")
+        y = np.arange(30) % 3
+        rng.shuffle(y)
+        ds = Dataset(np.eye(3)[y], y, ["a", "b", "c"], "onehot")
         assert closed_set_accuracy(model, ds) == 1.0
 
     def test_complement_identity(self):
         model = passthrough_model(c=2)
         rng = np.random.default_rng(6)
-        samples = []
-        for i in range(20):
-            x = rng.standard_normal(2)
-            samples.append((x, i % 2))
-        ds = Dataset(samples, ["a", "b"], "rand")
+        ds = Dataset(rng.standard_normal((20, 2)), np.arange(20) % 2, ["a", "b"], "rand")
         acc = closed_set_accuracy(model, ds)
         f = model.known_class_logits(ds.features())
         err = float(np.mean(np.argmax(f, axis=1) != ds.labels()))
@@ -243,8 +248,7 @@ class TestClosedSetAccuracy:
 
     def test_novel_label_rejected(self):
         model = passthrough_model(c=2)
-        ds = Dataset([(np.zeros(2), 0), (np.zeros(2), 1), (np.zeros(2), 2)],
-                     ["a", "b", "c"], "x")
+        ds = Dataset(np.zeros((3, 2)), [0, 1, 2], ["a", "b", "c"], "x")
         with pytest.raises(ProtocolError):
             closed_set_accuracy(model, ds)
 
