@@ -98,14 +98,14 @@ class TestBadInputExitsCleanly:
         assert captured.err.startswith("error: ")
         return captured.err
 
-    @pytest.mark.parametrize("key", ["lambda", "lr"])
-    def test_nan_training_value(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key,named", [("lambda", "lambda"), ("lr", "learning rate")])
+    def test_nan_training_value(self, tmp_path, capsys, key, named):
         cfg = json.loads(write_config(tmp_path).read_text())
         cfg["training"][key] = float("nan")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))  # json writes the bare NaN token
         err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
-        assert "nan" in err
+        assert named in err and "nan" in err  # rejected as config, not as divergence
 
     def test_negative_seed(self, tmp_path, capsys):
         config = write_config(tmp_path)
