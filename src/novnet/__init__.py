@@ -61,9 +61,9 @@ from .nn_core import (
     sgd_step,
 )
 from .novelty_eval import (
+    SCORE_DTYPE,
     NoveltyThreshold,
     RocResult,
-    ScoreRecord,
     auc_pairwise_oracle,
     calibrate_threshold,
     closed_set_accuracy,

@@ -88,8 +88,7 @@ def cmd_calibrate(args) -> int:
         raise ConfigError(f"target false-negative rate must be in (0, 1), got {target_fnr}")
     model = load_checkpoint(args.checkpoint).model
     data = experiments.assemble_datasets(cfg.dataset)
-    records = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
-    scores = [r.score for r in records]
+    scores = novelty_eval.score_dataset(model, data.test_T, is_novel=False).score
     threshold = novelty_eval.calibrate_threshold(scores, target_fnr)
     payload = {
         "gamma": threshold.gamma,

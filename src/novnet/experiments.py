@@ -293,22 +293,21 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranch
 
 
 def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[
-        list[novelty_eval.ScoreRecord], novelty_eval.RocResult, float]:
-    """Score the known test split and the novel data, and return the score
-    records (known first), the ROC curve with its AUC, and the closed-set
-    accuracy on the known test split."""
+        np.recarray, novelty_eval.RocResult, float]:
+    """Score the known test split and the novel data, one forward pass
+    each, and return the score table (known rows first), the ROC curve
+    with its AUC, and the closed-set accuracy on the known test split."""
     if model.num_known != data.train_T.n_classes:
         raise ProtocolError(
             f"checkpoint has {model.num_known} known classes but dataset has {data.train_T.n_classes}")
     if data.novel is None:
         raise ProtocolError("evaluation needs novel samples; AUC is undefined without them")
-    known_records = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
-    novel_records = novelty_eval.score_dataset(model, data.novel, is_novel=True,
-                                               start_id=len(known_records))
-    roc = novelty_eval.roc_auc([r.score for r in known_records],
-                               [r.score for r in novel_records])
-    accuracy = novelty_eval.closed_set_accuracy(model, data.test_T)
-    return known_records + novel_records, roc, accuracy
+    known = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
+    novel = novelty_eval.score_dataset(model, data.novel, is_novel=True, start_id=len(known))
+    roc = novelty_eval.roc_auc(known.score, novel.score)
+    # The class-count check above puts every test_T label in [0, num_known).
+    accuracy = float(np.mean(known.predicted_class == known.true_class))
+    return np.concatenate([known, novel]).view(np.recarray), roc, accuracy
 
 
 @dataclass

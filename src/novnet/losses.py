@@ -31,7 +31,7 @@ class MembershipParams:
     lam: float = 5.0
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ConfigError(f"membership lambda must be positive, got {self.lam}")
 
 
@@ -129,6 +129,6 @@ def cumulative_loss(l_ce_r: float, l_ce_t: float, l_m_t: float,
     """Combine the three training loss components:
     L_ce(R) + alpha1 * L_ce(T) + alpha2 * L_m(T).
     """
-    if alpha1 < 0 or alpha2 < 0:
+    if not (alpha1 >= 0 and alpha2 >= 0):
         raise ConfigError("cumulative loss weights must be >= 0")
     return float(l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t)

@@ -170,7 +170,7 @@ class OptimizerState:
     velocity: ParamSet = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")

@@ -2,10 +2,13 @@
 
 A test sample's novelty score is the maximum raw activation of the known
 head; scores below the threshold gamma mark the sample as novel (a score
-exactly at gamma counts as known). The threshold comes from an order
-statistic of the matched-score distribution at a target false-negative
-rate. Detection quality is summarized by the ROC curve's AUC, which is
-cross-checked against an independent pairwise (Mann-Whitney) oracle.
+exactly at gamma counts as known). `score_dataset` scores a split in one
+forward pass into a score table, a SCORE_DTYPE record array with one row
+per sample; ROC/AUC, accuracy and calibration read its columns. The
+threshold comes from an order statistic of the matched-score
+distribution at a target false-negative rate. Detection quality is
+summarized by the ROC curve's AUC, which is cross-checked against an
+independent pairwise (Mann-Whitney) oracle.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from .errors import CalibrationError, EvaluationError, ProtocolError
 NOVEL_MARKER = -1
 
 
-@dataclass
-class ScoreRecord:
-    sample_id: int
-    score: float
-    predicted_class: int
-    true_class: int  # known-class index, or NOVEL_MARKER for novel samples
-    is_novel: bool
+SCORE_DTYPE = np.dtype([
+    ("sample_id", np.int64),
+    ("score", np.float64),
+    ("predicted_class", np.int64),
+    ("true_class", np.int64),  # known-class index, or NOVEL_MARKER for novel samples
+    ("is_novel", np.bool_),
+])
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,9 @@ class RocResult:
 
 
 def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
-                  start_id: int = 0) -> list[ScoreRecord]:
+                  start_id: int = 0) -> np.recarray:
     """Score every sample of a dataset in one batched forward pass through
-    the known branch only.
+    the known branch only, into a SCORE_DTYPE record array.
 
     score = max over the known-class activations, predicted class = their
     argmax. For combined-head (finetune-cC) models only the first c
@@ -57,22 +60,17 @@ def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
     not identity.
     """
     f = model.known_class_logits(dataset.features())
+    n = len(dataset)
     predicted = np.argmax(f, axis=1)
-    labels = dataset.labels()
-    return [
-        ScoreRecord(
-            sample_id=start_id + i,
-            score=float(f[i, predicted[i]]),
-            predicted_class=int(predicted[i]),
-            true_class=NOVEL_MARKER if is_novel else int(labels[i]),
-            is_novel=is_novel,
-        )
-        for i in range(len(dataset))
-    ]
+    true_class = np.full(n, NOVEL_MARKER) if is_novel else dataset.labels()
+    return np.rec.fromarrays(
+        [np.arange(start_id, start_id + n), f[np.arange(n), predicted], predicted,
+         true_class, np.full(n, is_novel)],
+        dtype=SCORE_DTYPE)
 
 
-def decide(record: ScoreRecord, threshold: "NoveltyThreshold | float") -> str:
-    """'novel' when the score is strictly below gamma, else 'known'."""
+def decide(record: np.record, threshold: "NoveltyThreshold | float") -> str:
+    """'novel' when the record's score is strictly below gamma, else 'known'."""
     gamma = threshold.gamma if isinstance(threshold, NoveltyThreshold) else float(threshold)
     return "novel" if record.score < gamma else "known"
 
@@ -83,26 +81,29 @@ def calibrate_threshold(matched_scores, target_fnr: float) -> NoveltyThreshold:
     Under the strict decision rule the realized false-negative rate on the
     calibration set is (rank - 1) / n <= target_fnr.
     """
-    scores = [float(s) for s in matched_scores]
-    if not scores:
+    # A stable sort keeps 0.0 and -0.0 in input order, so the sign of
+    # gamma written to threshold.json does not depend on the sort routine.
+    scores = np.sort(np.asarray(matched_scores, dtype=np.float64), kind="stable")
+    if scores.size == 0:
         raise CalibrationError("cannot calibrate a threshold from zero matched scores")
     if not 0.0 < target_fnr < 1.0:
         raise CalibrationError(f"target false-negative rate must be in (0, 1), got {target_fnr}")
-    n = len(scores)
+    if not np.all(np.isfinite(scores)):
+        raise CalibrationError("cannot calibrate a threshold from non-finite matched scores")
+    n = scores.size
     # The 1e-12 slack stops float noise in target_fnr * n from pushing an
     # exact integer product up to the next rank.
     rank = max(1, math.ceil(target_fnr * n - 1e-12))
-    gamma = sorted(scores)[rank - 1]
-    return NoveltyThreshold(gamma=gamma, percentile=target_fnr, sample_count=n)
+    return NoveltyThreshold(gamma=float(scores[rank - 1]), percentile=target_fnr, sample_count=n)
 
 
 def realized_fnr(matched_scores, threshold: "NoveltyThreshold | float") -> float:
     """Fraction of matched scores the strict rule would reject as novel."""
     gamma = threshold.gamma if isinstance(threshold, NoveltyThreshold) else float(threshold)
-    scores = [float(s) for s in matched_scores]
-    if not scores:
+    scores = np.asarray(matched_scores, dtype=np.float64)
+    if scores.size == 0:
         raise CalibrationError("no matched scores")
-    return sum(1 for s in scores if s < gamma) / len(scores)
+    return float(np.count_nonzero(scores < gamma) / scores.size)
 
 
 def roc_auc(known_scores, novel_scores) -> RocResult:
@@ -110,26 +111,26 @@ def roc_auc(known_scores, novel_scores) -> RocResult:
 
     At threshold t: TPR = fraction of known scores >= t, FPR = fraction of
     novel scores >= t. Points run from (0, 0) at t = +inf to (1, 1) at the
-    minimum observed score.
+    minimum observed score. Each side is sorted once, and the count of
+    scores >= t at every threshold comes from one binary search (Fawcett
+    2006, Alg. 1).
     """
-    known = np.asarray(list(known_scores), dtype=np.float64)
-    novel = np.asarray(list(novel_scores), dtype=np.float64)
+    known = np.asarray(known_scores, dtype=np.float64)
+    novel = np.asarray(novel_scores, dtype=np.float64)
     if known.size == 0 or novel.size == 0:
         raise EvaluationError("ROC needs at least one known and one novel score")
     if not (np.all(np.isfinite(known)) and np.all(np.isfinite(novel))):
         raise EvaluationError("ROC needs finite scores")
+    # Unique over the unsorted scores: which of 0.0 and -0.0 survives
+    # depends on input order, and the sign shows in roc.csv.
     thresholds = np.unique(np.concatenate([known, novel]))[::-1]
-    points = [(0.0, 0.0)]
-    out_thresholds = [math.inf]
-    for t in thresholds:
-        tpr = float(np.count_nonzero(known >= t)) / known.size
-        fpr = float(np.count_nonzero(novel >= t)) / novel.size
-        points.append((fpr, tpr))
-        out_thresholds.append(float(t))
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y1 + y0) / 2.0
-    return RocResult(points=points, auc=float(auc), thresholds=out_thresholds)
+    tpr = np.append(0, known.size - np.searchsorted(np.sort(known), thresholds)) / known.size
+    fpr = np.append(0, novel.size - np.searchsorted(np.sort(novel), thresholds)) / novel.size
+    # cumsum adds left to right, the order of a running trapezoid total;
+    # np.sum would add pairwise and change the last bits.
+    auc = np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
+    return RocResult(points=list(zip(fpr.tolist(), tpr.tolist())), auc=float(auc),
+                     thresholds=[math.inf] + thresholds.tolist())
 
 
 def auc_pairwise_oracle(known_scores, novel_scores) -> float:
@@ -154,8 +155,8 @@ def closed_set_accuracy(model: DualBranchModel, dataset: Dataset) -> float:
     if np.any(labels < 0) or np.any(labels >= model.num_known):
         bad = labels[(labels < 0) | (labels >= model.num_known)][0]
         raise ProtocolError(f"closed-set accuracy saw label {bad}; known classes are [0, {model.num_known})")
-    f = model.known_class_logits(dataset.features())
-    return float(np.mean(np.argmax(f, axis=1) == labels))
+    records = score_dataset(model, dataset, is_novel=False)
+    return float(np.mean(records.predicted_class == records.true_class))
 
 
 # --- report files ---------------------------------------------------------
@@ -163,24 +164,23 @@ def closed_set_accuracy(model: DualBranchModel, dataset: Dataset) -> float:
 SCORE_CSV_HEADER = ["sample_id", "score", "predicted_class", "true_class", "is_novel"]
 
 
-def write_score_report(records: list[ScoreRecord], path) -> None:
-    rows = ([r.sample_id, repr(r.score), r.predicted_class, r.true_class, int(r.is_novel)]
-            for r in records)
+def write_score_report(records: np.ndarray, path) -> None:
+    # tolist() yields Python scalars, whose repr is the bare shortest
+    # round-trip form (repr of np.float64 would read "np.float64(...)").
+    rows = ([sample_id, repr(score), predicted, true_class, int(is_novel)]
+            for sample_id, score, predicted, true_class, is_novel in records.tolist())
     write_atomic(path, csv_text(SCORE_CSV_HEADER, rows))
 
 
-def read_score_report(path) -> list[ScoreRecord]:
-    records = []
+def read_score_report(path) -> np.recarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != SCORE_CSV_HEADER:
             raise EvaluationError(f"{path}: unexpected score report header {header}")
-        for row in reader:
-            records.append(ScoreRecord(
-                sample_id=int(row[0]), score=float(row[1]), predicted_class=int(row[2]),
-                true_class=int(row[3]), is_novel=bool(int(row[4]))))
-    return records
+        rows = [(int(row[0]), float(row[1]), int(row[2]), int(row[3]), bool(int(row[4])))
+                for row in reader]
+    return np.rec.fromrecords(rows, dtype=SCORE_DTYPE)
 
 
 def write_roc_csv(roc: RocResult, path) -> None:

@@ -113,6 +113,21 @@ class TestBadInputExitsCleanly:
                                 "--seed", "-1"], capsys)
         assert "seed" in err
 
+    def test_non_finite_scores(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        ckpt_path = tmp_path / "t" / "checkpoint.nvfg"
+        assert cli.main(["train", "--config", str(config), "--out", str(ckpt_path.parent)]) == 0
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.model.head_T["layer0.weight"][0, 0] = np.nan
+        save_checkpoint(ckpt.model, ckpt.config, ckpt_path, epoch=ckpt.epoch, metrics=ckpt.metrics)
+        capsys.readouterr()
+        for command in ("calibrate", "eval"):
+            out = tmp_path / command
+            err = self.run_failing([command, "--config", str(config), "--checkpoint", str(ckpt_path),
+                                    "--out", str(out)], capsys)
+            assert "finite" in err
+            assert list(out.iterdir()) == []  # no report with a NaN threshold or AUC
+
     def test_zero_ablation_seeds(self, tmp_path, capsys):
         config = write_config(tmp_path)
         err = self.run_failing(["ablate", "--config", str(config), "--out", str(tmp_path / "o"),

@@ -163,6 +163,26 @@ class TestEvaluateDetection:
         with pytest.raises(ProtocolError):
             evaluate_detection(result.model, degenerate)
 
+    def test_one_forward_pass_per_split(self, monkeypatch):
+        from novnet.dual_trainer import DualBranchModel
+        from novnet.experiments import evaluate_detection
+        from novnet.novelty_eval import SCORE_DTYPE, closed_set_accuracy
+        result = run_experiment(benchmark_config(epochs=1), mode="ce-only", seed=0)
+        data = result.data
+        batches = []
+        logits = DualBranchModel.known_class_logits
+
+        def counting(self, x):
+            batches.append(len(x))
+            return logits(self, x)
+
+        monkeypatch.setattr(DualBranchModel, "known_class_logits", counting)
+        table, roc, accuracy = evaluate_detection(result.model, data)
+        assert batches == [len(data.test_T), len(data.novel)]
+        assert table.dtype == SCORE_DTYPE
+        assert table.sample_id.tolist() == list(range(len(table)))
+        assert accuracy == closed_set_accuracy(result.model, data.test_T)
+
 
 class TestAblation:
     def test_seed_fan_out(self):

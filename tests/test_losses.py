@@ -194,8 +194,9 @@ class TestMembershipLoss:
             membership_loss(np.zeros(1), 0, MembershipParams(5.0))
 
     def test_lambda_positive(self):
-        with pytest.raises(ConfigError):
-            MembershipParams(0.0)
+        for lam in (0.0, math.nan):
+            with pytest.raises(ConfigError):
+                MembershipParams(lam)
 
     def test_batch_mean_of_singles(self):
         rng = np.random.default_rng(6)
@@ -227,5 +228,6 @@ class TestCumulativeLoss:
         assert abs(cumulative_loss(0.7, 1.1, 0.4, 2.0, 0.5) - 3.1) < 1e-12
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            cumulative_loss(1.0, 1.0, 1.0, -0.5, 1.0)
+        for alphas in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ConfigError):
+                cumulative_loss(1.0, 1.0, 1.0, *alphas)

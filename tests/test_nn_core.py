@@ -278,6 +278,8 @@ class TestSgdStep:
         with pytest.raises(ConfigError):
             OptimizerState(lr=-0.1)
         with pytest.raises(ConfigError):
+            OptimizerState(lr=float("nan"))
+        with pytest.raises(ConfigError):
             OptimizerState(momentum=1.0)
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_backbone
 from novnet.data_io import Dataset
@@ -103,6 +107,14 @@ class TestDecide:
         assert flips == 1
 
 
+# Integer-valued draws make ties between and within the two sides common;
+# signed zeros tie too, and the reports keep the sign of a threshold or gamma.
+score_lists = st.lists(st.one_of(st.integers(-6, 6).map(float),
+                                 st.sampled_from([0.0, -0.0]),
+                                 st.floats(-10.0, 10.0, allow_nan=False)),
+                       min_size=1, max_size=120)
+
+
 class TestCalibrateThreshold:
     def test_order_statistic_enumeration(self):
         scores = list(range(1, 101))
@@ -139,6 +151,20 @@ class TestCalibrateThreshold:
     def test_bad_target(self):
         with pytest.raises(CalibrationError):
             calibrate_threshold([1.0], 1.5)
+
+    def test_non_finite_scores_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(CalibrationError):
+                calibrate_threshold([1.0, bad, 2.0], 0.05)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=score_lists, target=st.floats(0.001, 0.999))
+    def test_matches_sorted_list_reference(self, scores, target):
+        t = calibrate_threshold(scores, target)
+        rank = max(1, math.ceil(target * len(scores) - 1e-12))
+        gamma = sorted(scores)[rank - 1]  # stable: equal scores keep input order
+        assert repr(t.gamma) == repr(gamma)
+        assert realized_fnr(scores, t) == sum(1 for s in scores if s < gamma) / len(scores)
 
 
 class TestRocAuc:
@@ -189,6 +215,40 @@ class TestRocAuc:
         cubic = roc_auc(known ** 3, novel ** 3).auc  # odd power: strictly increasing
         assert abs(base - affine) < 1e-12
         assert abs(base - cubic) < 1e-12
+
+
+def roc_sweep_reference(known, novel):
+    """The ROC sweep written as a loop: a full count at every distinct
+    threshold and a running trapezoid total. roc_auc must match it bit for
+    bit, because the golden reports pin its output."""
+    known = np.asarray(known, dtype=np.float64)
+    novel = np.asarray(novel, dtype=np.float64)
+    points, thresholds = [(0.0, 0.0)], [math.inf]
+    for t in np.unique(np.concatenate([known, novel]))[::-1]:
+        points.append((float(np.count_nonzero(novel >= t)) / novel.size,
+                       float(np.count_nonzero(known >= t)) / known.size))
+        thresholds.append(float(t))
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y1 + y0) / 2.0
+    return points, thresholds, auc
+
+
+class TestRocProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(known=score_lists, novel=score_lists)
+    def test_matches_oracle_and_loop_sweep(self, known, novel):
+        roc = roc_auc(known, novel)
+        assert abs(roc.auc - auc_pairwise_oracle(known, novel)) < 1e-12
+        points, thresholds, auc = roc_sweep_reference(known, novel)
+        assert roc.points == points
+        assert list(map(repr, roc.thresholds)) == list(map(repr, thresholds))
+        assert repr(roc.auc) == repr(auc)
+        assert roc.thresholds[0] == math.inf
+        assert all(a > b for a, b in zip(roc.thresholds, roc.thresholds[1:]))
+        assert roc.points[0] == (0.0, 0.0) and roc.points[-1] == (1.0, 1.0)
+        assert all(x1 >= x0 and y1 >= y0
+                   for (x0, y0), (x1, y1) in zip(roc.points, roc.points[1:]))
 
 
 class TestPairwiseOracle:
@@ -257,7 +317,8 @@ class TestReportFiles:
     def test_score_report_round_trip(self, tmp_path, trained_dual_full):
         model, _, datasets = trained_dual_full
         known, novel, _ = datasets
-        records = score_dataset(model, known, False) + score_dataset(model, novel, True, start_id=len(known))
+        records = np.concatenate([score_dataset(model, known, False),
+                                  score_dataset(model, novel, True, start_id=len(known))]).view(np.recarray)
         path = tmp_path / "scores.csv"
         write_score_report(records, path)
         back = read_score_report(path)
