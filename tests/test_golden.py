@@ -56,6 +56,12 @@ ABLATION_GOLDEN = [
     ("dual-full", 3, "0.7822156249999984", "0.8975"),
 ]
 
+LATER_REP_GOLDEN = [
+    # rows of reps 1 and 9, so every rep's data and seeds are exercised
+    ("dual-ce", 6, "0.70901875", "0.8975"),
+    ("ce+membership", 37, "0.7522593750000022", "0.88"),
+]
+
 
 def _sha256(path) -> str:
     with open(path, "rb") as fh:
@@ -91,3 +97,11 @@ def test_ablation_rows_exact():
     rows = experiments.run_ablation(cfg, modes=("ce-only", "dual-full"), n_seeds=1)
     got = [(row.mode, row.seed, repr(row.auc), repr(row.accuracy)) for row in rows]
     assert got == ABLATION_GOLDEN
+
+
+def test_later_rep_ablation_rows_exact():
+    cfg = experiments.parse_experiment_config(BENCHMARK)
+    rows = experiments.run_ablation(cfg, modes=("ce+membership", "dual-ce"), n_seeds=10)
+    got = {(row.mode, row.seed): (row.mode, row.seed, repr(row.auc), repr(row.accuracy))
+           for row in rows}
+    assert [got[mode, seed] for mode, seed, _, _ in LATER_REP_GOLDEN] == LATER_REP_GOLDEN
