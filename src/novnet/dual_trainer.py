@@ -415,6 +415,20 @@ def _named_params(model: DualBranchModel):
             yield f"head_R.{name}", value
 
 
+def _metadata_bytes(model: DualBranchModel, cfg: TrainingConfig, epoch: int, metrics: dict) -> bytes:
+    metadata = {
+        "backbone": {"input_shape": list(model.backbone_spec.input_shape),
+                     "layers": model.backbone_spec.to_dicts()},
+        "num_known": model.num_known,
+        "num_reference": model.num_reference,
+        "combined_head": model.combined_head,
+        "config": cfg.to_dict(),
+        "epoch": epoch,
+        "metrics": metrics,
+    }
+    return json.dumps(metadata, sort_keys=True).encode("utf-8")
+
+
 def save_checkpoint(model: DualBranchModel, cfg: TrainingConfig, path,
                     epoch: int = 0, metrics: dict | None = None) -> None:
     """Write the checkpoint file (binary, little-endian, magic 'NVFG').
@@ -424,17 +438,7 @@ def save_checkpoint(model: DualBranchModel, cfg: TrainingConfig, path,
     dims, float64 values). The write is atomic: a temp file is renamed
     into place only on success.
     """
-    metadata = {
-        "backbone": {"input_shape": list(model.backbone_spec.input_shape),
-                     "layers": model.backbone_spec.to_dicts()},
-        "num_known": model.num_known,
-        "num_reference": model.num_reference,
-        "combined_head": model.combined_head,
-        "config": cfg.to_dict(),
-        "epoch": epoch,
-        "metrics": metrics or {},
-    }
-    meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
+    meta_bytes = _metadata_bytes(model, cfg, epoch, metrics or {})
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<Q", len(meta_bytes)), meta_bytes]
     for name, value in _named_params(model):
@@ -454,7 +458,13 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint; bit-exact round trip."""
+    """Read a checkpoint written by save_checkpoint; bit-exact round trip.
+
+    Damage anywhere in the file raises a FormatError subclass: the
+    metadata block must be exactly what save_checkpoint writes for the
+    values it decodes to, and every record must name a distinct model
+    parameter of the expected shape.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -463,8 +473,9 @@ def load_checkpoint(path) -> Checkpoint:
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
+        meta_bytes = _read_exact(fh, meta_len, "metadata")
         try:
-            metadata = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+            metadata = json.loads(meta_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptionError(f"{path}: unreadable metadata block: {exc}") from None
         tensors: dict[str, np.ndarray] = {}
@@ -475,7 +486,12 @@ def load_checkpoint(path) -> Checkpoint:
             if len(head) != 4:
                 raise CorruptionError("checkpoint truncated while reading record header")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorruptionError(f"{path}: parameter name is not UTF-8") from None
+            if name in tensors:
+                raise CorruptionError(f"{path}: duplicate parameter record {name!r}")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
             count = math.prod(dims)
@@ -489,10 +505,13 @@ def load_checkpoint(path) -> Checkpoint:
         num_known, num_reference = int(metadata["num_known"]), int(metadata["num_reference"])
         combined_head = bool(metadata["combined_head"])
         epoch, metrics = int(metadata["epoch"]), dict(metadata["metrics"])
-    except (KeyError, TypeError) as exc:
+        model = build_dual_model(backbone_spec, num_known, num_reference, seed=0,
+                                 combined_head=combined_head)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as exc:
+        # The file is at fault, not the caller's configuration.
         raise CorruptionError(f"{path}: checkpoint metadata is missing or malformed: {exc!r}") from None
-    model = build_dual_model(backbone_spec, num_known, num_reference, seed=0,
-                             combined_head=combined_head)
+    if _metadata_bytes(model, cfg, epoch, metrics) != meta_bytes:
+        raise CorruptionError(f"{path}: checkpoint metadata does not match the values it encodes")
 
     def restore(group: ParamSet, prefix: str) -> ParamSet:
         out: ParamSet = {}

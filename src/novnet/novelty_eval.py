@@ -21,7 +21,7 @@ import numpy as np
 
 from .data_io import Dataset, csv_text, write_atomic
 from .dual_trainer import DualBranchModel
-from .errors import CalibrationError, EvaluationError, ProtocolError
+from .errors import CalibrationError, EvaluationError, ParseError, ProtocolError
 
 NOVEL_MARKER = -1
 
@@ -103,6 +103,9 @@ def realized_fnr(matched_scores, threshold: "NoveltyThreshold | float") -> float
     scores = np.asarray(matched_scores, dtype=np.float64)
     if scores.size == 0:
         raise CalibrationError("no matched scores")
+    # A NaN never compares below gamma, so it would silently lower the rate.
+    if not (math.isfinite(gamma) and np.all(np.isfinite(scores))):
+        raise CalibrationError("realized false-negative rate needs finite scores and threshold")
     return float(np.count_nonzero(scores < gamma) / scores.size)
 
 
@@ -173,13 +176,25 @@ def write_score_report(records: np.ndarray, path) -> None:
 
 
 def read_score_report(path) -> np.recarray:
+    """Read a score table written by write_score_report. A missing header
+    or a malformed row raises ParseError naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty score report, expected a header line")
         if header != SCORE_CSV_HEADER:
             raise EvaluationError(f"{path}: unexpected score report header {header}")
-        rows = [(int(row[0]), float(row[1]), int(row[2]), int(row[3]), bool(int(row[4])))
-                for row in reader]
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(SCORE_CSV_HEADER):
+                    raise ValueError(f"expected {len(SCORE_CSV_HEADER)} fields, got {len(row)}")
+                if row[4] not in ("0", "1"):
+                    raise ValueError(f"is_novel must be 0 or 1, got {row[4]!r}")
+                rows.append((int(row[0]), float(row[1]), int(row[2]), int(row[3]), row[4] == "1"))
+            except ValueError as exc:
+                raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
     return np.rec.fromrecords(rows, dtype=SCORE_DTYPE)
 
 

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_backbone, small_synthetic
 from novnet import nn_core
@@ -384,6 +386,53 @@ class TestCheckpoint:
         path.write_bytes(data + record)
         with pytest.raises(FormatError, match="head_X"):
             load_checkpoint(path)
+
+    def test_undecodable_parameter_name(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        meta_len = int.from_bytes(data[8:16], "little")
+        name_at = 16 + meta_len + 4
+        path.write_bytes(data[:name_at] + b"\xff" + data[name_at + 1:])
+        with pytest.raises(CorruptionError):
+            load_checkpoint(path)
+
+    def test_invalid_metadata_values_are_corruption(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        meta_len = int.from_bytes(data[8:16], "little")
+        for key, value in (("num_known", 1), ("config", {"mode": "bogus"})):
+            metadata = json.loads(data[16:16 + meta_len])
+            metadata[key] = value
+            meta = json.dumps(metadata, sort_keys=True).encode()
+            path.write_bytes(data[:8] + len(meta).to_bytes(8, "little") + meta + data[16 + meta_len:])
+            with pytest.raises(CorruptionError):
+                load_checkpoint(path)
+
+    def test_non_canonical_metadata_rejected(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        meta_len = int.from_bytes(data[8:16], "little")
+        meta = data[16:16 + meta_len].replace(b'"epoch": 0', b'"epoch": 0.0')
+        path.write_bytes(data[:8] + len(meta).to_bytes(8, "little") + meta + data[16 + meta_len:])
+        with pytest.raises(CorruptionError):
+            load_checkpoint(path)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_file_round_trips_or_fails_closed(self, tmp_path, data):
+        path, original = self.saved_bytes(tmp_path)
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = original[:data.draw(st.integers(0, len(original)), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(original) - 1), label="offset")
+            mask = data.draw(st.integers(1, 255), label="xor")
+            damaged = original[:at] + bytes([original[at] ^ mask]) + original[at + 1:]
+        path.write_bytes(damaged)
+        try:
+            ckpt = load_checkpoint(path)
+        except FormatError:
+            return
+        again = tmp_path / "again.nvfg"
+        save_checkpoint(ckpt.model, ckpt.config, again, epoch=ckpt.epoch, metrics=ckpt.metrics)
+        assert again.read_bytes() == damaged
 
     def test_combined_head_round_trip(self, tmp_path):
         model = self.make_model(c=3, ref=2, combined=True)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import small_backbone
 from novnet.data_io import Dataset
 from novnet.dual_trainer import DualBranchModel, build_dual_model
-from novnet.errors import CalibrationError, EvaluationError, ProtocolError
+from novnet.errors import CalibrationError, EvaluationError, ParseError, ProtocolError
 from novnet.nn_core import Dense, NetworkSpec
 from novnet.novelty_eval import (
     NOVEL_MARKER,
@@ -156,6 +156,10 @@ class TestCalibrateThreshold:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(CalibrationError):
                 calibrate_threshold([1.0, bad, 2.0], 0.05)
+            with pytest.raises(CalibrationError):
+                realized_fnr([bad, 1.0], 0.5)
+            with pytest.raises(CalibrationError):
+                realized_fnr([1.0, 2.0], bad)
 
     @settings(max_examples=300, deadline=None)
     @given(scores=score_lists, target=st.floats(0.001, 0.999))
@@ -329,6 +333,18 @@ class TestReportFiles:
             assert a.predicted_class == b.predicted_class
             assert a.true_class == b.true_class
             assert a.is_novel == b.is_novel
+
+    @pytest.mark.parametrize("body", [
+        "",  # no header
+        "sample_id,score,predicted_class,true_class,is_novel\n1,2\n",
+        "sample_id,score,predicted_class,true_class,is_novel\n0,high,1,1,0\n",
+        "sample_id,score,predicted_class,true_class,is_novel\n0,0.5,1,1,0\n1,0.25,0,0,2\n",
+    ])
+    def test_malformed_score_report_rejected(self, tmp_path, body):
+        path = tmp_path / "scores.csv"
+        path.write_text(body)
+        with pytest.raises(ParseError, match="scores.csv"):
+            read_score_report(path)
 
     def test_roc_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
