@@ -32,11 +32,12 @@ from .data_io import Dataset, write_atomic
 from .errors import (
     ConfigError,
     CorruptionError,
+    DimensionError,
     DivergenceError,
     FormatError,
 )
-from .losses import LossResult, MembershipParams, cross_entropy, cumulative_loss, membership_loss
-from .nn_core import NetworkSpec, OptimizerState, ParamSet
+from .losses import check_labels, cumulative_loss, loss_terms
+from .nn_core import NetworkSpec, ParamSet
 
 CHECKPOINT_MAGIC = b"NVFG"
 CHECKPOINT_VERSION = 1
@@ -225,23 +226,138 @@ class EpochStats:
 
 @dataclass
 class TrainerState:
-    """Momentum state for the three parameter groups."""
+    """Parameters and momentum of the models of one lockstep stack.
 
-    backbone: OptimizerState
-    head_T: OptimizerState
-    head_R: OptimizerState | None
+    Every trained parameter of the stack lives in one flat float64
+    buffer, `values`, so one SGD update covers all of it.
+    `params[group][name]` is a [rows, *shape] view into that buffer:
+    `backbone` and `head_T` have one row per model, and `head_R` one row
+    per dual-branch model, in stack order (`dual_rows` selects those
+    models). Each model's own dicts hold views of its rows, so scoring,
+    checkpoints and filter analysis read the trained values directly.
+    `cfg` is the step schedule the rows share (the first row's config;
+    rows may differ only in mode and seed), and `alpha2` is each row's
+    effective membership weight.
+    """
+
+    specs: tuple[NetworkSpec, NetworkSpec, NetworkSpec | None]
+    params: dict[str, ParamSet]
+    values: np.ndarray
+    cfg: TrainingConfig
+    membership: np.ndarray
+    alpha2: np.ndarray
+    dual_rows: "slice | np.ndarray"
+    velocity: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, model: DualBranchModel, cfg: TrainingConfig) -> "TrainerState":
-        make = lambda: OptimizerState(lr=cfg.lr, momentum=cfg.momentum)
-        return cls(backbone=make(), head_T=make(), head_R=make() if model.head_R is not None else None)
+        return cls.stack([model], [cfg])
+
+    @classmethod
+    def stack(cls, models, cfgs) -> "TrainerState":
+        """Copy the models' parameters into one new buffer and point each
+        model's dicts at its rows."""
+        dual = [cfg.mode in _DUAL_MODES for cfg in cfgs]
+        dual_models = [model for model, is_dual in zip(models, dual) if is_dual]
+        groups = {"backbone": [model.backbone for model in models],
+                  "head_T": [model.head_T for model in models],
+                  "head_R": [model.head_R for model in dual_models]}
+        layout = [(group, name, [p[name] for p in rows])
+                  for group, rows in groups.items() if rows for name in rows[0]]
+        values = np.empty(sum(len(arrays) * arrays[0].size for _, _, arrays in layout))
+        params: dict[str, ParamSet] = {group: {} for group in groups}
+        offset = 0
+        for group, name, arrays in layout:
+            view = values[offset:offset + len(arrays) * arrays[0].size].reshape(
+                (len(arrays),) + arrays[0].shape)
+            np.stack(arrays, out=view)
+            params[group][name] = view
+            offset += view.size
+        for row, model in enumerate(models):
+            model.backbone = {name: v[row] for name, v in params["backbone"].items()}
+            model.head_T = {name: v[row] for name, v in params["head_T"].items()}
+        for row, model in enumerate(dual_models):
+            model.head_R = {name: v[row] for name, v in params["head_R"].items()}
+        membership = np.array([cfg.uses_membership for cfg in cfgs])
+        return cls(
+            specs=(models[0].backbone_spec, models[0].head_T_spec,
+                   dual_models[0].head_R_spec if dual_models else None),
+            params=params, values=values, cfg=cfgs[0], membership=membership,
+            alpha2=np.where(membership, cfgs[0].alpha2, 0.0),
+            dual_rows=slice(None) if all(dual) else np.flatnonzero(dual))
+
+    def apply_gradients(self, grads: dict[str, ParamSet]) -> None:
+        """One SGD-with-momentum update of the whole stack; grads mirror params."""
+        flat = np.concatenate([grads[group][name] for group, group_params in self.params.items()
+                               for name in group_params], axis=None)
+        if not np.isfinite(flat).all():
+            raise self._divergence(grads)
+        self.velocity = nn_core.momentum_update(self.values, flat, self.velocity,
+                                                self.cfg.lr, self.cfg.momentum)
+
+    def _divergence(self, grads: dict[str, ParamSet]) -> DivergenceError:
+        rows = len(self.membership)
+        for group, group_params in self.params.items():
+            models = np.arange(rows)[self.dual_rows] if group == "head_R" else np.arange(rows)
+            for name in group_params:
+                g = grads[group][name]
+                bad = ~np.isfinite(g.reshape(len(g), -1)).all(axis=1)
+                if bad.any():
+                    where = f" of stacked model {models[np.argmax(bad)]}" if rows > 1 else ""
+                    return DivergenceError(f"non-finite gradient for parameter '{group}.{name}'{where}")
+        return DivergenceError("non-finite gradient")
 
 
-def _branch_backward(spec_head, params_head, spec_backbone, params_backbone,
-                     cache_head, cache_backbone, upstream):
-    head_grads, dfeat = nn_core.backward(spec_head, params_head, cache_head, upstream)
-    backbone_grads, _ = nn_core.backward(spec_backbone, params_backbone, cache_backbone, dfeat)
-    return head_grads, backbone_grads
+def _lockstep_step(state: TrainerState, x_t, y_t, x_r, y_r) -> np.ndarray:
+    """One SGD step of every model in the stack.
+
+    x_t/y_t are [M, b_T, ...] / [M, b_T] batches, x_r/y_r the [D, b_R, ...]
+    reference batches of the dual rows (None when there are none), with
+    labels already validated. Returns the [M, 4] loss components
+    (ce_R, ce_T, m_T, cumulative) at the pre-update parameters.
+    """
+    cfg = state.cfg
+    backbone_spec, head_t_spec, head_r_spec = state.specs
+    backbone, head_t, head_r = (state.params[group] for group in ("backbone", "head_T", "head_R"))
+    rows = len(state.membership)
+
+    feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t)
+    f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
+    membership = state.membership
+    ce_t, ce_t_grad, m_t, m_t_grad = loss_terms(f_t, y_t, cfg.lam if membership.any() else None)
+    if m_t_grad is None:
+        m_t, m_t_grad = np.zeros(rows), 0.0
+    else:
+        m_t = np.where(membership, m_t, 0.0)
+        m_t_grad = np.where(membership[:, None, None], m_t_grad, 0.0)
+    # A zero term is still added, as alpha2 * 0 for the rows without the
+    # membership loss, so their -0.0 gradients turn +0.0 exactly as when
+    # such a model trains alone.
+    upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
+    head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
+    backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat)
+
+    ce_r = np.zeros(rows)
+    head_r_grads: ParamSet = {}
+    if x_r is not None:
+        dual = state.dual_rows
+        backbone_r = backbone if isinstance(dual, slice) else {k: v[dual] for k, v in backbone.items()}
+        feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
+        f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
+        ce_r[dual], ce_r_grad, _, _ = loss_terms(f_r, y_r)
+        head_r_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_r_grad)
+        backbone_r_grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r)
+        for name, g in backbone_r_grads.items():
+            backbone_grads[name][dual] += g
+
+    total = cumulative_loss(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
+    finite = np.isfinite(total)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        where = f" of stacked model {row}" if rows > 1 else ""
+        raise DivergenceError(f"non-finite cumulative loss {total[row]}{where}")
+    state.apply_gradients({"backbone": backbone_grads, "head_T": head_t_grads, "head_R": head_r_grads})
+    return np.stack([ce_r, ce_t, m_t, total], axis=1)
 
 
 def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig,
@@ -249,54 +365,27 @@ def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig,
     """One optimization step on a (T batch, R batch) pair.
 
     batch_T / batch_R are (features, labels) tuples; batch_R must be None
-    in modes without a reference branch. Updates the model parameters and
-    the optimizer state in place and returns the loss components computed
-    at the pre-update parameters.
+    in modes without a reference branch. The labels are validated here;
+    the training loop validates them once per dataset instead. Updates
+    the model parameters and the optimizer state in place and returns the
+    loss components computed at the pre-update parameters. `state` carries
+    momentum from earlier steps of this model; None starts afresh.
     """
-    if state is None:
-        state = TrainerState.fresh(model, cfg)
     dual = cfg.mode in _DUAL_MODES
     if dual and batch_R is None:
         raise ConfigError(f"mode {cfg.mode!r} needs a reference batch")
     if not dual and batch_R is not None:
         raise ConfigError(f"mode {cfg.mode!r} does not take a reference batch")
-
+    if state is None:
+        state = TrainerState.fresh(model, cfg)
     x_t, y_t = batch_T
-    feat_t, cache_bt = nn_core.forward(model.backbone_spec, model.backbone, x_t)
-    f_t, cache_ht = nn_core.forward(model.head_T_spec, model.head_T, feat_t)
-    ce_t = cross_entropy(f_t, y_t)
-
-    alpha2 = cfg.effective_alpha2
-    if cfg.uses_membership:
-        m_t = membership_loss(f_t, y_t, MembershipParams(cfg.lam))
-    else:
-        m_t = LossResult(0.0, np.zeros_like(ce_t.grad))
-    upstream_t = cfg.alpha1 * ce_t.grad + alpha2 * m_t.grad
-    head_t_grads, backbone_grads = _branch_backward(
-        model.head_T_spec, model.head_T, model.backbone_spec, model.backbone,
-        cache_ht, cache_bt, upstream_t)
-
-    loss_ce_r = 0.0
+    y_t = check_labels(y_t, len(x_t), model.head_T_spec.output_shape[0])
+    x_r = y_r = None
     if dual:
         x_r, y_r = batch_R
-        feat_r, cache_br = nn_core.forward(model.backbone_spec, model.backbone, x_r)
-        f_r, cache_hr = nn_core.forward(model.head_R_spec, model.head_R, feat_r)
-        ce_r = cross_entropy(f_r, y_r)
-        loss_ce_r = ce_r.value
-        head_r_grads, backbone_grads_r = _branch_backward(
-            model.head_R_spec, model.head_R, model.backbone_spec, model.backbone,
-            cache_hr, cache_br, ce_r.grad)
-        backbone_grads = {k: backbone_grads[k] + backbone_grads_r[k] for k in backbone_grads}
-
-    total = cumulative_loss(loss_ce_r, ce_t.value, m_t.value, cfg.alpha1, alpha2)
-    if not np.isfinite(total):
-        raise DivergenceError(f"non-finite cumulative loss {total}")
-
-    model.backbone, state.backbone = nn_core.sgd_step(model.backbone, backbone_grads, state.backbone)
-    model.head_T, state.head_T = nn_core.sgd_step(model.head_T, head_t_grads, state.head_T)
-    if dual:
-        model.head_R, state.head_R = nn_core.sgd_step(model.head_R, head_r_grads, state.head_R)
-    return StepMetrics(loss_ce_r, ce_t.value, m_t.value, total)
+        x_r, y_r = np.asarray(x_r)[None], check_labels(y_r, len(x_r), model.num_reference)[None]
+    metrics = _lockstep_step(state, np.asarray(x_t)[None], y_t[None], x_r, y_r)
+    return StepMetrics(*(float(v) for v in metrics[0]))
 
 
 class _IndexStream:
@@ -305,13 +394,12 @@ class _IndexStream:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.queue: list[int] = []
+        self.queue = np.empty(0, dtype=np.int64)
 
-    def take(self, k: int) -> list[int]:
+    def take(self, k: int) -> np.ndarray:
         while len(self.queue) < k:
-            self.queue.extend(self.rng.permutation(self.n).tolist())
-        out = self.queue[:k]
-        del self.queue[:k]
+            self.queue = np.concatenate([self.queue, self.rng.permutation(self.n)])
+        out, self.queue = self.queue[:k], self.queue[k:]
         return out
 
 
@@ -332,11 +420,117 @@ def _check_mode_datasets(model: DualBranchModel, dataset_T: Dataset,
         raise ConfigError("finetune-cC training needs a model built with combined_head=True")
     if cfg.mode != "finetune-cC" and model.combined_head:
         raise ConfigError(f"combined-head model only trains in finetune-cC mode, not {cfg.mode!r}")
+    for dataset in (dataset_T, dataset_R):
+        if dataset is not None and dataset.sample_shape != tuple(model.backbone_spec.input_shape):
+            raise DimensionError(f"dataset samples have shape {dataset.sample_shape} but the "
+                                 f"backbone expects {tuple(model.backbone_spec.input_shape)}")
+
+
+def _check_lockstep(models, datasets_T, datasets_R, cfgs) -> None:
+    """Rows of one stack must share their step schedule."""
+    if len(models) > 1 and any(cfg.mode == "finetune-cC" for cfg in cfgs):
+        raise ConfigError("finetune-cC models train alone, not in a lockstep stack")
+
+    def schedule(model, dataset_T, dataset_R, cfg):
+        return (model.backbone_spec, model.head_T_spec,
+                model.head_R_spec if cfg.mode in _DUAL_MODES else None, len(dataset_T),
+                cfg.epochs, cfg.batch_size_T, cfg.lr, cfg.momentum, cfg.lam, cfg.alpha1, cfg.alpha2)
+
+    first = schedule(models[0], datasets_T[0], datasets_R[0], cfgs[0])
+    dual_specs = set()
+    for row, args in enumerate(zip(models, datasets_T, datasets_R, cfgs)):
+        mine = schedule(*args)
+        # Only dual rows have a reference branch, so compare its spec
+        # among them and the other fields across all rows.
+        if mine[2] is not None:
+            dual_specs.add(mine[2])
+        if mine[:2] + mine[3:] != first[:2] + first[3:] or cfgs[row].batch_size_R != cfgs[0].batch_size_R:
+            raise ConfigError(f"stacked model {row} does not share the step schedule of model 0 "
+                              "(backbone, class counts, training-set size, epochs, batch sizes, "
+                              "lr, momentum, lambda, alpha1, alpha2)")
+    if len(dual_specs) > 1:
+        raise ConfigError("dual-branch models of one stack need the same reference class count")
+
+
+def _epoch_set(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | None,
+               cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) that one epoch runs over: T, or in finetune-cC the union of
+    T and the reference data relabeled past the known classes."""
+    if cfg.mode != "finetune-cC":
+        return dataset_T.features(), dataset_T.labels()
+    x_parts, y_parts = [dataset_T.features()], [dataset_T.labels()]
+    if dataset_R is not None:
+        x_parts.append(dataset_R.features())
+        y_parts.append(dataset_R.labels() + model.num_known)
+    return np.concatenate(x_parts), np.concatenate(y_parts)
+
+
+def _gather(sources, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Stack each row's (x, y) drawn at its indices: [M, k, ...] and [M, k]."""
+    return (np.stack([x[idx] for (x, _), idx in zip(sources, indices)]),
+            np.stack([y[idx] for (_, y), idx in zip(sources, indices)]))
+
+
+def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) -> list[list[EpochStats]]:
+    """Train M models at once, each step of all of them one set of numpy
+    calls; returns each model's history.
+
+    Every row trains exactly as it would alone: the same parameters bit
+    for bit and the same history. Rows may differ in mode (any of the
+    four ablation modes), seed and data. They must share the step
+    schedule: backbone, class counts, len(dataset_T), epochs, batch
+    sizes, lr, momentum, lambda, alpha1 and alpha2 (else ConfigError).
+    finetune-cC models train alone. Each row draws its epoch permutations
+    and reference reshuffles from its own seed stream, in the order a
+    lone run does. Labels are validated once, by the Dataset invariants
+    and the mode/dataset checks. epoch_callback(epoch_index), when
+    given, runs after each epoch.
+    """
+    models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
+    if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):
+        raise ConfigError("lockstep training needs one T dataset, R dataset (or None) and config per model")
+    for args in zip(models, datasets_T, datasets_R, cfgs):
+        _check_mode_datasets(*args)
+    _check_lockstep(models, datasets_T, datasets_R, cfgs)
+    histories: list[list[EpochStats]] = [[] for _ in models]
+    cfg = cfgs[0]
+    if cfg.epochs == 0:
+        return histories
+
+    state = TrainerState.stack(models, cfgs)
+    rngs = [np.random.default_rng([c.seed, _STREAM_BATCHING]) for c in cfgs]
+    epoch_sets = [_epoch_set(*args) for args in zip(models, datasets_T, datasets_R, cfgs)]
+    dual = [row for row, c in enumerate(cfgs) if c.mode in _DUAL_MODES]
+    references = [(datasets_R[row].features(), datasets_R[row].labels()) for row in dual]
+    streams = [_IndexStream(len(datasets_R[row]), rngs[row]) for row in dual]
+
+    n = len(epoch_sets[0][1])
+    b_t, b_r = cfg.batch_size_T, cfg.batch_size_R
+    steps = -(-n // b_t)
+    x_r = y_r = None
+    for epoch in range(cfg.epochs):
+        # Each row's epoch permutation comes first, then the reference
+        # indices its steps will consume, as in the order of a lone run.
+        x_t, y_t = _gather(epoch_sets, [rng.permutation(n) for rng in rngs])
+        if streams:
+            x_r, y_r = _gather(references, [stream.take(steps * b_r) for stream in streams])
+        sums = np.zeros((len(models), 4))
+        for step in range(steps):
+            t = slice(step * b_t, (step + 1) * b_t)
+            r = slice(step * b_r, (step + 1) * b_r)
+            sums += _lockstep_step(state, x_t[:, t], y_t[:, t],
+                                   None if x_r is None else x_r[:, r], None if y_r is None else y_r[:, r])
+        for history, means in zip(histories, sums / steps):
+            history.append(EpochStats(epoch, *(float(v) for v in means)))
+        if epoch_callback is not None:
+            epoch_callback(epoch)
+    return histories
 
 
 def train(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | None,
           cfg: TrainingConfig, epoch_callback=None):
-    """Train the model for cfg.epochs epochs over T.
+    """Train the model for cfg.epochs epochs over T: train_lockstep with
+    one row.
 
     The reference dataset is consumed as an endless shuffled stream, one
     batch per step, reshuffled whenever it runs out. In finetune-cC mode
@@ -345,52 +539,8 @@ def train(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | None,
     history; epoch_callback(epoch_index, model), when given, runs after
     each epoch. Deterministic given cfg.seed.
     """
-    _check_mode_datasets(model, dataset_T, dataset_R, cfg)
-    history: list[EpochStats] = []
-    if cfg.epochs == 0:
-        return model, history
-
-    rng = np.random.default_rng([cfg.seed, _STREAM_BATCHING])
-    state = TrainerState.fresh(model, cfg)
-
-    if cfg.mode == "finetune-cC":
-        x_parts = [dataset_T.features()]
-        y_parts = [dataset_T.labels()]
-        if dataset_R is not None:
-            x_parts.append(dataset_R.features())
-            y_parts.append(dataset_R.labels() + model.num_known)
-        x_epoch = np.concatenate(x_parts)
-        y_epoch = np.concatenate(y_parts)
-    else:
-        x_epoch = dataset_T.features()
-        y_epoch = dataset_T.labels()
-
-    dual = cfg.mode in _DUAL_MODES
-    if dual:
-        x_ref = dataset_R.features()
-        y_ref = dataset_R.labels()
-        ref_stream = _IndexStream(len(dataset_R), rng)
-
-    n = len(y_epoch)
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        sums = np.zeros(4)
-        steps = 0
-        for start in range(0, n, cfg.batch_size_T):
-            idx = perm[start:start + cfg.batch_size_T]
-            batch_t = (x_epoch[idx], y_epoch[idx])
-            batch_r = None
-            if dual:
-                ridx = ref_stream.take(cfg.batch_size_R)
-                batch_r = (x_ref[ridx], y_ref[ridx])
-            metrics = train_step(model, batch_t, batch_r, cfg, state)
-            sums += (metrics.loss_ce_R, metrics.loss_ce_T, metrics.loss_m_T, metrics.cumulative)
-            steps += 1
-        means = sums / steps
-        history.append(EpochStats(epoch, *(float(v) for v in means)))
-        if epoch_callback is not None:
-            epoch_callback(epoch, model)
-    return model, history
+    callback = None if epoch_callback is None else (lambda epoch: epoch_callback(epoch, model))
+    return model, train_lockstep([model], [dataset_T], [dataset_R], [cfg], callback)[0]
 
 
 @dataclass
@@ -496,7 +646,10 @@ def load_checkpoint(path) -> Checkpoint:
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
             count = math.prod(dims)
             data = _read_exact(fh, 8 * count, f"data of {name}")
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+            try:
+                tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+            except ValueError:  # too many axes, or an axis too long for numpy
+                raise CorruptionError(f"{path}: parameter {name!r} has impossible dims {dims}") from None
 
     try:
         backbone_spec = nn_core.spec_from_dicts(metadata["backbone"]["input_shape"],

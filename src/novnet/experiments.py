@@ -19,6 +19,7 @@ from .dual_trainer import (
     TrainingConfig,
     build_dual_model,
     train,
+    train_lockstep,
 )
 from .errors import ConfigError, ProtocolError
 from .nn_core import NetworkSpec, spec_from_dicts
@@ -279,9 +280,9 @@ def run_experiment(cfg: ExperimentConfig, mode: str | None = None,
                             accuracy=accuracy, model=model, history=history, data=data)
 
 
-def train_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranchModel, list[EpochStats]]:
-    """Build a dual-branch model for the training mode and train it on the
-    train split (plus the reference data when the mode uses it)."""
+def _build_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranchModel, Dataset | None]:
+    """The untrained model for the training mode, and the reference data
+    it trains on (None when the mode does not use it)."""
     training = cfg.training
     if training.uses_reference and data.reference is None:
         raise ConfigError(f"mode {training.mode!r} needs a reference dataset")
@@ -289,7 +290,14 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranch
     num_reference = reference.n_classes if reference is not None else 0
     model = build_dual_model(cfg.backbone, data.train_T.n_classes, num_reference,
                              seed=training.seed, combined_head=training.mode == "finetune-cC")
-    return train(model, data.train_T, reference, training)
+    return model, reference
+
+
+def train_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranchModel, list[EpochStats]]:
+    """Build a dual-branch model for the training mode and train it on the
+    train split (plus the reference data when the mode uses it)."""
+    model, reference = _build_model(cfg, data)
+    return train(model, data.train_T, reference, cfg.training)
 
 
 def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[
@@ -341,7 +349,9 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
 
     Within a rep, all modes share one data draw and split (so modes are
     compared on identical data); across reps both the data seed and the
-    training seeds advance deterministically.
+    training seeds advance deterministically. All rows train in one
+    lockstep stack, each exactly as run_experiment would train it alone,
+    and are then scored one by one.
     """
     modes = tuple(modes)
     if n_seeds < 1:
@@ -351,15 +361,21 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
             raise ConfigError(f"ablation mode must be one of {ABLATION_MODES}, got {mode!r}")
     if base_seed is None:
         base_seed = cfg.training.seed
-    rows = []
+    runs = []
     for rep in range(n_seeds):
         data = assemble_datasets(_reseed_dataset_section(cfg.dataset, rep))
         for mode in modes:
             # canonical mode index, so a restricted run reproduces the
             # exact rows of the full matrix
             seed = ablation_seed(base_seed, rep, ABLATION_MODES.index(mode), len(ABLATION_MODES))
-            result = run_experiment(cfg, mode=mode, seed=seed, data=data)
-            rows.append(AblationRow(mode=mode, seed=seed, auc=result.auc, accuracy=result.accuracy))
+            run_cfg = replace(cfg, training=replace(cfg.training, mode=mode, seed=seed))
+            runs.append((run_cfg.training, data) + _build_model(run_cfg, data))
+    train_lockstep([model for _, _, model, _ in runs], [data.train_T for _, data, _, _ in runs],
+                   [reference for _, _, _, reference in runs], [training for training, _, _, _ in runs])
+    rows = []
+    for training, data, model, _ in runs:
+        _, roc, accuracy = evaluate_detection(model, data)
+        rows.append(AblationRow(mode=training.mode, seed=training.seed, auc=roc.auc, accuracy=accuracy))
     return rows
 
 

@@ -44,34 +44,78 @@ def softmax(f: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(t):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    From one e = exp(-|t|): 1 / (1 + e) for t >= 0 and e / (1 + e) below,
+    so exp never overflows."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
 
 
+def check_labels(y, n: int, c: int) -> np.ndarray:
+    """n integer labels in [0, c) as an int64 array, else LabelError."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (n,):
+        raise LabelError(f"expected {n} labels, got shape {y.shape}")
+    if np.any(y < 0) or np.any(y >= c):
+        bad = y[(y < 0) | (y >= c)][0]
+        raise LabelError(f"label {bad} outside [0, {c})")
+    return y
+
+
 def _as_logit_batch(f: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Normalize (f, y) to 2-D logits and a 1-D label array."""
+    """Normalize (f, y) to 2-D logits and a validated 1-D label array."""
     f = np.asarray(f, dtype=np.float64)
     single = f.ndim == 1
     if single:
         f = f[None, :]
-        y = np.asarray([y], dtype=np.int64)
-    else:
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (f.shape[0],):
-            raise LabelError(f"expected {f.shape[0]} labels, got shape {y.shape}")
-    c = f.shape[1]
-    if np.any(y < 0) or np.any(y >= c):
-        bad = y[(y < 0) | (y >= c)][0]
-        raise LabelError(f"label {bad} outside [0, {c})")
-    return f, y, single
+        y = [y]
+    return f, check_labels(y, f.shape[0], f.shape[1]), single
+
+
+def loss_terms(f: np.ndarray, y: np.ndarray, lam: float | None = None):
+    """Fused kernel behind cross_entropy and membership_loss.
+
+    f holds logits [..., n, c] (any leading model axes) and y labels
+    [..., n], which must already lie in [0, c); nothing is validated
+    here. Returns (ce_value, ce_grad, m_value, m_grad): mean-reduced
+    values of shape [...] and gradients shaped like f. The membership
+    pair is computed only when lam is given, and is (None, None)
+    otherwise. CE comes from one shifted exp, the membership loss from
+    the one exp inside sigmoid.
+    """
+    y = y[..., None]
+    onehot = y == np.arange(f.shape[-1])
+    ce = _cross_entropy_terms(f, y, onehot)
+    return ce + (_membership_terms(f, y, onehot, lam) if lam is not None else (None, None))
+
+
+def _cross_entropy_terms(f, y, onehot):
+    n = f.shape[-2]
+    shifted = f - f.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    # log-softmax of the true class, from the shifted logits so log(0)
+    # cannot underflow; grad = (softmax - onehot) / n
+    log_p = np.take_along_axis(shifted, y, axis=-1) - np.log(total)
+    return -log_p[..., 0].mean(axis=-1), (e / total - onehot) / n
+
+
+def _membership_terms(f, y, onehot, lam):
+    n, c = f.shape[-2:]
+    s = sigmoid(f)
+    rest = 1.0 - s
+    sp = s * rest
+    sq = s ** 2
+    correct = np.take_along_axis(rest, y, axis=-1)[..., 0] ** 2
+    wrong = (sq.sum(axis=-1) - np.take_along_axis(sq, y, axis=-1)[..., 0]) / (c - 1)
+    value = (correct + lam * wrong).mean(axis=-1)
+    grad = np.where(onehot, -2.0 * rest * sp, (2.0 * lam / (c - 1)) * s * sp) / n
+    return value, grad
 
 
 def cross_entropy(f: np.ndarray, y) -> LossResult:
@@ -81,17 +125,8 @@ def cross_entropy(f: np.ndarray, y) -> LossResult:
     with n labels (mean reduction). grad = (softmax - onehot) / n.
     """
     f, y, single = _as_logit_batch(f, y)
-    n, c = f.shape
-    p = softmax(f)
-    rows = np.arange(n)
-    # log-softmax computed from shifted logits to avoid log(0) underflow
-    shifted = f - f.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = float(-log_p[rows, y].mean())
-    grad = p.copy()
-    grad[rows, y] -= 1.0
-    grad /= n
-    return LossResult(value, grad[0] if single else grad)
+    value, grad, _, _ = loss_terms(f, y)
+    return LossResult(float(value), grad[0] if single else grad)
 
 
 def membership_loss(f: np.ndarray, y, params: MembershipParams = MembershipParams()) -> LossResult:
@@ -105,30 +140,21 @@ def membership_loss(f: np.ndarray, y, params: MembershipParams = MembershipParam
     Batches reduce by the mean, so the per-sample gradient is divided by n.
     """
     f, y, single = _as_logit_batch(f, y)
-    n, c = f.shape
-    if c < 2:
+    if f.shape[1] < 2:
         raise ConfigError("membership loss needs at least 2 classes")
-    lam = params.lam
-    s = sigmoid(f)
-    sp = s * (1.0 - s)
-    rows = np.arange(n)
-
-    correct = (1.0 - s[rows, y]) ** 2
-    sq = s ** 2
-    wrong = (sq.sum(axis=1) - sq[rows, y]) / (c - 1)
-    value = float((correct + lam * wrong).mean())
-
-    grad = (2.0 * lam / (c - 1)) * s * sp
-    grad[rows, y] = -2.0 * (1.0 - s[rows, y]) * sp[rows, y]
-    grad /= n
-    return LossResult(value, grad[0] if single else grad)
+    y = y[:, None]
+    value, grad = _membership_terms(f, y, y == np.arange(f.shape[1]), params.lam)
+    return LossResult(float(value), grad[0] if single else grad)
 
 
-def cumulative_loss(l_ce_r: float, l_ce_t: float, l_m_t: float,
-                    alpha1: float = 1.0, alpha2: float = 1.0) -> float:
+def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1=1.0, alpha2=1.0):
     """Combine the three training loss components:
     L_ce(R) + alpha1 * L_ce(T) + alpha2 * L_m(T).
+
+    Scalars give a float; arrays (one entry per stacked model, alpha2
+    included) combine elementwise.
     """
-    if not (alpha1 >= 0 and alpha2 >= 0):
+    if not (np.all(alpha1 >= 0) and np.all(alpha2 >= 0)):
         raise ConfigError("cumulative loss weights must be >= 0")
-    return float(l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t)
+    total = l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t
+    return float(total) if np.ndim(total) == 0 else total

@@ -7,9 +7,16 @@ tight tolerances. Supported layers: dense, conv2d (valid padding, stride
 immutable NetworkSpec; parameters live in a plain dict keyed by
 "layer{i}.weight" / "layer{i}.bias".
 
+forward/backward take an optional leading model axis: a batch of shape
+[M, n, *input_shape] runs M models at once, each with its own parameters
+stacked as [M, *shape] under the same keys. Dense layers and relu/pool
+work at either rank unchanged; conv2d runs its kernel once per model.
+Each model's outputs are bit-identical to running it alone.
+
 forward/backward are pure functions of their arguments, so two calls with
 identical inputs return bit-identical outputs and may run concurrently on
-disjoint batches. Only sgd_step produces new parameter values.
+disjoint batches. Only sgd_step and momentum_update change parameter
+values.
 """
 
 from __future__ import annotations
@@ -200,12 +207,19 @@ def init_params(spec: NetworkSpec, seed) -> ParamSet:
     return params
 
 
+def _is_stacked(spec: NetworkSpec, batch: np.ndarray) -> bool:
+    """True for a [M, n, *input_shape] batch, False for [n, *input_shape]."""
+    return batch.ndim == len(spec.input_shape) + 2
+
+
 def _as_batch(spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     expected = tuple(spec.input_shape)
-    if batch.shape[1:] != expected:
+    rank = len(expected)
+    if batch.ndim not in (rank + 1, rank + 2) or batch.shape[-rank:] != expected:
         raise DimensionError(
-            f"batch shape {batch.shape} does not match input shape (n, {', '.join(map(str, expected))})"
+            f"batch shape {batch.shape} does not match input shape "
+            f"([models,] n, {', '.join(map(str, expected))})"
         )
     return batch
 
@@ -215,18 +229,23 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray):
 
     The returned activations are the raw final-layer values (no softmax or
     sigmoid applied). The cache holds each layer's input and is consumed
-    by backward().
+    by backward(). A [M, n, ...] batch needs [M, ...] stacked parameters.
     """
     x = _as_batch(spec, batch)
+    stacked = _is_stacked(spec, x)
     cache = []
     for i, layer in enumerate(spec.layers):
         cache.append(x)
         if isinstance(layer, Dense):
             w = params[f"layer{i}.weight"]
             b = params[f"layer{i}.bias"]
-            x = x @ w.T + b
+            x = x @ w.swapaxes(-1, -2) + b[..., None, :]
         elif isinstance(layer, Conv2d):
-            x = _conv2d_forward(x, params[f"layer{i}.weight"], params[f"layer{i}.bias"], layer.stride)
+            w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
+            if stacked:
+                x = np.stack([_conv2d_forward(xm, wm, bm, layer.stride) for xm, wm, bm in zip(x, w, b)])
+            else:
+                x = _conv2d_forward(x, w, b, layer.stride)
         elif isinstance(layer, Relu):
             x = np.maximum(x, 0.0)
         elif isinstance(layer, GlobalAveragePool):
@@ -235,11 +254,11 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray):
 
 
 def global_average_pool(g: np.ndarray) -> np.ndarray:
-    """Mean of each activation map: [batch, k, h, w] -> [batch, k]."""
+    """Mean of each activation map: [[M,] batch, k, h, w] -> [[M,] batch, k]."""
     g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 4:
-        raise DimensionError(f"global_average_pool expects rank-4 input, got rank {g.ndim}")
-    return g.mean(axis=(2, 3))
+    if g.ndim not in (4, 5):
+        raise DimensionError(f"global_average_pool expects rank-4 or rank-5 input, got rank {g.ndim}")
+    return g.mean(axis=(-2, -1))
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
@@ -283,33 +302,56 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray):
     if cache is None or len(cache) != len(spec.layers):
         raise UsageError("backward needs the cache produced by forward on the same batch")
     dy = np.asarray(dl_df, dtype=np.float64)
+    stacked = _is_stacked(spec, cache[0])
     grads: ParamSet = {}
     for i in reversed(range(len(spec.layers))):
         layer = spec.layers[i]
         x = cache[i]
         if isinstance(layer, Dense):
             w = params[f"layer{i}.weight"]
-            grads[f"layer{i}.weight"] = dy.T @ x
-            grads[f"layer{i}.bias"] = dy.sum(axis=0)
+            grads[f"layer{i}.weight"] = dy.swapaxes(-1, -2) @ x
+            grads[f"layer{i}.bias"] = dy.sum(axis=-2)
             dy = dy @ w
         elif isinstance(layer, Conv2d):
-            dw, db, dy = _conv2d_backward(x, params[f"layer{i}.weight"], layer.stride, dy)
+            w = params[f"layer{i}.weight"]
+            if stacked:
+                parts = [_conv2d_backward(xm, wm, layer.stride, dym) for xm, wm, dym in zip(x, w, dy)]
+                dw, db, dy = (np.stack(part) for part in zip(*parts))
+            else:
+                dw, db, dy = _conv2d_backward(x, w, layer.stride, dy)
             grads[f"layer{i}.weight"] = dw
             grads[f"layer{i}.bias"] = db
         elif isinstance(layer, Relu):
             dy = dy * (x > 0.0)
         elif isinstance(layer, GlobalAveragePool):
-            _, _, h, w_ = x.shape
-            dy = np.broadcast_to(dy[:, :, None, None] / (h * w_), x.shape).copy()
+            h, w_ = x.shape[-2:]
+            dy = np.broadcast_to(dy[..., None, None] / (h * w_), x.shape).copy()
     return grads, dy
 
 
-def sgd_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
-    """One SGD-with-momentum update; returns (new_params, new_state).
+def momentum_update(values: np.ndarray, grads: np.ndarray, velocity: "np.ndarray | None",
+                    lr: float, momentum: float) -> np.ndarray:
+    """SGD with momentum, in place on `values`; returns the new velocity.
 
-    velocity <- momentum * velocity + grads
-    params   <- params - lr * velocity
+    velocity <- momentum * velocity + grads   (grads itself on the first
+                                               step, velocity=None)
+    values   <- values - lr * velocity
+
+    Works on arrays of any shape, e.g. one flat buffer holding every
+    parameter of a model stack, so one update is four numpy calls.
     """
+    if velocity is None:
+        velocity = grads.copy()
+    else:
+        velocity *= momentum
+        velocity += grads
+    values -= lr * velocity
+    return velocity
+
+
+def sgd_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
+    """One SGD-with-momentum update of a ParamSet; returns (new_params,
+    new_state) and leaves its arguments unchanged. See momentum_update."""
     new_params: ParamSet = {}
     new_velocity: ParamSet = {}
     for name, value in params.items():
@@ -317,9 +359,9 @@ def sgd_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
         v_prev = state.velocity.get(name)
-        v = g.copy() if v_prev is None else state.momentum * v_prev + g
-        new_velocity[name] = v
-        new_params[name] = value - state.lr * v
+        new_params[name] = value.copy()
+        new_velocity[name] = momentum_update(new_params[name], g, None if v_prev is None else v_prev.copy(),
+                                             state.lr, state.momentum)
     return new_params, OptimizerState(lr=state.lr, momentum=state.momentum, velocity=new_velocity)
 
 
