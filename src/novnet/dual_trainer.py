@@ -7,6 +7,12 @@ weights at every step by construction; its gradient is the sum of the two
 branches' contributions, which is mathematically identical to mirrored
 copies with synchronized updates.
 
+Any number of models train in lockstep (train_lockstep): their
+parameters and momentum live in one flat buffer with a leading model
+axis, so one step of the whole stack is a fixed set of numpy calls, and
+each model ends bit-identical to training it alone. train() is the
+one-model case of the same loop.
+
 Training modes (ablation/baseline variants):
   ce-only        single branch, cross-entropy only
   ce+membership  single branch, cross-entropy + membership loss
@@ -36,7 +42,7 @@ from .errors import (
     DivergenceError,
     FormatError,
 )
-from .losses import check_labels, cumulative_loss, loss_terms
+from .losses import check_labels, loss_terms
 from .nn_core import NetworkSpec, ParamSet
 
 CHECKPOINT_MAGIC = b"NVFG"
@@ -313,7 +319,7 @@ def _lockstep_step(state: TrainerState, x_t, y_t, x_r, y_r) -> np.ndarray:
 
     x_t/y_t are [M, b_T, ...] / [M, b_T] batches, x_r/y_r the [D, b_R, ...]
     reference batches of the dual rows (None when there are none), with
-    labels already validated. Returns the [M, 4] loss components
+    labels already validated. Returns the [4, M] loss components
     (ce_R, ce_T, m_T, cumulative) at the pre-update parameters.
     """
     cfg = state.cfg
@@ -344,20 +350,22 @@ def _lockstep_step(state: TrainerState, x_t, y_t, x_r, y_r) -> np.ndarray:
         backbone_r = backbone if isinstance(dual, slice) else {k: v[dual] for k, v in backbone.items()}
         feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
         f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
-        ce_r[dual], ce_r_grad, _, _ = loss_terms(f_r, y_r)
+        ce_r_value, ce_r_grad, _, _ = loss_terms(f_r, y_r)
+        ce_r[dual] = ce_r_value
         head_r_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_r_grad)
         backbone_r_grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r)
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
-    total = cumulative_loss(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
+    # cumulative_loss row by row; TrainingConfig has validated the weights
+    total = ce_r + cfg.alpha1 * ce_t + state.alpha2 * m_t
     finite = np.isfinite(total)
     if not finite.all():
         row = int(np.argmin(finite))
         where = f" of stacked model {row}" if rows > 1 else ""
         raise DivergenceError(f"non-finite cumulative loss {total[row]}{where}")
     state.apply_gradients({"backbone": backbone_grads, "head_T": head_t_grads, "head_R": head_r_grads})
-    return np.stack([ce_r, ce_t, m_t, total], axis=1)
+    return np.array([ce_r, ce_t, m_t, total])
 
 
 def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig,
@@ -385,7 +393,7 @@ def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig,
         x_r, y_r = batch_R
         x_r, y_r = np.asarray(x_r)[None], check_labels(y_r, len(x_r), model.num_reference)[None]
     metrics = _lockstep_step(state, np.asarray(x_t)[None], y_t[None], x_r, y_r)
-    return StepMetrics(*(float(v) for v in metrics[0]))
+    return StepMetrics(*(float(v) for v in metrics[:, 0]))
 
 
 class _IndexStream:
@@ -514,13 +522,13 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
         x_t, y_t = _gather(epoch_sets, [rng.permutation(n) for rng in rngs])
         if streams:
             x_r, y_r = _gather(references, [stream.take(steps * b_r) for stream in streams])
-        sums = np.zeros((len(models), 4))
+        sums = np.zeros((4, len(models)))
         for step in range(steps):
             t = slice(step * b_t, (step + 1) * b_t)
             r = slice(step * b_r, (step + 1) * b_r)
             sums += _lockstep_step(state, x_t[:, t], y_t[:, t],
                                    None if x_r is None else x_r[:, r], None if y_r is None else y_r[:, r])
-        for history, means in zip(histories, sums / steps):
+        for history, means in zip(histories, (sums / steps).T):
             history.append(EpochStats(epoch, *(float(v) for v in means)))
         if epoch_callback is not None:
             epoch_callback(epoch)

@@ -88,32 +88,32 @@ def loss_terms(f: np.ndarray, y: np.ndarray, lam: float | None = None):
     otherwise. CE comes from one shifted exp, the membership loss from
     the one exp inside sigmoid.
     """
-    y = y[..., None]
-    onehot = y == np.arange(f.shape[-1])
-    ce = _cross_entropy_terms(f, y, onehot)
-    return ce + (_membership_terms(f, y, onehot, lam) if lam is not None else (None, None))
+    onehot = y[..., None] == np.arange(f.shape[-1])
+    ce = _cross_entropy_terms(f, onehot)
+    return ce + (_membership_terms(f, onehot, lam) if lam is not None else (None, None))
 
 
-def _cross_entropy_terms(f, y, onehot):
+def _cross_entropy_terms(f, onehot):
     n = f.shape[-2]
     shifted = f - f.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     # log-softmax of the true class, from the shifted logits so log(0)
     # cannot underflow; grad = (softmax - onehot) / n
-    log_p = np.take_along_axis(shifted, y, axis=-1) - np.log(total)
-    return -log_p[..., 0].mean(axis=-1), (e / total - onehot) / n
+    log_p = shifted[onehot].reshape(onehot.shape[:-1]) - np.log(total[..., 0])
+    return -(log_p.sum(axis=-1) / n), (e / total - onehot) / n
 
 
-def _membership_terms(f, y, onehot, lam):
+def _membership_terms(f, onehot, lam):
     n, c = f.shape[-2:]
     s = sigmoid(f)
     rest = 1.0 - s
     sp = s * rest
     sq = s ** 2
-    correct = np.take_along_axis(rest, y, axis=-1)[..., 0] ** 2
-    wrong = (sq.sum(axis=-1) - np.take_along_axis(sq, y, axis=-1)[..., 0]) / (c - 1)
-    value = (correct + lam * wrong).mean(axis=-1)
+    picked = onehot.shape[:-1]
+    correct = rest[onehot].reshape(picked) ** 2
+    wrong = (sq.sum(axis=-1) - sq[onehot].reshape(picked)) / (c - 1)
+    value = (correct + lam * wrong).sum(axis=-1) / n
     grad = np.where(onehot, -2.0 * rest * sp, (2.0 * lam / (c - 1)) * s * sp) / n
     return value, grad
 
@@ -142,19 +142,15 @@ def membership_loss(f: np.ndarray, y, params: MembershipParams = MembershipParam
     f, y, single = _as_logit_batch(f, y)
     if f.shape[1] < 2:
         raise ConfigError("membership loss needs at least 2 classes")
-    y = y[:, None]
-    value, grad = _membership_terms(f, y, y == np.arange(f.shape[1]), params.lam)
+    value, grad = _membership_terms(f, y[:, None] == np.arange(f.shape[1]), params.lam)
     return LossResult(float(value), grad[0] if single else grad)
 
 
-def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1=1.0, alpha2=1.0):
+def cumulative_loss(l_ce_r: float, l_ce_t: float, l_m_t: float,
+                    alpha1: float = 1.0, alpha2: float = 1.0) -> float:
     """Combine the three training loss components:
     L_ce(R) + alpha1 * L_ce(T) + alpha2 * L_m(T).
-
-    Scalars give a float; arrays (one entry per stacked model, alpha2
-    included) combine elementwise.
     """
-    if not (np.all(alpha1 >= 0) and np.all(alpha2 >= 0)):
+    if not (alpha1 >= 0 and alpha2 >= 0):
         raise ConfigError("cumulative loss weights must be >= 0")
-    total = l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t
-    return float(total) if np.ndim(total) == 0 else total
+    return float(l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t)

@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_backbone, small_synthetic
-from novnet import nn_core
+from novnet import experiments, nn_core
 from novnet.data_io import Dataset
 from novnet.dual_trainer import (
     Checkpoint,
@@ -17,6 +19,7 @@ from novnet.dual_trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
+    train_lockstep,
     train_step,
 )
 from novnet.errors import ConfigError, CorruptionError, FormatError, LabelError
@@ -460,3 +463,69 @@ class TestWeightSharingInvariant:
         cfg = TrainingConfig(mode="dual-full", epochs=5, seed=7)
         train(model, known, reference, cfg, epoch_callback=check)
         assert mismatches == []
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def config_runs(config, modes, reps):
+    """(ExperimentConfig, ExperimentData) per row: every mode on each rep's
+    data draw, with distinct training seeds."""
+    cfg = experiments.parse_experiment_config(os.path.join(CONFIGS, config))
+    runs = []
+    for rep in range(reps):
+        data = experiments.assemble_datasets(experiments._reseed_dataset_section(cfg.dataset, rep))
+        for index, mode in enumerate(modes):
+            training = replace(cfg.training, mode=mode, seed=10 * rep + index)
+            runs.append((replace(cfg, training=training), data))
+    return runs
+
+
+def untrained(cfg, data):
+    reference = data.reference if cfg.training.uses_reference else None
+    model = build_dual_model(cfg.backbone, data.train_T.n_classes,
+                             reference.n_classes if reference is not None else 0, seed=cfg.training.seed)
+    return model, reference
+
+
+class TestLockstep:
+    def assert_rows_match_lone_runs(self, runs):
+        built = [untrained(cfg, data) for cfg, data in runs]
+        histories = train_lockstep([model for model, _ in built], [data.train_T for _, data in runs],
+                                   [reference for _, reference in built],
+                                   [cfg.training for cfg, _ in runs])
+        for (cfg, data), (model, _), history in zip(runs, built, histories):
+            alone, alone_history = experiments.train_model(cfg, data)
+            for group in ("backbone", "head_T", "head_R"):
+                want, got = getattr(alone, group), getattr(model, group)
+                assert (want is None) == (got is None)
+                if want is not None:
+                    assert want.keys() == got.keys()
+                    assert all(want[k].tobytes() == got[k].tobytes() for k in want), (cfg.training, group)
+            assert [h.to_dict() for h in history] == [h.to_dict() for h in alone_history]
+
+    def test_ablation_modes_over_two_reps_match_lone_training(self):
+        self.assert_rows_match_lone_runs(
+            config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=2))
+
+    def test_conv_rows_match_lone_training(self):
+        self.assert_rows_match_lone_runs(config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1))
+
+    @pytest.mark.parametrize("mismatch", ["train_size", "epochs", "lr", "finetune"])
+    def test_rows_must_share_the_step_schedule(self, toy_datasets, mismatch):
+        known, _, _ = toy_datasets
+        cfg = TrainingConfig(mode="ce-only", epochs=2, seed=0)
+        datasets = [known, known]
+        cfgs = [cfg, replace(cfg, seed=1)]
+        combined = False
+        if mismatch == "train_size":
+            datasets[1] = Dataset(known.x[:-2], known.y[:-2], list(known.class_names), "subset")
+        elif mismatch == "finetune":
+            cfgs = [replace(c, mode="finetune-cC") for c in cfgs]
+            combined = True
+        else:
+            cfgs[1] = replace(cfgs[1], **{mismatch: {"epochs": 3, "lr": 0.5}[mismatch]})
+        models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=c.seed, combined_head=combined)
+                  for c in cfgs]
+        with pytest.raises(ConfigError):
+            train_lockstep(models, datasets, [None, None], cfgs)
