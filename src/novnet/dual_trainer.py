@@ -265,25 +265,21 @@ class TrainerState:
         model's dicts at its rows."""
         dual = [cfg.mode in _DUAL_MODES for cfg in cfgs]
         dual_models = [model for model, is_dual in zip(models, dual) if is_dual]
-        groups = {"backbone": [model.backbone for model in models],
-                  "head_T": [model.head_T for model in models],
-                  "head_R": [model.head_R for model in dual_models]}
-        layout = [(group, name, [p[name] for p in rows])
-                  for group, rows in groups.items() if rows for name in rows[0]]
-        values = np.empty(sum(len(arrays) * arrays[0].size for _, _, arrays in layout))
+        groups = {"backbone": models, "head_T": models, "head_R": dual_models}
+        layout = {(group, name): [getattr(model, group)[name] for model in rows]
+                  for group, rows in groups.items() if rows for name in getattr(rows[0], group)}
+        values = np.empty(sum(len(arrays) * arrays[0].size for arrays in layout.values()))
         params: dict[str, ParamSet] = {group: {} for group in groups}
         offset = 0
-        for group, name, arrays in layout:
+        for (group, name), arrays in layout.items():
             view = values[offset:offset + len(arrays) * arrays[0].size].reshape(
                 (len(arrays),) + arrays[0].shape)
             np.stack(arrays, out=view)
             params[group][name] = view
             offset += view.size
-        for row, model in enumerate(models):
-            model.backbone = {name: v[row] for name, v in params["backbone"].items()}
-            model.head_T = {name: v[row] for name, v in params["head_T"].items()}
-        for row, model in enumerate(dual_models):
-            model.head_R = {name: v[row] for name, v in params["head_R"].items()}
+        for group, rows in groups.items():
+            for row, model in enumerate(rows):
+                setattr(model, group, {name: v[row] for name, v in params[group].items()})
         membership = np.array([cfg.uses_membership for cfg in cfgs])
         return cls(
             specs=(models[0].backbone_spec, models[0].head_T_spec,
@@ -314,18 +310,19 @@ class TrainerState:
         return DivergenceError("non-finite gradient")
 
 
-def _lockstep_step(state: TrainerState, x_t, y_t, x_r, y_r) -> np.ndarray:
+def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     """One SGD step of every model in the stack.
 
-    x_t/y_t are [M, b_T, ...] / [M, b_T] batches, x_r/y_r the [D, b_R, ...]
-    reference batches of the dual rows (None when there are none), with
-    labels already validated. Returns the [4, M] loss components
+    batch_T is an ([M, b_T, ...], [M, b_T]) pair, batch_R the
+    ([D, b_R, ...], [D, b_R]) reference batches of the dual rows (None
+    when there are none), with labels already validated. Returns the [4, M] loss components
     (ce_R, ce_T, m_T, cumulative) at the pre-update parameters.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
     backbone, head_t, head_r = (state.params[group] for group in ("backbone", "head_T", "head_R"))
     rows = len(state.membership)
+    x_t, y_t = batch_T
 
     feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t)
     f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
@@ -345,7 +342,8 @@ def _lockstep_step(state: TrainerState, x_t, y_t, x_r, y_r) -> np.ndarray:
 
     ce_r = np.zeros(rows)
     head_r_grads: ParamSet = {}
-    if x_r is not None:
+    if batch_R is not None:
+        x_r, y_r = batch_R
         dual = state.dual_rows
         backbone_r = backbone if isinstance(dual, slice) else {k: v[dual] for k, v in backbone.items()}
         feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
@@ -387,12 +385,12 @@ def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig,
     if state is None:
         state = TrainerState.fresh(model, cfg)
     x_t, y_t = batch_T
-    y_t = check_labels(y_t, len(x_t), model.head_T_spec.output_shape[0])
-    x_r = y_r = None
+    stacked_T = np.asarray(x_t)[None], check_labels(y_t, len(x_t), model.head_T_spec.output_shape[0])[None]
+    stacked_R = None
     if dual:
         x_r, y_r = batch_R
-        x_r, y_r = np.asarray(x_r)[None], check_labels(y_r, len(x_r), model.num_reference)[None]
-    metrics = _lockstep_step(state, np.asarray(x_t)[None], y_t[None], x_r, y_r)
+        stacked_R = np.asarray(x_r)[None], check_labels(y_r, len(x_r), model.num_reference)[None]
+    metrics = _lockstep_step(state, stacked_T, stacked_R)
     return StepMetrics(*(float(v) for v in metrics[:, 0]))
 
 
@@ -434,30 +432,17 @@ def _check_mode_datasets(model: DualBranchModel, dataset_T: Dataset,
                                  f"backbone expects {tuple(model.backbone_spec.input_shape)}")
 
 
-def _check_lockstep(models, datasets_T, datasets_R, cfgs) -> None:
+def _check_lockstep(models, datasets_T, cfgs) -> None:
     """Rows of one stack must share their step schedule."""
     if len(models) > 1 and any(cfg.mode == "finetune-cC" for cfg in cfgs):
         raise ConfigError("finetune-cC models train alone, not in a lockstep stack")
-
-    def schedule(model, dataset_T, dataset_R, cfg):
-        return (model.backbone_spec, model.head_T_spec,
-                model.head_R_spec if cfg.mode in _DUAL_MODES else None, len(dataset_T),
-                cfg.epochs, cfg.batch_size_T, cfg.lr, cfg.momentum, cfg.lam, cfg.alpha1, cfg.alpha2)
-
-    first = schedule(models[0], datasets_T[0], datasets_R[0], cfgs[0])
-    dual_specs = set()
-    for row, args in enumerate(zip(models, datasets_T, datasets_R, cfgs)):
-        mine = schedule(*args)
-        # Only dual rows have a reference branch, so compare its spec
-        # among them and the other fields across all rows.
-        if mine[2] is not None:
-            dual_specs.add(mine[2])
-        if mine[:2] + mine[3:] != first[:2] + first[3:] or cfgs[row].batch_size_R != cfgs[0].batch_size_R:
-            raise ConfigError(f"stacked model {row} does not share the step schedule of model 0 "
-                              "(backbone, class counts, training-set size, epochs, batch sizes, "
-                              "lr, momentum, lambda, alpha1, alpha2)")
-    if len(dual_specs) > 1:
-        raise ConfigError("dual-branch models of one stack need the same reference class count")
+    schedules = {(model.backbone_spec, model.head_T_spec, len(dataset_T), cfg.epochs, cfg.batch_size_T,
+                  cfg.batch_size_R, cfg.lr, cfg.momentum, cfg.lam, cfg.alpha1, cfg.alpha2)
+                 for model, dataset_T, cfg in zip(models, datasets_T, cfgs)}
+    reference_heads = {model.head_R_spec for model, cfg in zip(models, cfgs) if cfg.mode in _DUAL_MODES}
+    if len(schedules) > 1 or len(reference_heads) > 1:
+        raise ConfigError("models of one lockstep stack must share backbone, class counts, training-set "
+                          "size, epochs, batch sizes, lr, momentum, lambda, alpha1 and alpha2")
 
 
 def _epoch_set(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | None,
@@ -499,7 +484,7 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
         raise ConfigError("lockstep training needs one T dataset, R dataset (or None) and config per model")
     for args in zip(models, datasets_T, datasets_R, cfgs):
         _check_mode_datasets(*args)
-    _check_lockstep(models, datasets_T, datasets_R, cfgs)
+    _check_lockstep(models, datasets_T, cfgs)
     histories: list[list[EpochStats]] = [[] for _ in models]
     cfg = cfgs[0]
     if cfg.epochs == 0:
@@ -515,7 +500,6 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     n = len(epoch_sets[0][1])
     b_t, b_r = cfg.batch_size_T, cfg.batch_size_R
     steps = -(-n // b_t)
-    x_r = y_r = None
     for epoch in range(cfg.epochs):
         # Each row's epoch permutation comes first, then the reference
         # indices its steps will consume, as in the order of a lone run.
@@ -526,8 +510,8 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
         for step in range(steps):
             t = slice(step * b_t, (step + 1) * b_t)
             r = slice(step * b_r, (step + 1) * b_r)
-            sums += _lockstep_step(state, x_t[:, t], y_t[:, t],
-                                   None if x_r is None else x_r[:, r], None if y_r is None else y_r[:, r])
+            sums += _lockstep_step(state, (x_t[:, t], y_t[:, t]),
+                                   (x_r[:, r], y_r[:, r]) if streams else None)
         for history, means in zip(histories, (sums / steps).T):
             history.append(EpochStats(epoch, *(float(v) for v in means)))
         if epoch_callback is not None:
