@@ -27,6 +27,7 @@ from .dual_trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
+    train_lockstep,
     train_step,
 )
 from .errors import NovnetError

@@ -315,8 +315,9 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
 
     batch_T is an ([M, b_T, ...], [M, b_T]) pair, batch_R the
     ([D, b_R, ...], [D, b_R]) reference batches of the dual rows (None
-    when there are none), with labels already validated. Returns the [4, M] loss components
-    (ce_R, ce_T, m_T, cumulative) at the pre-update parameters.
+    when there are none), with labels already validated. Returns the
+    [4, M] loss components (ce_R, ce_T, m_T, cumulative) at the
+    pre-update parameters.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
@@ -400,12 +401,13 @@ class _IndexStream:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.queue = np.empty(0, dtype=np.int64)
+        self.queue: list[int] = []
 
-    def take(self, k: int) -> np.ndarray:
+    def take(self, k: int) -> list[int]:
         while len(self.queue) < k:
-            self.queue = np.concatenate([self.queue, self.rng.permutation(self.n)])
-        out, self.queue = self.queue[:k], self.queue[k:]
+            self.queue.extend(self.rng.permutation(self.n).tolist())
+        out = self.queue[:k]
+        del self.queue[:k]
         return out
 
 

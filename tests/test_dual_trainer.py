@@ -529,3 +529,13 @@ class TestLockstep:
                   for c in cfgs]
         with pytest.raises(ConfigError):
             train_lockstep(models, datasets, [None, None], cfgs)
+
+    def test_divergence_names_the_stacked_model(self, toy_datasets):
+        from novnet.errors import DivergenceError
+        known, _, _ = toy_datasets
+        huge = Dataset(known.x * 1e300, known.y, list(known.class_names), "huge")
+        cfgs = [TrainingConfig(mode="ce-only", epochs=1, seed=seed) for seed in (0, 1)]
+        models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=c.seed) for c in cfgs]
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="stacked model 1"):
+            train_lockstep(models, [known, huge], [None, None], cfgs)
+

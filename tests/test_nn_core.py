@@ -243,6 +243,25 @@ class TestBackward:
             assert relative_error(np.array(dx[0, j]), np.array(fd)) < 1e-5
 
 
+class TestModelAxis:
+    @pytest.mark.parametrize("spec", [NetworkSpec((4,), (Dense(4, 6), Relu(), Dense(6, 3))), conv_spec()],
+                             ids=["dense", "conv"])
+    def test_stacked_passes_equal_per_model_passes(self, spec):
+        rng = np.random.default_rng(0)
+        rows = [init_params(spec, seed) for seed in range(3)]
+        stacked = {name: np.stack([p[name] for p in rows]) for name in rows[0]}
+        x = rng.standard_normal((3, 5) + spec.input_shape)
+        dy = rng.standard_normal((3, 5) + spec.output_shape)
+        out, cache = forward(spec, stacked, x)
+        grads, dx = backward(spec, stacked, cache, dy)
+        for m, params in enumerate(rows):
+            out_m, cache_m = forward(spec, params, x[m])
+            grads_m, dx_m = backward(spec, params, cache_m, dy[m])
+            assert out[m].tobytes() == out_m.tobytes()
+            assert dx[m].tobytes() == dx_m.tobytes()
+            assert all(grads[name][m].tobytes() == grads_m[name].tobytes() for name in grads_m)
+
+
 class TestSgdStep:
     def test_plain_gradient_step(self):
         params = {"w": np.array([0.5])}
