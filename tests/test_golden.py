@@ -3,10 +3,11 @@
 The hashes pin the checkpoint and `history.csv` that `novnet train`
 writes for `configs/benchmark-quick.json` in every training mode and for
 `configs/conv-demo.json`, the `eval`/`calibrate` reports for the
-benchmark-quick checkpoint, and the exact AUC and accuracy of two rows
-of the ablation matrix on `configs/benchmark.json`. A refactor that
-changes any of them changes behaviour. Regenerate only for a change that
-is meant to alter results, and say so where the change is recorded.
+benchmark-quick checkpoint, and the exact AUC and accuracy of four rows
+of the ablation matrix on `configs/benchmark.json`, two of them from
+later reps. A refactor that changes any of them changes behaviour.
+Regenerate only for a change that is meant to alter results, and say so
+where the change is recorded.
 """
 
 import hashlib
