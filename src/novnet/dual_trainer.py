@@ -7,10 +7,10 @@ weights at every step by construction; its gradient is the sum of the two
 branches' contributions, which is mathematically identical to mirrored
 copies with synchronized updates.
 
-Any number of models train in lockstep (train_lockstep): their
-parameters and momentum live in one flat buffer with a leading model
-axis, so one step of the whole stack is a fixed set of numpy calls, and
-each model ends bit-identical to training it alone. train() is the
+Any number of models train in lockstep (train_lockstep): each
+parameter and its momentum is one array with a leading model axis, so
+one step of the whole stack is a fixed set of numpy calls, and each
+model ends bit-identical to training it alone. train() is the
 one-model case of the same loop.
 
 Training modes (ablation/baseline variants):
@@ -42,7 +42,7 @@ from .errors import (
     DivergenceError,
     FormatError,
 )
-from .losses import check_labels, loss_terms
+from .losses import check_labels, cumulative_loss, loss_terms
 from .nn_core import NetworkSpec, ParamSet
 
 CHECKPOINT_MAGIC = b"NVFG"
@@ -234,26 +234,24 @@ class EpochStats:
 class TrainerState:
     """Parameters and momentum of the models of one lockstep stack.
 
-    Every trained parameter of the stack lives in one flat float64
-    buffer, `values`, so one SGD update covers all of it.
-    `params[group][name]` is a [rows, *shape] view into that buffer:
+    `params[group][name]` is one [rows, *shape] array per parameter:
     `backbone` and `head_T` have one row per model, and `head_R` one row
     per dual-branch model, in stack order (`dual_rows` selects those
     models). Each model's own dicts hold views of its rows, so scoring,
     checkpoints and filter analysis read the trained values directly.
-    `cfg` is the step schedule the rows share (the first row's config;
-    rows may differ only in mode and seed), and `alpha2` is each row's
-    effective membership weight.
+    `velocity` mirrors `params` once the first update has run. `cfg` is
+    the step schedule the rows share (the first row's config; rows may
+    differ only in mode and seed), and `alpha2` is each row's effective
+    membership weight.
     """
 
     specs: tuple[NetworkSpec, NetworkSpec, NetworkSpec | None]
     params: dict[str, ParamSet]
-    values: np.ndarray
     cfg: TrainingConfig
     membership: np.ndarray
     alpha2: np.ndarray
     dual_rows: "slice | np.ndarray"
-    velocity: np.ndarray | None = None
+    velocity: dict[str, ParamSet] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, model: DualBranchModel, cfg: TrainingConfig) -> "TrainerState":
@@ -261,22 +259,14 @@ class TrainerState:
 
     @classmethod
     def stack(cls, models, cfgs) -> "TrainerState":
-        """Copy the models' parameters into one new buffer and point each
+        """Stack the models' parameters into new arrays and point each
         model's dicts at its rows."""
         dual = [cfg.mode in _DUAL_MODES for cfg in cfgs]
         dual_models = [model for model, is_dual in zip(models, dual) if is_dual]
         groups = {"backbone": models, "head_T": models, "head_R": dual_models}
-        layout = {(group, name): [getattr(model, group)[name] for model in rows]
-                  for group, rows in groups.items() if rows for name in getattr(rows[0], group)}
-        values = np.empty(sum(len(arrays) * arrays[0].size for arrays in layout.values()))
-        params: dict[str, ParamSet] = {group: {} for group in groups}
-        offset = 0
-        for (group, name), arrays in layout.items():
-            view = values[offset:offset + len(arrays) * arrays[0].size].reshape(
-                (len(arrays),) + arrays[0].shape)
-            np.stack(arrays, out=view)
-            params[group][name] = view
-            offset += view.size
+        params = {group: {name: np.stack([getattr(model, group)[name] for model in rows])
+                          for name in getattr(rows[0], group)} if rows else {}
+                  for group, rows in groups.items()}
         for group, rows in groups.items():
             for row, model in enumerate(rows):
                 setattr(model, group, {name: v[row] for name, v in params[group].items()})
@@ -284,30 +274,27 @@ class TrainerState:
         return cls(
             specs=(models[0].backbone_spec, models[0].head_T_spec,
                    dual_models[0].head_R_spec if dual_models else None),
-            params=params, values=values, cfg=cfgs[0], membership=membership,
+            params=params, cfg=cfgs[0], membership=membership,
             alpha2=np.where(membership, cfgs[0].alpha2, 0.0),
             dual_rows=slice(None) if all(dual) else np.flatnonzero(dual))
 
     def apply_gradients(self, grads: dict[str, ParamSet]) -> None:
-        """One SGD-with-momentum update of the whole stack; grads mirror params."""
-        flat = np.concatenate([grads[group][name] for group, group_params in self.params.items()
-                               for name in group_params], axis=None)
-        if not np.isfinite(flat).all():
-            raise self._divergence(grads)
-        self.velocity = nn_core.momentum_update(self.values, flat, self.velocity,
-                                                self.cfg.lr, self.cfg.momentum)
-
-    def _divergence(self, grads: dict[str, ParamSet]) -> DivergenceError:
-        rows = len(self.membership)
-        for group, group_params in self.params.items():
-            models = np.arange(rows)[self.dual_rows] if group == "head_R" else np.arange(rows)
-            for name in group_params:
-                g = grads[group][name]
+        """One SGD-with-momentum update of the whole stack; grads mirror
+        params. Every gradient is checked before any parameter changes."""
+        named = [(group, name) for group, group_params in self.params.items() for name in group_params]
+        for group, name in named:
+            g = grads[group][name]
+            if not np.isfinite(g).all():
                 bad = ~np.isfinite(g.reshape(len(g), -1)).all(axis=1)
-                if bad.any():
-                    where = f" of stacked model {models[np.argmax(bad)]}" if rows > 1 else ""
-                    return DivergenceError(f"non-finite gradient for parameter '{group}.{name}'{where}")
-        return DivergenceError("non-finite gradient")
+                models = np.arange(len(self.membership))
+                if group == "head_R":
+                    models = models[self.dual_rows]
+                where = f" of stacked model {models[np.argmax(bad)]}" if len(self.membership) > 1 else ""
+                raise DivergenceError(f"non-finite gradient for parameter '{group}.{name}'{where}")
+        for group, name in named:
+            velocity = self.velocity.setdefault(group, {})
+            velocity[name] = nn_core.momentum_update(self.params[group][name], grads[group][name],
+                                                     velocity.get(name), self.cfg.lr, self.cfg.momentum)
 
 
 def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
@@ -356,8 +343,7 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
-    # cumulative_loss row by row; TrainingConfig has validated the weights
-    total = ce_r + cfg.alpha1 * ce_t + state.alpha2 * m_t
+    total = cumulative_loss(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
     finite = np.isfinite(total)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -367,24 +353,21 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     return np.array([ce_r, ce_t, m_t, total])
 
 
-def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig,
-               state: TrainerState | None = None) -> StepMetrics:
+def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig) -> StepMetrics:
     """One optimization step on a (T batch, R batch) pair.
 
     batch_T / batch_R are (features, labels) tuples; batch_R must be None
     in modes without a reference branch. The labels are validated here;
     the training loop validates them once per dataset instead. Updates
-    the model parameters and the optimizer state in place and returns the
-    loss components computed at the pre-update parameters. `state` carries
-    momentum from earlier steps of this model; None starts afresh.
+    the model parameters in place, starting from zero momentum, and
+    returns the loss components computed at the pre-update parameters.
     """
     dual = cfg.mode in _DUAL_MODES
     if dual and batch_R is None:
         raise ConfigError(f"mode {cfg.mode!r} needs a reference batch")
     if not dual and batch_R is not None:
         raise ConfigError(f"mode {cfg.mode!r} does not take a reference batch")
-    if state is None:
-        state = TrainerState.fresh(model, cfg)
+    state = TrainerState.fresh(model, cfg)
     x_t, y_t = batch_T
     stacked_T = np.asarray(x_t)[None], check_labels(y_t, len(x_t), model.head_T_spec.output_shape[0])[None]
     stacked_R = None
@@ -460,10 +443,20 @@ def _epoch_set(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | 
     return np.concatenate(x_parts), np.concatenate(y_parts)
 
 
-def _gather(sources, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Stack each row's (x, y) drawn at its indices: [M, k, ...] and [M, k]."""
-    return (np.stack([x[idx] for (x, _), idx in zip(sources, indices)]),
-            np.stack([y[idx] for (_, y), idx in zip(sources, indices)]))
+def _pool(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y) holding each distinct (x, y) source once, and each row's
+    [M, 1] offset into it. Rows of one data rep share their arrays, so
+    those are stored once; a lone source is used as it is, uncopied."""
+    distinct = {}
+    for x, y in sources:
+        distinct.setdefault((id(x), id(y)), (x, y))
+    starts = dict(zip(distinct, np.cumsum([0] + [len(y) for _, y in distinct.values()])))
+    offsets = np.array([[starts[id(x), id(y)]] for x, y in sources])
+    if len(distinct) == 1:
+        ((x, y),) = distinct.values()
+        return x, y, offsets
+    xs, ys = zip(*distinct.values())
+    return np.concatenate(xs), np.concatenate(ys), offsets
 
 
 def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) -> list[list[EpochStats]]:
@@ -495,8 +488,10 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     state = TrainerState.stack(models, cfgs)
     rngs = [np.random.default_rng([c.seed, _STREAM_BATCHING]) for c in cfgs]
     epoch_sets = [_epoch_set(*args) for args in zip(models, datasets_T, datasets_R, cfgs)]
+    x_t, y_t, offsets_t = _pool(epoch_sets)
     dual = [row for row, c in enumerate(cfgs) if c.mode in _DUAL_MODES]
-    references = [(datasets_R[row].features(), datasets_R[row].labels()) for row in dual]
+    if dual:
+        x_r, y_r, offsets_r = _pool([(datasets_R[row].features(), datasets_R[row].labels()) for row in dual])
     streams = [_IndexStream(len(datasets_R[row]), rngs[row]) for row in dual]
 
     n = len(epoch_sets[0][1])
@@ -505,15 +500,18 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     for epoch in range(cfg.epochs):
         # Each row's epoch permutation comes first, then the reference
         # indices its steps will consume, as in the order of a lone run.
-        x_t, y_t = _gather(epoch_sets, [rng.permutation(n) for rng in rngs])
+        # Each step gathers its [M, b, ...] batch with one index.
+        idx_t = np.array([rng.permutation(n) for rng in rngs]) + offsets_t
         if streams:
-            x_r, y_r = _gather(references, [stream.take(steps * b_r) for stream in streams])
+            idx_r = np.array([stream.take(steps * b_r) for stream in streams]) + offsets_r
         sums = np.zeros((4, len(models)))
         for step in range(steps):
-            t = slice(step * b_t, (step + 1) * b_t)
-            r = slice(step * b_r, (step + 1) * b_r)
-            sums += _lockstep_step(state, (x_t[:, t], y_t[:, t]),
-                                   (x_r[:, r], y_r[:, r]) if streams else None)
+            t = idx_t[:, step * b_t:(step + 1) * b_t]
+            batch_R = None
+            if streams:
+                r = idx_r[:, step * b_r:(step + 1) * b_r]
+                batch_R = x_r[r], y_r[r]
+            sums += _lockstep_step(state, (x_t[t], y_t[t]), batch_R)
         for history, means in zip(histories, (sums / steps).T):
             history.append(EpochStats(epoch, *(float(v) for v in means)))
         if epoch_callback is not None:

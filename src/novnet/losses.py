@@ -146,11 +146,13 @@ def membership_loss(f: np.ndarray, y, params: MembershipParams = MembershipParam
     return LossResult(float(value), grad[0] if single else grad)
 
 
-def cumulative_loss(l_ce_r: float, l_ce_t: float, l_m_t: float,
-                    alpha1: float = 1.0, alpha2: float = 1.0) -> float:
+def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1=1.0, alpha2=1.0):
     """Combine the three training loss components:
     L_ce(R) + alpha1 * L_ce(T) + alpha2 * L_m(T).
+
+    Takes floats or arrays (e.g. one entry per model of a stack), and
+    returns a number or an array of the broadcast shape.
     """
-    if not (alpha1 >= 0 and alpha2 >= 0):
+    if not (np.all(alpha1 >= 0) and np.all(alpha2 >= 0)):
         raise ConfigError("cumulative loss weights must be >= 0")
-    return float(l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t)
+    return l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t

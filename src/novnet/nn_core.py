@@ -207,21 +207,31 @@ def init_params(spec: NetworkSpec, seed) -> ParamSet:
     return params
 
 
-def _is_stacked(spec: NetworkSpec, batch: np.ndarray) -> bool:
-    """True for a [M, n, *input_shape] batch, False for [n, *input_shape]."""
-    return batch.ndim == len(spec.input_shape) + 2
+def _model_count(spec: NetworkSpec, params: ParamSet, batch: np.ndarray) -> int | None:
+    """Number of stacked models, or None for one model. Read from the
+    first layer with parameters, whose weight has one more axis when the
+    params are stacked; a spec without parameters follows the batch."""
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, (Dense, Conv2d)):
+            w = params[f"layer{i}.weight"]
+            return w.shape[0] if w.ndim == (3 if isinstance(layer, Dense) else 5) else None
+    return batch.shape[0] if batch.ndim == len(spec.input_shape) + 2 else None
 
 
-def _as_batch(spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
+def _as_batch(spec: NetworkSpec, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The batch as float64, and whether it is a [M, n, *input_shape]
+    stack. A batch carries the model axis exactly when the params do."""
     batch = np.asarray(batch, dtype=np.float64)
     expected = tuple(spec.input_shape)
-    rank = len(expected)
-    if batch.ndim not in (rank + 1, rank + 2) or batch.shape[-rank:] != expected:
+    models = _model_count(spec, params, batch)
+    lead = () if models is None else (models,)
+    k = len(lead)
+    if batch.ndim != k + 1 + len(expected) or batch.shape[:k] != lead or batch.shape[k + 1:] != expected:
         raise DimensionError(
             f"batch shape {batch.shape} does not match input shape "
-            f"([models,] n, {', '.join(map(str, expected))})"
+            f"({', '.join(map(str, lead + ('n',) + expected))})"
         )
-    return batch
+    return batch, models is not None
 
 
 def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray):
@@ -231,8 +241,7 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray):
     sigmoid applied). The cache holds each layer's input and is consumed
     by backward(). A [M, n, ...] batch needs [M, ...] stacked parameters.
     """
-    x = _as_batch(spec, batch)
-    stacked = _is_stacked(spec, x)
+    x, stacked = _as_batch(spec, params, batch)
     cache = []
     for i, layer in enumerate(spec.layers):
         cache.append(x)
@@ -302,7 +311,7 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray):
     if cache is None or len(cache) != len(spec.layers):
         raise UsageError("backward needs the cache produced by forward on the same batch")
     dy = np.asarray(dl_df, dtype=np.float64)
-    stacked = _is_stacked(spec, cache[0])
+    stacked = cache[0].ndim == len(spec.input_shape) + 2
     grads: ParamSet = {}
     for i in reversed(range(len(spec.layers))):
         layer = spec.layers[i]
@@ -337,8 +346,8 @@ def momentum_update(values: np.ndarray, grads: np.ndarray, velocity: "np.ndarray
                                                step, velocity=None)
     values   <- values - lr * velocity
 
-    Works on arrays of any shape, e.g. one flat buffer holding every
-    parameter of a model stack, so one update is four numpy calls.
+    Works on arrays of any shape, e.g. one parameter stacked over the
+    models of a lockstep stack.
     """
     if velocity is None:
         velocity = grads.copy()

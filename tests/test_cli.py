@@ -170,6 +170,22 @@ class TestEval:
         assert leftovers == []
 
 
+    def test_sample_shape_mismatch(self, tmp_path, capsys):
+        # [n, 1, 3] samples against a (3,) input must not broadcast
+        config, ckpt = self.run_train(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["dataset"]["reshape"] = [1, 3]
+        other = tmp_path / "reshaped.json"
+        other.write_text(json.dumps(cfg))
+        out = tmp_path / "x"
+        for command in ("eval", "calibrate"):
+            rc = cli.main([command, "--config", str(other), "--checkpoint", str(ckpt), "--out", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1 and "shape" in err
+            assert not out.exists() or list(out.iterdir()) == []
+
+
 class TestCalibrate:
     def test_threshold_json(self, tmp_path):
         config = write_config(tmp_path, per_cluster=120)

@@ -227,7 +227,13 @@ class TestCumulativeLoss:
     def test_arithmetic_oracle(self):
         assert abs(cumulative_loss(0.7, 1.1, 0.4, 2.0, 0.5) - 3.1) < 1e-12
 
+    def test_per_model_arrays(self):
+        ce_r, ce_t, m_t = np.array([0.5, 0.0]), np.array([1.5, 2.0]), np.array([0.25, 0.0])
+        alpha2 = np.array([2.0, 0.0])
+        total = cumulative_loss(ce_r, ce_t, m_t, 1.0, alpha2)
+        assert total.tolist() == [cumulative_loss(0.5, 1.5, 0.25, 1.0, 2.0), 2.0]
+
     def test_negative_weights_rejected(self):
-        for alphas in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        for alphas in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, np.array([1.0, -1.0]))):
             with pytest.raises(ConfigError):
                 cumulative_loss(1.0, 1.0, 1.0, *alphas)

@@ -262,6 +262,17 @@ class TestModelAxis:
             assert all(grads[name][m].tobytes() == grads_m[name].tobytes() for name in grads_m)
 
 
+    def test_model_axis_follows_the_params(self):
+        spec = NetworkSpec((4,), (Dense(4, 3),))
+        params = init_params(spec, 0)
+        stacked = {name: np.stack([v, v]) for name, v in params.items()}
+        for p, x in ((params, np.zeros((2, 5, 4))),      # [n, k, d] samples, one model
+                     (stacked, np.zeros((5, 4))),         # stacked params, unstacked batch
+                     (stacked, np.zeros((3, 5, 4)))):     # model counts disagree
+            with pytest.raises(DimensionError):
+                forward(spec, p, x)
+
+
 class TestSgdStep:
     def test_plain_gradient_step(self):
         params = {"w": np.array([0.5])}
