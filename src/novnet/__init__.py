@@ -21,14 +21,12 @@ from .data_io import (
 from .dual_trainer import (
     Checkpoint,
     DualBranchModel,
-    StepMetrics,
     TrainingConfig,
     build_dual_model,
     load_checkpoint,
     save_checkpoint,
     train,
     train_lockstep,
-    train_step,
 )
 from .errors import NovnetError
 from .filter_analysis import (
@@ -52,14 +50,12 @@ from .nn_core import (
     Dense,
     GlobalAveragePool,
     NetworkSpec,
-    OptimizerState,
     Relu,
     backward,
     finite_difference_grad,
     forward,
     global_average_pool,
     init_params,
-    sgd_step,
 )
 from .novelty_eval import (
     SCORE_DTYPE,

@@ -105,9 +105,6 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
     modes = (args.mode,) if args.mode else ABLATION_MODES
-    if "benchmark" not in cfg.dataset and "synthetic" not in cfg.dataset \
-            and "reference_csv" not in cfg.dataset:
-        raise ConfigError("ablation needs reference data (dual modes require it)")
     rows = experiments.run_ablation(cfg, modes=modes, n_seeds=args.seeds,
                                     base_seed=args.seed if args.seed is not None else None)
     csv_rows = [[row.mode, row.seed, repr(row.auc), repr(row.accuracy)] for row in rows]

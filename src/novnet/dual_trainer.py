@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,7 +44,7 @@ from .errors import (
     DivergenceError,
     FormatError,
 )
-from .losses import check_labels, cumulative_loss, loss_terms
+from .losses import cumulative_loss, loss_terms
 from .nn_core import NetworkSpec, ParamSet
 
 CHECKPOINT_MAGIC = b"NVFG"
@@ -76,6 +78,18 @@ class TrainingConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}; expected one of {MODES}")
+        # Values are checked, never coerced, so the checkpoint metadata
+        # records them exactly as given.
+        for name in ("lam", "alpha1", "alpha2", "lr", "momentum"):
+            value = getattr(self, name)
+            # Above the largest float: inf, or an int no float can hold.
+            # NaN passes here and fails the range checks below.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or abs(value) > sys.float_info.max:
+                raise ConfigError(f"{'lambda' if name == 'lam' else name} must be a finite number, got {value!r}")
+        for name in ("epochs", "batch_size_T", "batch_size_R", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         # Written so that NaN fails every check.
         if not self.lam > 0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
@@ -111,6 +125,8 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"training config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
@@ -211,14 +227,6 @@ def build_dual_model(backbone_spec: NetworkSpec, num_known: int, num_reference: 
 
 
 @dataclass
-class StepMetrics:
-    loss_ce_R: float
-    loss_ce_T: float
-    loss_m_T: float
-    cumulative: float
-
-
-@dataclass
 class EpochStats:
     epoch: int
     loss_ce_R: float
@@ -252,10 +260,6 @@ class TrainerState:
     alpha2: np.ndarray
     dual_rows: "slice | np.ndarray"
     velocity: dict[str, ParamSet] = field(default_factory=dict)
-
-    @classmethod
-    def fresh(cls, model: DualBranchModel, cfg: TrainingConfig) -> "TrainerState":
-        return cls.stack([model], [cfg])
 
     @classmethod
     def stack(cls, models, cfgs) -> "TrainerState":
@@ -351,31 +355,6 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         raise DivergenceError(f"non-finite cumulative loss {total[row]}{where}")
     state.apply_gradients({"backbone": backbone_grads, "head_T": head_t_grads, "head_R": head_r_grads})
     return np.array([ce_r, ce_t, m_t, total])
-
-
-def train_step(model: DualBranchModel, batch_T, batch_R, cfg: TrainingConfig) -> StepMetrics:
-    """One optimization step on a (T batch, R batch) pair.
-
-    batch_T / batch_R are (features, labels) tuples; batch_R must be None
-    in modes without a reference branch. The labels are validated here;
-    the training loop validates them once per dataset instead. Updates
-    the model parameters in place, starting from zero momentum, and
-    returns the loss components computed at the pre-update parameters.
-    """
-    dual = cfg.mode in _DUAL_MODES
-    if dual and batch_R is None:
-        raise ConfigError(f"mode {cfg.mode!r} needs a reference batch")
-    if not dual and batch_R is not None:
-        raise ConfigError(f"mode {cfg.mode!r} does not take a reference batch")
-    state = TrainerState.fresh(model, cfg)
-    x_t, y_t = batch_T
-    stacked_T = np.asarray(x_t)[None], check_labels(y_t, len(x_t), model.head_T_spec.output_shape[0])[None]
-    stacked_R = None
-    if dual:
-        x_r, y_r = batch_R
-        stacked_R = np.asarray(x_r)[None], check_labels(y_r, len(x_r), model.num_reference)[None]
-    metrics = _lockstep_step(state, stacked_T, stacked_R)
-    return StepMetrics(*(float(v) for v in metrics[:, 0]))
 
 
 class _IndexStream:

@@ -88,8 +88,13 @@ def parse_experiment_config(source) -> ExperimentConfig:
     else:
         if not os.path.exists(source):
             raise ConfigError(f"config file not found: {source}")
-        with open(source) as fh:
-            raw = json.load(fh)
+        try:
+            with open(source) as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ConfigError(f"config file {source} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {source} must hold a JSON object, got {type(raw).__name__}")
     for section in ("dataset", "model", "training"):
         if section not in raw:
             raise ConfigError(f"config is missing the {section!r} section")

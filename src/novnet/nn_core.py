@@ -15,8 +15,7 @@ Each model's outputs are bit-identical to running it alone.
 
 forward/backward are pure functions of their arguments, so two calls with
 identical inputs return bit-identical outputs and may run concurrently on
-disjoint batches. Only sgd_step and momentum_update change parameter
-values.
+disjoint batches. Only momentum_update changes parameter values.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, UsageError
+from .errors import ConfigError, DimensionError, UsageError
 
 ParamSet = dict[str, np.ndarray]
 
@@ -166,21 +165,6 @@ def spec_from_dicts(input_shape, layer_dicts) -> NetworkSpec:
         else:
             raise ConfigError(f"unknown layer kind in description: {kind!r}")
     return NetworkSpec(tuple(int(s) for s in input_shape), tuple(layers))
-
-
-@dataclass
-class OptimizerState:
-    """SGD-with-momentum state: velocity mirrors the ParamSet shapes."""
-
-    lr: float = 0.01
-    momentum: float = 0.9
-    velocity: ParamSet = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.lr >= 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 def init_params(spec: NetworkSpec, seed) -> ParamSet:
@@ -356,22 +340,6 @@ def momentum_update(values: np.ndarray, grads: np.ndarray, velocity: "np.ndarray
         velocity += grads
     values -= lr * velocity
     return velocity
-
-
-def sgd_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
-    """One SGD-with-momentum update of a ParamSet; returns (new_params,
-    new_state) and leaves its arguments unchanged. See momentum_update."""
-    new_params: ParamSet = {}
-    new_velocity: ParamSet = {}
-    for name, value in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-        v_prev = state.velocity.get(name)
-        new_params[name] = value.copy()
-        new_velocity[name] = momentum_update(new_params[name], g, None if v_prev is None else v_prev.copy(),
-                                             state.lr, state.momentum)
-    return new_params, OptimizerState(lr=state.lr, momentum=state.momentum, velocity=new_velocity)
 
 
 def finite_difference_grad(loss_fn, params: ParamSet, eps: float = 1e-6) -> ParamSet:

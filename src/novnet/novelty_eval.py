@@ -206,20 +206,29 @@ def write_roc_csv(roc: RocResult, path) -> None:
 
 
 def read_roc_csv(path) -> RocResult:
+    """Read a ROC curve written by write_roc_csv. A missing header or a
+    malformed row raises ParseError naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty ROC file, expected a header line")
         if header != ["threshold", "fpr", "tpr"]:
             raise EvaluationError(f"{path}: unexpected ROC header {header}")
         points = []
         thresholds = []
         auc = None
         for row in reader:
-            if row[0] == "auc":
-                auc = float(row[1])
-                break
-            thresholds.append(float(row[0]))
-            points.append((float(row[1]), float(row[2])))
+            try:
+                if len(row) == 2 and row[0] == "auc":
+                    auc = float(row[1])
+                    break
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(row)}")
+                thresholds.append(float(row[0]))
+                points.append((float(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
     if auc is None:
         raise EvaluationError(f"{path}: missing auc trailer")
     return RocResult(points=points, auc=auc, thresholds=thresholds)

@@ -22,13 +22,10 @@ from novnet.dual_trainer import (
 from novnet.errors import FormatError
 from novnet.experiments import (
     ablation_means,
-    ablation_seed,
     assemble_datasets,
     benchmark_backbone,
     benchmark_config,
     run_ablation,
-    run_experiment,
-    _reseed_dataset_section,
 )
 from novnet.losses import MembershipParams, cross_entropy, membership_loss
 from novnet.nn_core import (
@@ -198,15 +195,9 @@ def test_criterion_7_accuracy_non_degradation(ablation_rows):
 def test_criterion_8_reference_diversity(ablation_rows):
     rows, _ = ablation_rows
     auc8 = float(np.mean([r.auc for r in rows if r.mode == "dual-full"]))
-    cfg = benchmark_config()
-    aucs2 = []
-    for rep in range(10):
-        section = _reseed_dataset_section(cfg.dataset, rep)
-        section["benchmark"]["reference_clusters"] = 2
-        data = assemble_datasets(section)
-        seed = ablation_seed(cfg.training.seed, rep, MODES.index("dual-full"), len(MODES))
-        aucs2.append(run_experiment(cfg, mode="dual-full", seed=seed, data=data).auc)
-    auc2 = float(np.mean(aucs2))
+    # the same 10 dual-full rows, with 2 reference clusters, in one stack
+    rows2 = run_ablation(benchmark_config(reference_clusters=2), modes=("dual-full",), n_seeds=10)
+    auc2 = float(np.mean([r.auc for r in rows2]))
     ok = auc8 >= auc2 - 0.005
     report("criterion 8 (reference-dataset diversity effect)", ok,
            f"8-cluster reference AUC={auc8:.4f}, 2-cluster reference AUC={auc2:.4f}")

@@ -107,6 +107,21 @@ class TestBadInputExitsCleanly:
         err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
         assert named in err and "nan" in err  # rejected as config, not as divergence
 
+    def test_config_not_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dataset": {}, "model": \n')
+        err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("key,value", [("epochs", "x"), ("lambda", "5"), ("lr", None), ("epochs", 2.5)])
+    def test_mistyped_training_value(self, tmp_path, capsys, key, value):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["training"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert key in err
+
     def test_negative_seed(self, tmp_path, capsys):
         config = write_config(tmp_path)
         err = self.run_failing(["train", "--config", str(config), "--out", str(tmp_path / "o"),
@@ -259,13 +274,18 @@ class TestAblate:
         assert len(mean_rows) == 4
 
     def test_reference_required(self, tmp_path, capsys):
-        cfg = json.loads(write_config(tmp_path).read_text())
+        # 4 classes: 2 known and 2 novel, and no reference data
+        cfg = json.loads(write_config(tmp_path, epochs=2).read_text())
         cfg["dataset"] = {"csv": {"path": str(tmp_path / "d.csv")}, "split": {"seed": 0}}
-        (tmp_path / "d.csv").write_text("label,f0\na,1.0\na,2.0\nb,3.0\nb,4.0\n")
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(cfg))
-        rc = cli.main(["ablate", "--config", str(bad), "--out", str(tmp_path / "o"), "--seeds", "1"])
-        assert rc == 1
+        rows = "".join(f"{label},{i}.0,{-i}.5,{i % 3}.25\n" for i, label in enumerate("abcd" * 4))
+        (tmp_path / "d.csv").write_text("label,f0,f1,f2\n" + rows)
+        config = tmp_path / "no_reference.json"
+        config.write_text(json.dumps(cfg))
+        argv = ["ablate", "--config", str(config), "--out", str(tmp_path / "o"), "--seeds", "1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "reference dataset" in err
+        assert cli.main(argv + ["--mode", "ce-only"]) == 0  # ce-only uses no reference data
 
 
 class TestInspectFilters:

@@ -269,6 +269,12 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError):
             Dataset(np.zeros((2, 2)), [0, 2], ["a", "b", "c"], "x")
 
+    @pytest.mark.parametrize("labels", [[0, 1, 3], [-1, 1, 2]])
+    def test_label_out_of_range_rejected(self, labels):
+        # so training never sees a label outside the model's head
+        with pytest.raises(DatasetError, match="outside"):
+            Dataset(np.zeros((3, 2)), labels, ["a", "b", "c"], "x")
+
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             Dataset(np.zeros((0, 2)), [], [], "x")

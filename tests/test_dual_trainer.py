@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_backbone, small_synthetic
+from conftest import rng_dataset, small_backbone, small_synthetic
 from novnet import experiments, nn_core
 from novnet.data_io import Dataset
 from novnet.dual_trainer import (
@@ -20,9 +20,8 @@ from novnet.dual_trainer import (
     save_checkpoint,
     train,
     train_lockstep,
-    train_step,
 )
-from novnet.errors import ConfigError, CorruptionError, FormatError, LabelError
+from novnet.errors import ConfigError, CorruptionError, FormatError
 from novnet.losses import MembershipParams, cross_entropy, membership_loss
 from novnet.nn_core import Dense, NetworkSpec, Relu
 
@@ -73,36 +72,41 @@ class TestBuildDualModel:
             build_dual_model(spec, 2, 2, seed=0)
 
 
-def random_batch(rng, n, dim, c):
-    return rng.standard_normal((n, dim)), rng.integers(0, c, size=n)
+def train_one_step(model, known, reference, **cfg_fields):
+    """Train for exactly one step (one batch covers each dataset); returns
+    the history row, which holds that step's losses."""
+    cfg = TrainingConfig(mode="dual-full", epochs=1, momentum=0.0, seed=0,
+                         batch_size_T=len(known), batch_size_R=len(reference), **cfg_fields)
+    _, history = train(model, known, reference, cfg)
+    assert len(history) == 1
+    return history[0]
 
 
 class TestTrainStep:
     def test_zero_alphas_leave_head_T_unchanged(self):
         rng = np.random.default_rng(0)
         model = build_dual_model(backbone16(), 3, 2, seed=0)
-        cfg = TrainingConfig(mode="dual-full", alpha1=0.0, alpha2=0.0, lr=0.1, seed=0)
         before = copy_params(model.head_T)
-        train_step(model, random_batch(rng, 8, 4, 3), random_batch(rng, 8, 4, 2), cfg)
+        train_one_step(model, rng_dataset(rng, 8, 4, 3), rng_dataset(rng, 8, 4, 2),
+                       alpha1=0.0, alpha2=0.0, lr=0.1)
         assert all(np.array_equal(before[k], model.head_T[k]) for k in before)
 
     def test_cumulative_identity(self):
         rng = np.random.default_rng(1)
         model = build_dual_model(backbone16(), 3, 2, seed=1)
-        cfg = TrainingConfig(mode="dual-full", alpha1=0.7, alpha2=0.3, seed=0)
-        m = train_step(model, random_batch(rng, 6, 4, 3), random_batch(rng, 6, 4, 2), cfg)
+        m = train_one_step(model, rng_dataset(rng, 6, 4, 3), rng_dataset(rng, 6, 4, 2),
+                           alpha1=0.7, alpha2=0.3)
         assert abs(m.cumulative - (m.loss_ce_R + 0.7 * m.loss_ce_T + 0.3 * m.loss_m_T)) < 1e-12
 
     def test_backbone_gradient_is_sum_of_branches(self):
         rng = np.random.default_rng(2)
         model = build_dual_model(backbone16(), 3, 2, seed=2)
-        cfg = TrainingConfig(mode="dual-full", lr=0.05, momentum=0.0, seed=0)
-        batch_t = random_batch(rng, 5, 4, 3)
-        batch_r = random_batch(rng, 7, 4, 2)
+        known, reference = rng_dataset(rng, 5, 4, 3), rng_dataset(rng, 7, 4, 2)
+        lam, alpha1, alpha2, lr = 5.0, 1.0, 1.0, 0.05
 
         # independent two-pass decomposition oracle
-        def branch_grads(head_spec, head, batch, upstream_fn):
-            x, y = batch
+        def branch_grads(head_spec, head, dataset, upstream_fn):
+            x, y = dataset.features(), dataset.labels()
             feat, cache_b = nn_core.forward(model.backbone_spec, model.backbone, x)
             f, cache_h = nn_core.forward(head_spec, head, feat)
             _, dfeat = nn_core.backward(head_spec, head, cache_h, upstream_fn(f, y))
@@ -111,35 +115,17 @@ class TestTrainStep:
 
         def t_upstream(f, y):
             ce = cross_entropy(f, y)
-            mem = membership_loss(f, y, MembershipParams(cfg.lam))
-            return cfg.alpha1 * ce.grad + cfg.alpha2 * mem.grad
+            mem = membership_loss(f, y, MembershipParams(lam))
+            return alpha1 * ce.grad + alpha2 * mem.grad
 
-        g_t = branch_grads(model.head_T_spec, model.head_T, batch_t, t_upstream)
-        g_r = branch_grads(model.head_R_spec, model.head_R, batch_r,
+        g_t = branch_grads(model.head_T_spec, model.head_T, known, t_upstream)
+        g_r = branch_grads(model.head_R_spec, model.head_R, reference,
                            lambda f, y: cross_entropy(f, y).grad)
         before = copy_params(model.backbone)
-        train_step(model, batch_t, batch_r, cfg)
+        train_one_step(model, known, reference, lam=lam, alpha1=alpha1, alpha2=alpha2, lr=lr)
         for k in before:
-            step = (before[k] - model.backbone[k]) / cfg.lr  # momentum 0: step = grads
+            step = (before[k] - model.backbone[k]) / lr  # momentum 0: step = grads
             assert np.max(np.abs(step - (g_t[k] + g_r[k]))) < 1e-10
-
-    def test_label_out_of_range(self):
-        rng = np.random.default_rng(3)
-        model = build_dual_model(backbone16(), 3, 2, seed=3)
-        cfg = TrainingConfig(mode="ce-only", seed=0)
-        x, _ = random_batch(rng, 4, 4, 3)
-        with pytest.raises(LabelError):
-            train_step(model, (x, np.array([0, 1, 3, 0])), None, cfg)
-
-    def test_reference_batch_consistency(self):
-        rng = np.random.default_rng(4)
-        model = build_dual_model(backbone16(), 3, 2, seed=4)
-        with pytest.raises(ConfigError):
-            train_step(model, random_batch(rng, 4, 4, 3), None,
-                       TrainingConfig(mode="dual-full", seed=0))
-        with pytest.raises(ConfigError):
-            train_step(model, random_batch(rng, 4, 4, 3), random_batch(rng, 4, 4, 2),
-                       TrainingConfig(mode="ce-only", seed=0))
 
 
 class TestTrain:
@@ -209,13 +195,22 @@ class TestTrain:
         model = build_dual_model(small_backbone(), known.n_classes, 0, seed=11)
         trained, _ = train(model, known, None, cfg)
 
-        # plain single-branch trainer written from scratch
+        # plain single-branch trainer written from scratch, with its own
+        # SGD-with-momentum update
         backbone_spec = small_backbone()
         head_spec = NetworkSpec((8,), (Dense(8, known.n_classes),))
         backbone = nn_core.init_params(backbone_spec, [11, 0])
         head = nn_core.init_params(head_spec, [11, 1])
-        bb_state = nn_core.OptimizerState(lr=0.05, momentum=0.9)
-        hd_state = nn_core.OptimizerState(lr=0.05, momentum=0.9)
+        velocity = {}
+
+        def sgd(prefix, params, grads):
+            updated = {}
+            for name, g in grads.items():
+                key = f"{prefix}.{name}"
+                velocity[key] = g if key not in velocity else 0.9 * velocity[key] + g
+                updated[name] = params[name] - 0.05 * velocity[key]
+            return updated
+
         x_all = known.features()
         y_all = known.labels()
         rng = np.random.default_rng([11, 3])
@@ -228,8 +223,8 @@ class TestTrain:
                 ce = cross_entropy(f, y_all[idx])
                 head_grads, dfeat = nn_core.backward(head_spec, head, cache_h, ce.grad)
                 bb_grads, _ = nn_core.backward(backbone_spec, backbone, cache_b, dfeat)
-                backbone, bb_state = nn_core.sgd_step(backbone, bb_grads, bb_state)
-                head, hd_state = nn_core.sgd_step(head, head_grads, hd_state)
+                backbone = sgd("backbone", backbone, bb_grads)
+                head = sgd("head", head, head_grads)
         for k in backbone:
             assert np.array_equal(trained.backbone[k], backbone[k])
         for k in head:
@@ -304,6 +299,37 @@ class TestTrainingConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
             TrainingConfig(seed=-1)
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", -0.1), ("momentum", 1.0),
+        ("epochs", "x"), ("lambda", "5"), ("lr", None), ("alpha1", True), ("momentum", [0.5]),
+        ("lambda", float("inf")), pytest.param("lr", 10**400, id="lr-int-beyond-float"),
+        ("epochs", 2.5), ("batch_size_T", 3.5), ("batch_size_R", None), ("seed", 1.5), ("epochs", True),
+    ])
+    def test_bad_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="lr|learning rate" if key == "lr" else key):
+            TrainingConfig.from_dict({key: value})
+
+    def test_values_are_not_coerced(self):
+        cfg = TrainingConfig.from_dict({"lr": 1, "lambda": 5, "momentum": 0})
+        assert cfg.to_dict() == {**TrainingConfig().to_dict(), "lr": 1, "lambda": 5, "momentum": 0}
+        assert type(cfg.to_dict()["lr"]) is int
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=4)
+    training_keys = st.sampled_from(sorted(TrainingConfig().to_dict()) + ["lam", "bogus"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.dictionaries(training_keys, json_values | st.sampled_from(["dual-ce", 0.5, 3]), max_size=6)
+           | json_values)
+    def test_any_training_dict_validates_or_raises_config_error(self, d):
+        try:
+            cfg = TrainingConfig.from_dict(d)
+        except ConfigError:
+            return
+        assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestCheckpoint:

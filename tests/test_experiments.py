@@ -70,6 +70,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_experiment_config({"dataset": {}, "model": {}})
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b"[1, 2]", b""])
+    def test_unreadable_file_names_it(self, tmp_path, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="c.json"):
+            parse_experiment_config(str(path))
+
     def test_referenced_files_checked_at_parse_time(self, tmp_path):
         raw = benchmark_config(epochs=1).to_dict()
         raw["dataset"] = {"csv": {"path": str(tmp_path / "missing.csv")}, "split": {}}

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from novnet.dual_trainer import build_dual_model, train_lockstep
 from novnet.errors import ConfigError
 from novnet.experiments import (
     ablation_seed,
     assemble_datasets,
     benchmark_config,
-    run_experiment,
     _reseed_dataset_section,
 )
 from novnet.filter_analysis import (
@@ -118,15 +120,23 @@ class TestFilterReport:
         # Comparison over the bundled benchmark: dual-full tends to grow a
         # non-empty globally-negative set, ce-only tends not to. This is a
         # measured tendency of the training procedure, not a theorem.
+        # All 20 models train in one lockstep stack.
         cfg = benchmark_config()
-        counts = {"ce-only": [], "dual-full": []}
+        runs = []
         for rep in range(10):
             data = assemble_datasets(_reseed_dataset_section(cfg.dataset, rep))
             for mode, mode_index in (("ce-only", 0), ("dual-full", 3)):
                 seed = ablation_seed(cfg.training.seed, rep, mode_index, 4)
-                result = run_experiment(cfg, mode=mode, seed=seed, data=data)
-                w = result.model.head_T["layer0.weight"][: result.model.num_known]
-                counts[mode].append(len(globally_negative_filters(w)))
+                reference = data.reference if mode == "dual-full" else None
+                model = build_dual_model(cfg.backbone, data.train_T.n_classes,
+                                         reference.n_classes if reference else 0, seed=seed)
+                runs.append((model, data.train_T, reference, replace(cfg.training, mode=mode, seed=seed)))
+        models, datasets_T, datasets_R, cfgs = zip(*runs)
+        train_lockstep(models, datasets_T, datasets_R, cfgs)
+        counts = {"ce-only": [], "dual-full": []}
+        for model, training in zip(models, cfgs):
+            w = model.head_T["layer0.weight"][: model.num_known]
+            counts[training.mode].append(len(globally_negative_filters(w)))
         non_empty = sum(1 for v in counts["dual-full"] if v > 0)
         assert non_empty > 5, counts
         assert np.mean(counts["ce-only"]) <= np.mean(counts["dual-full"]), counts

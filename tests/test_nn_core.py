@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from novnet.dual_trainer import TrainerState, TrainingConfig, build_dual_model
 from novnet.errors import ConfigError, DimensionError, DivergenceError, UsageError
 from novnet.nn_core import (
     Conv2d,
     Dense,
     GlobalAveragePool,
     NetworkSpec,
-    OptimizerState,
     Relu,
     backward,
     finite_difference_grad,
     forward,
     global_average_pool,
     init_params,
-    sgd_step,
+    momentum_update,
     spec_from_dicts,
 )
 
@@ -274,43 +274,43 @@ class TestModelAxis:
 
 
 class TestSgdStep:
+    """SGD with momentum: momentum_update, and the trainer's update of a
+    model stack, which runs it on every stacked parameter."""
+
     def test_plain_gradient_step(self):
-        params = {"w": np.array([0.5])}
-        grads = {"w": np.array([1.0])}
-        state = OptimizerState(lr=0.1, momentum=0.0)
-        new, _ = sgd_step(params, grads, state)
-        assert np.allclose(new["w"], 0.4, rtol=0, atol=1e-15)
+        w = np.array([0.5])
+        momentum_update(w, np.array([1.0]), None, lr=0.1, momentum=0.0)
+        assert np.allclose(w, 0.4, rtol=0, atol=1e-15)
 
     def test_zero_gradient_no_change(self):
-        params = {"w": np.array([1.0, -2.0])}
-        new, _ = sgd_step(params, {"w": np.zeros(2)}, OptimizerState(lr=0.1, momentum=0.9))
-        assert np.array_equal(new["w"], params["w"])
+        w = np.array([1.0, -2.0])
+        before = w.copy()
+        momentum_update(w, np.zeros(2), None, lr=0.1, momentum=0.9)
+        assert np.array_equal(w, before)
 
     def test_two_step_momentum_recurrence(self):
         lr, mom = 0.1, 0.9
-        w = 1.0
+        w0 = 1.0
         g1, g2 = 0.5, -0.25
-        params = {"w": np.array([w])}
-        state = OptimizerState(lr=lr, momentum=mom)
-        params, state = sgd_step(params, {"w": np.array([g1])}, state)
-        params, state = sgd_step(params, {"w": np.array([g2])}, state)
+        w = np.array([w0])
+        velocity = momentum_update(w, np.array([g1]), None, lr, mom)
+        momentum_update(w, np.array([g2]), velocity, lr, mom)
         v1 = g1
         v2 = mom * v1 + g2
-        expected = w - lr * v1 - lr * v2
-        assert abs(params["w"][0] - expected) < 1e-15
+        expected = w0 - lr * v1 - lr * v2
+        assert abs(w[0] - expected) < 1e-15
 
     def test_nonfinite_gradient_names_parameter(self):
-        params = {"layer0.weight": np.array([1.0])}
-        with pytest.raises(DivergenceError, match="layer0.weight"):
-            sgd_step(params, {"layer0.weight": np.array([np.nan])}, OptimizerState())
-
-    def test_bad_hyperparameters(self):
-        with pytest.raises(ConfigError):
-            OptimizerState(lr=-0.1)
-        with pytest.raises(ConfigError):
-            OptimizerState(lr=float("nan"))
-        with pytest.raises(ConfigError):
-            OptimizerState(momentum=1.0)
+        model = build_dual_model(NetworkSpec((4,), (Dense(4, 3), Relu())), 2, 2, seed=0)
+        groups = ("backbone", "head_T", "head_R")
+        before = {g: {k: v.copy() for k, v in getattr(model, g).items()} for g in groups}
+        state = TrainerState.stack([model], [TrainingConfig(mode="dual-full")])
+        grads = {g: {k: np.zeros_like(v) for k, v in state.params[g].items()} for g in groups}
+        grads["backbone"]["layer0.weight"][0, 1, 2] = np.nan
+        with pytest.raises(DivergenceError, match=r"'backbone\.layer0\.weight'"):
+            state.apply_gradients(grads)
+        for g in groups:  # checked before any parameter changes
+            assert all(np.array_equal(before[g][k], getattr(model, g)[k]) for k in before[g])
 
 
 class TestFiniteDifferenceGrad:

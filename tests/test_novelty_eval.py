@@ -346,6 +346,17 @@ class TestReportFiles:
         with pytest.raises(ParseError, match="scores.csv"):
             read_score_report(path)
 
+    @pytest.mark.parametrize("body", [
+        "",  # no header
+        "threshold,fpr,tpr\n1.0\n",
+        "threshold,fpr,tpr\nx,0.0,0.0\nauc,0.5\n",
+    ])
+    def test_malformed_roc_csv_rejected(self, tmp_path, body):
+        path = tmp_path / "roc.csv"
+        path.write_text(body)
+        with pytest.raises(ParseError, match="roc.csv"):
+            read_roc_csv(path)
+
     def test_roc_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         roc = roc_auc(rng.standard_normal(25) + 1, rng.standard_normal(25))
