@@ -188,6 +188,23 @@ def _dense_head_spec(width: int, outputs: int) -> NetworkSpec:
     return NetworkSpec((width,), (nn_core.Dense(width, outputs),))
 
 
+def _head_specs(backbone_spec: NetworkSpec, num_known: int, num_reference: int,
+                combined_head: bool) -> tuple[NetworkSpec, NetworkSpec | None]:
+    """The known head's spec and the reference head's (None when there is
+    no reference head), after checking the class counts and backbone."""
+    if num_known < 2:
+        raise ConfigError(f"need at least 2 known classes, got {num_known}")
+    if num_reference < 0:
+        raise ConfigError(f"reference class count must be >= 0, got {num_reference}")
+    out_shape = backbone_spec.output_shape
+    if len(out_shape) != 1:
+        raise ConfigError(f"backbone must end in a flat feature vector, got shape {out_shape}")
+    width = out_shape[0]
+    head_t_spec = _dense_head_spec(width, num_known + num_reference if combined_head else num_known)
+    head_r_spec = None if combined_head or num_reference < 1 else _dense_head_spec(width, num_reference)
+    return head_t_spec, head_r_spec
+
+
 def build_dual_model(backbone_spec: NetworkSpec, num_known: int, num_reference: int,
                      seed: int, combined_head: bool = False) -> DualBranchModel:
     """Initialize a dual-branch model deterministically from one seed.
@@ -197,29 +214,14 @@ def build_dual_model(backbone_spec: NetworkSpec, num_known: int, num_reference: 
     head gets num_known + num_reference outputs and no reference head is
     built (the finetune-cC baseline).
     """
-    if num_known < 2:
-        raise ConfigError(f"need at least 2 known classes, got {num_known}")
-    if num_reference < 0:
-        raise ConfigError(f"reference class count must be >= 0, got {num_reference}")
-    out_shape = backbone_spec.output_shape
-    if len(out_shape) != 1:
-        raise ConfigError(f"backbone must end in a flat feature vector, got shape {out_shape}")
-    width = out_shape[0]
-
-    head_t_outputs = num_known + num_reference if combined_head else num_known
-    head_t_spec = _dense_head_spec(width, head_t_outputs)
-    head_r_spec = None
-    head_r = None
-    if not combined_head and num_reference >= 1:
-        head_r_spec = _dense_head_spec(width, num_reference)
-        head_r = nn_core.init_params(head_r_spec, [seed, _STREAM_HEAD_R])
+    head_t_spec, head_r_spec = _head_specs(backbone_spec, num_known, num_reference, combined_head)
     return DualBranchModel(
         backbone_spec=backbone_spec,
         head_T_spec=head_t_spec,
         head_R_spec=head_r_spec,
         backbone=nn_core.init_params(backbone_spec, [seed, _STREAM_BACKBONE]),
         head_T=nn_core.init_params(head_t_spec, [seed, _STREAM_HEAD_T]),
-        head_R=head_r,
+        head_R=None if head_r_spec is None else nn_core.init_params(head_r_spec, [seed, _STREAM_HEAD_R]),
         num_known=num_known,
         num_reference=num_reference,
         combined_head=combined_head,
@@ -330,7 +332,7 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     # such a model trains alone.
     upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
     head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
-    backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat)
+    backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
 
     ce_r = np.zeros(rows)
     head_r_grads: ParamSet = {}
@@ -343,7 +345,7 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         ce_r_value, ce_r_grad, _, _ = loss_terms(f_r, y_r)
         ce_r[dual] = ce_r_value
         head_r_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_r_grad)
-        backbone_r_grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r)
+        backbone_r_grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
@@ -629,30 +631,33 @@ def load_checkpoint(path) -> Checkpoint:
         num_known, num_reference = int(metadata["num_known"]), int(metadata["num_reference"])
         combined_head = bool(metadata["combined_head"])
         epoch, metrics = int(metadata["epoch"]), dict(metadata["metrics"])
-        model = build_dual_model(backbone_spec, num_known, num_reference, seed=0,
-                                 combined_head=combined_head)
+        head_t_spec, head_r_spec = _head_specs(backbone_spec, num_known, num_reference, combined_head)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as exc:
         # The file is at fault, not the caller's configuration.
         raise CorruptionError(f"{path}: checkpoint metadata is missing or malformed: {exc!r}") from None
+    # The parameters are the file's tensors, filled in once the metadata
+    # checks out; nothing is drawn at random.
+    model = DualBranchModel(backbone_spec, head_t_spec, head_r_spec, backbone={}, head_T={}, head_R=None,
+                            num_known=num_known, num_reference=num_reference, combined_head=combined_head)
     if _metadata_bytes(model, cfg, epoch, metrics) != meta_bytes:
         raise CorruptionError(f"{path}: checkpoint metadata does not match the values it encodes")
 
-    def restore(group: ParamSet, prefix: str) -> ParamSet:
+    def restore(spec: NetworkSpec, prefix: str) -> ParamSet:
         out: ParamSet = {}
-        for name, value in group.items():
+        for name, shape in nn_core.param_shapes(spec).items():
             full = f"{prefix}.{name}"
             if full not in tensors:
                 raise CorruptionError(f"checkpoint missing parameter {full!r}")
-            if tensors[full].shape != value.shape:
+            if tensors[full].shape != shape:
                 raise FormatError(
-                    f"parameter {full!r} has shape {tensors[full].shape}, expected {value.shape}")
+                    f"parameter {full!r} has shape {tensors[full].shape}, expected {shape}")
             out[name] = tensors[full]
         return out
 
-    model.backbone = restore(model.backbone, "backbone")
-    model.head_T = restore(model.head_T, "head_T")
-    if model.head_R is not None:
-        model.head_R = restore(model.head_R, "head_R")
+    model.backbone = restore(backbone_spec, "backbone")
+    model.head_T = restore(head_t_spec, "head_T")
+    if head_r_spec is not None:
+        model.head_R = restore(head_r_spec, "head_R")
     unknown = sorted(set(tensors) - {name for name, _ in _named_params(model)})
     if unknown:
         raise FormatError(f"{path}: checkpoint has parameters the model does not: {unknown}")

@@ -6,6 +6,7 @@ benchmark, single training runs, and the ablation matrix.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -49,7 +50,10 @@ class EvalConfig:
     target_fnr: float = 0.05
 
     def __post_init__(self):
-        if not 0.0 < self.target_fnr < 1.0:
+        value = self.target_fnr
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"evaluation target_fnr must be a number, got {value!r}")
+        if not 0.0 < value < 1.0:
             raise ConfigError(f"target_fnr must be in (0, 1), got {self.target_fnr}")
 
 
@@ -98,24 +102,42 @@ def parse_experiment_config(source) -> ExperimentConfig:
     for section in ("dataset", "model", "training"):
         if section not in raw:
             raise ConfigError(f"config is missing the {section!r} section")
-    dataset = raw["dataset"]
+    # Shape and type checks only: the sections' values are used as given.
+    dataset = _json_object(raw["dataset"], "dataset section")
+    for key in ("benchmark", "synthetic", "csv", "idx", "reference_csv", "split"):
+        if key in dataset and not (key == "split" and dataset[key] is None):
+            _json_object(dataset[key], f"dataset {key!r} entry")
     for key in ("csv", "idx", "reference_csv"):
-        entry = dataset.get(key)
-        if entry is None:
-            continue
+        entry = dataset.get(key, {})
         for path_key in ("path", "images", "labels"):
-            path = entry.get(path_key)
-            if path is not None and not os.path.exists(path):
+            if path_key not in entry:
+                continue
+            path = entry[path_key]
+            if not isinstance(path, str):
+                raise ConfigError(f"dataset {key!r} entry: {path_key!r} must be a path string, got {path!r}")
+            if not os.path.exists(path):
                 raise ConfigError(f"dataset file not found: {path}")
-    model_section = raw["model"]
+    model_section = _json_object(raw["model"], "model section")
     if "backbone" not in model_section:
         raise ConfigError("model section needs a 'backbone' entry")
-    backbone = spec_from_dicts(model_section["backbone"]["input_shape"],
-                               model_section["backbone"]["layers"])
+    backbone_section = _json_object(model_section["backbone"], "model 'backbone' entry")
+    try:
+        backbone = spec_from_dicts(backbone_section["input_shape"], backbone_section["layers"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"model 'backbone' entry is malformed: {exc!r}") from None
     training = TrainingConfig.from_dict(raw["training"])
-    evaluation = EvalConfig(**raw.get("evaluation", {}))
+    evaluation = _json_object(raw.get("evaluation", {}), "evaluation section")
+    unknown = set(evaluation) - {"target_fnr"}
+    if unknown:
+        raise ConfigError(f"unknown evaluation section keys: {sorted(unknown)}")
     return ExperimentConfig(dataset=dataset, backbone=backbone,
-                            training=training, evaluation=evaluation)
+                            training=training, evaluation=EvalConfig(**evaluation))
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _parse_split(section: dict | None) -> SplitSpec:

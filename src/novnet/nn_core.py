@@ -20,6 +20,7 @@ disjoint batches. Only momentum_update changes parameter values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,6 +168,19 @@ def spec_from_dicts(input_shape, layer_dicts) -> NetworkSpec:
     return NetworkSpec(tuple(int(s) for s in input_shape), tuple(layers))
 
 
+def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trainable parameter, in layer order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, Dense):
+            shapes[f"layer{i}.weight"] = (layer.out_width, layer.in_width)
+            shapes[f"layer{i}.bias"] = (layer.out_width,)
+        elif isinstance(layer, Conv2d):
+            shapes[f"layer{i}.weight"] = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
+            shapes[f"layer{i}.bias"] = (layer.out_channels,)
+    return shapes
+
+
 def init_params(spec: NetworkSpec, seed) -> ParamSet:
     """Deterministically initialize all trainable parameters of a network.
 
@@ -177,17 +191,12 @@ def init_params(spec: NetworkSpec, seed) -> ParamSet:
     """
     rng = np.random.default_rng(seed)
     params: ParamSet = {}
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Dense):
-            bound = 1.0 / np.sqrt(layer.in_width)
-            params[f"layer{i}.weight"] = rng.uniform(-bound, bound, size=(layer.out_width, layer.in_width))
-            params[f"layer{i}.bias"] = np.zeros(layer.out_width)
-        elif isinstance(layer, Conv2d):
-            fan_in = layer.in_channels * layer.kernel * layer.kernel
-            bound = 1.0 / np.sqrt(fan_in)
-            shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-            params[f"layer{i}.weight"] = rng.uniform(-bound, bound, size=shape)
-            params[f"layer{i}.bias"] = np.zeros(layer.out_channels)
+    for name, shape in param_shapes(spec).items():
+        if name.endswith(".bias"):
+            params[name] = np.zeros(shape)
+        else:  # fan_in: every weight axis after the output one
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -269,28 +278,31 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) ->
     return out + b[None, :, None, None]
 
 
-def _conv2d_backward(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray):
+def _conv2d_backward(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray, input_grad: bool):
     _, _, h_out, w_out = dy.shape
     k = w.shape[2]
     dw = np.zeros_like(w)
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x) if input_grad else None
     db = dy.sum(axis=(0, 2, 3))
     for u in range(k):
         for v in range(k):
-            patch = x[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
-            dw[:, :, u, v] = np.einsum("noij,ncij->oc", dy, patch)
-            dx[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += np.einsum(
-                "noij,oc->ncij", dy, w[:, :, u, v]
-            )
+            window = (slice(None), slice(None), slice(u, u + stride * h_out, stride),
+                      slice(v, v + stride * w_out, stride))
+            dw[:, :, u, v] = np.einsum("noij,ncij->oc", dy, x[window])
+            if input_grad:
+                dx[window] += np.einsum("noij,oc->ncij", dy, w[:, :, u, v])
     return dw, db, dx
 
 
-def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray):
+def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray, input_grad: bool = True):
     """Backpropagate dl_df through the network.
 
     Returns (grads, dx) where grads mirrors the ParamSet shapes and dx is
     the gradient with respect to the input batch (needed when this network
-    is a head stacked on another network).
+    is a head stacked on another network). With input_grad=False, dx is
+    None and layer 0 computes only its parameter gradients, not its input
+    gradient (for conv2d, half of its backward work). The grads are the
+    same arrays either way.
     """
     if cache is None or len(cache) != len(spec.layers):
         raise UsageError("backward needs the cache produced by forward on the same batch")
@@ -300,18 +312,21 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray):
     for i in reversed(range(len(spec.layers))):
         layer = spec.layers[i]
         x = cache[i]
+        pass_down = input_grad or i > 0
         if isinstance(layer, Dense):
             w = params[f"layer{i}.weight"]
             grads[f"layer{i}.weight"] = dy.swapaxes(-1, -2) @ x
             grads[f"layer{i}.bias"] = dy.sum(axis=-2)
-            dy = dy @ w
+            dy = dy @ w if pass_down else None
         elif isinstance(layer, Conv2d):
             w = params[f"layer{i}.weight"]
             if stacked:
-                parts = [_conv2d_backward(xm, wm, layer.stride, dym) for xm, wm, dym in zip(x, w, dy)]
-                dw, db, dy = (np.stack(part) for part in zip(*parts))
+                dws, dbs, dxs = zip(*(_conv2d_backward(xm, wm, layer.stride, dym, pass_down)
+                                      for xm, wm, dym in zip(x, w, dy)))
+                dw, db = np.stack(dws), np.stack(dbs)
+                dy = np.stack(dxs) if pass_down else None
             else:
-                dw, db, dy = _conv2d_backward(x, w, layer.stride, dy)
+                dw, db, dy = _conv2d_backward(x, w, layer.stride, dy, pass_down)
             grads[f"layer{i}.weight"] = dw
             grads[f"layer{i}.bias"] = db
         elif isinstance(layer, Relu):
@@ -319,7 +334,7 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray):
         elif isinstance(layer, GlobalAveragePool):
             h, w_ = x.shape[-2:]
             dy = np.broadcast_to(dy[..., None, None] / (h * w_), x.shape).copy()
-    return grads, dy
+    return grads, dy if input_grad else None
 
 
 def momentum_update(values: np.ndarray, grads: np.ndarray, velocity: "np.ndarray | None",

@@ -122,6 +122,22 @@ class TestBadInputExitsCleanly:
         err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
         assert key in err
 
+    @pytest.mark.parametrize("section,value,named", [
+        ("model", 5, "model"),
+        ("model", {"backbone": 5}, "backbone"),
+        ("evaluation", {"bogus": 1}, "bogus"),
+        ("evaluation", {"target_fnr": "x"}, "target_fnr"),
+        ("dataset", 5, "dataset"),
+        ("dataset", {"csv": 5}, "csv"),
+    ], ids=["model", "model-backbone", "evaluation-key", "evaluation-target_fnr", "dataset", "dataset-csv"])
+    def test_mistyped_config_section(self, tmp_path, capsys, section, value, named):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg[section] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert section in err and named in err
+
     def test_negative_seed(self, tmp_path, capsys):
         config = write_config(tmp_path)
         err = self.run_failing(["train", "--config", str(config), "--out", str(tmp_path / "o"),

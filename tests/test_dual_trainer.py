@@ -463,6 +463,24 @@ class TestCheckpoint:
         save_checkpoint(ckpt.model, ckpt.config, again, epoch=ckpt.epoch, metrics=ckpt.metrics)
         assert again.read_bytes() == damaged
 
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        conv = NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 3, 3), Relu(), nn_core.GlobalAveragePool()))
+        models = {"dense": self.make_model(), "conv": build_dual_model(conv, 3, 2, seed=4)}
+        paths = {}
+        for name, model in models.items():
+            paths[name] = tmp_path / f"{name}.nvfg"
+            save_checkpoint(model, TrainingConfig(seed=4), paths[name], epoch=2, metrics={"cumulative": 0.5})
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+        monkeypatch.setattr(nn_core, "init_params", no_draws)
+        for name, path in paths.items():
+            ckpt = load_checkpoint(path)
+            again = tmp_path / f"{name}-again.nvfg"
+            save_checkpoint(ckpt.model, ckpt.config, again, epoch=ckpt.epoch, metrics=ckpt.metrics)
+            assert again.read_bytes() == path.read_bytes(), name
+
     def test_combined_head_round_trip(self, tmp_path):
         model = self.make_model(c=3, ref=2, combined=True)
         path = tmp_path / "m.nvfg"
@@ -565,3 +583,23 @@ class TestLockstep:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="stacked model 1"):
             train_lockstep(models, [known, huge], [None, None], cfgs)
 
+
+class TestBackboneInputGradient:
+    def test_training_skips_only_the_backbone_input_gradient(self, monkeypatch):
+        """The backbone's input gradient is never used, so training asks
+        backward not to compute it; the heads' dx feeds the backbone."""
+        ((cfg, data),) = config_runs("conv-demo.json", ("dual-full",), reps=1)
+        model, reference = untrained(cfg, data)
+        calls = []
+        real_backward = nn_core.backward
+
+        def spy(*args, **kwargs):
+            input_grad = kwargs.get("input_grad", args[4] if len(args) > 4 else True)
+            calls.append((args[0] == model.backbone_spec, input_grad))
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(nn_core, "backward", spy)
+        train(model, data.train_T, reference, replace(cfg.training, epochs=1))
+        steps = -(-len(data.train_T) // cfg.training.batch_size_T)
+        assert calls.count((True, False)) == calls.count((False, True)) == 2 * steps  # T and R branches
+        assert len(calls) == 4 * steps

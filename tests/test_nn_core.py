@@ -15,6 +15,7 @@ from novnet.nn_core import (
     global_average_pool,
     init_params,
     momentum_update,
+    param_shapes,
     spec_from_dicts,
 )
 
@@ -75,6 +76,12 @@ class TestInitParams:
         params = init_params(dense_spec(), 0)
         assert np.all(params["layer0.bias"] == 0.0)
         assert np.all(np.abs(params["layer0.weight"]) <= 1.0 / np.sqrt(4))
+
+    def test_shapes_follow_param_shapes(self):
+        for spec in (dense_spec(), conv_spec()):
+            params = init_params(spec, 0)
+            assert list(params) == list(param_shapes(spec))
+            assert all(params[name].shape == shape for name, shape in param_shapes(spec).items())
 
     def test_seeds_differ(self):
         a = init_params(dense_spec(), 0)
@@ -241,6 +248,65 @@ class TestBackward:
             f_lo, _ = forward(spec, params, lo)
             fd = (0.5 * np.sum((f_hi - target) ** 2) - 0.5 * np.sum((f_lo - target) ** 2)) / (2 * eps)
             assert relative_error(np.array(dx[0, j]), np.array(fd)) < 1e-5
+
+    @pytest.mark.parametrize("spec", [
+        NetworkSpec((1, 4, 4), (Conv2d(1, 3, 2), Conv2d(3, 2, 2), GlobalAveragePool(), Dense(2, 2))),
+        NetworkSpec((2, 5, 5), (Conv2d(2, 2, 3, stride=2), GlobalAveragePool(), Dense(2, 3))),
+    ], ids=["conv-conv", "stride-2"])
+    def test_conv_input_gradient_matches_fd(self, spec):
+        params = init_params(spec, 12)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2,) + spec.input_shape)
+        target = rng.standard_normal((2,) + spec.output_shape)
+
+        def loss(batch):
+            f, _ = forward(spec, params, batch)
+            return 0.5 * np.sum((f - target) ** 2)
+
+        f, cache = forward(spec, params, x)
+        _, dx = backward(spec, params, cache, f - target)
+        eps = 1e-6
+        fd = np.zeros_like(x)
+        for j in np.ndindex(x.shape):
+            hi = x.copy(); hi[j] += eps
+            lo = x.copy(); lo[j] -= eps
+            fd[j] = (loss(hi) - loss(lo)) / (2 * eps)
+        assert relative_error(dx, fd) < 1e-5
+
+
+INPUT_GRAD_SPECS = {
+    "dense": NetworkSpec((4,), (Dense(4, 6), Relu(), Dense(6, 3))),
+    "conv": conv_spec(),
+    "conv-conv": NetworkSpec((1, 4, 4), (Conv2d(1, 3, 2), Conv2d(3, 2, 2), GlobalAveragePool(), Dense(2, 2))),
+    "stride-2": NetworkSpec((2, 6, 6), (Conv2d(2, 2, 3, stride=2), Relu(), GlobalAveragePool(), Dense(2, 2))),
+    "relu-first": NetworkSpec((4,), (Relu(), Dense(4, 3))),
+}
+
+
+class TestInputGradOff:
+    """backward(..., input_grad=False) skips only dx: the parameter
+    gradients are the same bits as those of the full call."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    @pytest.mark.parametrize("name", list(INPUT_GRAD_SPECS))
+    def test_same_parameter_gradients_and_no_dx(self, name, stacked):
+        spec = INPUT_GRAD_SPECS[name]
+        rng = np.random.default_rng(3)
+        lead = (3, 5) if stacked else (5,)
+        if stacked:
+            rows = [init_params(spec, seed) for seed in range(3)]
+            params = {k: np.stack([p[k] for p in rows]) for k in rows[0]}
+        else:
+            params = init_params(spec, 0)
+        x = rng.standard_normal(lead + spec.input_shape)
+        dy = rng.standard_normal(lead + spec.output_shape)
+        _, cache = forward(spec, params, x)
+        full, dx = backward(spec, params, cache, dy)
+        assert dx.shape == x.shape
+        grads, none = backward(spec, params, cache, dy, input_grad=False)
+        assert none is None
+        assert grads.keys() == full.keys() == params.keys()
+        assert all(grads[k].tobytes() == full[k].tobytes() for k in full), name
 
 
 class TestModelAxis:
