@@ -140,23 +140,32 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _integer(value, what: str):
+    """`value` itself when it is an integer; a bool, a float such as 1.7
+    or 2.0, or a string is rejected rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_split(section: dict | None) -> SplitSpec:
     section = dict(section or {})
     return SplitSpec(
         known_fraction=float(section.get("known_fraction", 0.5)),
         train_fraction=float(section.get("train_fraction", 0.5)),
-        seed=int(section.get("seed", 0)),
+        seed=_integer(section.get("seed", 0), "dataset 'split' entry: 'seed'"),
     )
 
 
 def _synthetic_spec_from_dict(section: dict) -> SyntheticSpec:
+    what = "dataset 'synthetic' entry"
     clusters = tuple(
         ClusterSpec(mean=tuple(float(v) for v in c["mean"]), stddev=float(c["stddev"]),
-                    count=int(c["count"]), role=str(c["role"]))
-        for c in section["clusters"]
+                    count=_integer(c["count"], f"{what}: cluster {i} 'count'"), role=str(c["role"]))
+        for i, c in enumerate(section["clusters"])
     )
-    return SyntheticSpec(dimension=int(section["dimension"]), clusters=clusters,
-                         seed=int(section.get("seed", 0)))
+    return SyntheticSpec(dimension=_integer(section["dimension"], f"{what}: 'dimension'"), clusters=clusters,
+                         seed=_integer(section.get("seed", 0), f"{what}: 'seed'"))
 
 
 def assemble_datasets(dataset_section: dict) -> ExperimentData:
@@ -175,8 +184,9 @@ def assemble_datasets(dataset_section: dict) -> ExperimentData:
     if "benchmark" in dataset_section:
         section = dataset_section["benchmark"]
         spec = make_benchmark_spec(
-            seed=int(section.get("seed", 0)),
-            reference_clusters=int(section.get("reference_clusters", 8)),
+            seed=_integer(section.get("seed", 0), "dataset 'benchmark' entry: 'seed'"),
+            reference_clusters=_integer(section.get("reference_clusters", 8),
+                                        "dataset 'benchmark' entry: 'reference_clusters'"),
         )
         known, novel, reference = data_io.synth_gaussian(spec)
     elif "synthetic" in dataset_section:
@@ -202,7 +212,10 @@ def assemble_datasets(dataset_section: dict) -> ExperimentData:
     train_t, test_t = data_io.split_train_test(known, split.seed, split.train_fraction)
     data = ExperimentData(train_T=train_t, test_T=test_t, novel=novel, reference=reference)
     if "reshape" in dataset_section:
-        shape = tuple(int(s) for s in dataset_section["reshape"])
+        entries = dataset_section["reshape"]
+        if not isinstance(entries, list):
+            raise ConfigError(f"dataset 'reshape' entry must be a list of integers, got {entries!r}")
+        shape = tuple(_integer(s, f"dataset 'reshape' entry {j}") for j, s in enumerate(entries))
         data = ExperimentData(*[_reshape_dataset(ds, shape) for ds in
                                 (data.train_T, data.test_T, data.novel, data.reference)])
     return data
@@ -364,9 +377,10 @@ def _reseed_dataset_section(dataset_section: dict, rep: int) -> dict:
     section = json.loads(json.dumps(dataset_section))
     for key in ("benchmark", "synthetic"):
         if key in section:
-            section[key]["seed"] = int(section[key].get("seed", 0)) + rep
-    split = section.setdefault("split", {})
-    split["seed"] = int(split.get("seed", 0)) + rep
+            seed = _integer(section[key].get("seed", 0), f"dataset {key!r} entry: 'seed'")
+            section[key]["seed"] = seed + rep
+    split = section["split"] = section.get("split") or {}  # null means the default split
+    split["seed"] = _integer(split.get("seed", 0), "dataset 'split' entry: 'seed'") + rep
     return section
 
 

@@ -16,11 +16,21 @@ Each model's outputs are bit-identical to running it alone.
 forward/backward are pure functions of their arguments, so two calls with
 identical inputs return bit-identical outputs and may run concurrently on
 disjoint batches. Only momentum_update changes parameter values.
+
+A conv2d forward over a batch of at least two chunks (a chunk is the
+fewest samples holding _CHUNK_MACS multiply-adds) computes its chunks on
+the calling thread plus a shared pool of helper threads, one per further
+CPU in the process's affinity mask. Everything else, backward included,
+runs in the calling thread. Outputs do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +38,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError, UsageError
 
 ParamSet = dict[str, np.ndarray]
+
+# A conv forward batch splits into chunks of at least this many
+# multiply-adds; a batch that holds fewer than two runs in the caller.
+_CHUNK_MACS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,16 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
+        # Sizes are checked, never coerced: 20.9 or true is not a width.
+        for j, size in enumerate(self.input_shape):
+            if not _is_positive_int(size):
+                raise ConfigError(f"input_shape entry {j} must be an integer >= 1, got {size!r}")
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, (Dense, Conv2d)):
+                for key, value in _layer_dict(layer).items():
+                    if key != "kind" and not _is_positive_int(value):
+                        raise ConfigError(
+                            f"layer {i} ({layer.kind}) {key!r} must be an integer >= 1, got {value!r}")
         self.layer_input_shapes()  # raises ConfigError on a bad chain
         pool_positions = [i for i, l in enumerate(self.layers) if isinstance(l, GlobalAveragePool)]
         if len(pool_positions) > 1:
@@ -108,8 +132,6 @@ class NetworkSpec:
                     raise ConfigError(
                         f"layer {i} (conv2d) expects input shape ({layer.in_channels}, h, w), got {shape}"
                     )
-                if layer.kernel < 1 or layer.stride < 1:
-                    raise ConfigError(f"layer {i} (conv2d) needs kernel >= 1 and stride >= 1")
                 h_out = (shape[1] - layer.kernel) // layer.stride + 1
                 w_out = (shape[2] - layer.kernel) // layer.stride + 1
                 if h_out < 1 or w_out < 1:
@@ -132,40 +154,44 @@ class NetworkSpec:
 
     def to_dicts(self) -> list[dict]:
         """JSON-friendly layer description (used by configs and checkpoints)."""
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                out.append({"kind": layer.kind, "in": layer.in_width, "out": layer.out_width})
-            elif isinstance(layer, Conv2d):
-                out.append({
-                    "kind": layer.kind,
-                    "in_channels": layer.in_channels,
-                    "out_channels": layer.out_channels,
-                    "kernel": layer.kernel,
-                    "stride": layer.stride,
-                })
-            else:
-                out.append({"kind": layer.kind})
-        return out
+        return [_layer_dict(layer) for layer in self.layers]
+
+
+def _layer_dict(layer: LayerSpec) -> dict:
+    if isinstance(layer, Dense):
+        return {"kind": layer.kind, "in": layer.in_width, "out": layer.out_width}
+    if isinstance(layer, Conv2d):
+        return {
+            "kind": layer.kind,
+            "in_channels": layer.in_channels,
+            "out_channels": layer.out_channels,
+            "kernel": layer.kernel,
+            "stride": layer.stride,
+        }
+    return {"kind": layer.kind}
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 def spec_from_dicts(input_shape, layer_dicts) -> NetworkSpec:
-    """Inverse of NetworkSpec.to_dicts."""
+    """Inverse of NetworkSpec.to_dicts. Values are taken as given, so a
+    field that is not an integer >= 1 fails NetworkSpec's checks."""
     layers: list[LayerSpec] = []
     for d in layer_dicts:
         kind = d.get("kind")
         if kind == "dense":
-            layers.append(Dense(int(d["in"]), int(d["out"])))
+            layers.append(Dense(d["in"], d["out"]))
         elif kind == "conv2d":
-            layers.append(Conv2d(int(d["in_channels"]), int(d["out_channels"]),
-                                 int(d["kernel"]), int(d.get("stride", 1))))
+            layers.append(Conv2d(d["in_channels"], d["out_channels"], d["kernel"], d.get("stride", 1)))
         elif kind == "relu":
             layers.append(Relu())
         elif kind == "global-average-pool":
             layers.append(GlobalAveragePool())
         else:
             raise ConfigError(f"unknown layer kind in description: {kind!r}")
-    return NetworkSpec(tuple(int(s) for s in input_shape), tuple(layers))
+    return NetworkSpec(tuple(input_shape), tuple(layers))
 
 
 def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
@@ -263,19 +289,84 @@ def global_average_pool(g: np.ndarray) -> np.ndarray:
     return g.mean(axis=(-2, -1))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: the participants of a split conv.
+    Platforms without affinity masks report every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The helper threads of split conv calls, built on first use with one
+    thread per CPU besides the caller's. Should the CPU count grow later,
+    the extra submissions queue and find the chunks already taken."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="novnet-conv")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads, so
+    # work submitted to it would wait forever; it builds its own instead.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
-    n, _, h, win = x.shape
+    n, cin, h, win = x.shape
     cout, _, k, _ = w.shape
     h_out = (h - k) // stride + 1
     w_out = (win - k) // stride + 1
     out = np.zeros((n, cout, h_out, w_out))
-    # Sum over kernel offsets: each (u, v) contributes a strided slice of x
-    # contracted with the matching kernel slab.
-    for u in range(k):
-        for v in range(k):
-            patch = x[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
-            out += np.einsum("ncij,oc->noij", patch, w[:, :, u, v])
-    return out + b[None, :, None, None]
+    # Samples are independent, so the batch splits into chunks of at least
+    # _CHUNK_MACS multiply-adds. The chunks depend on the shapes only, and
+    # every output element comes from the same einsum and += calls in the
+    # same offset order whichever thread computes it: the result is
+    # bit-identical at any participant count.
+    chunk = -(-_CHUNK_MACS // (cout * cin * k * k * h_out * w_out))
+    starts = range(0, n, chunk)
+    participants = max(1, min(len(starts), _cpu_count()))
+    # One scratch slab per participant, owned here, so threads allocate
+    # nothing of their own.
+    scratch = np.empty((participants, min(chunk, n), cout, h_out, w_out))
+    shared = iter(starts)  # a range iterator advances atomically under the GIL
+
+    def run(buf: np.ndarray) -> None:
+        for s in shared:
+            e = min(s + chunk, n)
+            part, tmp = out[s:e], buf[:e - s]
+            # Sum over kernel offsets: each (u, v) contributes a strided
+            # slice of x contracted with the matching kernel slab.
+            for u in range(k):
+                for v in range(k):
+                    patch = x[s:e, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
+                    np.einsum("ncij,oc->noij", patch, w[:, :, u, v], out=tmp)
+                    part += tmp
+            part += b[:, None, None]
+
+    if participants == 1:
+        run(scratch[0])
+        return out
+    pool = _helpers()
+    futures = [pool.submit(run, buf) for buf in scratch[1:]]
+    try:
+        run(scratch[0])
+    finally:
+        wait(futures)  # no helper may still write into out once this returns or raises
+    for f in futures:
+        f.result()
+    return out
 
 
 def _conv2d_backward(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray, input_grad: bool):

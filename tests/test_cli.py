@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +140,52 @@ class TestBadInputExitsCleanly:
         bad.write_text(json.dumps(cfg))
         err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
         assert section in err and named in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("out", True), ("out", 20.9), ("out", "4"), ("out", 0), ("input_shape", [3.0]),
+        ("layers", [{"kind": "conv2d", "in_channels": 1, "out_channels": 0, "kernel": 1}]),
+    ], ids=["out-true", "out-float", "out-string", "out-zero", "input_shape-float", "out_channels-zero"])
+    def test_mistyped_layer_field(self, tmp_path, capsys, field, value):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        backbone = cfg["model"]["backbone"]
+        if field == "out":
+            backbone["layers"][0]["out"] = value
+        else:
+            backbone[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        named = {"input_shape": "input_shape", "layers": "out_channels"}.get(field, "'out'")
+        assert named in err and "integer >= 1" in err
+
+    @pytest.mark.parametrize("entry,key,value", [
+        ("benchmark", "seed", 1.7), ("benchmark", "seed", True), ("benchmark", "reference_clusters", 2.9),
+        ("split", "seed", "2"), ("synthetic", "seed", 1.0), ("synthetic", "dimension", 3.0),
+        ("reshape", None, [3.0]),
+    ], ids=["benchmark-seed-float", "benchmark-seed-bool", "benchmark-reference_clusters",
+            "split-seed-string", "synthetic-seed", "synthetic-dimension", "reshape"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_mistyped_dataset_integer(self, tmp_path, capsys, entry, key, value, command):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        if entry == "benchmark":
+            cfg["dataset"] = {"benchmark": {key: value}}
+        elif key is None:
+            cfg["dataset"][entry] = value
+        else:
+            cfg["dataset"][entry][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        err = self.run_failing([command, "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert f"dataset {entry!r}" in err and "must be an integer" in err
+        assert key is None or repr(key) in err
+
+    def test_mistyped_cluster_count(self, tmp_path, capsys):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["dataset"]["synthetic"]["clusters"][1]["count"] = 24.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert "cluster 1 'count'" in err
 
     def test_negative_seed(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -419,3 +468,49 @@ class TestConfigParsing:
         rc = cli.main(["train", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+def conv_image_config(tmp_path):
+    """A 1x28x28 conv backbone on random images, sized so that
+    training batches stay whole and the scored splits span several
+    chunks of a split conv forward pass."""
+    rng = np.random.default_rng(7)
+    clusters = [{"mean": [round(float(v), 6) for v in rng.uniform(0, 1, 784)], "stddev": 0.5,
+                 "count": 48, "role": role} for role in ("known", "known", "novel", "reference", "reference")]
+    cfg = {
+        "dataset": {"synthetic": {"dimension": 784, "seed": 3, "clusters": clusters},
+                    "reshape": [1, 28, 28], "split": {"train_fraction": 0.5, "seed": 3}},
+        "model": {"backbone": {"input_shape": [1, 28, 28], "layers": [
+            {"kind": "conv2d", "in_channels": 1, "out_channels": 8, "kernel": 5, "stride": 1},
+            {"kind": "relu"}, {"kind": "global-average-pool"}]}},
+        "training": {"mode": "dual-full", "epochs": 1, "lr": 0.05, "seed": 2,
+                     "batch_size_T": 16, "batch_size_R": 16},
+    }
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two CPUs to compare a split run with a serial one")
+def test_conv_outputs_do_not_depend_on_cpu_count(tmp_path):
+    """train + eval in a child process pinned to one CPU write the same
+    bytes as in one that may use every CPU of this process."""
+    cpus = os.sched_getaffinity(0)
+    config = conv_image_config(tmp_path)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    outputs = {}
+    for name, pin in (("pinned", f"os.sched_setaffinity(0, {{{min(cpus)}}})"), ("free", "")):
+        out = tmp_path / name
+        code = f"import os, sys\n{pin}\nfrom novnet.cli import main\nsys.exit(main(sys.argv[1:]))"
+        for argv in (["train", "--config", str(config), "--out", str(out)],
+                     ["eval", "--config", str(config), "--checkpoint", str(out / "checkpoint.nvfg"),
+                      "--out", str(out)]):
+            done = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(outputs["free"]) == ["checkpoint.nvfg", "history.csv", "roc.csv", "scores.csv",
+                                       "summary.json"]
+    assert outputs["pinned"] == outputs["free"]

@@ -435,6 +435,17 @@ class TestCheckpoint:
             with pytest.raises(CorruptionError):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [0, 20.9, True])
+    def test_invalid_layer_width_is_corruption(self, tmp_path, value):
+        path, data = self.saved_bytes(tmp_path)
+        meta_len = int.from_bytes(data[8:16], "little")
+        metadata = json.loads(data[16:16 + meta_len])
+        metadata["backbone"]["layers"][0]["out"] = value
+        meta = json.dumps(metadata, sort_keys=True).encode()
+        path.write_bytes(data[:8] + len(meta).to_bytes(8, "little") + meta + data[16 + meta_len:])
+        with pytest.raises(CorruptionError, match="'out' must be an integer >= 1"):
+            load_checkpoint(path)
+
     def test_non_canonical_metadata_rejected(self, tmp_path):
         path, data = self.saved_bytes(tmp_path)
         meta_len = int.from_bytes(data[8:16], "little")

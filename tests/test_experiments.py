@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ class TestConfigParsing:
         raw["evaluation"] = {"target_fnr": 2.0}
         with pytest.raises(ConfigError):
             parse_experiment_config(raw)
+
+
+    @pytest.mark.parametrize("name", ["benchmark.json", "benchmark-quick.json", "conv-demo.json"])
+    def test_bundled_configs_parse_to_their_values(self, name):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
+        with open(path) as fh:
+            raw = json.load(fh)
+        parsed = parse_experiment_config(path).to_dict()
+        assert {key: parsed[key] for key in ("dataset", "model", "evaluation")} == \
+            {key: raw[key] for key in ("dataset", "model", "evaluation")}
+        assert {key: parsed["training"][key] for key in raw["training"]} == raw["training"]
 
 
 class TestAssembleDatasets:
@@ -202,6 +214,10 @@ class TestAblation:
         assert shifted["benchmark"]["seed"] == 8
         assert shifted["split"]["seed"] == 5
         assert section["benchmark"]["seed"] == 5  # original untouched
+
+    def test_reseed_null_split_is_the_default_split(self):
+        shifted = _reseed_dataset_section({"benchmark": {"seed": 5}, "split": None}, 3)
+        assert shifted["split"] == {"seed": 3}
 
     def test_rows_and_means(self):
         cfg = benchmark_config(epochs=1)

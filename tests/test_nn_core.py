@@ -1,6 +1,13 @@
+import hashlib
+import multiprocessing
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from novnet import nn_core
 from novnet.dual_trainer import TrainerState, TrainingConfig, build_dual_model
 from novnet.errors import ConfigError, DimensionError, DivergenceError, UsageError
 from novnet.nn_core import (
@@ -337,6 +344,156 @@ class TestModelAxis:
                      (stacked, np.zeros((3, 5, 4)))):     # model counts disagree
             with pytest.raises(DimensionError):
                 forward(spec, p, x)
+
+
+def serial_conv2d_forward(x, w, b, stride):
+    """The conv forward loop before batches were split: the reference the
+    split kernel must match byte for byte."""
+    n, _, h, win = x.shape
+    cout, _, k, _ = w.shape
+    h_out = (h - k) // stride + 1
+    w_out = (win - k) // stride + 1
+    out = np.zeros((n, cout, h_out, w_out))
+    for u in range(k):
+        for v in range(k):
+            patch = x[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
+            out += np.einsum("ncij,oc->noij", patch, w[:, :, u, v])
+    return out + b[None, :, None, None]
+
+
+def conv_operands(rng, n, cin, models=None):
+    """A batch of n cin x 28 x 28 images and 8 5x5 filters."""
+    lead = () if models is None else (models,)
+    return (rng.standard_normal(lead + (n, cin, 28, 28)), rng.standard_normal(lead + (8, cin, 5, 5)),
+            rng.standard_normal(lead + (8,)))
+
+
+def chunk_size(cin, stride):
+    """Samples per chunk of the split for conv_operands' shapes."""
+    side = (28 - 5) // stride + 1
+    return -(-nn_core._CHUNK_MACS // (8 * cin * 25 * side * side))
+
+
+@pytest.fixture(params=[1, 2], ids=["1-cpu", "2-cpus"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(nn_core, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+class TestConvSplit:
+    """_conv2d_forward splits large batches over the CPUs; the bytes must
+    not depend on the split or on the number of threads."""
+
+    @pytest.mark.parametrize("cin", [1, 3, 8])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", ["empty", "one", "odd", "chunks"])
+    def test_bytes_equal_serial_loop(self, cpus, cin, stride, batch):
+        rng = np.random.default_rng([cin, stride])
+        n = {"empty": 0, "one": 1, "odd": 5, "chunks": 2 * chunk_size(cin, stride) + 1}[batch]
+        x, w, b = conv_operands(rng, n, cin)
+        assert nn_core._conv2d_forward(x, w, b, stride).tobytes() == \
+            serial_conv2d_forward(x, w, b, stride).tobytes()
+
+    def test_stacked_models_equal_serial_loop(self, cpus):
+        spec = NetworkSpec((3, 28, 28), (Conv2d(3, 8, 5), Relu(), GlobalAveragePool()))
+        rng = np.random.default_rng(5)
+        x, w, b = conv_operands(rng, 2 * chunk_size(3, 1) + 1, 3, models=2)
+        _, cache = forward(spec, {"layer0.weight": w, "layer0.bias": b}, x)
+        expected = np.stack([serial_conv2d_forward(*operands, 1) for operands in zip(x, w, b)])
+        assert cache[1].tobytes() == expected.tobytes()
+
+    def test_large_batch_is_split_small_batch_is_not(self, monkeypatch):
+        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
+        built = []
+        helpers = nn_core._helpers
+        monkeypatch.setattr(nn_core, "_helpers", lambda: built.append(1) or helpers())
+        rng = np.random.default_rng(0)
+        chunk = chunk_size(1, 1)
+        for n, splits in ((chunk, False), (chunk + 1, True)):
+            built.clear()
+            x, w, b = conv_operands(rng, n, 1)
+            nn_core._conv2d_forward(x, w, b, 1)
+            assert bool(built) == splits
+
+    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
+        """Every chunk is taken exactly once: a lost chunk would leave
+        zeros and a doubled one would add twice."""
+        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(nn_core, "_pool", None)
+        rng = np.random.default_rng(1)
+        x, w, b = conv_operands(rng, 20 * chunk_size(1, 1) + 3, 1)
+        expected = serial_conv2d_forward(x, w, b, 1).tobytes()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: results.extend(
+                nn_core._conv2d_forward(x, w, b, 1).tobytes() for _ in range(3)))
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            if nn_core._pool is not None:
+                nn_core._pool.shutdown(wait=False)
+        assert results == [expected] * 3
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_failure_waits_for_every_participant(self, monkeypatch, failing):
+        """The error reaches the caller, and only after no thread can
+        still write into the output."""
+        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
+        caller = threading.current_thread()
+        einsum = np.einsum
+        calls_after_return = []
+        returned = threading.Event()
+
+        def fake_einsum(*args, **kwargs):
+            if returned.is_set():
+                calls_after_return.append(1)
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError("injected")
+            time.sleep(0.002)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", fake_einsum)
+        rng = np.random.default_rng(2)
+        x, w, b = conv_operands(rng, 6 * chunk_size(1, 1), 1)
+        with pytest.raises(RuntimeError, match="injected"):
+            nn_core._conv2d_forward(x, w, b, 1)
+        returned.set()
+        time.sleep(0.2)
+        assert calls_after_return == []
+
+
+def _digest_of_conv(spec, params, x, conn):
+    conn.send(hashlib.sha256(forward(spec, params, x)[0].tobytes()).hexdigest())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs os.fork")
+def test_forked_child_splits_like_its_parent(monkeypatch):
+    """A child forked after the parent's pool has run builds its own pool;
+    the inherited one has no threads and would hang the child."""
+    monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
+    spec = NetworkSpec((1, 28, 28), (Conv2d(1, 8, 5), Relu(), GlobalAveragePool()))
+    params = init_params(spec, 0)
+    x = np.random.default_rng(3).standard_normal((128, 1, 28, 28))
+    parent = hashlib.sha256(forward(spec, params, x)[0].tobytes()).hexdigest()
+    assert nn_core._pool is not None  # the parent split the batch
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_digest_of_conv, args=(spec, params, x, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child did not finish scoring"
+        assert receive.recv() == parent
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
 
 
 class TestSgdStep:
