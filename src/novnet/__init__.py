@@ -13,7 +13,6 @@ from .data_io import (
     SyntheticSpec,
     load_csv,
     load_idx,
-    save_csv,
     split_known_novel,
     split_train_test,
     synth_gaussian,
@@ -43,7 +42,6 @@ from .losses import (
     cumulative_loss,
     membership_loss,
     sigmoid,
-    softmax,
 )
 from .nn_core import (
     Conv2d,
@@ -64,7 +62,6 @@ from .novelty_eval import (
     auc_pairwise_oracle,
     calibrate_threshold,
     closed_set_accuracy,
-    decide,
     roc_auc,
     score_dataset,
 )

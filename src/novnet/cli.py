@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import experiments, novelty_eval
 from .data_io import csv_text, write_atomic
 from .dual_trainer import load_checkpoint, save_checkpoint
-from .errors import ConfigError, NovnetError, UnsupportedArchitectureError
+from .errors import NovnetError, UnsupportedArchitectureError
 from .experiments import ABLATION_MODES, parse_experiment_config
 from .filter_analysis import build_filter_report
 from .nn_core import GlobalAveragePool
@@ -34,12 +34,15 @@ def _ensure_out(out_dir) -> str:
 
 
 def _load_config(args) -> experiments.ExperimentConfig:
+    """The parsed config, with the `--seed`/`--mode`/`--target-fnr` flags
+    that were given replacing its values (and checked like them)."""
     cfg = parse_experiment_config(args.config)
-    overrides = {key: getattr(args, key) for key in ("seed", "mode")
-                 if getattr(args, key, None) is not None}
-    if overrides:
-        cfg.training = replace(cfg.training, **overrides)
-    return cfg
+
+    def given(*keys):
+        return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+
+    return replace(cfg, training=replace(cfg.training, **given("seed", "mode")),
+                   evaluation=replace(cfg.evaluation, **given("target_fnr")))
 
 
 def cmd_train(args) -> int:
@@ -83,13 +86,10 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
-    target_fnr = args.target_fnr if args.target_fnr is not None else cfg.evaluation.target_fnr
-    if not 0.0 < target_fnr < 1.0:
-        raise ConfigError(f"target false-negative rate must be in (0, 1), got {target_fnr}")
     model = load_checkpoint(args.checkpoint).model
     data = experiments.assemble_datasets(cfg.dataset)
     scores = novelty_eval.score_dataset(model, data.test_T, is_novel=False).score
-    threshold = novelty_eval.calibrate_threshold(scores, target_fnr)
+    threshold = novelty_eval.calibrate_threshold(scores, cfg.evaluation.target_fnr)
     payload = {
         "gamma": threshold.gamma,
         "percentile": threshold.percentile,
@@ -105,8 +105,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
     modes = (args.mode,) if args.mode else ABLATION_MODES
-    rows = experiments.run_ablation(cfg, modes=modes, n_seeds=args.seeds,
-                                    base_seed=args.seed if args.seed is not None else None)
+    rows = experiments.run_ablation(cfg, modes=modes, n_seeds=args.seeds, base_seed=args.seed)
     csv_rows = [[row.mode, row.seed, repr(row.auc), repr(row.accuracy)] for row in rows]
     means = experiments.ablation_means(rows)
     for mode in modes:

@@ -28,6 +28,9 @@ from .errors import (
     FormatError,
     ParseError,
     ProtocolError,
+    check_integer,
+    check_list,
+    check_number,
 )
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -52,6 +55,8 @@ class Dataset:
                                f"shape [n], got {self.x.shape} and {self.y.shape}")
         if len(self.y) == 0:
             raise DatasetError(f"dataset {self.provenance!r} has no samples")
+        if self.x.size == 0:
+            raise DatasetError(f"dataset {self.provenance!r} has samples of no values, shape {self.x.shape}")
         # min/max propagate NaN and reach +-inf, so no boolean mask is needed
         if not (np.isfinite(self.x.min()) and np.isfinite(self.x.max())):
             row = int(np.argwhere(~np.isfinite(self.x))[0, 0])
@@ -93,10 +98,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.known_fraction < 1.0:
-            raise ConfigError(f"known_fraction must be in (0, 1), got {self.known_fraction}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        for name in ("known_fraction", "train_fraction"):
+            if not 0.0 < check_number(getattr(self, name), repr(name)) < 1.0:
+                raise ConfigError(f"{name!r} must be in (0, 1), got {getattr(self, name)}")
+        check_integer(self.seed, "'seed'", 0)
 
 
 @dataclass(frozen=True)
@@ -107,12 +112,14 @@ class ClusterSpec:
     role: str  # known | novel | reference
 
     def __post_init__(self):
-        if self.stddev <= 0:
-            raise ConfigError(f"cluster stddev must be positive, got {self.stddev}")
-        if self.count < 1:
-            raise ConfigError(f"cluster sample count must be >= 1, got {self.count}")
+        object.__setattr__(self, "mean", check_list(self.mean, "'mean'"))
+        for value in self.mean:  # thousands of entries for an image: no per-entry message text
+            check_number(value, "'mean' entry")
+        if not check_number(self.stddev, "'stddev'") > 0:
+            raise ConfigError(f"'stddev' must be positive, got {self.stddev}")
+        check_integer(self.count, "'count'", 1)
         if self.role not in ("known", "novel", "reference"):
-            raise ConfigError(f"unknown cluster role: {self.role!r}")
+            raise ConfigError(f"'role' must be known, novel or reference, got {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -122,14 +129,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
-        for c in self.clusters:
+        check_integer(self.dimension, "'dimension'", 1)
+        check_integer(self.seed, "'seed'", 0)
+        for i, c in enumerate(check_list(self.clusters, "'clusters'")):
             if len(c.mean) != self.dimension:
-                raise ConfigError(f"cluster mean has {len(c.mean)} coords, expected {self.dimension}")
+                raise ConfigError(f"cluster {i} 'mean' has {len(c.mean)} entries, 'dimension' is {self.dimension}")
         roles = [c.role for c in self.clusters]
         if roles.count("known") < 2 or roles.count("novel") < 1:
-            raise ConfigError("a novelty experiment needs >= 2 known clusters and >= 1 novel cluster")
+            raise ConfigError("'clusters' must hold >= 2 known clusters and >= 1 novel cluster")
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -140,25 +147,15 @@ def load_idx(images_path, labels_path) -> Dataset:
     names are the original label values as strings.
     """
     with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise CorruptionError(f"{images_path}: truncated IDX image header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
+        magic, count, rows, cols = struct.unpack(">IIII", read_exact(fh, 16, "IDX image header"))
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(f"{images_path}: bad IDX image magic 0x{magic:08x}")
-        payload = fh.read(count * rows * cols)
-        if len(payload) < count * rows * cols:
-            raise CorruptionError(f"{images_path}: truncated IDX image payload")
+        payload = read_exact(fh, count * rows * cols, "IDX image payload")
     with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise CorruptionError(f"{labels_path}: truncated IDX label header")
-        magic, label_count = struct.unpack(">II", header)
+        magic, label_count = struct.unpack(">II", read_exact(fh, 8, "IDX label header"))
         if magic != IDX_LABEL_MAGIC:
             raise FormatError(f"{labels_path}: bad IDX label magic 0x{magic:08x}")
-        label_bytes = fh.read(label_count)
-        if len(label_bytes) < label_count:
-            raise CorruptionError(f"{labels_path}: truncated IDX label payload")
+        label_bytes = read_exact(fh, label_count, "IDX label payload")
     if count != label_count:
         raise ConsistencyError(f"image count {count} != label count {label_count}")
 
@@ -168,45 +165,47 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(images, labels, [str(int(v)) for v in values], provenance=str(images_path))
 
 
+def read_exact(fh, count: int, what: str) -> bytes:
+    """The next `count` bytes of a binary file, else CorruptionError.
+
+    Checked against the file size first, so a corrupt length field
+    cannot request a huge read."""
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CorruptionError(f"{fh.name}: truncated while reading {what}")
+    return fh.read(count)
+
+
 def load_csv(path) -> Dataset:
     """Read a `label,f0,f1,...` CSV into a dataset of flat feature tensors.
 
     Label strings become dense indices in lexicographically sorted order.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over the csv size limit
+        raise ParseError(f"{path}: unreadable CSV text: {exc}") from None
+    if not records:
+        raise FormatError(f"{path}: empty file")
+    header = records[0]
+    if not header or header[0] != "label":
+        raise FormatError(f"{path}: first header column must be 'label', got {header[:1]}")
+    width = len(header) - 1
+    if width < 1:
+        raise FormatError(f"{path}: no feature columns in header")
+    label_names, rows = [], []
+    for lineno, row in enumerate(records[1:], start=2):
+        if len(row) != width + 1:
+            raise FormatError(f"{path}:{lineno}: expected {width + 1} cells, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if not header or header[0] != "label":
-            raise FormatError(f"{path}: first header column must be 'label', got {header[:1]}")
-        width = len(header) - 1
-        if width < 1:
-            raise FormatError(f"{path}: no feature columns in header")
-        label_names, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 1:
-                raise FormatError(f"{path}:{lineno}: expected {width + 1} cells, got {len(row)}")
-            try:
-                rows.append(np.asarray([float(cell) for cell in row[1:]], dtype=np.float64))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            label_names.append(row[0])
+            rows.append(np.asarray([float(cell) for cell in row[1:]], dtype=np.float64))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        label_names.append(row[0])
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     names, labels = np.unique(np.asarray(label_names), return_inverse=True)
     return Dataset(np.stack(rows), labels, names.tolist(), provenance=str(path))
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write a dataset of rank-1 samples as `label,f0,...` with full-precision
-    decimal floats (repr round-trips every float64 exactly)."""
-    if len(dataset.sample_shape) != 1:
-        raise DatasetError(f"CSV datasets must hold flat tensors, got shape {dataset.sample_shape}")
-    header = ["label"] + [f"f{i}" for i in range(dataset.sample_shape[0])]
-    rows = ([dataset.class_names[y]] + [repr(float(v)) for v in x] for x, y in zip(dataset.x, dataset.y))
-    write_atomic(path, csv_text(header, rows))
 
 
 def synth_gaussian(spec: SyntheticSpec) -> tuple[Dataset, Dataset, "Dataset | None"]:

@@ -27,22 +27,22 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import os
 import struct
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn_core
-from .data_io import Dataset, write_atomic
+from .data_io import Dataset, read_exact, write_atomic
 from .errors import (
     ConfigError,
     CorruptionError,
     DimensionError,
     DivergenceError,
     FormatError,
+    check_integer,
+    check_keys,
+    check_number,
 )
 from .losses import cumulative_loss, loss_terms
 from .nn_core import NetworkSpec, ParamSet
@@ -80,17 +80,11 @@ class TrainingConfig:
             raise ConfigError(f"unknown training mode {self.mode!r}; expected one of {MODES}")
         # Values are checked, never coerced, so the checkpoint metadata
         # records them exactly as given.
-        for name in ("lam", "alpha1", "alpha2", "lr", "momentum"):
-            value = getattr(self, name)
-            # Above the largest float: inf, or an int no float can hold.
-            # NaN passes here and fails the range checks below.
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or abs(value) > sys.float_info.max:
-                raise ConfigError(f"{'lambda' if name == 'lam' else name} must be a finite number, got {value!r}")
-        for name in ("epochs", "batch_size_T", "batch_size_R", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # Written so that NaN fails every check.
+        for name, what in (("lam", "lambda"), ("alpha1", "alpha1"), ("alpha2", "alpha2"),
+                           ("lr", "learning rate lr"), ("momentum", "momentum")):
+            check_number(getattr(self, name), what)
+        for name, minimum in (("epochs", 0), ("batch_size_T", 1), ("batch_size_R", 1), ("seed", 0)):
+            check_integer(getattr(self, name), name, minimum)
         if not self.lam > 0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
         if not (self.alpha1 >= 0 and self.alpha2 >= 0):
@@ -99,12 +93,6 @@ class TrainingConfig:
             raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.seed >= 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size_T < 1 or self.batch_size_R < 1:
-            raise ConfigError("batch sizes must be >= 1")
 
     @property
     def uses_reference(self) -> bool:
@@ -125,14 +113,9 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"training config must be a JSON object, got {type(d).__name__}")
-        d = dict(d)
+        d = dict(check_keys(d, "training section", optional=("lambda", *cls.__dataclass_fields__)))
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
         return cls(**d)
 
 
@@ -572,14 +555,6 @@ def save_checkpoint(model: DualBranchModel, cfg: TrainingConfig, path,
     write_atomic(path, b"".join(parts))
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    # Checked against the file size first, so a corrupt length field
-    # cannot request a huge read.
-    if count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CorruptionError(f"checkpoint truncated while reading {what}")
-    return fh.read(count)
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint; bit-exact round trip.
 
@@ -592,11 +567,11 @@ def load_checkpoint(path) -> Checkpoint:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
-        meta_bytes = _read_exact(fh, meta_len, "metadata")
+        (meta_len,) = struct.unpack("<Q", read_exact(fh, 8, "metadata length"))
+        meta_bytes = read_exact(fh, meta_len, "metadata")
         try:
             metadata = json.loads(meta_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -610,15 +585,15 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CorruptionError("checkpoint truncated while reading record header")
             (name_len,) = struct.unpack("<I", head)
             try:
-                name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
+                name = read_exact(fh, name_len, "parameter name").decode("utf-8")
             except UnicodeDecodeError:
                 raise CorruptionError(f"{path}: parameter name is not UTF-8") from None
             if name in tensors:
                 raise CorruptionError(f"{path}: duplicate parameter record {name!r}")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
+            (rank,) = struct.unpack("<I", read_exact(fh, 4, "rank"))
+            dims = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, "dims"))
             count = math.prod(dims)
-            data = _read_exact(fh, 8 * count, f"data of {name}")
+            data = read_exact(fh, 8 * count, f"data of {name}")
             try:
                 tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
             except ValueError:  # too many axes, or an axis too long for numpy

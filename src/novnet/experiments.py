@@ -6,9 +6,10 @@ benchmark, single training runs, and the ablation matrix.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 import os
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .dual_trainer import (
     train,
     train_lockstep,
 )
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, check_integer, check_keys, check_list, check_number
 from .nn_core import NetworkSpec, spec_from_dicts
 
 ABLATION_MODES = ("ce-only", "ce+membership", "dual-ce", "dual-full")
@@ -50,27 +51,141 @@ class EvalConfig:
     target_fnr: float = 0.05
 
     def __post_init__(self):
-        value = self.target_fnr
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"evaluation target_fnr must be a number, got {value!r}")
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"target_fnr must be in (0, 1), got {self.target_fnr}")
+        if not 0.0 < check_number(self.target_fnr, "'target_fnr'") < 1.0:
+            raise ConfigError(f"'target_fnr' must be in (0, 1), got {self.target_fnr}")
 
 
-@dataclass
+@dataclass(frozen=True)
+class BenchmarkSource:
+    """The dataset section's `benchmark` entry: the bundled generator's
+    data seed and reference cluster count (see make_benchmark_spec)."""
+
+    seed: int = 0
+    reference_clusters: int = 8
+
+    def __post_init__(self):
+        check_integer(self.seed, "'seed'", 0)
+        check_integer(self.reference_clusters, "'reference_clusters'", 0)
+
+
+def _check_paths(entry) -> None:
+    for name, path in vars(entry).items():
+        if not isinstance(path, str):
+            raise ConfigError(f"{name!r} must be a path string, got {path!r}")
+        if not os.path.isfile(path):
+            raise ConfigError(f"{name!r} file not found: {path}")
+
+
+@dataclass(frozen=True)
+class CsvFile:
+    """A `csv` or `reference_csv` entry; the file must exist."""
+
+    path: str
+    __post_init__ = _check_paths
+
+
+@dataclass(frozen=True)
+class IdxFiles:
+    """An `idx` entry: an IDX image file and its label file; both must exist."""
+
+    images: str
+    labels: str
+    __post_init__ = _check_paths
+
+
+_SOURCES = ("benchmark", "synthetic", "csv", "idx")
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """The config's dataset section: exactly one data source, the split,
+    an optional reference dataset file, and an optional `reshape` that
+    recasts every sample (e.g. flat synthetic vectors into [channels, h,
+    w] images for conv backbones)."""
+
+    benchmark: BenchmarkSource | None = None
+    synthetic: SyntheticSpec | None = None
+    csv: CsvFile | None = None
+    idx: IdxFiles | None = None
+    reference_csv: CsvFile | None = None
+    split: SplitSpec = SplitSpec()
+    reshape: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        sources = [key for key in _SOURCES if getattr(self, key) is not None]
+        if len(sources) != 1:
+            raise ConfigError(f"dataset section needs exactly one of {', '.join(_SOURCES)}, got {sources}")
+        if self.reshape is not None:
+            object.__setattr__(self, "reshape", check_list(self.reshape, "dataset 'reshape' entry"))
+            for j, size in enumerate(self.reshape):
+                check_integer(size, f"dataset 'reshape' entry {j}", 1)
+
+    @classmethod
+    def from_dict(cls, raw) -> "DatasetConfig":
+        """Parse the dataset section once; a null `split` is the default split."""
+        check_keys(raw, "dataset section", optional=cls.__dataclass_fields__)
+        entries = {}
+        for key, value in raw.items():
+            what = f"dataset {key!r} entry"
+            if key == "synthetic" and isinstance(value, dict) and isinstance(value.get("clusters"), list):
+                value = {**value, "clusters": tuple(_from_section(ClusterSpec, c, f"{what} cluster {i}")
+                                                    for i, c in enumerate(value["clusters"]))}
+            if key == "reshape":
+                entries[key] = value
+            elif not (key == "split" and value is None):
+                entries[key] = _from_section(_ENTRY_TYPES[key], value, what)
+        return cls(**entries)
+
+    def to_dict(self) -> dict:
+        return _json_value(self)
+
+
+_ENTRY_TYPES = {"benchmark": BenchmarkSource, "synthetic": SyntheticSpec, "csv": CsvFile,
+                "idx": IdxFiles, "reference_csv": CsvFile, "split": SplitSpec}
+
+
+def _from_section(cls, raw, what: str):
+    """A `cls` built from the JSON object `raw`, one key per field; the
+    fields without a default are required. Errors name `what`."""
+    required = [name for name, f in cls.__dataclass_fields__.items() if f.default is MISSING]
+    check_keys(raw, what, required, cls.__dataclass_fields__)
+    with _naming(what):
+        return cls(**raw)
+
+
+@contextmanager
+def _naming(what: str):
+    """Prefix the message of a ConfigError raised inside with `what`."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {exc}") from None
+
+
+def _json_value(value):
+    """The JSON form of a config carrier: a dataclass is an object of its
+    fields that are not None, a tuple is a list."""
+    if is_dataclass(value):
+        return {name: _json_value(v) for name, v in vars(value).items() if v is not None}
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict
+    dataset: DatasetConfig
     backbone: NetworkSpec
     training: TrainingConfig
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     def to_dict(self) -> dict:
         return {
-            "dataset": self.dataset,
+            "dataset": self.dataset.to_dict(),
             "model": {"backbone": {"input_shape": list(self.backbone.input_shape),
                                    "layers": self.backbone.to_dicts()}},
             "training": self.training.to_dict(),
-            "evaluation": {"target_fnr": self.evaluation.target_fnr},
+            "evaluation": _json_value(self.evaluation),
         }
 
 
@@ -85,7 +200,8 @@ class ExperimentData:
 def parse_experiment_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or a parsed dict.
 
-    Referenced data files must exist at parse time.
+    Every section is parsed and checked here, once; referenced data
+    files must exist at parse time.
     """
     if isinstance(source, dict):
         raw = source
@@ -99,124 +215,49 @@ def parse_experiment_config(source) -> ExperimentConfig:
             raise ConfigError(f"config file {source} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {source} must hold a JSON object, got {type(raw).__name__}")
-    for section in ("dataset", "model", "training"):
-        if section not in raw:
-            raise ConfigError(f"config is missing the {section!r} section")
-    # Shape and type checks only: the sections' values are used as given.
-    dataset = _json_object(raw["dataset"], "dataset section")
-    for key in ("benchmark", "synthetic", "csv", "idx", "reference_csv", "split"):
-        if key in dataset and not (key == "split" and dataset[key] is None):
-            _json_object(dataset[key], f"dataset {key!r} entry")
-    for key in ("csv", "idx", "reference_csv"):
-        entry = dataset.get(key, {})
-        for path_key in ("path", "images", "labels"):
-            if path_key not in entry:
-                continue
-            path = entry[path_key]
-            if not isinstance(path, str):
-                raise ConfigError(f"dataset {key!r} entry: {path_key!r} must be a path string, got {path!r}")
-            if not os.path.exists(path):
-                raise ConfigError(f"dataset file not found: {path}")
-    model_section = _json_object(raw["model"], "model section")
-    if "backbone" not in model_section:
-        raise ConfigError("model section needs a 'backbone' entry")
-    backbone_section = _json_object(model_section["backbone"], "model 'backbone' entry")
-    try:
-        backbone = spec_from_dicts(backbone_section["input_shape"], backbone_section["layers"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"model 'backbone' entry is malformed: {exc!r}") from None
-    training = TrainingConfig.from_dict(raw["training"])
-    evaluation = _json_object(raw.get("evaluation", {}), "evaluation section")
-    unknown = set(evaluation) - {"target_fnr"}
-    if unknown:
-        raise ConfigError(f"unknown evaluation section keys: {sorted(unknown)}")
-    return ExperimentConfig(dataset=dataset, backbone=backbone,
-                            training=training, evaluation=EvalConfig(**evaluation))
+    check_keys(raw, "config", ("dataset", "model", "training"), ("evaluation",))
+    model = check_keys(raw["model"], "model section", ("backbone",))
+    backbone = check_keys(model["backbone"], "model 'backbone' entry", ("input_shape", "layers"))
+    with _naming("model 'backbone' entry"):
+        backbone = spec_from_dicts(backbone["input_shape"], backbone["layers"])
+    return ExperimentConfig(dataset=DatasetConfig.from_dict(raw["dataset"]), backbone=backbone,
+                            training=TrainingConfig.from_dict(raw["training"]),
+                            evaluation=_from_section(EvalConfig, raw.get("evaluation", {}), "evaluation section"))
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _integer(value, what: str):
-    """`value` itself when it is an integer; a bool, a float such as 1.7
-    or 2.0, or a string is rejected rather than converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _parse_split(section: dict | None) -> SplitSpec:
-    section = dict(section or {})
-    return SplitSpec(
-        known_fraction=float(section.get("known_fraction", 0.5)),
-        train_fraction=float(section.get("train_fraction", 0.5)),
-        seed=_integer(section.get("seed", 0), "dataset 'split' entry: 'seed'"),
-    )
-
-
-def _synthetic_spec_from_dict(section: dict) -> SyntheticSpec:
-    what = "dataset 'synthetic' entry"
-    clusters = tuple(
-        ClusterSpec(mean=tuple(float(v) for v in c["mean"]), stddev=float(c["stddev"]),
-                    count=_integer(c["count"], f"{what}: cluster {i} 'count'"), role=str(c["role"]))
-        for i, c in enumerate(section["clusters"])
-    )
-    return SyntheticSpec(dimension=_integer(section["dimension"], f"{what}: 'dimension'"), clusters=clusters,
-                         seed=_integer(section.get("seed", 0), f"{what}: 'seed'"))
-
-
-def assemble_datasets(dataset_section: dict) -> ExperimentData:
-    """Turn the config's dataset section into train/test/novel/reference
-    datasets following the split protocol.
+def assemble_datasets(section: DatasetConfig) -> ExperimentData:
+    """Turn the dataset section into train/test/novel/reference datasets
+    following the split protocol.
 
     Sources: `synthetic` (explicit clusters), `benchmark` (the bundled
     generator), or `csv`/`idx` files with an alphabetical known/novel
     split. A reference dataset may come from synthetic roles or from
     `reference_csv`; its class names must not intersect the known ones.
-    An optional `reshape` entry recasts every sample tensor (e.g. flat
-    synthetic vectors into [channels, h, w] images for conv backbones).
     """
-    split = _parse_split(dataset_section.get("split"))
     reference = None
-    if "benchmark" in dataset_section:
-        section = dataset_section["benchmark"]
-        spec = make_benchmark_spec(
-            seed=_integer(section.get("seed", 0), "dataset 'benchmark' entry: 'seed'"),
-            reference_clusters=_integer(section.get("reference_clusters", 8),
-                                        "dataset 'benchmark' entry: 'reference_clusters'"),
-        )
+    if section.benchmark is not None:
+        spec = make_benchmark_spec(section.benchmark.seed, section.benchmark.reference_clusters)
         known, novel, reference = data_io.synth_gaussian(spec)
-    elif "synthetic" in dataset_section:
-        spec = _synthetic_spec_from_dict(dataset_section["synthetic"])
-        known, novel, reference = data_io.synth_gaussian(spec)
-    elif "csv" in dataset_section or "idx" in dataset_section:
-        if "csv" in dataset_section:
-            full = data_io.load_csv(dataset_section["csv"]["path"])
-        else:
-            entry = dataset_section["idx"]
-            full = data_io.load_idx(entry["images"], entry["labels"])
-        known, novel = data_io.split_known_novel(full, split)
+    elif section.synthetic is not None:
+        known, novel, reference = data_io.synth_gaussian(section.synthetic)
     else:
-        raise ConfigError("dataset section needs one of: benchmark, synthetic, csv, idx")
+        if section.csv is not None:
+            full = data_io.load_csv(section.csv.path)
+        else:
+            full = data_io.load_idx(section.idx.images, section.idx.labels)
+        known, novel = data_io.split_known_novel(full, section.split)
 
-    if "reference_csv" in dataset_section:
-        reference = data_io.load_csv(dataset_section["reference_csv"]["path"])
+    if section.reference_csv is not None:
+        reference = data_io.load_csv(section.reference_csv.path)
     if reference is not None:
         overlap = set(reference.class_names) & set(known.class_names)
         if overlap:
             raise ProtocolError(f"reference classes must not intersect known classes: {sorted(overlap)}")
 
-    train_t, test_t = data_io.split_train_test(known, split.seed, split.train_fraction)
+    train_t, test_t = data_io.split_train_test(known, section.split.seed, section.split.train_fraction)
     data = ExperimentData(train_T=train_t, test_T=test_t, novel=novel, reference=reference)
-    if "reshape" in dataset_section:
-        entries = dataset_section["reshape"]
-        if not isinstance(entries, list):
-            raise ConfigError(f"dataset 'reshape' entry must be a list of integers, got {entries!r}")
-        shape = tuple(_integer(s, f"dataset 'reshape' entry {j}") for j, s in enumerate(entries))
-        data = ExperimentData(*[_reshape_dataset(ds, shape) for ds in
+    if section.reshape is not None:
+        data = ExperimentData(*[_reshape_dataset(ds, section.reshape) for ds in
                                 (data.train_T, data.test_T, data.novel, data.reference)])
     return data
 
@@ -224,8 +265,8 @@ def assemble_datasets(dataset_section: dict) -> ExperimentData:
 def _reshape_dataset(dataset: "Dataset | None", shape: tuple[int, ...]) -> "Dataset | None":
     if dataset is None:
         return None
-    size = int(np.prod(dataset.sample_shape))
-    if int(np.prod(shape)) != size:
+    size = math.prod(dataset.sample_shape)
+    if math.prod(shape) != size:
         raise ConfigError(f"cannot reshape samples of {size} values to {shape}")
     return Dataset(dataset.x.reshape((len(dataset),) + shape), dataset.y,
                    list(dataset.class_names), provenance=dataset.provenance)
@@ -283,8 +324,8 @@ def benchmark_config(data_seed: int = 0, reference_clusters: int = 8,
     training = TrainingConfig(mode=mode, epochs=epochs, lr=0.05, momentum=0.9,
                               batch_size_T=32, batch_size_R=32, seed=training_seed)
     return ExperimentConfig(
-        dataset={"benchmark": {"seed": data_seed, "reference_clusters": reference_clusters},
-                 "split": {"train_fraction": 0.5, "seed": data_seed}},
+        dataset=DatasetConfig(benchmark=BenchmarkSource(data_seed, reference_clusters),
+                              split=SplitSpec(train_fraction=0.5, seed=data_seed)),
         backbone=benchmark_backbone(),
         training=training,
         evaluation=EvalConfig(),
@@ -371,17 +412,12 @@ def ablation_seed(base_seed: int, rep: int, mode_index: int, n_modes: int) -> in
     return base_seed + n_modes * rep + mode_index
 
 
-def _reseed_dataset_section(dataset_section: dict, rep: int) -> dict:
+def _reseed_dataset_section(section: DatasetConfig, rep: int) -> DatasetConfig:
     """Shift every seed in the dataset section by the rep index so each
     rep draws fresh data while all modes within the rep share it."""
-    section = json.loads(json.dumps(dataset_section))
-    for key in ("benchmark", "synthetic"):
-        if key in section:
-            seed = _integer(section[key].get("seed", 0), f"dataset {key!r} entry: 'seed'")
-            section[key]["seed"] = seed + rep
-    split = section["split"] = section.get("split") or {}  # null means the default split
-    split["seed"] = _integer(split.get("seed", 0), "dataset 'split' entry: 'seed'") + rep
-    return section
+    sources = {key: replace(entry, seed=entry.seed + rep) for key in ("benchmark", "synthetic")
+               if (entry := getattr(section, key)) is not None}
+    return replace(section, split=replace(section.split, seed=section.split.seed + rep), **sources)
 
 
 def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,

@@ -35,14 +35,6 @@ class MembershipParams:
             raise ConfigError(f"membership lambda must be positive, got {self.lam}")
 
 
-def softmax(f: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for numerical stability."""
-    f = np.asarray(f, dtype=np.float64)
-    shifted = f - f.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def sigmoid(t):
     """Numerically stable logistic function, elementwise.
 

@@ -27,15 +27,14 @@ runs in the calling thread. Outputs do not depend on the thread count.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UsageError
+from .errors import ConfigError, DimensionError, UsageError, check_integer, check_keys, check_list
 
 ParamSet = dict[str, np.ndarray]
 
@@ -100,14 +99,11 @@ class NetworkSpec:
     def __post_init__(self):
         # Sizes are checked, never coerced: 20.9 or true is not a width.
         for j, size in enumerate(self.input_shape):
-            if not _is_positive_int(size):
-                raise ConfigError(f"input_shape entry {j} must be an integer >= 1, got {size!r}")
+            check_integer(size, f"input_shape entry {j}", 1)
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, (Dense, Conv2d)):
-                for key, value in _layer_dict(layer).items():
-                    if key != "kind" and not _is_positive_int(value):
-                        raise ConfigError(
-                            f"layer {i} ({layer.kind}) {key!r} must be an integer >= 1, got {value!r}")
+            for key, value in _layer_dict(layer).items():
+                if key != "kind":
+                    check_integer(value, f"layer {i} ({layer.kind}) {key!r}", 1)
         self.layer_input_shapes()  # raises ConfigError on a bad chain
         pool_positions = [i for i, l in enumerate(self.layers) if isinstance(l, GlobalAveragePool)]
         if len(pool_positions) > 1:
@@ -157,41 +153,34 @@ class NetworkSpec:
         return [_layer_dict(layer) for layer in self.layers]
 
 
+# Layer class and description keys, in constructor order, per kind.
+_LAYER_KINDS = {
+    "dense": (Dense, ("in", "out")),
+    "conv2d": (Conv2d, ("in_channels", "out_channels", "kernel", "stride")),
+    "relu": (Relu, ()),
+    "global-average-pool": (GlobalAveragePool, ()),
+}
+
+
 def _layer_dict(layer: LayerSpec) -> dict:
-    if isinstance(layer, Dense):
-        return {"kind": layer.kind, "in": layer.in_width, "out": layer.out_width}
-    if isinstance(layer, Conv2d):
-        return {
-            "kind": layer.kind,
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "kernel": layer.kernel,
-            "stride": layer.stride,
-        }
-    return {"kind": layer.kind}
-
-
-def _is_positive_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    _, keys = _LAYER_KINDS[layer.kind]
+    return {"kind": layer.kind, **{key: getattr(layer, f.name) for key, f in zip(keys, fields(layer))}}
 
 
 def spec_from_dicts(input_shape, layer_dicts) -> NetworkSpec:
-    """Inverse of NetworkSpec.to_dicts. Values are taken as given, so a
-    field that is not an integer >= 1 fails NetworkSpec's checks."""
+    """Inverse of NetworkSpec.to_dicts. Every layer object holds its kind's
+    keys and no others; a conv2d `stride` may be left out (1). Values are
+    taken as given, so a field that is not an integer >= 1 fails
+    NetworkSpec's checks."""
     layers: list[LayerSpec] = []
-    for d in layer_dicts:
-        kind = d.get("kind")
-        if kind == "dense":
-            layers.append(Dense(d["in"], d["out"]))
-        elif kind == "conv2d":
-            layers.append(Conv2d(d["in_channels"], d["out_channels"], d["kernel"], d.get("stride", 1)))
-        elif kind == "relu":
-            layers.append(Relu())
-        elif kind == "global-average-pool":
-            layers.append(GlobalAveragePool())
-        else:
-            raise ConfigError(f"unknown layer kind in description: {kind!r}")
-    return NetworkSpec(tuple(input_shape), tuple(layers))
+    for i, d in enumerate(check_list(layer_dicts, "'layers'")):
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+            raise ConfigError(f"layer {i} needs a 'kind' of {sorted(_LAYER_KINDS)}, got {d!r}")
+        cls, keys = _LAYER_KINDS[kind]
+        check_keys(d, f"layer {i} ({kind})", [key for key in keys if key != "stride"], ("kind",) + keys)
+        layers.append(cls(*(d[key] for key in keys if key in d)))
+    return NetworkSpec(check_list(input_shape, "'input_shape'"), tuple(layers))
 
 
 def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:

@@ -13,7 +13,6 @@ independent pairwise (Mann-Whitney) oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .data_io import Dataset, csv_text, write_atomic
 from .dual_trainer import DualBranchModel
-from .errors import CalibrationError, EvaluationError, ParseError, ProtocolError
+from .errors import CalibrationError, EvaluationError, ProtocolError
 
 NOVEL_MARKER = -1
 
@@ -67,12 +66,6 @@ def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
         [np.arange(start_id, start_id + n), f[np.arange(n), predicted], predicted,
          true_class, np.full(n, is_novel)],
         dtype=SCORE_DTYPE)
-
-
-def decide(record: np.record, threshold: "NoveltyThreshold | float") -> str:
-    """'novel' when the record's score is strictly below gamma, else 'known'."""
-    gamma = threshold.gamma if isinstance(threshold, NoveltyThreshold) else float(threshold)
-    return "novel" if record.score < gamma else "known"
 
 
 def calibrate_threshold(matched_scores, target_fnr: float) -> NoveltyThreshold:
@@ -175,60 +168,8 @@ def write_score_report(records: np.ndarray, path) -> None:
     write_atomic(path, csv_text(SCORE_CSV_HEADER, rows))
 
 
-def read_score_report(path) -> np.recarray:
-    """Read a score table written by write_score_report. A missing header
-    or a malformed row raises ParseError naming the file and the line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty score report, expected a header line")
-        if header != SCORE_CSV_HEADER:
-            raise EvaluationError(f"{path}: unexpected score report header {header}")
-        rows = []
-        for row in reader:
-            try:
-                if len(row) != len(SCORE_CSV_HEADER):
-                    raise ValueError(f"expected {len(SCORE_CSV_HEADER)} fields, got {len(row)}")
-                if row[4] not in ("0", "1"):
-                    raise ValueError(f"is_novel must be 0 or 1, got {row[4]!r}")
-                rows.append((int(row[0]), float(row[1]), int(row[2]), int(row[3]), row[4] == "1"))
-            except ValueError as exc:
-                raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
-    return np.rec.fromrecords(rows, dtype=SCORE_DTYPE)
-
-
 def write_roc_csv(roc: RocResult, path) -> None:
     """`threshold,fpr,tpr` rows followed by a one-line `auc,<value>` trailer."""
     rows = [[repr(t), repr(fpr), repr(tpr)] for t, (fpr, tpr) in zip(roc.thresholds, roc.points)]
     rows.append(["auc", repr(roc.auc)])
     write_atomic(path, csv_text(["threshold", "fpr", "tpr"], rows))
-
-
-def read_roc_csv(path) -> RocResult:
-    """Read a ROC curve written by write_roc_csv. A missing header or a
-    malformed row raises ParseError naming the file and the line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty ROC file, expected a header line")
-        if header != ["threshold", "fpr", "tpr"]:
-            raise EvaluationError(f"{path}: unexpected ROC header {header}")
-        points = []
-        thresholds = []
-        auc = None
-        for row in reader:
-            try:
-                if len(row) == 2 and row[0] == "auc":
-                    auc = float(row[1])
-                    break
-                if len(row) != 3:
-                    raise ValueError(f"expected 3 fields, got {len(row)}")
-                thresholds.append(float(row[0]))
-                points.append((float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
-    if auc is None:
-        raise EvaluationError(f"{path}: missing auc trailer")
-    return RocResult(points=points, auc=auc, thresholds=thresholds)

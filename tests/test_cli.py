@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from novnet import cli
 from novnet.dual_trainer import TrainingConfig, build_dual_model, load_checkpoint, save_checkpoint
 from novnet.nn_core import Conv2d, Dense, GlobalAveragePool, NetworkSpec, Relu
-from novnet.novelty_eval import auc_pairwise_oracle, read_score_report
+from novnet.novelty_eval import auc_pairwise_oracle
 
 
 def synthetic_section(n_known=2, per_cluster=24, with_reference=True, data_seed=0):
@@ -208,6 +209,57 @@ class TestBadInputExitsCleanly:
             assert "finite" in err
             assert list(out.iterdir()) == []  # no report with a NaN threshold or AUC
 
+    def dataset_config(self, tmp_path, dataset):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["dataset"] = dataset
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def trained_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert cli.main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        return str(out / "checkpoint.nvfg")
+
+    def test_train_non_utf8_csv(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"label,f0\na,1\na,2\n\xff,3\n\xff,4\n")
+        config = self.dataset_config(tmp_path, {"csv": {"path": str(data)}})
+        err = self.run_failing(["train", "--config", config, "--out", str(tmp_path / "o")], capsys)
+        assert "d.csv" in err and "utf-8" in err
+
+    def test_eval_zero_width_idx_pair(self, tmp_path, capsys):
+        checkpoint = self.trained_checkpoint(tmp_path, capsys)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 4, 3, 0))
+        labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 2, 3]))
+        config = self.dataset_config(tmp_path, {"idx": {"images": str(images), "labels": str(labels)}})
+        err = self.run_failing(["eval", "--config", config, "--checkpoint", checkpoint,
+                                "--out", str(tmp_path / "o")], capsys)
+        assert "images.idx" in err and "no values" in err
+
+    def test_ablate_negative_reshape(self, tmp_path, capsys):
+        # [-2, -4] holds as many values as the 8-wide samples
+        config = self.dataset_config(tmp_path, {"benchmark": {"seed": 0}, "reshape": [-2, -4]})
+        err = self.run_failing(["ablate", "--config", config, "--out", str(tmp_path / "o"), "--seeds", "1"],
+                               capsys)
+        assert "dataset 'reshape' entry 0" in err and "integer >= 1" in err
+
+    def test_calibrate_unknown_dataset_key(self, tmp_path, capsys):
+        config = self.dataset_config(tmp_path, {"benchmark": {"seed": 0}, "splt": {"seed": 1}})
+        err = self.run_failing(["calibrate", "--config", config, "--checkpoint", str(tmp_path / "none"),
+                                "--out", str(tmp_path / "o")], capsys)
+        assert "dataset section" in err and "'splt'" in err
+
+    def test_inspect_filters_truncated_checkpoint(self, tmp_path, capsys):
+        checkpoint = self.trained_checkpoint(tmp_path, capsys)
+        with open(checkpoint, "r+b") as fh:
+            fh.truncate(os.path.getsize(checkpoint) - 3)
+        err = self.run_failing(["inspect-filters", "--checkpoint", checkpoint, "--out", str(tmp_path / "o")],
+                               capsys)
+        assert "truncated" in err
+
     def test_zero_ablation_seeds(self, tmp_path, capsys):
         config = write_config(tmp_path)
         err = self.run_failing(["ablate", "--config", str(config), "--out", str(tmp_path / "o"),
@@ -228,9 +280,11 @@ class TestEval:
         assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
                          "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        records = read_score_report(out / "scores.csv")
-        known = [r.score for r in records if not r.is_novel]
-        novel = [r.score for r in records if r.is_novel]
+        with open(out / "scores.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        known = [float(r["score"]) for r in records if r["is_novel"] == "0"]
+        novel = [float(r["score"]) for r in records if r["is_novel"] == "1"]
+        assert len(known) + len(novel) == len(records)
         recomputed = auc_pairwise_oracle(known, novel)
         assert abs(summary["auc"] - round(recomputed, 4)) <= 5e-5
         roc_lines = (out / "roc.csv").read_text().strip().splitlines()

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from novnet.data_io import (
     ClusterSpec,
@@ -11,7 +13,6 @@ from novnet.data_io import (
     csv_text,
     load_csv,
     load_idx,
-    save_csv,
     split_known_novel,
     split_train_test,
     synth_gaussian,
@@ -77,6 +78,56 @@ class TestLoadIdx:
         with pytest.raises(ConsistencyError):
             load_idx(*paths)
 
+    @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0)])
+    def test_zero_width_images(self, tmp_path, shape):
+        paths = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8), [0, 1, 2])
+        with pytest.raises(DatasetError, match="no values"):
+            load_idx(*paths)
+
+    def test_huge_header_counts_are_truncation(self, tmp_path):
+        # 2**32 * 2**32 payload bytes: checked against the file size, not read
+        images, labels = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        images.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFF, 0xFFFF))
+        with pytest.raises(CorruptionError, match="images.idx"):
+            load_idx(images, labels)
+
+
+def damaged(data: bytes, draw) -> bytes:
+    """`data` truncated, or with 1-3 bytes replaced."""
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+class TestLoadersFailClosed:
+    """A damaged file loads or raises FormatError/DatasetError, nothing else."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_csv(self, tmp_path, data):
+        path = tmp_path / "d.csv"
+        text = b'label,f0,f1\nant,1.5,-2\nbee,0.25,3e2\nant,7,8\nbee,"9",1\n'
+        path.write_bytes(damaged(text, data.draw))
+        try:
+            load_csv(path)
+        except (FormatError, DatasetError):
+            pass
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_idx_pair(self, tmp_path, data):
+        rng = np.random.default_rng(0)
+        images, labels = write_idx_pair(tmp_path, rng.integers(0, 256, (4, 3, 2), dtype=np.uint8), [5, 1, 5, 2])
+        victim = data.draw(st.sampled_from([images, labels]))
+        victim.write_bytes(damaged(victim.read_bytes(), data.draw))
+        try:
+            load_idx(images, labels)
+        except (FormatError, DatasetError):
+            pass
+
 
 class TestCsv:
     def test_small_file(self, tmp_path):
@@ -117,12 +168,19 @@ class TestCsv:
         with pytest.raises(FormatError):
             load_csv(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"label,f0\n\xff\xfe,1.0\n")
+        with pytest.raises(ParseError, match="d.csv"):
+            load_csv(path)
+
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(1)
         values = rng.standard_normal((6, 3)) * np.array([1e-12, 1.0, 1e12])
         ds = Dataset(values, np.arange(6) % 2, ["one", "two"], provenance="mem")
         path = tmp_path / "rt.csv"
-        save_csv(ds, path)
+        rows = ([ds.class_names[y]] + [repr(float(v)) for v in x] for x, y in zip(ds.x, ds.y))
+        path.write_text(csv_text(["label", "f0", "f1", "f2"], rows))
         back = load_csv(path)
         assert back.class_names == ["one", "two"]
         assert np.array_equal(back.features(), ds.features())
@@ -278,6 +336,10 @@ class TestDatasetInvariants:
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             Dataset(np.zeros((0, 2)), [], [], "x")
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(DatasetError, match="no values"):
+            Dataset(np.zeros((3, 0)), [0, 0, 0], ["a"], "x")
 
     def test_non_finite_features_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):

@@ -1,13 +1,17 @@
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from novnet.data_io import synth_gaussian
-from novnet.errors import ConfigError, ProtocolError
+from novnet.data_io import SplitSpec, synth_gaussian
+from novnet.errors import ConfigError, NovnetError, ProtocolError
 from novnet.experiments import (
     ABLATION_MODES,
+    DatasetConfig,
     ablation_means,
     ablation_seed,
     assemble_datasets,
@@ -19,6 +23,15 @@ from novnet.experiments import (
     run_experiment,
     _reseed_dataset_section,
 )
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+CONFIG_NAMES = ["benchmark.json", "benchmark-quick.json", "conv-demo.json"]
+
+
+def bundled(name: str) -> dict:
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)
 
 
 class TestBenchmarkSpec:
@@ -91,20 +104,136 @@ class TestConfigParsing:
             parse_experiment_config(raw)
 
 
-    @pytest.mark.parametrize("name", ["benchmark.json", "benchmark-quick.json", "conv-demo.json"])
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
     def test_bundled_configs_parse_to_their_values(self, name):
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
-        with open(path) as fh:
-            raw = json.load(fh)
-        parsed = parse_experiment_config(path).to_dict()
-        assert {key: parsed[key] for key in ("dataset", "model", "evaluation")} == \
-            {key: raw[key] for key in ("dataset", "model", "evaluation")}
-        assert {key: parsed["training"][key] for key in raw["training"]} == raw["training"]
+        raw = bundled(name)
+        cfg = parse_experiment_config(os.path.join(CONFIGS, name))
+        # the canonical form is the file plus the one default it leaves out
+        raw["dataset"]["split"] = {"known_fraction": 0.5, **raw["dataset"]["split"]}
+        assert cfg.to_dict() == raw
+        assert parse_experiment_config(cfg.to_dict()) == cfg
+
+
+def edited(name: str, edit) -> dict:
+    raw = bundled(name)
+    edit(raw)
+    return raw
+
+
+def cluster0(raw) -> dict:
+    return raw["dataset"]["synthetic"]["clusters"][0]
+
+
+class TestDatasetSectionFailsClosed:
+    """Each input once ended in a bare exception or trained on other data."""
+
+    @pytest.mark.parametrize("name,edit,named", [
+        ("benchmark.json", lambda r: r["dataset"]["benchmark"].update(seed=-1), "'seed'"),
+        ("benchmark.json", lambda r: r["dataset"]["split"].update(seed=-1), "'seed'"),
+        ("benchmark.json", lambda r: r["dataset"]["benchmark"].update(reference_clusters=-1),
+         "'reference_clusters'"),
+        ("benchmark.json", lambda r: r["dataset"].update(reshape=[-2, -4]), "'reshape' entry 0"),
+        ("benchmark.json", lambda r: r["dataset"].update(reshape=8), "'reshape'"),
+        ("conv-demo.json", lambda r: cluster0(r).pop("stddev"), "cluster 0 is missing keys ['stddev']"),
+        ("conv-demo.json", lambda r: cluster0(r).update(stddev=True), "cluster 0 'stddev'"),
+        ("conv-demo.json", lambda r: cluster0(r).update(mean="0" * 16), "cluster 0 'mean'"),
+        ("conv-demo.json", lambda r: cluster0(r).update(mean=5), "cluster 0 'mean'"),
+        ("conv-demo.json", lambda r: cluster0(r).update(role=["known"]), "cluster 0 'role'"),
+        ("conv-demo.json", lambda r: r["dataset"]["synthetic"].update(clusters={}), "'clusters'"),
+        ("benchmark.json", lambda r: r.update(dataset={"csv": {}}), "'csv' entry is missing keys ['path']"),
+        ("benchmark.json", lambda r: r.update(dataset={"idx": {"images": "/"}}), "'idx' entry"),
+        ("benchmark.json", lambda r: r.update(dataset={"csv": {"path": os.sep}}), "'path' file not found"),
+        ("benchmark.json", lambda r: r["dataset"]["split"].update(sead=3), "unknown keys ['sead']"),
+        ("benchmark.json", lambda r: r["dataset"]["split"].update(train_fraction="0.5"), "'train_fraction'"),
+        ("benchmark.json", lambda r: r["dataset"]["split"].update(known_fraction=float("nan")),
+         "'known_fraction'"),
+        ("benchmark.json", lambda r: r["dataset"].update(synthetic=bundled("conv-demo.json")["dataset"]["synthetic"]),
+         "exactly one of"),
+        ("benchmark.json", lambda r: r["dataset"].pop("benchmark"), "exactly one of"),
+        ("benchmark.json", lambda r: r["dataset"].update(bogus=1), "unknown keys ['bogus']"),
+        ("benchmark.json", lambda r: r.update(bogus={}), "unknown keys ['bogus']"),
+        ("benchmark.json", lambda r: r["model"]["backbone"]["layers"].append(5), "layer 2"),
+        ("benchmark.json", lambda r: r["model"]["backbone"].update(input_shape=8), "'input_shape'"),
+        ("benchmark.json", lambda r: r["model"]["backbone"]["layers"][0].update(stride=1), "unknown keys ['stride']"),
+    ])
+    def test_rejected_with_entry_and_key(self, name, edit, named):
+        with pytest.raises(ConfigError, match="^(dataset|model|config)") as info:
+            parse_experiment_config(edited(name, edit))
+        assert named in str(info.value)
+
+    def test_canonical_form_round_trips(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,f0\na,1\na,2\nb,3\nb,4\n")
+        raw = {"csv": {"path": str(path)}, "reference_csv": {"path": str(path)}, "split": None,
+               "reshape": [1, 1]}
+        section = DatasetConfig.from_dict(raw)
+        assert section.split == SplitSpec() and section.reshape == (1, 1)
+        assert DatasetConfig.from_dict(section.to_dict()) == section
+        assert section.to_dict() == {**raw, "split": {"known_fraction": 0.5, "train_fraction": 0.5, "seed": 0}}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+# Field names of every section, so added keys are sometimes valid ones.
+config_keys = st.sampled_from([
+    "dataset", "evaluation", "benchmark", "synthetic", "csv", "idx", "reference_csv", "split", "reshape",
+    "seed", "reference_clusters", "dimension", "clusters", "mean", "stddev", "count", "role", "path",
+    "known_fraction", "train_fraction", "input_shape", "layers", "kind", "in", "out", "stride", "lambda",
+    "epochs", "target_fnr"]) | st.text(max_size=6)
+
+
+def json_objects(value):
+    """Every JSON object in a parsed document, outermost first."""
+    if isinstance(value, dict):
+        yield value
+    for child in value.values() if isinstance(value, dict) else value if isinstance(value, list) else ():
+        yield from json_objects(child)
+
+
+def small_integers_only(value) -> bool:
+    if isinstance(value, dict):
+        return all(small_integers_only(v) for v in value.values())
+    if isinstance(value, list):
+        return all(small_integers_only(v) for v in value)
+    return isinstance(value, bool) or not isinstance(value, int) or abs(value) <= 300
+
+
+class TestAnyConfigEdit:
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_parses_or_raises_config_error(self, name, data):
+        """Add, delete or replace one key of any object in a bundled config."""
+        raw = bundled(name)
+        target = data.draw(st.sampled_from(list(json_objects(raw))))
+        value = data.draw(st.integers(-3, 300) | st.floats(-1.0, 2.0) | json_values)
+        if target and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(target)))
+            if data.draw(st.booleans()):
+                del target[key]
+            else:
+                target[key] = value
+        else:
+            target[data.draw(config_keys)] = value
+        try:
+            cfg = parse_experiment_config(copy.deepcopy(raw))
+        except ConfigError:
+            return
+        assert parse_experiment_config(cfg.to_dict()) == cfg
+        # a drawn count, dimension or reference_clusters of 10**9 would
+        # allocate gigabytes, so only small integers are assembled
+        if small_integers_only(value):
+            try:
+                assemble_datasets(cfg.dataset)
+            except NovnetError:
+                pass
 
 
 class TestAssembleDatasets:
     def test_benchmark_assembly(self):
-        data = assemble_datasets({"benchmark": {"seed": 0}, "split": {"seed": 0}})
+        data = assemble_datasets(DatasetConfig.from_dict({"benchmark": {"seed": 0}, "split": {"seed": 0}}))
         assert data.train_T.n_classes == 4
         assert data.reference.n_classes == 8
         assert len(data.train_T) + len(data.test_T) == 800
@@ -116,8 +245,8 @@ class TestAssembleDatasets:
                 lines.append(f"{name},{i}.0,1.0")
         path = tmp_path / "d.csv"
         path.write_text("\n".join(lines) + "\n")
-        data = assemble_datasets({"csv": {"path": str(path)},
-                                  "split": {"known_fraction": 0.5, "seed": 1}})
+        data = assemble_datasets(DatasetConfig.from_dict({"csv": {"path": str(path)},
+                                                          "split": {"known_fraction": 0.5, "seed": 1}}))
         assert data.train_T.class_names == ["ant", "bee"]
         assert data.novel.class_names == ["cat", "dog"]
         assert data.reference is None
@@ -132,13 +261,13 @@ class TestAssembleDatasets:
         ref = tmp_path / "ref.csv"
         ref.write_text("label,f0\nant,1.0\nant,2.0\nzzz,1.0\nzzz,3.0\n")
         with pytest.raises(ProtocolError, match="ant"):
-            assemble_datasets({"csv": {"path": str(main)},
-                               "reference_csv": {"path": str(ref)},
-                               "split": {"known_fraction": 0.5, "seed": 0}})
+            assemble_datasets(DatasetConfig.from_dict({"csv": {"path": str(main)},
+                                                       "reference_csv": {"path": str(ref)},
+                                                       "split": {"known_fraction": 0.5, "seed": 0}}))
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
-            assemble_datasets({"split": {}})
+            assemble_datasets(DatasetConfig.from_dict({"split": {}}))
 
 
 class TestRunExperiment:
@@ -209,15 +338,15 @@ class TestAblation:
         assert len(seeds) == 12  # collision-free rows
 
     def test_reseed_shifts_all_seeds(self):
-        section = {"benchmark": {"seed": 5}, "split": {"seed": 2}}
+        section = DatasetConfig.from_dict({"benchmark": {"seed": 5}, "split": {"seed": 2}})
         shifted = _reseed_dataset_section(section, 3)
-        assert shifted["benchmark"]["seed"] == 8
-        assert shifted["split"]["seed"] == 5
-        assert section["benchmark"]["seed"] == 5  # original untouched
+        assert shifted.benchmark.seed == 8
+        assert shifted.split.seed == 5
+        assert section.benchmark.seed == 5  # original untouched
 
     def test_reseed_null_split_is_the_default_split(self):
-        shifted = _reseed_dataset_section({"benchmark": {"seed": 5}, "split": None}, 3)
-        assert shifted["split"] == {"seed": 3}
+        shifted = _reseed_dataset_section(DatasetConfig.from_dict({"benchmark": {"seed": 5}, "split": None}), 3)
+        assert shifted.split == SplitSpec(seed=3)
 
     def test_rows_and_means(self):
         cfg = benchmark_config(epochs=1)

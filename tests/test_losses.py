@@ -10,7 +10,6 @@ from novnet.losses import (
     cumulative_loss,
     membership_loss,
     sigmoid,
-    softmax,
 )
 
 
@@ -27,27 +26,38 @@ def membership_scalar_oracle(f, y, lam):
 
 
 class TestSoftmax:
+    """The softmax inside cross_entropy: one sample's gradient is
+    softmax(f) - onehot(y), so adding the one-hot back recovers it."""
+
+    @staticmethod
+    def softmax(f, y=0):
+        grad = cross_entropy(f, y).grad.copy()
+        grad[y] += 1.0
+        return grad
+
     def test_symmetric_zeros(self):
-        assert np.allclose(softmax(np.zeros(3)), 1 / 3, rtol=0, atol=1e-15)
+        assert np.allclose(self.softmax(np.zeros(3)), 1 / 3, rtol=0, atol=1e-15)
 
     def test_shift_invariance_exact_values(self):
         # shift by an integer keeps f + c exactly representable here
         f = np.array([1.0, 2.0, 0.5])
-        assert np.array_equal(softmax(f), softmax(f + 16.0))
+        assert np.array_equal(cross_entropy(f, 1).grad, cross_entropy(f + 16.0, 1).grad)
 
     def test_shift_invariance_random(self):
         rng = np.random.default_rng(0)
         f = rng.standard_normal((4, 6))
-        shifted = softmax(f + rng.standard_normal())
-        assert np.allclose(softmax(f), shifted, rtol=0, atol=1e-12)
+        y = rng.integers(0, 6, size=4)
+        shifted = cross_entropy(f + rng.standard_normal(), y)
+        assert np.allclose(cross_entropy(f, y).grad, shifted.grad, rtol=0, atol=1e-12)
+        assert abs(cross_entropy(f, y).value - shifted.value) < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         f = rng.standard_normal((10, 7)) * 10
-        assert np.allclose(softmax(f).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose([self.softmax(row, 3).sum() for row in f], 1.0, rtol=0, atol=1e-12)
 
     def test_two_logit_oracle(self):
-        p = softmax(np.array([1.0, 2.0]))
+        p = self.softmax(np.array([1.0, 2.0]), 1)
         e1, e2 = math.exp(1.0), math.exp(2.0)
         assert abs(p[0] - e1 / (e1 + e2)) < 1e-15
         assert abs(p[1] - e2 / (e1 + e2)) < 1e-15
@@ -88,7 +98,8 @@ class TestCrossEntropy:
     def test_grad_is_softmax_minus_onehot(self):
         f = np.array([0.3, -1.2, 2.0])
         r = cross_entropy(f, 1)
-        expected = softmax(f)
+        e = np.array([math.exp(v) for v in f])
+        expected = e / e.sum()
         expected[1] -= 1.0
         assert np.allclose(r.grad, expected, rtol=0, atol=1e-15)
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import small_backbone
 from novnet.data_io import Dataset
 from novnet.dual_trainer import DualBranchModel, build_dual_model
-from novnet.errors import CalibrationError, EvaluationError, ParseError, ProtocolError
+from novnet.errors import CalibrationError, EvaluationError, ProtocolError
 from novnet.nn_core import Dense, NetworkSpec
 from novnet.novelty_eval import (
     NOVEL_MARKER,
@@ -16,9 +17,6 @@ from novnet.novelty_eval import (
     auc_pairwise_oracle,
     calibrate_threshold,
     closed_set_accuracy,
-    decide,
-    read_roc_csv,
-    read_score_report,
     realized_fnr,
     roc_auc,
     score_dataset,
@@ -91,18 +89,24 @@ class TestNoveltyScore:
 
 
 class TestDecide:
+    """The strict decision rule as realized_fnr applies it: a score below
+    gamma is novel, a score at gamma is known."""
+
     def rec(self, score):
         return score_one(passthrough_model(), np.array([score, -50.0, -50.0]))
 
+    def is_novel(self, record, threshold):
+        return realized_fnr([record.score], threshold) == 1.0
+
     def test_below_threshold_is_novel(self):
-        assert decide(self.rec(2.0), 2.5) == "novel"
+        assert self.is_novel(self.rec(2.0), 2.5)
 
     def test_tie_is_known(self):
-        assert decide(self.rec(2.5), NoveltyThreshold(2.5, 0.05, 10)) == "known"
+        assert not self.is_novel(self.rec(2.5), NoveltyThreshold(2.5, 0.05, 10))
 
     def test_single_flip_over_sweep(self):
         record = self.rec(1.0)
-        decisions = [decide(record, g) for g in np.linspace(0.0, 2.0, 41)]
+        decisions = [self.is_novel(record, g) for g in np.linspace(0.0, 2.0, 41)]
         flips = sum(1 for a, b in zip(decisions, decisions[1:]) if a != b)
         assert flips == 1
 
@@ -325,44 +329,25 @@ class TestReportFiles:
                                   score_dataset(model, novel, True, start_id=len(known))]).view(np.recarray)
         path = tmp_path / "scores.csv"
         write_score_report(records, path)
-        back = read_score_report(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert a.sample_id == b.sample_id
-            assert a.score == b.score  # repr round-trips exactly
-            assert a.predicted_class == b.predicted_class
-            assert a.true_class == b.true_class
-            assert a.is_novel == b.is_novel
-
-    @pytest.mark.parametrize("body", [
-        "",  # no header
-        "sample_id,score,predicted_class,true_class,is_novel\n1,2\n",
-        "sample_id,score,predicted_class,true_class,is_novel\n0,high,1,1,0\n",
-        "sample_id,score,predicted_class,true_class,is_novel\n0,0.5,1,1,0\n1,0.25,0,0,2\n",
-    ])
-    def test_malformed_score_report_rejected(self, tmp_path, body):
-        path = tmp_path / "scores.csv"
-        path.write_text(body)
-        with pytest.raises(ParseError, match="scores.csv"):
-            read_score_report(path)
-
-    @pytest.mark.parametrize("body", [
-        "",  # no header
-        "threshold,fpr,tpr\n1.0\n",
-        "threshold,fpr,tpr\nx,0.0,0.0\nauc,0.5\n",
-    ])
-    def test_malformed_roc_csv_rejected(self, tmp_path, body):
-        path = tmp_path / "roc.csv"
-        path.write_text(body)
-        with pytest.raises(ParseError, match="roc.csv"):
-            read_roc_csv(path)
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["sample_id", "score", "predicted_class", "true_class", "is_novel"]
+        assert len(rows) == len(records)
+        for a, b in zip(records, rows):
+            assert a.sample_id == int(b[0])
+            assert a.score == float(b[1])  # repr round-trips exactly
+            assert a.predicted_class == int(b[2])
+            assert a.true_class == int(b[3])
+            assert b[4] == str(int(a.is_novel))
 
     def test_roc_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         roc = roc_auc(rng.standard_normal(25) + 1, rng.standard_normal(25))
         path = tmp_path / "roc.csv"
         write_roc_csv(roc, path)
-        back = read_roc_csv(path)
-        assert back.auc == roc.auc
-        assert back.points == roc.points
-        assert back.thresholds == roc.thresholds
+        with open(path, newline="") as fh:
+            header, *rows, trailer = list(csv.reader(fh))
+        assert header == ["threshold", "fpr", "tpr"]
+        assert trailer == ["auc", repr(roc.auc)]
+        assert [float(t) for t, _, _ in rows] == roc.thresholds
+        assert [(float(fpr), float(tpr)) for _, fpr, tpr in rows] == roc.points
