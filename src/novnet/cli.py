@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import experiments, novelty_eval
 from .data_io import csv_text, write_atomic
-from .dual_trainer import load_checkpoint, save_checkpoint
+from .dual_trainer import MODES, load_checkpoint, save_checkpoint
 from .errors import NovnetError, UnsupportedArchitectureError
 from .experiments import ABLATION_MODES, parse_experiment_config
 from .filter_analysis import build_filter_report
@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     add_common(p, config=True)
-    p.add_argument("--mode", choices=experiments.ABLATION_MODES + ("finetune-cC",),
-                   default=None, help="override the training mode")
+    p.add_argument("--mode", choices=MODES, default=None, help="override the training mode")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score test data, write ROC/AUC and accuracy reports")

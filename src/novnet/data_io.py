@@ -208,6 +208,19 @@ def load_csv(path) -> Dataset:
     return Dataset(np.stack(rows), labels, names.tolist(), provenance=str(path))
 
 
+def check_fits_in_memory(values: int, what: str) -> None:
+    """DatasetError naming `what` when `values` float64 values outgrow this
+    machine's physical memory, so an oversized dataset fails before it is
+    built. Platforms without sysconf skip the check."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 8 * values > memory:
+        raise DatasetError(f"{what}: {8 * values} bytes of float64 values exceed the "
+                           f"{memory} bytes of physical memory")
+
+
 def synth_gaussian(spec: SyntheticSpec) -> tuple[Dataset, Dataset, "Dataset | None"]:
     """Draw isotropic Gaussian clusters and route them to the (known,
     novel, reference) datasets by role. Deterministic given spec.seed.
@@ -215,11 +228,17 @@ def synth_gaussian(spec: SyntheticSpec) -> tuple[Dataset, Dataset, "Dataset | No
 
     Each cluster is drawn in spec order straight into its rows of the
     role's preallocated feature array, so no per-cluster copies exist."""
+    samples = sum(c.count for c in spec.clusters)
+    what = f"synthetic 'clusters' of {samples} samples x {spec.dimension} values"
+    check_fits_in_memory(samples * spec.dimension, what)
     rng = np.random.default_rng(spec.seed)
     prefix = {"known": "known", "novel": "novel", "reference": "ref"}
     clusters = {role: [c for c in spec.clusters if c.role == role] for role in prefix}
-    x = {role: np.empty((sum(c.count for c in group), spec.dimension))
-         for role, group in clusters.items()}
+    try:
+        x = {role: np.empty((sum(c.count for c in group), spec.dimension))
+             for role, group in clusters.items()}
+    except MemoryError:  # where sysconf is missing, the allocation is the check
+        raise DatasetError(f"{what}: out of memory") from None
     filled = dict.fromkeys(prefix, 0)
     for cluster in spec.clusters:
         start = filled[cluster.role]

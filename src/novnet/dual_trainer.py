@@ -102,10 +102,6 @@ class TrainingConfig:
     def uses_membership(self) -> bool:
         return self.mode in _MEMBERSHIP_MODES
 
-    @property
-    def effective_alpha2(self) -> float:
-        return self.alpha2 if self.uses_membership else 0.0
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["lambda"] = d.pop("lam")

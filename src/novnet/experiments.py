@@ -279,6 +279,8 @@ def make_benchmark_spec(seed: int, reference_clusters: int = 8,
 
     All placement and sampling randomness derives from `seed`.
     """
+    data_io.check_fits_in_memory((8 + reference_clusters) * samples_per_cluster * BENCHMARK_DIMENSION,
+                                 f"benchmark 'reference_clusters' {reference_clusters}")
     rng = np.random.default_rng([seed, 17])
     dim = BENCHMARK_DIMENSION
     radius = BENCHMARK_RADIUS
@@ -394,9 +396,7 @@ def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[
     known = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
     novel = novelty_eval.score_dataset(model, data.novel, is_novel=True, start_id=len(known))
     roc = novelty_eval.roc_auc(known.score, novel.score)
-    # The class-count check above puts every test_T label in [0, num_known).
-    accuracy = float(np.mean(known.predicted_class == known.true_class))
-    return np.concatenate([known, novel]).view(np.recarray), roc, accuracy
+    return np.concatenate([known, novel]).view(np.recarray), roc, novelty_eval.closed_set_accuracy(known)
 
 
 @dataclass

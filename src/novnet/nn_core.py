@@ -19,17 +19,18 @@ disjoint batches. Only momentum_update changes parameter values.
 
 A conv2d forward over a batch of at least two chunks (a chunk is the
 fewest samples holding _CHUNK_MACS multiply-adds) computes its chunks on
-the calling thread plus a shared pool of helper threads, one per further
-CPU in the process's affinity mask. Everything else, backward included,
-runs in the calling thread. Outputs do not depend on the thread count.
+the calling thread plus helper threads, one per further CPU in the
+process's affinity mask. The helpers are started for that call and joined
+before it returns or raises; nothing persists between calls, so a forked
+child needs no special handling. Everything else, backward included, runs
+in the calling thread. Outputs do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -286,32 +287,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _helpers() -> ThreadPoolExecutor:
-    """The helper threads of split conv calls, built on first use with one
-    thread per CPU besides the caller's. Should the CPU count grow later,
-    the extra submissions queue and find the chunks already taken."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="novnet-conv")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads, so
-    # work submitted to it would wait forever; it builds its own instead.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
     n, cin, h, win = x.shape
     cout, _, k, _ = w.shape
@@ -347,12 +322,11 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) ->
     if participants == 1:
         run(scratch[0])
         return out
-    pool = _helpers()
-    futures = [pool.submit(run, buf) for buf in scratch[1:]]
-    try:
+    # Leaving the block joins every helper, also when the caller's share
+    # raises, so no thread still writes into out once this returns.
+    with ThreadPoolExecutor(participants - 1, thread_name_prefix="novnet-conv") as pool:
+        futures = [pool.submit(run, buf) for buf in scratch[1:]]
         run(scratch[0])
-    finally:
-        wait(futures)  # no helper may still write into out once this returns or raises
     for f in futures:
         f.result()
     return out

@@ -56,8 +56,11 @@ def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
     score = max over the known-class activations, predicted class = their
     argmax. For combined-head (finetune-cC) models only the first c
     outputs count; reference-class activations are evidence of novelty,
-    not identity.
+    not identity. A known split must hold no more classes than the model
+    knows (ProtocolError), so every true class is one it can predict.
     """
+    if not is_novel and dataset.n_classes > model.num_known:
+        raise ProtocolError(f"known split has {dataset.n_classes} classes; the model knows {model.num_known}")
     f = model.known_class_logits(dataset.features())
     n = len(dataset)
     predicted = np.argmax(f, axis=1)
@@ -144,15 +147,12 @@ def auc_pairwise_oracle(known_scores, novel_scores) -> float:
     return (wins + 0.5 * ties) / (known.size * novel.size)
 
 
-def closed_set_accuracy(model: DualBranchModel, dataset: Dataset) -> float:
-    """Fraction of known-class test samples whose argmax activation hits
-    the true label. Novel samples must not be present."""
-    labels = dataset.labels()
-    if np.any(labels < 0) or np.any(labels >= model.num_known):
-        bad = labels[(labels < 0) | (labels >= model.num_known)][0]
-        raise ProtocolError(f"closed-set accuracy saw label {bad}; known classes are [0, {model.num_known})")
-    records = score_dataset(model, dataset, is_novel=False)
-    return float(np.mean(records.predicted_class == records.true_class))
+def closed_set_accuracy(known: np.recarray) -> float:
+    """Fraction of a known split's score table whose predicted class is
+    the true one. Novel rows have no true class (ProtocolError)."""
+    if np.any(known.is_novel):
+        raise ProtocolError("closed-set accuracy needs known rows only; the score table holds novel rows")
+    return float(np.mean(known.predicted_class == known.true_class))
 
 
 # --- report files ---------------------------------------------------------

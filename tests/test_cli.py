@@ -222,6 +222,22 @@ class TestBadInputExitsCleanly:
         capsys.readouterr()
         return str(out / "checkpoint.nvfg")
 
+    @pytest.mark.parametrize("source,named", [
+        ("benchmark", "'reference_clusters' 1000000000:"),
+        ("synthetic", "'clusters' of 10000000000096 samples"),
+    ], ids=["reference_clusters", "cluster-count"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_oversized_dataset(self, tmp_path, capsys, source, named, command):
+        if source == "benchmark":
+            dataset = {"benchmark": {"seed": 0, "reference_clusters": 10**9}}
+        else:
+            dataset = synthetic_section()
+            dataset["synthetic"]["clusters"][0]["count"] = 10**13
+        config = self.dataset_config(tmp_path, dataset)
+        extra = ["--seeds", "1"] if command == "ablate" else []
+        err = self.run_failing([command, "--config", config, "--out", str(tmp_path / "o"), *extra], capsys)
+        assert named in err and "physical memory" in err
+
     def test_train_non_utf8_csv(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_bytes(b"label,f0\na,1\na,2\n\xff,3\n\xff,4\n")

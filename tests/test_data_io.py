@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -233,6 +234,13 @@ class TestSynthGaussian:
         assert known.class_names == ["known_0", "known_1"]
         assert novel.class_names == ["novel_0"]
         assert reference.class_names == ["ref_0"]
+
+    def test_unallocatable_without_sysconf(self, monkeypatch):
+        """Where physical memory is unknown, numpy's MemoryError becomes a
+        DatasetError. 4 x 10**16 samples of 3 values exceed any address space."""
+        monkeypatch.delattr(os, "sysconf")
+        with pytest.raises(DatasetError, match="40000000000000000 samples x 3 values: out of memory"):
+            synth_gaussian(self.spec(count=10**16))
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):

@@ -287,9 +287,18 @@ class TestTrainingConfig:
         with pytest.raises(ConfigError):
             TrainingConfig.from_dict({"mode": "ce-only", "bogus": 1})
 
-    def test_effective_alpha2(self):
-        assert TrainingConfig(mode="dual-ce", alpha2=3.0).effective_alpha2 == 0.0
-        assert TrainingConfig(mode="dual-full", alpha2=3.0).effective_alpha2 == 3.0
+    @pytest.mark.parametrize("mode,ignored", [("dual-ce", True), ("dual-full", False)])
+    def test_alpha2_weighs_membership_modes_only(self, mode, ignored):
+        """dual-ce trains bit for bit alike at any alpha2; dual-full does not."""
+        known, _, reference = small_synthetic(seed=2)
+        runs = []
+        for alpha2 in (3.0, 0.0):
+            model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=2)
+            cfg = TrainingConfig(mode=mode, alpha2=alpha2, epochs=2, lr=0.05, seed=2, batch_size_T=16)
+            model, history = train(model, known, reference, cfg)
+            runs.append(([p.tobytes() for p in (*model.backbone.values(), *model.head_T.values())],
+                         [h.to_dict() for h in history]))
+        assert (runs[0] == runs[1]) == ignored
 
     @pytest.mark.parametrize("field", ["lam", "lr", "alpha1", "alpha2", "momentum"])
     def test_nan_rejected(self, field):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from novnet import data_io
 from novnet.data_io import SplitSpec, synth_gaussian
-from novnet.errors import ConfigError, NovnetError, ProtocolError
+from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError
 from novnet.experiments import (
     ABLATION_MODES,
     DatasetConfig,
@@ -269,6 +270,21 @@ class TestAssembleDatasets:
         with pytest.raises(ConfigError):
             assemble_datasets(DatasetConfig.from_dict({"split": {}}))
 
+    @pytest.mark.parametrize("source", ["benchmark", "conv-demo"])
+    def test_oversized_dataset_rejected_before_building(self, source, monkeypatch):
+        """Rejected from the sizes alone: no cluster is placed or drawn."""
+        if source == "benchmark":
+            section, named = {"benchmark": {"reference_clusters": 10**9}}, "'reference_clusters' 1000000000:"
+        else:
+            section = bundled("conv-demo.json")["dataset"]
+            section["synthetic"]["clusters"][0]["count"] = 10**13
+            named = "'clusters' of 10000000000240 samples x 16 values"
+        section = DatasetConfig.from_dict(section)
+        monkeypatch.setattr(data_io.ClusterSpec, "__post_init__", None)  # make_benchmark_spec builds none
+        monkeypatch.setattr(np.random, "default_rng", None)  # synth_gaussian draws nothing
+        with pytest.raises(DatasetError, match=named + ".* exceed the .* bytes of physical memory"):
+            assemble_datasets(section)
+
 
 class TestRunExperiment:
     def test_modes_without_reference_ignore_it(self):
@@ -329,7 +345,9 @@ class TestEvaluateDetection:
         assert batches == [len(data.test_T), len(data.novel)]
         assert table.dtype == SCORE_DTYPE
         assert table.sample_id.tolist() == list(range(len(table)))
-        assert accuracy == closed_set_accuracy(result.model, data.test_T)
+        assert accuracy == closed_set_accuracy(table[:len(data.test_T)])
+        assert accuracy == np.mean(np.argmax(result.model.known_class_logits(data.test_T.x), axis=1)
+                                   == data.test_T.y)
 
 
 class TestAblation:

@@ -380,6 +380,20 @@ def cpus(request, monkeypatch):
     return request.param
 
 
+def spy_on_helper_pools(monkeypatch) -> list:
+    """Patch nn_core's ThreadPoolExecutor to record one entry per pool
+    built; returns the record."""
+    built = []
+    executor = nn_core.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(nn_core, "ThreadPoolExecutor", counting)
+    return built
+
+
 class TestConvSplit:
     """_conv2d_forward splits large batches over the CPUs; the bytes must
     not depend on the split or on the number of threads."""
@@ -404,9 +418,7 @@ class TestConvSplit:
 
     def test_large_batch_is_split_small_batch_is_not(self, monkeypatch):
         monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
-        built = []
-        helpers = nn_core._helpers
-        monkeypatch.setattr(nn_core, "_helpers", lambda: built.append(1) or helpers())
+        built = spy_on_helper_pools(monkeypatch)
         rng = np.random.default_rng(0)
         chunk = chunk_size(1, 1)
         for n, splits in ((chunk, False), (chunk + 1, True)):
@@ -419,7 +431,6 @@ class TestConvSplit:
         """Every chunk is taken exactly once: a lost chunk would leave
         zeros and a doubled one would add twice."""
         monkeypatch.setattr(nn_core, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(nn_core, "_pool", None)
         rng = np.random.default_rng(1)
         x, w, b = conv_operands(rng, 20 * chunk_size(1, 1) + 3, 1)
         expected = serial_conv2d_forward(x, w, b, 1).tobytes()
@@ -434,8 +445,6 @@ class TestConvSplit:
             assert not worker.is_alive()
         finally:
             sys.setswitchinterval(interval)
-            if nn_core._pool is not None:
-                nn_core._pool.shutdown(wait=False)
         assert results == [expected] * 3
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
@@ -465,6 +474,30 @@ class TestConvSplit:
         time.sleep(0.2)
         assert calls_after_return == []
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_helper_thread_outlives_the_call(self, monkeypatch, fails):
+        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
+        if fails:
+            einsum = np.einsum
+
+            def fake_einsum(*args, **kwargs):
+                if threading.current_thread().name.startswith("novnet-conv"):
+                    raise RuntimeError("injected")
+                return einsum(*args, **kwargs)
+
+            monkeypatch.setattr(np, "einsum", fake_einsum)
+        built = spy_on_helper_pools(monkeypatch)
+        rng = np.random.default_rng(4)
+        x, w, b = conv_operands(rng, 4 * chunk_size(1, 1), 1)
+        try:
+            nn_core._conv2d_forward(x, w, b, 1)
+        except RuntimeError:
+            assert fails
+        else:
+            assert not fails
+        assert [t.name for t in threading.enumerate() if t.name.startswith("novnet-conv")] == []
+        assert built == [1]  # the batch was split
+
 
 def _digest_of_conv(spec, params, x, conn):
     conn.send(hashlib.sha256(forward(spec, params, x)[0].tobytes()).hexdigest())
@@ -473,14 +506,15 @@ def _digest_of_conv(spec, params, x, conn):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs os.fork")
 def test_forked_child_splits_like_its_parent(monkeypatch):
-    """A child forked after the parent's pool has run builds its own pool;
-    the inherited one has no threads and would hang the child."""
+    """A child forked after the parent split a batch over helper threads
+    splits the same batch too, and gets the same bytes."""
     monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
+    built = spy_on_helper_pools(monkeypatch)
     spec = NetworkSpec((1, 28, 28), (Conv2d(1, 8, 5), Relu(), GlobalAveragePool()))
     params = init_params(spec, 0)
     x = np.random.default_rng(3).standard_normal((128, 1, 28, 28))
     parent = hashlib.sha256(forward(spec, params, x)[0].tobytes()).hexdigest()
-    assert nn_core._pool is not None  # the parent split the batch
+    assert built == [1]  # the parent split the batch
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_digest_of_conv, args=(spec, params, x, send))

@@ -291,13 +291,13 @@ class TestClosedSetAccuracy:
         y = np.arange(30) % 3
         rng.shuffle(y)
         ds = Dataset(np.eye(3)[y], y, ["a", "b", "c"], "onehot")
-        assert closed_set_accuracy(model, ds) == 1.0
+        assert closed_set_accuracy(score_dataset(model, ds, is_novel=False)) == 1.0
 
     def test_complement_identity(self):
         model = passthrough_model(c=2)
         rng = np.random.default_rng(6)
         ds = Dataset(rng.standard_normal((20, 2)), np.arange(20) % 2, ["a", "b"], "rand")
-        acc = closed_set_accuracy(model, ds)
+        acc = closed_set_accuracy(score_dataset(model, ds, is_novel=False))
         f = model.known_class_logits(ds.features())
         err = float(np.mean(np.argmax(f, axis=1) != ds.labels()))
         assert abs(acc - (1.0 - err)) < 1e-15
@@ -312,13 +312,19 @@ class TestClosedSetAccuracy:
         model = build_dual_model(small_backbone(), known.n_classes, 0, seed=seed)
         cfg = TrainingConfig(mode="ce-only", epochs=15, lr=0.05, seed=seed, batch_size_T=16)
         model, _ = train(model, train_ds, None, cfg)
-        assert closed_set_accuracy(model, test_ds) > 1.0 / known.n_classes + 0.2
+        assert closed_set_accuracy(score_dataset(model, test_ds, is_novel=False)) > 1.0 / known.n_classes + 0.2
 
     def test_novel_label_rejected(self):
         model = passthrough_model(c=2)
         ds = Dataset(np.zeros((3, 2)), [0, 1, 2], ["a", "b", "c"], "x")
-        with pytest.raises(ProtocolError):
-            closed_set_accuracy(model, ds)
+        with pytest.raises(ProtocolError, match="3 classes; the model knows 2"):
+            score_dataset(model, ds, is_novel=False)
+        novel_rows = score_dataset(model, ds, is_novel=True)
+        with pytest.raises(ProtocolError, match="novel rows"):
+            closed_set_accuracy(novel_rows)
+        known_rows = score_dataset(model, Dataset(np.zeros((2, 2)), [0, 1], ["a", "b"], "y"), is_novel=False)
+        with pytest.raises(ProtocolError, match="novel rows"):
+            closed_set_accuracy(np.concatenate([known_rows, novel_rows]).view(np.recarray))
 
 
 class TestReportFiles:
