@@ -4,7 +4,7 @@ Commands: train, eval, calibrate, ablate, inspect-filters. Commands take
 a JSON experiment config (dataset/model/training/evaluation sections)
 and/or a checkpoint, are deterministic given config + seed, and write
 reports atomically (temp file, rename on success). Training and
-evaluation run through the library's own `experiments.train_model` and
+evaluation run through the library's own `experiments.train_models` and
 `experiments.evaluate_detection`. Module errors surface as a one-line
 diagnostic on stderr and a nonzero exit code.
 """
@@ -49,7 +49,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
     data = experiments.assemble_datasets(cfg.dataset)
-    model, history = experiments.train_model(cfg, data)
+    [(model, history)] = experiments.train_models([(cfg, data)])
 
     history_path = os.path.join(out, "history.csv")
     history_rows = [[h.epoch, repr(h.loss_ce_R), repr(h.loss_ce_T), repr(h.loss_m_T), repr(h.cumulative)]

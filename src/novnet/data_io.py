@@ -80,14 +80,6 @@ class Dataset:
     def sample_shape(self) -> tuple[int, ...]:
         return tuple(self.x.shape[1:])
 
-    def features(self) -> np.ndarray:
-        """The [n, ...] feature array (stored, not copied)."""
-        return self.x
-
-    def labels(self) -> np.ndarray:
-        """The [n] int64 label array (stored, not copied)."""
-        return self.y
-
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -11,7 +11,9 @@ Any number of models train in lockstep (train_lockstep): each
 parameter and its momentum is one array with a leading model axis, so
 one step of the whole stack is a fixed set of numpy calls, and each
 model ends bit-identical to training it alone. train() is the
-one-model case of the same loop.
+one-model case of the same loop. Every step computes the membership
+terms for every row and masks them to zero in the rows whose mode does
+not use the membership loss.
 
 Training modes (ablation/baseline variants):
   ce-only        single branch, cross-entropy only
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -239,7 +241,7 @@ class TrainerState:
     cfg: TrainingConfig
     membership: np.ndarray
     alpha2: np.ndarray
-    dual_rows: "slice | np.ndarray"
+    dual_rows: np.ndarray
     velocity: dict[str, ParamSet] = field(default_factory=dict)
 
     @classmethod
@@ -261,7 +263,7 @@ class TrainerState:
                    dual_models[0].head_R_spec if dual_models else None),
             params=params, cfg=cfgs[0], membership=membership,
             alpha2=np.where(membership, cfgs[0].alpha2, 0.0),
-            dual_rows=slice(None) if all(dual) else np.flatnonzero(dual))
+            dual_rows=np.flatnonzero(dual))
 
     def apply_gradients(self, grads: dict[str, ParamSet]) -> None:
         """One SGD-with-momentum update of the whole stack; grads mirror
@@ -300,15 +302,12 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t)
     f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
     membership = state.membership
-    ce_t, ce_t_grad, m_t, m_t_grad = loss_terms(f_t, y_t, cfg.lam if membership.any() else None)
-    if m_t_grad is None:
-        m_t, m_t_grad = np.zeros(rows), 0.0
-    else:
-        m_t = np.where(membership, m_t, 0.0)
-        m_t_grad = np.where(membership[:, None, None], m_t_grad, 0.0)
-    # A zero term is still added, as alpha2 * 0 for the rows without the
-    # membership loss, so their -0.0 gradients turn +0.0 exactly as when
-    # such a model trains alone.
+    ce_t, ce_t_grad, m_t, m_t_grad = loss_terms(f_t, y_t, cfg.lam)
+    m_t = np.where(membership, m_t, 0.0)
+    m_t_grad = np.where(membership[:, None, None], m_t_grad, 0.0)
+    # Every row computes the membership terms; rows without the membership
+    # loss mask them to zero. The zero is still added, as alpha2 * 0, so
+    # those rows' -0.0 gradients turn +0.0 whatever else the stack holds.
     upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
     head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
     backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
@@ -318,7 +317,7 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     if batch_R is not None:
         x_r, y_r = batch_R
         dual = state.dual_rows
-        backbone_r = backbone if isinstance(dual, slice) else {k: v[dual] for k, v in backbone.items()}
+        backbone_r = {k: v[dual] for k, v in backbone.items()}
         feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
         f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
         ce_r_value, ce_r_grad, _, _ = loss_terms(f_r, y_r)
@@ -381,13 +380,14 @@ def _check_lockstep(models, datasets_T, cfgs) -> None:
     """Rows of one stack must share their step schedule."""
     if len(models) > 1 and any(cfg.mode == "finetune-cC" for cfg in cfgs):
         raise ConfigError("finetune-cC models train alone, not in a lockstep stack")
-    schedules = {(model.backbone_spec, model.head_T_spec, len(dataset_T), cfg.epochs, cfg.batch_size_T,
-                  cfg.batch_size_R, cfg.lr, cfg.momentum, cfg.lam, cfg.alpha1, cfg.alpha2)
-                 for model, dataset_T, cfg in zip(models, datasets_T, cfgs)}
+    first = cfgs[0]
+    shapes = {(model.backbone_spec, model.head_T_spec, len(dataset_T))
+              for model, dataset_T in zip(models, datasets_T)}
     reference_heads = {model.head_R_spec for model, cfg in zip(models, cfgs) if cfg.mode in _DUAL_MODES}
-    if len(schedules) > 1 or len(reference_heads) > 1:
+    if (len(shapes) > 1 or len(reference_heads) > 1
+            or any(replace(cfg, mode=first.mode, seed=first.seed) != first for cfg in cfgs)):
         raise ConfigError("models of one lockstep stack must share backbone, class counts, training-set "
-                          "size, epochs, batch sizes, lr, momentum, lambda, alpha1 and alpha2")
+                          "size and every training setting but mode and seed")
 
 
 def _epoch_set(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | None,
@@ -395,11 +395,11 @@ def _epoch_set(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | 
     """(x, y) that one epoch runs over: T, or in finetune-cC the union of
     T and the reference data relabeled past the known classes."""
     if cfg.mode != "finetune-cC":
-        return dataset_T.features(), dataset_T.labels()
-    x_parts, y_parts = [dataset_T.features()], [dataset_T.labels()]
+        return dataset_T.x, dataset_T.y
+    x_parts, y_parts = [dataset_T.x], [dataset_T.y]
     if dataset_R is not None:
-        x_parts.append(dataset_R.features())
-        y_parts.append(dataset_R.labels() + model.num_known)
+        x_parts.append(dataset_R.x)
+        y_parts.append(dataset_R.y + model.num_known)
     return np.concatenate(x_parts), np.concatenate(y_parts)
 
 
@@ -426,8 +426,8 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     Every row trains exactly as it would alone: the same parameters bit
     for bit and the same history. Rows may differ in mode (any of the
     four ablation modes), seed and data. They must share the step
-    schedule: backbone, class counts, len(dataset_T), epochs, batch
-    sizes, lr, momentum, lambda, alpha1 and alpha2 (else ConfigError).
+    schedule: backbone, class counts, len(dataset_T) and every other
+    TrainingConfig field (else ConfigError).
     finetune-cC models train alone. Each row draws its epoch permutations
     and reference reshuffles from its own seed stream, in the order a
     lone run does. Labels are validated once, by the Dataset invariants
@@ -451,7 +451,7 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     x_t, y_t, offsets_t = _pool(epoch_sets)
     dual = [row for row, c in enumerate(cfgs) if c.mode in _DUAL_MODES]
     if dual:
-        x_r, y_r, offsets_r = _pool([(datasets_R[row].features(), datasets_R[row].labels()) for row in dual])
+        x_r, y_r, offsets_r = _pool([(datasets_R[row].x, datasets_R[row].y) for row in dual])
     streams = [_IndexStream(len(datasets_R[row]), rngs[row]) for row in dual]
 
     n = len(epoch_sets[0][1])

@@ -20,7 +20,6 @@ from .dual_trainer import (
     EpochStats,
     TrainingConfig,
     build_dual_model,
-    train,
     train_lockstep,
 )
 from .errors import ConfigError, ProtocolError, check_integer, check_keys, check_list, check_number
@@ -337,7 +336,7 @@ def benchmark_config(data_seed: int = 0, reference_clusters: int = 8,
 @dataclass
 class ExperimentResult:
     mode: str
-    training_seed: int
+    seed: int
     auc: float
     accuracy: float
     model: DualBranchModel
@@ -357,30 +356,37 @@ def run_experiment(cfg: ExperimentConfig, mode: str | None = None,
     overrides = {key: value for key, value in (("mode", mode), ("seed", seed)) if value is not None}
     if overrides:
         cfg = replace(cfg, training=replace(cfg.training, **overrides))
-    model, history = train_model(cfg, data)
-    _, roc, accuracy = evaluate_detection(model, data)
-    return ExperimentResult(mode=cfg.training.mode, training_seed=cfg.training.seed, auc=roc.auc,
-                            accuracy=accuracy, model=model, history=history, data=data)
+    return _run([(cfg, data)])[0]
 
 
-def _build_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranchModel, Dataset | None]:
-    """The untrained model for the training mode, and the reference data
-    it trains on (None when the mode does not use it)."""
-    training = cfg.training
-    if training.uses_reference and data.reference is None:
-        raise ConfigError(f"mode {training.mode!r} needs a reference dataset")
-    reference = data.reference if training.uses_reference else None
-    num_reference = reference.n_classes if reference is not None else 0
-    model = build_dual_model(cfg.backbone, data.train_T.n_classes, num_reference,
-                             seed=training.seed, combined_head=training.mode == "finetune-cC")
-    return model, reference
+def train_models(runs) -> list[tuple[DualBranchModel, list[EpochStats]]]:
+    """Build each run's model for its training mode and train all of them
+    in one lockstep stack, each on its train split (plus the reference
+    data when the mode uses it); `runs` holds (ExperimentConfig,
+    ExperimentData) pairs. Returns (model, history) per run."""
+    models, references = [], []
+    for cfg, data in runs:
+        training = cfg.training
+        if training.uses_reference and data.reference is None:
+            raise ConfigError(f"mode {training.mode!r} needs a reference dataset")
+        reference = data.reference if training.uses_reference else None
+        models.append(build_dual_model(cfg.backbone, data.train_T.n_classes,
+                                       reference.n_classes if reference is not None else 0,
+                                       seed=training.seed, combined_head=training.mode == "finetune-cC"))
+        references.append(reference)
+    histories = train_lockstep(models, [data.train_T for _, data in runs], references,
+                               [cfg.training for cfg, _ in runs])
+    return list(zip(models, histories))
 
 
-def train_model(cfg: ExperimentConfig, data: ExperimentData) -> tuple[DualBranchModel, list[EpochStats]]:
-    """Build a dual-branch model for the training mode and train it on the
-    train split (plus the reference data when the mode uses it)."""
-    model, reference = _build_model(cfg, data)
-    return train(model, data.train_T, reference, cfg.training)
+def _run(runs) -> list[ExperimentResult]:
+    """Train the runs in one stack (train_models), then score each."""
+    results = []
+    for (cfg, data), (model, history) in zip(runs, train_models(runs)):
+        _, roc, accuracy = evaluate_detection(model, data)
+        results.append(ExperimentResult(mode=cfg.training.mode, seed=cfg.training.seed, auc=roc.auc,
+                                        accuracy=accuracy, model=model, history=history, data=data))
+    return results
 
 
 def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[
@@ -388,23 +394,12 @@ def evaluate_detection(model: DualBranchModel, data: ExperimentData) -> tuple[
     """Score the known test split and the novel data, one forward pass
     each, and return the score table (known rows first), the ROC curve
     with its AUC, and the closed-set accuracy on the known test split."""
-    if model.num_known != data.train_T.n_classes:
-        raise ProtocolError(
-            f"checkpoint has {model.num_known} known classes but dataset has {data.train_T.n_classes}")
     if data.novel is None:
         raise ProtocolError("evaluation needs novel samples; AUC is undefined without them")
     known = novelty_eval.score_dataset(model, data.test_T, is_novel=False)
     novel = novelty_eval.score_dataset(model, data.novel, is_novel=True, start_id=len(known))
     roc = novelty_eval.roc_auc(known.score, novel.score)
     return np.concatenate([known, novel]).view(np.recarray), roc, novelty_eval.closed_set_accuracy(known)
-
-
-@dataclass
-class AblationRow:
-    mode: str
-    seed: int
-    auc: float
-    accuracy: float
 
 
 def ablation_seed(base_seed: int, rep: int, mode_index: int, n_modes: int) -> int:
@@ -421,7 +416,7 @@ def _reseed_dataset_section(section: DatasetConfig, rep: int) -> DatasetConfig:
 
 
 def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
-                 base_seed: int | None = None) -> list[AblationRow]:
+                 base_seed: int | None = None) -> list[ExperimentResult]:
     """Run every mode n_seeds times.
 
     Within a rep, all modes share one data draw and split (so modes are
@@ -445,18 +440,11 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
             # canonical mode index, so a restricted run reproduces the
             # exact rows of the full matrix
             seed = ablation_seed(base_seed, rep, ABLATION_MODES.index(mode), len(ABLATION_MODES))
-            run_cfg = replace(cfg, training=replace(cfg.training, mode=mode, seed=seed))
-            runs.append((run_cfg.training, data) + _build_model(run_cfg, data))
-    train_lockstep([model for _, _, model, _ in runs], [data.train_T for _, data, _, _ in runs],
-                   [reference for _, _, _, reference in runs], [training for training, _, _, _ in runs])
-    rows = []
-    for training, data, model, _ in runs:
-        _, roc, accuracy = evaluate_detection(model, data)
-        rows.append(AblationRow(mode=training.mode, seed=training.seed, auc=roc.auc, accuracy=accuracy))
-    return rows
+            runs.append((replace(cfg, training=replace(cfg.training, mode=mode, seed=seed)), data))
+    return _run(runs)
 
 
-def ablation_means(rows: list[AblationRow]) -> dict[str, float]:
+def ablation_means(rows: list[ExperimentResult]) -> dict[str, float]:
     means: dict[str, float] = {}
     for mode in {row.mode for row in rows}:
         aucs = [row.auc for row in rows if row.mode == mode]

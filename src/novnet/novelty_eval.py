@@ -56,15 +56,17 @@ def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
     score = max over the known-class activations, predicted class = their
     argmax. For combined-head (finetune-cC) models only the first c
     outputs count; reference-class activations are evidence of novelty,
-    not identity. A known split must hold no more classes than the model
-    knows (ProtocolError), so every true class is one it can predict.
+    not identity. A known split must hold exactly the classes the model
+    knows (ProtocolError): with fewer, its labels are renumbered and do
+    not name the model's classes.
     """
-    if not is_novel and dataset.n_classes > model.num_known:
-        raise ProtocolError(f"known split has {dataset.n_classes} classes; the model knows {model.num_known}")
-    f = model.known_class_logits(dataset.features())
+    if not is_novel and dataset.n_classes != model.num_known:
+        raise ProtocolError(f"known split has {dataset.n_classes} classes; the model knows "
+                            f"{model.num_known} (known classes must match)")
+    f = model.known_class_logits(dataset.x)
     n = len(dataset)
     predicted = np.argmax(f, axis=1)
-    true_class = np.full(n, NOVEL_MARKER) if is_novel else dataset.labels()
+    true_class = np.full(n, NOVEL_MARKER) if is_novel else dataset.y
     return np.rec.fromarrays(
         [np.arange(start_id, start_id + n), f[np.arange(n), predicted], predicted,
          true_class, np.full(n, is_novel)],

@@ -154,7 +154,7 @@ def test_criterion_4_known_values():
 def test_criterion_5_weight_sharing():
     cfg = benchmark_config(epochs=5)
     data = assemble_datasets(cfg.dataset)
-    probe = data.test_T.features()[:16]
+    probe = data.test_T.x[:16]
     model = build_dual_model(benchmark_backbone(), data.train_T.n_classes,
                              data.reference.n_classes, seed=0)
     epochs_checked = []

@@ -307,14 +307,17 @@ class TestEval:
         assert roc_lines[0] == "threshold,fpr,tpr"
         assert roc_lines[-1].startswith("auc,")
 
-    def test_class_count_mismatch(self, tmp_path, capsys):
-        config, ckpt = self.run_train(tmp_path)
-        other = write_config(tmp_path, name="other.json", n_known=3)
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    @pytest.mark.parametrize("trained, given", [(2, 3), (3, 2)])
+    def test_class_count_mismatch(self, tmp_path, capsys, command, trained, given):
+        config, ckpt = self.run_train(tmp_path, n_known=trained)
+        other = write_config(tmp_path, name="other.json", n_known=given)
         out = tmp_path / "x"
-        rc = cli.main(["eval", "--config", str(other), "--checkpoint", str(ckpt),
+        rc = cli.main([command, "--config", str(other), "--checkpoint", str(ckpt),
                        "--out", str(out)])
         assert rc == 1
-        assert "known classes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "known classes" in err
         # error paths must not leave partial report files behind
         leftovers = [p.name for p in out.iterdir()] if out.exists() else []
         assert leftovers == []
@@ -480,9 +483,9 @@ class TestInspectFilters:
             ClusterSpec(tuple(1 - ref), 0.15, 20, "reference"),
         ), seed=1)
         known, _, reference = synth_gaussian(spec)
-        known = type(known)(known.features().reshape(-1, 1, 4, 4), known.labels(),
+        known = type(known)(known.x.reshape(-1, 1, 4, 4), known.y,
                             known.class_names, known.provenance)
-        reference = type(reference)(reference.features().reshape(-1, 1, 4, 4), reference.labels(),
+        reference = type(reference)(reference.x.reshape(-1, 1, 4, 4), reference.y,
                                     reference.class_names, reference.provenance)
         backbone = NetworkSpec((1, 4, 4), (Conv2d(1, 4, 3), Relu(), GlobalAveragePool()))
         model = build_dual_model(backbone, 2, 2, seed=2)

@@ -54,12 +54,12 @@ class TestLoadIdx:
         assert len(ds) == 10
         assert ds.sample_shape == (1, 5, 4)
         assert ds.class_names == ["3", "7"]
-        assert set(ds.labels().tolist()) == {0, 1}
+        assert set(ds.y.tolist()) == {0, 1}
 
     def test_pixel_scaling_endpoint(self, tmp_path):
         images = np.full((2, 2, 2), 255, dtype=np.uint8)
         ds = load_idx(*write_idx_pair(tmp_path, images, [0, 1]))
-        assert ds.features()[0].max() == 1.0
+        assert ds.x[0].max() == 1.0
 
     def test_truncated_payload(self, tmp_path):
         images = np.zeros((4, 3, 3), dtype=np.uint8)
@@ -137,7 +137,7 @@ class TestCsv:
         ds = load_csv(path)
         assert len(ds) == 3
         assert ds.class_names == ["a", "b"]  # sorted order
-        assert ds.labels().tolist() == [1, 0, 1]
+        assert ds.y.tolist() == [1, 0, 1]
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -184,8 +184,8 @@ class TestCsv:
         path.write_text(csv_text(["label", "f0", "f1", "f2"], rows))
         back = load_csv(path)
         assert back.class_names == ["one", "two"]
-        assert np.array_equal(back.features(), ds.features())
-        assert np.array_equal(back.labels(), ds.labels())
+        assert np.array_equal(back.x, ds.x)
+        assert np.array_equal(back.y, ds.y)
 
 
 class TestSynthGaussian:
@@ -203,7 +203,7 @@ class TestSynthGaussian:
 
     def test_degenerate_spread(self):
         known, _, _ = synth_gaussian(self.spec(stddev=1e-12))
-        for x, y in zip(known.features(), known.labels()):
+        for x, y in zip(known.x, known.y):
             mean = (1.0, 0.0, 0.0) if y == 0 else (0.0, 1.0, 0.0)
             assert np.max(np.abs(x - np.asarray(mean))) < 1e-9
 
@@ -211,8 +211,8 @@ class TestSynthGaussian:
         a = synth_gaussian(self.spec())
         b = synth_gaussian(self.spec())
         for da, db in zip(a, b):
-            assert np.array_equal(da.features(), db.features())
-            assert np.array_equal(da.labels(), db.labels())
+            assert np.array_equal(da.x, db.x)
+            assert np.array_equal(da.y, db.y)
 
     def test_law_of_large_numbers(self):
         spec = SyntheticSpec(
@@ -225,7 +225,7 @@ class TestSynthGaussian:
             seed=5,
         )
         known, _, _ = synth_gaussian(spec)
-        big = known.features()[known.labels() == 0]
+        big = known.x[known.y == 0]
         bound = 5 * 0.8 / np.sqrt(10000)
         assert np.all(np.abs(big.mean(axis=0) - np.array([3.0, -1.0])) < bound)
 
@@ -273,8 +273,8 @@ class TestSplitKnownNovel:
         ds = four_class_dataset()
         known, novel = split_known_novel(ds, SplitSpec())
         assert len(known) + len(novel) == len(ds)
-        combined = sorted(map(tuple, np.concatenate([known.features(), novel.features()]).tolist()))
-        original = sorted(map(tuple, ds.features().tolist()))
+        combined = sorted(map(tuple, np.concatenate([known.x, novel.x]).tolist()))
+        original = sorted(map(tuple, ds.x.tolist()))
         assert combined == original
 
     def test_unsorted_input_classes(self):
@@ -290,31 +290,31 @@ class TestSplitTrainTest:
         rng = np.random.default_rng(9)
         ds = Dataset(rng.standard_normal((20, 2)), np.arange(20) % 2, ["a", "b"], "x")
         train, test = split_train_test(ds, seed=0)
-        assert np.count_nonzero(train.labels() == 0) == 5
-        assert np.count_nonzero(test.labels() == 0) == 5
+        assert np.count_nonzero(train.y == 0) == 5
+        assert np.count_nonzero(test.y == 0) == 5
 
     def test_odd_count_extra_to_train(self):
         rng = np.random.default_rng(10)
         ds = Dataset(rng.standard_normal((11, 2)), [0] * 7 + [1] * 4, ["a", "b"], "x")
         train, test = split_train_test(ds, seed=0)
-        assert np.count_nonzero(train.labels() == 0) == 4
-        assert np.count_nonzero(test.labels() == 0) == 3
+        assert np.count_nonzero(train.y == 0) == 4
+        assert np.count_nonzero(test.y == 0) == 3
 
     def test_partition_per_class(self):
         ds = four_class_dataset()
         train, test = split_train_test(ds, seed=1)
-        combined = sorted(map(tuple, np.concatenate([train.features(), test.features()]).tolist()))
-        original = sorted(map(tuple, ds.features().tolist()))
+        combined = sorted(map(tuple, np.concatenate([train.x, test.x]).tolist()))
+        original = sorted(map(tuple, ds.x.tolist()))
         assert combined == original
-        assert set(train.labels().tolist()) == set(range(4))
-        assert set(test.labels().tolist()) == set(range(4))
+        assert set(train.y.tolist()) == set(range(4))
+        assert set(test.y.tolist()) == set(range(4))
 
     def test_deterministic(self):
         ds = four_class_dataset()
         a_train, a_test = split_train_test(ds, seed=2)
         b_train, b_test = split_train_test(ds, seed=2)
-        assert np.array_equal(a_train.features(), b_train.features())
-        assert np.array_equal(a_test.features(), b_test.features())
+        assert np.array_equal(a_train.x, b_train.x)
+        assert np.array_equal(a_test.x, b_test.x)
 
     def test_small_class_error(self):
         ds = Dataset(np.zeros((3, 2)), [0, 0, 1], ["a", "b"], "x")
@@ -359,7 +359,7 @@ class TestDatasetInvariants:
     def test_arrays_stored_not_copied(self):
         x, y = np.zeros((2, 2)), np.array([0, 1], dtype=np.int64)
         ds = Dataset(x, y, ["a", "b"], "x")
-        assert ds.features() is x and ds.labels() is y
+        assert ds.x is x and ds.y is y
 
     def test_split_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import json
 import os
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -106,7 +106,7 @@ class TestTrainStep:
 
         # independent two-pass decomposition oracle
         def branch_grads(head_spec, head, dataset, upstream_fn):
-            x, y = dataset.features(), dataset.labels()
+            x, y = dataset.x, dataset.y
             feat, cache_b = nn_core.forward(model.backbone_spec, model.backbone, x)
             f, cache_h = nn_core.forward(head_spec, head, feat)
             _, dfeat = nn_core.backward(head_spec, head, cache_h, upstream_fn(f, y))
@@ -162,7 +162,7 @@ class TestTrain:
     def test_shared_backbone_instance(self, trained_dual_full):
         model, _, datasets = trained_dual_full
         known, _, _ = datasets
-        x = known.features()[:4]
+        x = known.x[:4]
         f_t_before = model.known_logits(x)
         f_r_before = model.reference_logits(x)
         perturbed = {k: v + 0.1 for k, v in model.backbone.items()}
@@ -211,8 +211,8 @@ class TestTrain:
                 updated[name] = params[name] - 0.05 * velocity[key]
             return updated
 
-        x_all = known.features()
-        y_all = known.labels()
+        x_all = known.x
+        y_all = known.y
         rng = np.random.default_rng([11, 3])
         for _ in range(4):
             perm = rng.permutation(len(y_all))
@@ -514,7 +514,7 @@ class TestCheckpoint:
 class TestWeightSharingInvariant:
     def test_branches_see_identical_features_every_epoch(self, toy_datasets):
         known, _, reference = toy_datasets
-        probe = known.features()[:6]
+        probe = known.x[:6]
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=7)
         mismatches = []
 
@@ -552,14 +552,17 @@ def untrained(cfg, data):
     return model, reference
 
 
+SCHEDULE_FIELDS = [f.name for f in fields(TrainingConfig) if f.name not in ("mode", "seed")]
+
+
 class TestLockstep:
     def assert_rows_match_lone_runs(self, runs):
-        built = [untrained(cfg, data) for cfg, data in runs]
-        histories = train_lockstep([model for model, _ in built], [data.train_T for _, data in runs],
-                                   [reference for _, reference in built],
-                                   [cfg.training for cfg, _ in runs])
-        for (cfg, data), (model, _), history in zip(runs, built, histories):
-            alone, alone_history = experiments.train_model(cfg, data)
+        """Training the runs in one stack (experiments.train_models) gives
+        each row the parameters and history of training it alone."""
+        stacked = experiments.train_models(runs)
+        for (cfg, data), (model, history) in zip(runs, stacked):
+            alone, reference = untrained(cfg, data)
+            _, alone_history = train(alone, data.train_T, reference, cfg.training)
             for group in ("backbone", "head_T", "head_R"):
                 want, got = getattr(alone, group), getattr(model, group)
                 assert (want is None) == (got is None)
@@ -568,14 +571,16 @@ class TestLockstep:
                     assert all(want[k].tobytes() == got[k].tobytes() for k in want), (cfg.training, group)
             assert [h.to_dict() for h in history] == [h.to_dict() for h in alone_history]
 
-    def test_ablation_modes_over_two_reps_match_lone_training(self):
-        self.assert_rows_match_lone_runs(
-            config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=2))
+    @pytest.mark.parametrize("modes", [experiments.ABLATION_MODES, ("ce-only", "dual-ce"),
+                                       ("dual-ce", "dual-full")],
+                             ids=["all-modes", "no-membership-row", "every-row-dual"])
+    def test_ablation_modes_over_two_reps_match_lone_training(self, modes):
+        self.assert_rows_match_lone_runs(config_runs("benchmark-quick.json", modes, reps=2))
 
     def test_conv_rows_match_lone_training(self):
         self.assert_rows_match_lone_runs(config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1))
 
-    @pytest.mark.parametrize("mismatch", ["train_size", "epochs", "lr", "finetune"])
+    @pytest.mark.parametrize("mismatch", ["train_size", "finetune", *SCHEDULE_FIELDS])
     def test_rows_must_share_the_step_schedule(self, toy_datasets, mismatch):
         known, _, _ = toy_datasets
         cfg = TrainingConfig(mode="ce-only", epochs=2, seed=0)
@@ -588,10 +593,11 @@ class TestLockstep:
             cfgs = [replace(c, mode="finetune-cC") for c in cfgs]
             combined = True
         else:
-            cfgs[1] = replace(cfgs[1], **{mismatch: {"epochs": 3, "lr": 0.5}[mismatch]})
+            value = getattr(cfg, mismatch)
+            cfgs[1] = replace(cfgs[1], **{mismatch: value + 1 if isinstance(value, int) else value / 2})
         models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=c.seed, combined_head=combined)
                   for c in cfgs]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="lockstep stack"):
             train_lockstep(models, datasets, [None, None], cfgs)
 
     def test_divergence_names_the_stacked_model(self, toy_datasets):

@@ -153,7 +153,7 @@ class TestFilterReport:
             w[:, 0] = -np.abs(w[:, 0]) - 0.1
             gneg = {0}
         b = model.head_T["layer0.bias"][: model.num_known]
-        feat = model.backbone_features(known.features()[:5])
+        feat = model.backbone_features(known.x[:5])
         j = sorted(gneg)[0]
         bumped = feat.copy()
         bumped[:, j] += 1.0

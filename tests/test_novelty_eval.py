@@ -60,8 +60,8 @@ class TestNoveltyScore:
     def test_matches_hand_forward_pass(self, trained_dual_full):
         model, _, datasets = trained_dual_full
         known, _, _ = datasets
-        x = known.features()[0]
-        record = score_one(model, x, is_novel=False)
+        x = known.x[0]
+        record = score_one(model, x)
         # hand-executed forward: dense+relu backbone, dense head
         h = np.maximum(model.backbone["layer0.weight"] @ x + model.backbone["layer0.bias"], 0.0)
         f = model.head_T["layer0.weight"] @ h + model.head_T["layer0.bias"]
@@ -298,8 +298,8 @@ class TestClosedSetAccuracy:
         rng = np.random.default_rng(6)
         ds = Dataset(rng.standard_normal((20, 2)), np.arange(20) % 2, ["a", "b"], "rand")
         acc = closed_set_accuracy(score_dataset(model, ds, is_novel=False))
-        f = model.known_class_logits(ds.features())
-        err = float(np.mean(np.argmax(f, axis=1) != ds.labels()))
+        f = model.known_class_logits(ds.x)
+        err = float(np.mean(np.argmax(f, axis=1) != ds.y))
         assert abs(acc - (1.0 - err)) < 1e-15
 
     @pytest.mark.parametrize("seed", range(5))
