@@ -52,10 +52,8 @@ def cmd_train(args) -> int:
     [(model, history)] = experiments.train_models([(cfg, data)])
 
     history_path = os.path.join(out, "history.csv")
-    history_rows = [[h.epoch, repr(h.loss_ce_R), repr(h.loss_ce_T), repr(h.loss_m_T), repr(h.cumulative)]
-                    for h in history]
-    write_atomic(history_path,
-                 csv_text(["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"], history_rows))
+    header = ["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"]
+    write_atomic(history_path, csv_text(header, [[getattr(h, name) for h in history] for name in header]))
     final_metrics = history[-1].to_dict() if history else {}
     checkpoint_path = os.path.join(out, CHECKPOINT_NAME)
     save_checkpoint(model, cfg.training, checkpoint_path, epoch=len(history), metrics=final_metrics)
@@ -106,12 +104,13 @@ def cmd_ablate(args) -> int:
     out = _ensure_out(args.out)
     modes = (args.mode,) if args.mode else ABLATION_MODES
     rows = experiments.run_ablation(cfg, modes=modes, n_seeds=args.seeds, base_seed=args.seed)
-    csv_rows = [[row.mode, row.seed, repr(row.auc), repr(row.accuracy)] for row in rows]
     means = experiments.ablation_means(rows)
-    for mode in modes:
-        csv_rows.append([mode, "mean", repr(means[mode]), ""])
-    write_atomic(os.path.join(out, "ablation.csv"),
-                 csv_text(["mode", "seed", "auc", "accuracy"], csv_rows))
+    # One row per (mode, seed), then one `mean` row per mode.
+    columns = [[row.mode for row in rows] + list(modes),
+               [row.seed for row in rows] + ["mean"] * len(modes),
+               [row.auc for row in rows] + [means[mode] for mode in modes],
+               [row.accuracy for row in rows] + [""] * len(modes)]
+    write_atomic(os.path.join(out, "ablation.csv"), csv_text(["mode", "seed", "auc", "accuracy"], columns))
     for mode in modes:
         print(f"{mode}\t{means[mode]:.4f}")
     return 0

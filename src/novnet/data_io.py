@@ -12,7 +12,6 @@ arrays directly; no per-sample objects exist.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import struct
 import tempfile
@@ -298,13 +297,36 @@ def split_train_test(dataset: Dataset, seed: int, train_fraction: float = 0.5) -
     return train, test
 
 
-def csv_text(header, rows) -> str:
-    """CSV document text: one header row, then the rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.writer (excel dialect) would quote a field holding
+    `text`: it has a delimiter, quote, CR or LF. Each test is one C scan."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _quoted(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"'
+
+
+def csv_text(header, columns) -> str:
+    """CSV document text: the header row, then one row per position of
+    `columns`, which yields one iterable per header name, all of one
+    length. A generator of columns keeps only one column's values alive.
+
+    Each value is written as str(value); for a Python float that is its
+    shortest round-trip repr. The text is byte for byte what csv.writer
+    writes (\\r\\n line ends, minimal quoting), built column by column:
+    one scan of a column's joined text decides whether any of its fields
+    needs quotes, and rows are joined without per-row Python code.
+    """
+    # csv.writer also quotes the field of a one-field row when it is empty.
+    one_column = len(header) == 1
+    texts = []
+    for name, column in zip(header, columns, strict=True):
+        fields = [str(name), *map(str, column)]
+        if _needs_quotes("".join(fields)) or (one_column and "" in fields):
+            fields = [_quoted(f) if _needs_quotes(f) or (one_column and not f) else f for f in fields]
+        texts.append(fields)
+    return "\r\n".join(map(",".join, zip(*texts, strict=True))) + "\r\n"
 
 
 def write_atomic(path, data: "str | bytes") -> None:

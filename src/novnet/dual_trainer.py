@@ -11,9 +11,9 @@ Any number of models train in lockstep (train_lockstep): each
 parameter and its momentum is one array with a leading model axis, so
 one step of the whole stack is a fixed set of numpy calls, and each
 model ends bit-identical to training it alone. train() is the
-one-model case of the same loop. Every step computes the membership
-terms for every row and masks them to zero in the rows whose mode does
-not use the membership loss.
+one-model case of the same loop. Each step computes the membership
+terms only for the rows whose mode uses the membership loss; the other
+rows hold zeros.
 
 Training modes (ablation/baseline variants):
   ce-only        single branch, cross-entropy only
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import nn_core
-from .data_io import Dataset, read_exact, write_atomic
+from .data_io import Dataset, check_fits_in_memory, read_exact, write_atomic
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -46,7 +46,7 @@ from .errors import (
     check_keys,
     check_number,
 )
-from .losses import cumulative_loss, loss_terms
+from .losses import cross_entropy_terms, cumulative_loss, membership_terms
 from .nn_core import NetworkSpec, ParamSet
 
 CHECKPOINT_MAGIC = b"NVFG"
@@ -232,14 +232,15 @@ class TrainerState:
     checkpoints and filter analysis read the trained values directly.
     `velocity` mirrors `params` once the first update has run. `cfg` is
     the step schedule the rows share (the first row's config; rows may
-    differ only in mode and seed), and `alpha2` is each row's effective
-    membership weight.
+    differ only in mode and seed), `alpha2` is each row's effective
+    membership weight, and `membership_rows` selects the rows whose
+    mode uses the membership loss.
     """
 
     specs: tuple[NetworkSpec, NetworkSpec, NetworkSpec | None]
     params: dict[str, ParamSet]
     cfg: TrainingConfig
-    membership: np.ndarray
+    membership_rows: np.ndarray
     alpha2: np.ndarray
     dual_rows: np.ndarray
     velocity: dict[str, ParamSet] = field(default_factory=dict)
@@ -261,7 +262,7 @@ class TrainerState:
         return cls(
             specs=(models[0].backbone_spec, models[0].head_T_spec,
                    dual_models[0].head_R_spec if dual_models else None),
-            params=params, cfg=cfgs[0], membership=membership,
+            params=params, cfg=cfgs[0], membership_rows=np.flatnonzero(membership),
             alpha2=np.where(membership, cfgs[0].alpha2, 0.0),
             dual_rows=np.flatnonzero(dual))
 
@@ -273,10 +274,10 @@ class TrainerState:
             g = grads[group][name]
             if not np.isfinite(g).all():
                 bad = ~np.isfinite(g.reshape(len(g), -1)).all(axis=1)
-                models = np.arange(len(self.membership))
+                models = np.arange(len(self.alpha2))
                 if group == "head_R":
                     models = models[self.dual_rows]
-                where = f" of stacked model {models[np.argmax(bad)]}" if len(self.membership) > 1 else ""
+                where = f" of stacked model {models[np.argmax(bad)]}" if len(self.alpha2) > 1 else ""
                 raise DivergenceError(f"non-finite gradient for parameter '{group}.{name}'{where}")
         for group, name in named:
             velocity = self.velocity.setdefault(group, {})
@@ -296,18 +297,21 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
     backbone, head_t, head_r = (state.params[group] for group in ("backbone", "head_T", "head_R"))
-    rows = len(state.membership)
+    rows = len(state.alpha2)
     x_t, y_t = batch_T
 
     feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t)
     f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
-    membership = state.membership
-    ce_t, ce_t_grad, m_t, m_t_grad = loss_terms(f_t, y_t, cfg.lam)
-    m_t = np.where(membership, m_t, 0.0)
-    m_t_grad = np.where(membership[:, None, None], m_t_grad, 0.0)
-    # Every row computes the membership terms; rows without the membership
-    # loss mask them to zero. The zero is still added, as alpha2 * 0, so
-    # those rows' -0.0 gradients turn +0.0 whatever else the stack holds.
+    ce_t, ce_t_grad = cross_entropy_terms(f_t, y_t)
+    # Only the membership rows compute the membership terms. The other
+    # rows keep zeros, which are still added (as alpha2 * 0), so their
+    # -0.0 gradients turn +0.0 whatever the stack holds. With no such
+    # row the call is skipped: on an empty index it still costs most of
+    # a one-row call.
+    m_rows = state.membership_rows
+    m_t, m_t_grad = np.zeros(rows), np.zeros_like(f_t)
+    if m_rows.size:
+        m_t[m_rows], m_t_grad[m_rows] = membership_terms(f_t[m_rows], y_t[m_rows], cfg.lam)
     upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
     head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
     backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
@@ -320,7 +324,7 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         backbone_r = {k: v[dual] for k, v in backbone.items()}
         feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
         f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
-        ce_r_value, ce_r_grad, _, _ = loss_terms(f_r, y_r)
+        ce_r_value, ce_r_grad = cross_entropy_terms(f_r, y_r)
         ce_r[dual] = ce_r_value
         head_r_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_r_grad)
         backbone_r_grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
@@ -457,6 +461,13 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     n = len(epoch_sets[0][1])
     b_t, b_r = cfg.batch_size_T, cfg.batch_size_R
     steps = -(-n // b_t)
+    if dual:
+        # An epoch holds its reference indices for every step, and a step
+        # its gathered reference batch.
+        sample_values = math.prod(x_r.shape[1:])
+        check_fits_in_memory(len(dual) * b_r * (steps + sample_values),
+                             f"reference draw of 'batch_size_R' {b_r} for {len(dual)} dual model(s): "
+                             f"{steps} step(s) of indices per epoch and {sample_values} values per sample")
     for epoch in range(cfg.epochs):
         # Each row's epoch permutation comes first, then the reference
         # indices its steps will consume, as in the order of a lone run.
@@ -465,17 +476,30 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
         if streams:
             idx_r = np.array([stream.take(steps * b_r) for stream in streams]) + offsets_r
         sums = np.zeros((4, len(models)))
-        for step in range(steps):
-            t = idx_t[:, step * b_t:(step + 1) * b_t]
-            batch_R = None
-            if streams:
-                r = idx_r[:, step * b_r:(step + 1) * b_r]
-                batch_R = x_r[r], y_r[r]
-            sums += _lockstep_step(state, (x_t[t], y_t[t]), batch_R)
+        # A diverging step overflows before its loss or gradient checks
+        # raise, so numpy's floating-point warnings are silenced here.
+        with np.errstate(all="ignore"):
+            for step in range(steps):
+                t = idx_t[:, step * b_t:(step + 1) * b_t]
+                batch_R = None
+                if streams:
+                    r = idx_r[:, step * b_r:(step + 1) * b_r]
+                    batch_R = x_r[r], y_r[r]
+                try:
+                    sums += _lockstep_step(state, (x_t[t], y_t[t]), batch_R)
+                except DivergenceError as exc:
+                    raise DivergenceError(f"{exc} at epoch {epoch}, step {step}") from None
         for history, means in zip(histories, (sums / steps).T):
             history.append(EpochStats(epoch, *(float(v) for v in means)))
         if epoch_callback is not None:
             epoch_callback(epoch)
+    # Each step's loss check sees the previous update; the last update
+    # has no next step, so its result is checked here.
+    for group, group_params in state.params.items():
+        for name, value in group_params.items():
+            if not np.isfinite(value).all():
+                raise DivergenceError(f"non-finite parameter '{group}.{name}' after the last update "
+                                      f"at epoch {cfg.epochs - 1}, step {steps - 1}")
     return histories
 
 

@@ -69,24 +69,16 @@ def _as_logit_batch(f: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
     return f, check_labels(y, f.shape[0], f.shape[1]), single
 
 
-def loss_terms(f: np.ndarray, y: np.ndarray, lam: float | None = None):
-    """Fused kernel behind cross_entropy and membership_loss.
+def cross_entropy_terms(f: np.ndarray, y: np.ndarray):
+    """Batched kernel behind cross_entropy.
 
     f holds logits [..., n, c] (any leading model axes) and y labels
     [..., n], which must already lie in [0, c); nothing is validated
-    here. Returns (ce_value, ce_grad, m_value, m_grad): mean-reduced
-    values of shape [...] and gradients shaped like f. The membership
-    pair is computed only when lam is given, and is (None, None)
-    otherwise. CE comes from one shifted exp, the membership loss from
-    the one exp inside sigmoid.
+    here. Returns the mean-reduced value, of shape [...], and the
+    gradient, shaped like f, from one shifted exp.
     """
-    onehot = y[..., None] == np.arange(f.shape[-1])
-    ce = _cross_entropy_terms(f, onehot)
-    return ce + (_membership_terms(f, onehot, lam) if lam is not None else (None, None))
-
-
-def _cross_entropy_terms(f, onehot):
     n = f.shape[-2]
+    onehot = y[..., None] == np.arange(f.shape[-1])
     shifted = f - f.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
@@ -96,8 +88,11 @@ def _cross_entropy_terms(f, onehot):
     return -(log_p.sum(axis=-1) / n), (e / total - onehot) / n
 
 
-def _membership_terms(f, onehot, lam):
+def membership_terms(f: np.ndarray, y: np.ndarray, lam: float):
+    """Batched kernel behind membership_loss, with the shapes and the
+    preconditions of cross_entropy_terms; its one exp is inside sigmoid."""
     n, c = f.shape[-2:]
+    onehot = y[..., None] == np.arange(c)
     s = sigmoid(f)
     rest = 1.0 - s
     sp = s * rest
@@ -117,7 +112,7 @@ def cross_entropy(f: np.ndarray, y) -> LossResult:
     with n labels (mean reduction). grad = (softmax - onehot) / n.
     """
     f, y, single = _as_logit_batch(f, y)
-    value, grad, _, _ = loss_terms(f, y)
+    value, grad = cross_entropy_terms(f, y)
     return LossResult(float(value), grad[0] if single else grad)
 
 
@@ -134,7 +129,7 @@ def membership_loss(f: np.ndarray, y, params: MembershipParams = MembershipParam
     f, y, single = _as_logit_batch(f, y)
     if f.shape[1] < 2:
         raise ConfigError("membership loss needs at least 2 classes")
-    value, grad = _membership_terms(f, y[:, None] == np.arange(f.shape[1]), params.lam)
+    value, grad = membership_terms(f, y, params.lam)
     return LossResult(float(value), grad[0] if single else grad)
 
 

@@ -28,6 +28,7 @@ in the calling thread. Outputs do not depend on the thread count.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -323,9 +324,11 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) ->
         run(scratch[0])
         return out
     # Leaving the block joins every helper, also when the caller's share
-    # raises, so no thread still writes into out once this returns.
+    # raises, so no thread still writes into out once this returns. Each
+    # helper runs in a copy of the caller's context, so the caller's
+    # np.errstate holds in it too.
     with ThreadPoolExecutor(participants - 1, thread_name_prefix="novnet-conv") as pool:
-        futures = [pool.submit(run, buf) for buf in scratch[1:]]
+        futures = [pool.submit(contextvars.copy_context().run, run, buf) for buf in scratch[1:]]
         run(scratch[0])
     for f in futures:
         f.result()

@@ -63,7 +63,10 @@ def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
     if not is_novel and dataset.n_classes != model.num_known:
         raise ProtocolError(f"known split has {dataset.n_classes} classes; the model knows "
                             f"{model.num_known} (known classes must match)")
-    f = model.known_class_logits(dataset.x)
+    # Every reader of the table rejects non-finite scores (ROC,
+    # calibration), so numpy's overflow warnings are silenced here.
+    with np.errstate(all="ignore"):
+        f = model.known_class_logits(dataset.x)
     n = len(dataset)
     predicted = np.argmax(f, axis=1)
     true_class = np.full(n, NOVEL_MARKER) if is_novel else dataset.y
@@ -162,16 +165,28 @@ def closed_set_accuracy(known: np.recarray) -> float:
 SCORE_CSV_HEADER = ["sample_id", "score", "predicted_class", "true_class", "is_novel"]
 
 
+def _shared_text(values: np.ndarray) -> np.ndarray:
+    """str of every value, as an object array holding one shared str per
+    distinct value, each formatted once: for columns with many repeats.
+    Values that compare equal must print alike (not 0.0 and -0.0)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([str(v) for v in distinct.tolist()], dtype=object)[inverse]
+
+
 def write_score_report(records: np.ndarray, path) -> None:
-    # tolist() yields Python scalars, whose repr is the bare shortest
-    # round-trip form (repr of np.float64 would read "np.float64(...)").
-    rows = ([sample_id, repr(score), predicted, true_class, int(is_novel)]
-            for sample_id, score, predicted, true_class, is_novel in records.tolist())
-    write_atomic(path, csv_text(SCORE_CSV_HEADER, rows))
+    # One column at a time, so only one column's Python values exist at
+    # once. tolist() yields Python scalars: str of a Python float is its
+    # bare shortest round-trip repr (np.float64's repr reads
+    # "np.float64(...)"). Class columns and is_novel (written as 0/1)
+    # repeat a few values.
+    columns = (records[name].tolist() if name in ("sample_id", "score")
+               else _shared_text(records[name].astype(np.int64)) for name in SCORE_CSV_HEADER)
+    write_atomic(path, csv_text(SCORE_CSV_HEADER, columns))
 
 
 def write_roc_csv(roc: RocResult, path) -> None:
-    """`threshold,fpr,tpr` rows followed by a one-line `auc,<value>` trailer."""
-    rows = [[repr(t), repr(fpr), repr(tpr)] for t, (fpr, tpr) in zip(roc.thresholds, roc.points)]
-    rows.append(["auc", repr(roc.auc)])
-    write_atomic(path, csv_text(["threshold", "fpr", "tpr"], rows))
+    """`threshold,fpr,tpr` rows followed by a one-line `auc,<value>` trailer.
+    Rates are counts over a sample size, so they repeat along the curve."""
+    fpr, tpr = np.array(roc.points).T
+    text = csv_text(["threshold", "fpr", "tpr"], [roc.thresholds, _shared_text(fpr), _shared_text(tpr)])
+    write_atomic(path, f"{text}auc,{roc.auc!r}\r\n")

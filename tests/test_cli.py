@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,31 @@ class TestBadInputExitsCleanly:
         err = self.run_failing(["inspect-filters", "--checkpoint", checkpoint, "--out", str(tmp_path / "o")],
                                capsys)
         assert "truncated" in err
+
+    @pytest.mark.parametrize("command,training,named", [
+        ("train", {}, "non-finite cumulative loss nan at epoch 0, step 1"),
+        ("ablate", {}, "non-finite cumulative loss nan of stacked model 0 at epoch 0, step 1"),
+        # One step: training ends with finite weights whose scores overflow.
+        ("ablate", {"epochs": 1, "batch_size_T": 10**6}, "ROC needs finite scores"),
+    ], ids=["train", "ablate", "ablate-scores-overflow"])
+    def test_divergence(self, tmp_path, capsys, command, training, named):
+        """A diverging run ends in one line, naming the epoch and step when
+        training diverged: numpy's floating-point warnings never reach
+        the user."""
+        quick = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "benchmark-quick.json")
+        with open(quick) as fh:
+            cfg = json.load(fh)
+        cfg["training"].update(lr=1e300, **training)
+        config = tmp_path / "diverging.json"
+        config.write_text(json.dumps(cfg))
+        extra = ["--seeds", "1"] if command == "ablate" else []
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run_failing([command, "--config", str(config), "--out", str(out), *extra], capsys)
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert named in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_zero_ablation_seeds(self, tmp_path, capsys):
         config = write_config(tmp_path)

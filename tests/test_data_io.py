@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import struct
 
@@ -180,8 +182,8 @@ class TestCsv:
         values = rng.standard_normal((6, 3)) * np.array([1e-12, 1.0, 1e12])
         ds = Dataset(values, np.arange(6) % 2, ["one", "two"], provenance="mem")
         path = tmp_path / "rt.csv"
-        rows = ([ds.class_names[y]] + [repr(float(v)) for v in x] for x, y in zip(ds.x, ds.y))
-        path.write_text(csv_text(["label", "f0", "f1", "f2"], rows))
+        columns = [[ds.class_names[y] for y in ds.y], *ds.x.T.tolist()]
+        path.write_text(csv_text(["label", "f0", "f1", "f2"], columns))
         back = load_csv(path)
         assert back.class_names == ["one", "two"]
         assert np.array_equal(back.x, ds.x)
@@ -384,4 +386,26 @@ class TestWriteAtomic:
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
     def test_csv_text(self):
-        assert csv_text(["a", "b"], [[1, "x,y"]]) == 'a,b\r\n1,"x,y"\r\n'
+        assert csv_text(["a", "b"], [[1], ["x,y"]]) == 'a,b\r\n1,"x,y"\r\n'
+        with pytest.raises(ValueError):
+            csv_text(["a", "b"], [[1, 2], [3]])
+
+    # Fields that csv.writer quotes (delimiter, quote, CR, LF, and the
+    # empty field of a one-field row) next to ones it leaves bare.
+    CSV_FIELDS = st.one_of(st.text(alphabet=',"\r\nab \u00e9', max_size=5), st.text(max_size=5),
+                           st.integers(), st.floats())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_csv_text_matches_csv_writer(self, data):
+        """csv.writer is the independent oracle: same text for any table,
+        including one-column tables and tables with no rows."""
+        width = data.draw(st.integers(1, 4))
+        header = data.draw(st.lists(self.CSV_FIELDS, min_size=width, max_size=width))
+        rows = data.draw(st.lists(st.lists(self.CSV_FIELDS, min_size=width, max_size=width), max_size=6))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        columns = [[row[j] for row in rows] for j in range(width)]
+        assert csv_text(header, columns) == buf.getvalue()

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import rng_dataset, small_backbone, small_synthetic
-from novnet import experiments, nn_core
+from novnet import dual_trainer, experiments, nn_core
 from novnet.data_io import Dataset
 from novnet.dual_trainer import (
     Checkpoint,
@@ -21,7 +21,7 @@ from novnet.dual_trainer import (
     train,
     train_lockstep,
 )
-from novnet.errors import ConfigError, CorruptionError, FormatError
+from novnet.errors import ConfigError, CorruptionError, DatasetError, FormatError
 from novnet.losses import MembershipParams, cross_entropy, membership_loss
 from novnet.nn_core import Dense, NetworkSpec, Relu
 
@@ -260,8 +260,43 @@ class TestTrain:
         known, _, reference = toy_datasets
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
         cfg = TrainingConfig(mode="dual-full", epochs=50, lr=1e9, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=r"at epoch \d+, step \d+$"):
             train(model, known, reference, cfg)
+
+    def test_divergence_in_the_last_update_raises(self, toy_datasets):
+        """No later step's loss check sees the last update, so training
+        checks the parameters it ends with."""
+        from novnet.errors import DivergenceError
+        known, _, _ = toy_datasets
+        large = Dataset(known.x * 100.0, known.y, list(known.class_names), "large")
+        cfg = TrainingConfig(mode="ce-only", epochs=1, lr=1e308, momentum=0.0, batch_size_T=len(known))
+        model = build_dual_model(small_backbone(), known.n_classes, 0, seed=0)
+        with pytest.raises(DivergenceError, match="non-finite parameter .* at epoch 0, step 0$"):
+            train(model, large, None, cfg)
+
+    def test_reference_draw_bounded_before_drawing(self, toy_datasets, monkeypatch):
+        """An epoch's reference draw larger than physical memory is
+        rejected from the sizes alone: no index is drawn."""
+        known, _, reference = toy_datasets
+        monkeypatch.setattr(dual_trainer._IndexStream, "take", None)
+        cfg = TrainingConfig(mode="dual-full", epochs=1, batch_size_R=10**15, seed=0)
+        model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
+        with pytest.raises(DatasetError, match="'batch_size_R' 1000000000000000 .* bytes of physical memory"):
+            train(model, known, reference, cfg)
+
+    def test_reference_draw_bound_counts_one_step_batch(self, toy_datasets, monkeypatch):
+        """The bound counts an epoch's reference indices and one step's
+        gathered batch, which are all that exist at once: many small
+        steps run where every step's batch together would not fit."""
+        known, _, reference = toy_datasets
+        b_r, steps, sample_values = 64, len(known), reference.x.shape[1]
+        memory = 2 * 8 * b_r * (steps + sample_values)
+        assert 8 * steps * b_r * sample_values > memory
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
+        cfg = TrainingConfig(mode="dual-full", epochs=1, batch_size_T=1, batch_size_R=b_r, seed=0)
+        model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
+        _, history = train(model, known, reference, cfg)
+        assert len(history) == 1
 
     def test_epoch_callback_sees_every_epoch(self, toy_datasets):
         known, _, reference = toy_datasets
@@ -608,6 +643,32 @@ class TestLockstep:
         models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=c.seed) for c in cfgs]
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="stacked model 1"):
             train_lockstep(models, [known, huge], [None, None], cfgs)
+
+
+class TestMembershipMask:
+    def test_rows_without_membership_pass_positive_zeros_to_the_head(self, toy_datasets, monkeypatch):
+        """With alpha1 = 0 a ce-only row's gradient at the known head's
+        output is all zeros. Stacked beside a membership row, its masked
+        membership gradient adds +0.0, so no entry is -0.0: the same bits
+        as a lone ce-only run, which skips the membership terms."""
+        known, _, _ = toy_datasets
+        head_upstream = []
+        real_backward = nn_core.backward
+
+        def spy(spec, params, cache, dl_df, **kwargs):
+            if spec.layers == (Dense(8, known.n_classes),):
+                head_upstream.append(dl_df.copy())
+            return real_backward(spec, params, cache, dl_df, **kwargs)
+
+        monkeypatch.setattr(nn_core, "backward", spy)
+        for modes in (("ce-only", "ce+membership"), ("ce-only",)):
+            cfgs = [TrainingConfig(mode=mode, alpha1=0.0, epochs=1, batch_size_T=len(known), seed=0)
+                    for mode in modes]
+            models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=0) for _ in cfgs]
+            train_lockstep(models, [known] * len(cfgs), [None] * len(cfgs), cfgs)
+        stacked, alone = head_upstream
+        assert not np.signbit(stacked[0]).any() and not np.signbit(alone[0]).any()
+        assert stacked[0].tobytes() == alone[0].tobytes()
 
 
 class TestBackboneInputGradient:

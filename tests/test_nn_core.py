@@ -474,6 +474,29 @@ class TestConvSplit:
         time.sleep(0.2)
         assert calls_after_return == []
 
+    def test_helpers_follow_the_callers_errstate(self, monkeypatch):
+        """Every chunk runs under the caller's np.errstate, so a caller
+        that silences overflow hears no warning from a helper thread."""
+        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
+        einsum = np.einsum
+        overflow_modes = []
+        helper_ran = threading.Event()
+
+        def recording_einsum(*args, **kwargs):
+            overflow_modes.append(np.geterr()["over"])
+            if threading.current_thread().name.startswith("novnet-conv"):
+                helper_ran.set()
+            else:
+                helper_ran.wait(timeout=60)  # the helper takes a chunk too
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recording_einsum)
+        x, w, b = conv_operands(np.random.default_rng(6), 4 * chunk_size(1, 1), 1)
+        with np.errstate(over="ignore"):
+            nn_core._conv2d_forward(x, w, b, 1)
+        assert helper_ran.is_set()
+        assert set(overflow_modes) == {"ignore"}
+
     @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
     def test_no_helper_thread_outlives_the_call(self, monkeypatch, fails):
         monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
