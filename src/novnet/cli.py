@@ -6,7 +6,9 @@ and/or a checkpoint, are deterministic given config + seed, and write
 reports atomically (temp file, rename on success). Training and
 evaluation run through the library's own `experiments.train_models` and
 `experiments.evaluate_detection`. Module errors surface as a one-line
-diagnostic on stderr and a nonzero exit code.
+diagnostic on stderr and a nonzero exit code. Each command computes its
+results before its first write, which creates the `--out` directory, so
+a command that fails while computing writes nothing.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from .nn_core import GlobalAveragePool
 CHECKPOINT_NAME = "checkpoint.nvfg"
 
 
-def _ensure_out(out_dir) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
 def _load_config(args) -> experiments.ExperimentConfig:
     """The parsed config, with the `--seed`/`--mode`/`--target-fnr` flags
     that were given replacing its values (and checked like them)."""
@@ -47,15 +44,14 @@ def _load_config(args) -> experiments.ExperimentConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = _ensure_out(args.out)
     data = experiments.assemble_datasets(cfg.dataset)
     [(model, history)] = experiments.train_models([(cfg, data)])
 
-    history_path = os.path.join(out, "history.csv")
+    history_path = os.path.join(args.out, "history.csv")
     header = ["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"]
     write_atomic(history_path, csv_text(header, [[getattr(h, name) for h in history] for name in header]))
     final_metrics = history[-1].to_dict() if history else {}
-    checkpoint_path = os.path.join(out, CHECKPOINT_NAME)
+    checkpoint_path = os.path.join(args.out, CHECKPOINT_NAME)
     save_checkpoint(model, cfg.training, checkpoint_path, epoch=len(history), metrics=final_metrics)
     print(checkpoint_path)
     print(history_path)
@@ -64,26 +60,24 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    out = _ensure_out(args.out)
     model = load_checkpoint(args.checkpoint).model
     data = experiments.assemble_datasets(cfg.dataset)
     records, roc, accuracy = experiments.evaluate_detection(model, data)
-    novelty_eval.write_score_report(records, os.path.join(out, "scores.csv"))
-    novelty_eval.write_roc_csv(roc, os.path.join(out, "roc.csv"))
+    novelty_eval.write_score_report(records, os.path.join(args.out, "scores.csv"))
+    novelty_eval.write_roc_csv(roc, os.path.join(args.out, "roc.csv"))
     summary = {
         "auc": round(roc.auc, 4),
         "accuracy": round(accuracy, 4),
         "n_known_test": len(data.test_T),
         "n_novel_test": len(data.novel),
     }
-    write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    write_atomic(os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     return 0
 
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
-    out = _ensure_out(args.out)
     model = load_checkpoint(args.checkpoint).model
     data = experiments.assemble_datasets(cfg.dataset)
     scores = novelty_eval.score_dataset(model, data.test_T, is_novel=False).score
@@ -94,14 +88,13 @@ def cmd_calibrate(args) -> int:
         "sample_count": threshold.sample_count,
         "realized_fnr": novelty_eval.realized_fnr(scores, threshold),
     }
-    write_atomic(os.path.join(out, "threshold.json"), json.dumps(payload, indent=2) + "\n")
+    write_atomic(os.path.join(args.out, "threshold.json"), json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload))
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    out = _ensure_out(args.out)
     modes = (args.mode,) if args.mode else ABLATION_MODES
     rows = experiments.run_ablation(cfg, modes=modes, n_seeds=args.seeds, base_seed=args.seed)
     means = experiments.ablation_means(rows)
@@ -110,14 +103,13 @@ def cmd_ablate(args) -> int:
                [row.seed for row in rows] + ["mean"] * len(modes),
                [row.auc for row in rows] + [means[mode] for mode in modes],
                [row.accuracy for row in rows] + [""] * len(modes)]
-    write_atomic(os.path.join(out, "ablation.csv"), csv_text(["mode", "seed", "auc", "accuracy"], columns))
+    write_atomic(os.path.join(args.out, "ablation.csv"), csv_text(["mode", "seed", "auc", "accuracy"], columns))
     for mode in modes:
         print(f"{mode}\t{means[mode]:.4f}")
     return 0
 
 
 def cmd_inspect_filters(args) -> int:
-    out = _ensure_out(args.out)
     checkpoint = load_checkpoint(args.checkpoint)
     model = checkpoint.model
     layers = model.backbone_spec.layers
@@ -126,9 +118,9 @@ def cmd_inspect_filters(args) -> int:
             "filter inspection needs a backbone ending in global-average-pool feeding the dense head")
     weights = model.head_T["layer0.weight"][: model.num_known]
     report = build_filter_report(weights)
-    write_atomic(os.path.join(out, "filter_report.json"),
+    write_atomic(os.path.join(args.out, "filter_report.json"),
                  json.dumps(report.to_json_dict(), indent=2) + "\n")
-    print(os.path.join(out, "filter_report.json"))
+    print(os.path.join(args.out, "filter_report.json"))
     return 0
 
 
@@ -180,10 +172,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NovnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NovnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -331,10 +331,14 @@ def csv_text(header, columns) -> str:
 
 def write_atomic(path, data: "str | bytes") -> None:
     """Write `data` (text is UTF-8 encoded) to a temp file beside `path`
-    and rename it into place only once the write has succeeded."""
+    and rename it into place only once the write has succeeded. The
+    directory is created on the first write into it, so a command that
+    fails before it writes leaves nothing behind."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

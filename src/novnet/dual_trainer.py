@@ -342,19 +342,24 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
 
 
 class _IndexStream:
-    """Endless stream of dataset indices: shuffled, reshuffled on exhaustion."""
+    """Endless stream of dataset indices: shuffled, reshuffled on exhaustion.
+    Indices are held as int64, the 8 bytes each that the reference-draw
+    bound counts."""
 
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.queue: list[int] = []
+        self.queue = np.empty(0, dtype=np.int64)
 
-    def take(self, k: int) -> list[int]:
-        while len(self.queue) < k:
-            self.queue.extend(self.rng.permutation(self.n).tolist())
-        out = self.queue[:k]
-        del self.queue[:k]
-        return out
+    def take(self, k: int) -> np.ndarray:
+        held = len(self.queue)
+        reshuffles = -(-max(k - held, 0) // self.n)
+        queue = np.empty(held + reshuffles * self.n, dtype=np.int64)
+        queue[:held] = self.queue
+        for start in range(held, len(queue), self.n):
+            queue[start:start + self.n] = self.rng.permutation(self.n)
+        self.queue = queue[k:].copy()
+        return queue[:k]
 
 
 def _check_mode_datasets(model: DualBranchModel, dataset_T: Dataset,
@@ -531,17 +536,24 @@ class Checkpoint:
     metrics: dict = field(default_factory=dict)
 
 
-def _named_params(model: DualBranchModel):
-    for name, value in model.backbone.items():
-        yield f"backbone.{name}", value
-    for name, value in model.head_T.items():
-        yield f"head_T.{name}", value
-    if model.head_R is not None:
-        for name, value in model.head_R.items():
-            yield f"head_R.{name}", value
+def _records(model: DualBranchModel):
+    """(group, parameter name, shape) of every parameter record, in file
+    order. Save and load both take the order from here, and the names and
+    shapes from the model's specs."""
+    for group in ("backbone", "head_T", "head_R"):
+        spec = getattr(model, f"{group}_spec")
+        if spec is not None:
+            for name, shape in nn_core.param_shapes(spec).items():
+                yield group, name, shape
 
 
-def _metadata_bytes(model: DualBranchModel, cfg: TrainingConfig, epoch: int, metrics: dict) -> bytes:
+def _checkpoint_bytes(model: DualBranchModel, cfg: TrainingConfig, epoch: int, metrics: dict) -> bytes:
+    """The checkpoint file (binary, little-endian, magic 'NVFG').
+
+    Layout: magic, u32 version, u64-length-prefixed JSON metadata block,
+    then one record per parameter (u32 name length, name, u32 rank, u64
+    dims, float64 values).
+    """
     metadata = {
         "backbone": {"input_shape": list(model.backbone_spec.input_shape),
                      "layers": model.backbone_spec.to_dicts()},
@@ -552,36 +564,31 @@ def _metadata_bytes(model: DualBranchModel, cfg: TrainingConfig, epoch: int, met
         "epoch": epoch,
         "metrics": metrics,
     }
-    return json.dumps(metadata, sort_keys=True).encode("utf-8")
+    meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
+    parts = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(meta_bytes)), meta_bytes]
+    for group, name, _ in _records(model):
+        value = getattr(model, group)[name]
+        name_bytes = f"{group}.{name}".encode("utf-8")
+        parts += [struct.pack(f"<I{len(name_bytes)}sI{value.ndim}Q", len(name_bytes), name_bytes,
+                              value.ndim, *value.shape),
+                  np.ascontiguousarray(value, dtype="<f8").tobytes()]
+    return b"".join(parts)
 
 
 def save_checkpoint(model: DualBranchModel, cfg: TrainingConfig, path,
                     epoch: int = 0, metrics: dict | None = None) -> None:
-    """Write the checkpoint file (binary, little-endian, magic 'NVFG').
-
-    Layout: magic, u32 version, u64-length-prefixed JSON metadata block,
-    then one record per parameter (u32 name length, name, u32 rank, u64
-    dims, float64 values). The write is atomic: a temp file is renamed
-    into place only on success.
-    """
-    meta_bytes = _metadata_bytes(model, cfg, epoch, metrics or {})
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-             struct.pack("<Q", len(meta_bytes)), meta_bytes]
-    for name, value in _named_params(model):
-        name_bytes = name.encode("utf-8")
-        parts += [struct.pack("<I", len(name_bytes)), name_bytes, struct.pack("<I", value.ndim),
-                  struct.pack(f"<{value.ndim}Q", *value.shape),
-                  np.ascontiguousarray(value, dtype="<f8").tobytes()]
-    write_atomic(path, b"".join(parts))
+    """Write the checkpoint file atomically: a temp file is renamed into
+    place only on success."""
+    write_atomic(path, _checkpoint_bytes(model, cfg, epoch, metrics or {}))
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint; bit-exact round trip.
 
-    Damage anywhere in the file raises a FormatError subclass: the
-    metadata block must be exactly what save_checkpoint writes for the
-    values it decodes to, and every record must name a distinct model
-    parameter of the expected shape.
+    The metadata gives the specs, and the specs each record's name and
+    shape, so only the float64 values are read from the records. The file
+    loads only if it is exactly the bytes save_checkpoint writes for what
+    it decodes to; damage anywhere raises a FormatError subclass.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -594,66 +601,35 @@ def load_checkpoint(path) -> Checkpoint:
         meta_bytes = read_exact(fh, meta_len, "metadata")
         try:
             metadata = json.loads(meta_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CorruptionError(f"{path}: unreadable metadata block: {exc}") from None
-        tensors: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(4)
-            if head == b"":
-                break
-            if len(head) != 4:
-                raise CorruptionError("checkpoint truncated while reading record header")
-            (name_len,) = struct.unpack("<I", head)
-            try:
-                name = read_exact(fh, name_len, "parameter name").decode("utf-8")
-            except UnicodeDecodeError:
-                raise CorruptionError(f"{path}: parameter name is not UTF-8") from None
-            if name in tensors:
-                raise CorruptionError(f"{path}: duplicate parameter record {name!r}")
-            (rank,) = struct.unpack("<I", read_exact(fh, 4, "rank"))
-            dims = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, "dims"))
-            count = math.prod(dims)
-            data = read_exact(fh, 8 * count, f"data of {name}")
-            try:
-                tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
-            except ValueError:  # too many axes, or an axis too long for numpy
-                raise CorruptionError(f"{path}: parameter {name!r} has impossible dims {dims}") from None
-
-    try:
-        backbone_spec = nn_core.spec_from_dicts(metadata["backbone"]["input_shape"],
-                                                metadata["backbone"]["layers"])
-        cfg = TrainingConfig.from_dict(metadata["config"])
-        num_known, num_reference = int(metadata["num_known"]), int(metadata["num_reference"])
-        combined_head = bool(metadata["combined_head"])
-        epoch, metrics = int(metadata["epoch"]), dict(metadata["metrics"])
-        head_t_spec, head_r_spec = _head_specs(backbone_spec, num_known, num_reference, combined_head)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as exc:
-        # The file is at fault, not the caller's configuration.
-        raise CorruptionError(f"{path}: checkpoint metadata is missing or malformed: {exc!r}") from None
-    # The parameters are the file's tensors, filled in once the metadata
-    # checks out; nothing is drawn at random.
-    model = DualBranchModel(backbone_spec, head_t_spec, head_r_spec, backbone={}, head_T={}, head_R=None,
-                            num_known=num_known, num_reference=num_reference, combined_head=combined_head)
-    if _metadata_bytes(model, cfg, epoch, metrics) != meta_bytes:
-        raise CorruptionError(f"{path}: checkpoint metadata does not match the values it encodes")
-
-    def restore(spec: NetworkSpec, prefix: str) -> ParamSet:
-        out: ParamSet = {}
-        for name, shape in nn_core.param_shapes(spec).items():
-            full = f"{prefix}.{name}"
-            if full not in tensors:
-                raise CorruptionError(f"checkpoint missing parameter {full!r}")
-            if tensors[full].shape != shape:
-                raise FormatError(
-                    f"parameter {full!r} has shape {tensors[full].shape}, expected {shape}")
-            out[name] = tensors[full]
-        return out
-
-    model.backbone = restore(backbone_spec, "backbone")
-    model.head_T = restore(head_t_spec, "head_T")
-    if head_r_spec is not None:
-        model.head_R = restore(head_r_spec, "head_R")
-    unknown = sorted(set(tensors) - {name for name, _ in _named_params(model)})
-    if unknown:
-        raise FormatError(f"{path}: checkpoint has parameters the model does not: {unknown}")
+        try:
+            backbone_spec = nn_core.spec_from_dicts(metadata["backbone"]["input_shape"],
+                                                    metadata["backbone"]["layers"])
+            cfg = TrainingConfig.from_dict(metadata["config"])
+            num_known, num_reference = int(metadata["num_known"]), int(metadata["num_reference"])
+            combined_head = bool(metadata["combined_head"])
+            epoch, metrics = int(metadata["epoch"]), dict(metadata["metrics"])
+            head_t_spec, head_r_spec = _head_specs(backbone_spec, num_known, num_reference, combined_head)
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as exc:
+            # The file is at fault, not the caller's configuration.
+            raise CorruptionError(f"{path}: checkpoint metadata is missing or malformed: {exc!r}") from None
+        # The parameters are the file's values; nothing is drawn at random.
+        model = DualBranchModel(backbone_spec, head_t_spec, head_r_spec, backbone={}, head_T={},
+                                head_R=None if head_r_spec is None else {}, num_known=num_known,
+                                num_reference=num_reference, combined_head=combined_head)
+        for group, name, shape in _records(model):
+            full = f"{group}.{name}"
+            read_exact(fh, 4 + len(full) + 4 + 8 * len(shape), f"record header of {full}")
+            values = read_exact(fh, 8 * math.prod(shape), f"data of {full}")
+            getattr(model, group)[name] = np.frombuffer(values, dtype="<f8").reshape(shape).copy()
+        # The file must be the encoding of what it decoded to and nothing
+        # more; a short tail is read so the message can show any excess.
+        encoded = _checkpoint_bytes(model, cfg, epoch, metrics)
+        fh.seek(0)
+        data = fh.read(len(encoded) + 32)
+    if data != encoded:
+        excess = f"; it goes on past them with {data[len(encoded):]!r}" if data.startswith(encoded) else ""
+        raise CorruptionError(f"{path}: checkpoint is not the bytes save_checkpoint writes for what it "
+                              f"decodes to{excess}")
     return Checkpoint(version=version, model=model, config=cfg, epoch=epoch, metrics=metrics)

@@ -210,7 +210,7 @@ def parse_experiment_config(source) -> ExperimentConfig:
         try:
             with open(source) as fh:
                 raw = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deep
             raise ConfigError(f"config file {source} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {source} must hold a JSON object, got {type(raw).__name__}")

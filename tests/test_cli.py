@@ -4,15 +4,20 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from novnet import cli
 from novnet.dual_trainer import TrainingConfig, build_dual_model, load_checkpoint, save_checkpoint
 from novnet.nn_core import Conv2d, Dense, GlobalAveragePool, NetworkSpec, Relu
 from novnet.novelty_eval import auc_pairwise_oracle
+
+QUICK = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "benchmark-quick.json")
 
 
 def synthetic_section(n_known=2, per_cluster=24, with_reference=True, data_seed=0):
@@ -208,7 +213,7 @@ class TestBadInputExitsCleanly:
             err = self.run_failing([command, "--config", str(config), "--checkpoint", str(ckpt_path),
                                     "--out", str(out)], capsys)
             assert "finite" in err
-            assert list(out.iterdir()) == []  # no report with a NaN threshold or AUC
+            assert not out.exists()  # no report with a NaN threshold or AUC
 
     def dataset_config(self, tmp_path, dataset):
         cfg = json.loads(write_config(tmp_path).read_text())
@@ -287,8 +292,7 @@ class TestBadInputExitsCleanly:
         """A diverging run ends in one line, naming the epoch and step when
         training diverged: numpy's floating-point warnings never reach
         the user."""
-        quick = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "benchmark-quick.json")
-        with open(quick) as fh:
+        with open(QUICK) as fh:
             cfg = json.load(fh)
         cfg["training"].update(lr=1e300, **training)
         config = tmp_path / "diverging.json"
@@ -300,13 +304,75 @@ class TestBadInputExitsCleanly:
             err = self.run_failing([command, "--config", str(config), "--out", str(out), *extra], capsys)
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert named in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_zero_ablation_seeds(self, tmp_path, capsys):
         config = write_config(tmp_path)
         err = self.run_failing(["ablate", "--config", str(config), "--out", str(tmp_path / "o"),
                                 "--seeds", "0"], capsys)
         assert "seed" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "calibrate", "ablate", "inspect-filters"])
+    def test_late_failure_leaves_no_out(self, tmp_path, capsys, command):
+        """Each command here fails after building its data and model, and
+        still leaves no `--out`: the first write creates it, and every
+        result is computed before that."""
+        checkpoint = self.trained_checkpoint(tmp_path, capsys)
+        config = write_config(tmp_path)
+        if command in ("train", "ablate"):  # training diverges
+            cfg = json.loads(config.read_text())
+            cfg["training"]["lr"] = 1e300
+            config.write_text(json.dumps(cfg))
+        elif command in ("eval", "calibrate"):  # scores are not finite
+            ckpt = load_checkpoint(checkpoint)
+            ckpt.model.head_T["layer0.weight"][0, 0] = np.nan
+            save_checkpoint(ckpt.model, ckpt.config, checkpoint, epoch=ckpt.epoch, metrics=ckpt.metrics)
+        # inspect-filters: the dense backbone ends in no global-average-pool
+        out = tmp_path / "o"
+        argv = {"train": ["--config", str(config)], "ablate": ["--config", str(config), "--seeds", "1"],
+                "eval": ["--config", str(config), "--checkpoint", checkpoint],
+                "calibrate": ["--config", str(config), "--checkpoint", checkpoint],
+                "inspect-filters": ["--checkpoint", checkpoint]}[command]
+        self.run_failing([command, *argv, "--out", str(out)], capsys)
+        assert not out.exists()
+
+
+REAL_EDITS = [0.0, 1.0, -1.0, 5e-324, 1e300, -1e300]
+# No count between about 1e5 and the memory bound: a run would allocate it.
+INT_EDITS = [0, 1, -1, 10**18]
+
+
+class TestTrainFuzz:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_extreme_value_trains_or_fails_closed(self, capsys, data):
+        """One extreme value in a training or split key of the quick
+        benchmark config either trains or ends in one error line and
+        writes nothing. A RuntimeWarning is an error in this suite."""
+        with open(QUICK) as fh:
+            cfg = json.load(fh)
+        cfg["training"]["epochs"] = 2
+        sections = {"training": cfg["training"], "split": cfg["dataset"]["split"]}
+        section = data.draw(st.sampled_from(sorted(sections)), label="section")
+        key = data.draw(st.sampled_from(sorted(k for k, v in sections[section].items() if not isinstance(v, str))),
+                        label="key")
+        edits = REAL_EDITS if isinstance(sections[section][key], float) else INT_EDITS
+        value = data.draw(st.sampled_from(edits), label="value")
+        sections[section][key] = min(value, 2) if key == "epochs" else value
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+            with open(config, "w") as fh:
+                json.dump(cfg, fh)
+            capsys.readouterr()
+            code = cli.main(["train", "--config", config, "--out", out])
+            err = capsys.readouterr().err
+            assert code in (0, 1)
+            if code == 1:
+                assert len(err.splitlines()) == 1 and err.startswith("error: ")
+                assert not os.path.exists(out)
+            else:
+                assert os.path.exists(os.path.join(out, "checkpoint.nvfg"))
+                assert os.path.exists(os.path.join(out, "history.csv"))
 
 
 class TestEval:
@@ -345,8 +411,7 @@ class TestEval:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "known classes" in err
         # error paths must not leave partial report files behind
-        leftovers = [p.name for p in out.iterdir()] if out.exists() else []
-        assert leftovers == []
+        assert not out.exists()
 
 
     def test_sample_shape_mismatch(self, tmp_path, capsys):
@@ -362,7 +427,7 @@ class TestEval:
             assert rc == 1
             err = capsys.readouterr().err
             assert len(err.strip().splitlines()) == 1 and "shape" in err
-            assert not out.exists() or list(out.iterdir()) == []
+            assert not out.exists()
 
 
 class TestCalibrate:
@@ -567,6 +632,13 @@ class TestConfigParsing:
         rc = cli.main(["train", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 10**5 + "]" * 10**5)
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "is not valid JSON" in err
 
 
 def conv_image_config(tmp_path):

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -284,6 +286,20 @@ class TestTrain:
         with pytest.raises(DatasetError, match="'batch_size_R' 1000000000000000 .* bytes of physical memory"):
             train(model, known, reference, cfg)
 
+    def test_index_stream_holds_eight_bytes_per_index(self):
+        """The reference-draw bound counts 8 bytes per drawn index, so the
+        stream holds its indices as int64, during the draw and after."""
+        stream = dual_trainer._IndexStream(1600, np.random.default_rng(0))
+        k = 10**5
+        tracemalloc.start()
+        try:
+            indices = stream.take(k)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(indices) == k
+        assert held / k < 9 and peak / k < 9, (held / k, peak / k)
+
     def test_reference_draw_bound_counts_one_step_batch(self, toy_datasets, monkeypatch):
         """The bound counts an epoch's reference indices and one step's
         gathered batch, which are all that exist at once: many small
@@ -460,12 +476,38 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="head_X"):
             load_checkpoint(path)
 
+    def test_reordered_records_fail_closed(self, tmp_path):
+        """save_checkpoint writes the records in one order, so a file with
+        two whole records swapped does not load, though every record in
+        it names a parameter of the right shape."""
+        path, data = self.saved_bytes(tmp_path)
+        records, at = {}, 16 + int.from_bytes(data[8:16], "little")
+        while at < len(data):
+            (name_len,) = struct.unpack_from("<I", data, at)
+            name = data[at + 4:at + 4 + name_len].decode()
+            (rank,) = struct.unpack_from("<I", data, at + 4 + name_len)
+            dims = struct.unpack_from(f"<{rank}Q", data, at + 8 + name_len)
+            end = at + 8 + name_len + 8 * rank + 8 * math.prod(dims)
+            records[name], at = data[at:end], end
+        weight, bias = records["head_T.layer0.weight"], records["head_T.layer0.bias"]
+        assert weight + bias in data
+        path.write_bytes(data.replace(weight + bias, bias + weight))
+        with pytest.raises(CorruptionError, match="not the bytes save_checkpoint writes"):
+            load_checkpoint(path)
+
     def test_undecodable_parameter_name(self, tmp_path):
         path, data = self.saved_bytes(tmp_path)
         meta_len = int.from_bytes(data[8:16], "little")
         name_at = 16 + meta_len + 4
         path.write_bytes(data[:name_at] + b"\xff" + data[name_at + 1:])
         with pytest.raises(CorruptionError):
+            load_checkpoint(path)
+
+    def test_deeply_nested_metadata_is_corruption(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        meta = b"[" * 10**5 + b"]" * 10**5
+        path.write_bytes(data[:8] + len(meta).to_bytes(8, "little") + meta)
+        with pytest.raises(CorruptionError, match="unreadable metadata"):
             load_checkpoint(path)
 
     def test_invalid_metadata_values_are_corruption(self, tmp_path):
