@@ -3,7 +3,8 @@
 Commands: train, eval, calibrate, ablate, inspect-filters. Commands take
 a JSON experiment config (dataset/model/training/evaluation sections)
 and/or a checkpoint, are deterministic given config + seed, and write
-reports atomically (temp file, rename on success). Training and
+reports atomically (temp file, rename on success); `train` places its
+history and checkpoint together or neither. Training and
 evaluation run through the library's own `experiments.train_models` and
 `experiments.evaluate_detection`. Module errors surface as a one-line
 diagnostic on stderr and a nonzero exit code. Each command computes its
@@ -20,8 +21,8 @@ import sys
 from dataclasses import replace
 
 from . import experiments, novelty_eval
-from .data_io import csv_text, write_atomic
-from .dual_trainer import MODES, load_checkpoint, save_checkpoint
+from .data_io import csv_text, write_all_atomic, write_atomic
+from .dual_trainer import MODES, checkpoint_bytes, load_checkpoint
 from .errors import NovnetError, UnsupportedArchitectureError
 from .experiments import ABLATION_MODES, parse_experiment_config
 from .filter_analysis import build_filter_report
@@ -49,10 +50,13 @@ def cmd_train(args) -> int:
 
     history_path = os.path.join(args.out, "history.csv")
     header = ["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"]
-    write_atomic(history_path, csv_text(header, [[getattr(h, name) for h in history] for name in header]))
     final_metrics = history[-1].to_dict() if history else {}
     checkpoint_path = os.path.join(args.out, CHECKPOINT_NAME)
-    save_checkpoint(model, cfg.training, checkpoint_path, epoch=len(history), metrics=final_metrics)
+    # Both files are placed, or neither.
+    write_all_atomic({
+        history_path: csv_text(header, [[getattr(h, name) for h in history] for name in header]),
+        checkpoint_path: checkpoint_bytes(model, cfg.training, epoch=len(history), metrics=final_metrics),
+    })
     print(checkpoint_path)
     print(history_path)
     return 0

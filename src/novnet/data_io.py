@@ -12,9 +12,10 @@ arrays directly; no per-sample objects exist.
 from __future__ import annotations
 
 import csv
+import errno
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,20 +331,37 @@ def csv_text(header, columns) -> str:
 
 
 def write_atomic(path, data: "str | bytes") -> None:
-    """Write `data` (text is UTF-8 encoded) to a temp file beside `path`
-    and rename it into place only once the write has succeeded. The
-    directory is created on the first write into it, so a command that
-    fails before it writes leaves nothing behind."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write `data` to `path` atomically: write_all_atomic of one file."""
+    write_all_atomic({path: data})
+
+
+def write_all_atomic(files) -> None:
+    """Place every file of `files` (path -> str or bytes; text is UTF-8
+    encoded), or none of them.
+
+    Each file's data goes to a temp file beside its path, and the temp
+    files are renamed into place only once all of them are written; a
+    path that is a directory fails the call before anything is written.
+    Temp files get mode 0o666 less the process umask, as `open` gives a
+    new file. A directory is created on the first write into it, so a
+    command that fails before it writes leaves nothing behind.
+    """
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    staged = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f"tmp{secrets.token_hex(16)}.tmp")
+            with open(tmp, "xb") as fh:
+                staged.append(tmp)
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for tmp, path in zip(staged, files):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise

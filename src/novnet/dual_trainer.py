@@ -8,12 +8,16 @@ branches' contributions, which is mathematically identical to mirrored
 copies with synchronized updates.
 
 Any number of models train in lockstep (train_lockstep): each
-parameter and its momentum is one array with a leading model axis, so
-one step of the whole stack is a fixed set of numpy calls, and each
-model ends bit-identical to training it alone. train() is the
-one-model case of the same loop. Each step computes the membership
-terms only for the rows whose mode uses the membership loss; the other
-rows hold zeros.
+parameter is a [rows, *shape] view with a leading model axis into one
+flat buffer per stack, and the momentum is one array of the same size,
+so one step of the whole stack is a fixed set of numpy calls (one
+finiteness check and one momentum update), and each model ends
+bit-identical to training it alone. train() is the one-model case of
+the same loop. The stack holds its rows sorted by mode, so the rows
+with a reference branch and the rows with the membership loss are each
+one slice; each step computes the membership terms only for that slice,
+and the other rows hold zeros. Histories come back, and errors name
+rows, in the caller's order.
 
 Training modes (ablation/baseline variants):
   ce-only        single branch, cross-entropy only
@@ -46,7 +50,7 @@ from .errors import (
     check_keys,
     check_number,
 )
-from .losses import cross_entropy_terms, cumulative_loss, membership_terms
+from .losses import _combine, cross_entropy_terms, membership_terms
 from .nn_core import NetworkSpec, ParamSet
 
 CHECKPOINT_MAGIC = b"NVFG"
@@ -221,68 +225,96 @@ class EpochStats:
         return asdict(self)
 
 
+# Stack position of each mode. The rows are sorted by it (stably), so the
+# membership rows (ce+membership, dual-full) and the dual rows (dual-full,
+# dual-ce) each form one run, and a step selects them with slices.
+_STACK_ORDER = ("ce-only", "finetune-cC", "ce+membership", "dual-full", "dual-ce")
+
+
 @dataclass
 class TrainerState:
     """Parameters and momentum of the models of one lockstep stack.
 
-    `params[group][name]` is one [rows, *shape] array per parameter:
-    `backbone` and `head_T` have one row per model, and `head_R` one row
-    per dual-branch model, in stack order (`dual_rows` selects those
-    models). Each model's own dicts hold views of its rows, so scoring,
+    The rows are the models sorted by mode (_STACK_ORDER); `order[i]` is
+    the caller's index of row i. Every parameter of the stack lives in
+    one flat float64 buffer, `values`, and `params[group][name]` is a
+    [rows, *shape] view of it: `backbone` and `head_T` have one row per
+    model, `head_R` one per dual-branch model, the `dual_rows` slice of
+    the stack. Each model's own dicts hold views of its rows, so scoring,
     checkpoints and filter analysis read the trained values directly.
-    `velocity` mirrors `params` once the first update has run. `cfg` is
-    the step schedule the rows share (the first row's config; rows may
-    differ only in mode and seed), `alpha2` is each row's effective
-    membership weight, and `membership_rows` selects the rows whose
-    mode uses the membership loss.
+    `velocity` is the momentum buffer shaped like `values`, None before
+    the first update. `cfg` is the step schedule the rows share (the
+    caller's first config; rows may differ only in mode and seed),
+    `alpha2` is each row's effective membership weight, and the
+    `membership_rows` slice selects the rows whose mode uses the
+    membership loss.
     """
 
     specs: tuple[NetworkSpec, NetworkSpec, NetworkSpec | None]
+    values: np.ndarray
     params: dict[str, ParamSet]
     cfg: TrainingConfig
-    membership_rows: np.ndarray
+    order: np.ndarray
+    membership_rows: slice
     alpha2: np.ndarray
-    dual_rows: np.ndarray
-    velocity: dict[str, ParamSet] = field(default_factory=dict)
+    dual_rows: slice
+    velocity: np.ndarray | None = None
 
     @classmethod
     def stack(cls, models, cfgs) -> "TrainerState":
-        """Stack the models' parameters into new arrays and point each
-        model's dicts at its rows."""
-        dual = [cfg.mode in _DUAL_MODES for cfg in cfgs]
-        dual_models = [model for model, is_dual in zip(models, dual) if is_dual]
-        groups = {"backbone": models, "head_T": models, "head_R": dual_models}
-        params = {group: {name: np.stack([getattr(model, group)[name] for model in rows])
-                          for name in getattr(rows[0], group)} if rows else {}
-                  for group, rows in groups.items()}
+        """Sort the models into stack order, copy their parameters into
+        one new buffer and point each model's dicts at its rows."""
+        order = sorted(range(len(models)), key=lambda row: _STACK_ORDER.index(cfgs[row].mode))
+        models, modes = [models[row] for row in order], [cfgs[row].mode for row in order]
+        dual = sum(mode in _DUAL_MODES for mode in modes)
+        membership = [mode in _MEMBERSHIP_MODES for mode in modes]
+        first_membership = membership.index(True) if any(membership) else 0
+        dual_rows = slice(len(models) - dual, len(models))
+        groups = {"backbone": models, "head_T": models, "head_R": models[dual_rows]}
+        # Each parameter is one [rows, *shape] block of the buffer.
+        blocks = [(group, name, [getattr(model, group)[name] for model in rows])
+                  for group, rows in groups.items() if rows for name in getattr(rows[0], group)]
+        values = np.concatenate([value for _, _, stacked in blocks for value in stacked], axis=None)
+        params: dict[str, ParamSet] = {group: {} for group in groups}
+        start = 0
+        for group, name, stacked in blocks:
+            size = len(stacked) * stacked[0].size
+            params[group][name] = values[start:start + size].reshape(len(stacked), *stacked[0].shape)
+            start += size
         for group, rows in groups.items():
             for row, model in enumerate(rows):
                 setattr(model, group, {name: v[row] for name, v in params[group].items()})
-        membership = np.array([cfg.uses_membership for cfg in cfgs])
         return cls(
             specs=(models[0].backbone_spec, models[0].head_T_spec,
-                   dual_models[0].head_R_spec if dual_models else None),
-            params=params, cfg=cfgs[0], membership_rows=np.flatnonzero(membership),
-            alpha2=np.where(membership, cfgs[0].alpha2, 0.0),
-            dual_rows=np.flatnonzero(dual))
+                   models[-1].head_R_spec if dual else None),
+            values=values, params=params, cfg=cfgs[0], order=np.array(order),
+            membership_rows=slice(first_membership, first_membership + sum(membership)),
+            alpha2=np.where(membership, cfgs[0].alpha2, 0.0), dual_rows=dual_rows)
+
+    def first_bad(self, bad: np.ndarray, rows: slice = slice(None)) -> tuple[int, str]:
+        """Of the stack rows `rows` that `bad` marks, the position of the
+        one with the lowest caller index, and " of stacked model K" naming
+        that index ("" for a lone model)."""
+        positions = np.flatnonzero(bad)
+        callers = self.order[rows][positions]
+        k = np.argmin(callers)
+        return positions[k], f" of stacked model {callers[k]}" if len(self.order) > 1 else ""
 
     def apply_gradients(self, grads: dict[str, ParamSet]) -> None:
         """One SGD-with-momentum update of the whole stack; grads mirror
         params. Every gradient is checked before any parameter changes."""
-        named = [(group, name) for group, group_params in self.params.items() for name in group_params]
-        for group, name in named:
-            g = grads[group][name]
-            if not np.isfinite(g).all():
-                bad = ~np.isfinite(g.reshape(len(g), -1)).all(axis=1)
-                models = np.arange(len(self.alpha2))
-                if group == "head_R":
-                    models = models[self.dual_rows]
-                where = f" of stacked model {models[np.argmax(bad)]}" if len(self.alpha2) > 1 else ""
-                raise DivergenceError(f"non-finite gradient for parameter '{group}.{name}'{where}")
-        for group, name in named:
-            velocity = self.velocity.setdefault(group, {})
-            velocity[name] = nn_core.momentum_update(self.params[group][name], grads[group][name],
-                                                     velocity.get(name), self.cfg.lr, self.cfg.momentum)
+        flat = np.concatenate([grads[group][name] for group, group_params in self.params.items()
+                               for name in group_params], axis=None)
+        if not np.isfinite(flat).all():
+            for group, group_params in self.params.items():
+                rows = self.dual_rows if group == "head_R" else slice(None)
+                for name in group_params:
+                    g = grads[group][name]
+                    bad = ~np.isfinite(g.reshape(len(g), -1)).all(axis=1)
+                    if bad.any():
+                        where = self.first_bad(bad, rows)[1]
+                        raise DivergenceError(f"non-finite gradient for parameter '{group}.{name}'{where}")
+        self.velocity = nn_core.momentum_update(self.values, flat, self.velocity, self.cfg.lr, self.cfg.momentum)
 
 
 def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
@@ -290,9 +322,9 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
 
     batch_T is an ([M, b_T, ...], [M, b_T]) pair, batch_R the
     ([D, b_R, ...], [D, b_R]) reference batches of the dual rows (None
-    when there are none), with labels already validated. Returns the
-    [4, M] loss components (ce_R, ce_T, m_T, cumulative) at the
-    pre-update parameters.
+    when there are none), with labels already validated, both in stack
+    order. Returns the [4, M] loss components (ce_R, ce_T, m_T,
+    cumulative) at the pre-update parameters, in stack order.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
@@ -306,11 +338,11 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     # Only the membership rows compute the membership terms. The other
     # rows keep zeros, which are still added (as alpha2 * 0), so their
     # -0.0 gradients turn +0.0 whatever the stack holds. With no such
-    # row the call is skipped: on an empty index it still costs most of
+    # row the call is skipped: on an empty slice it still costs most of
     # a one-row call.
     m_rows = state.membership_rows
     m_t, m_t_grad = np.zeros(rows), np.zeros_like(f_t)
-    if m_rows.size:
+    if m_rows.start < m_rows.stop:
         m_t[m_rows], m_t_grad[m_rows] = membership_terms(f_t[m_rows], y_t[m_rows], cfg.lam)
     upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
     head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
@@ -324,18 +356,17 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         backbone_r = {k: v[dual] for k, v in backbone.items()}
         feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
         f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
-        ce_r_value, ce_r_grad = cross_entropy_terms(f_r, y_r)
-        ce_r[dual] = ce_r_value
+        ce_r[dual], ce_r_grad = cross_entropy_terms(f_r, y_r)
         head_r_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_r_grad)
         backbone_r_grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
-    total = cumulative_loss(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
+    # TrainingConfig has checked the weights.
+    total = _combine(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
     finite = np.isfinite(total)
     if not finite.all():
-        row = int(np.argmin(finite))
-        where = f" of stacked model {row}" if rows > 1 else ""
+        row, where = state.first_bad(~finite)
         raise DivergenceError(f"non-finite cumulative loss {total[row]}{where}")
     state.apply_gradients({"backbone": backbone_grads, "head_T": head_t_grads, "head_R": head_r_grads})
     return np.array([ce_r, ce_t, m_t, total])
@@ -439,9 +470,11 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     TrainingConfig field (else ConfigError).
     finetune-cC models train alone. Each row draws its epoch permutations
     and reference reshuffles from its own seed stream, in the order a
-    lone run does. Labels are validated once, by the Dataset invariants
-    and the mode/dataset checks. epoch_callback(epoch_index), when
-    given, runs after each epoch.
+    lone run does, so the stack's internal row order (TrainerState)
+    changes nothing. Histories are in the caller's order, and a
+    divergence names the caller's index of the row. Labels are validated
+    once, by the Dataset invariants and the mode/dataset checks.
+    epoch_callback(epoch_index), when given, runs after each epoch.
     """
     models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
     if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):
@@ -455,13 +488,16 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
         return histories
 
     state = TrainerState.stack(models, cfgs)
+    # From here on every list is in stack order.
+    models, datasets_T, datasets_R, cfgs = ([a[row] for row in state.order]
+                                            for a in (models, datasets_T, datasets_R, cfgs))
     rngs = [np.random.default_rng([c.seed, _STREAM_BATCHING]) for c in cfgs]
     epoch_sets = [_epoch_set(*args) for args in zip(models, datasets_T, datasets_R, cfgs)]
     x_t, y_t, offsets_t = _pool(epoch_sets)
-    dual = [row for row, c in enumerate(cfgs) if c.mode in _DUAL_MODES]
+    dual = datasets_R[state.dual_rows]
     if dual:
-        x_r, y_r, offsets_r = _pool([(datasets_R[row].x, datasets_R[row].y) for row in dual])
-    streams = [_IndexStream(len(datasets_R[row]), rngs[row]) for row in dual]
+        x_r, y_r, offsets_r = _pool([(d.x, d.y) for d in dual])
+    streams = [_IndexStream(len(d), rng) for d, rng in zip(dual, rngs[state.dual_rows])]
 
     n = len(epoch_sets[0][1])
     b_t, b_r = cfg.batch_size_T, cfg.batch_size_R
@@ -494,8 +530,8 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
                     sums += _lockstep_step(state, (x_t[t], y_t[t]), batch_R)
                 except DivergenceError as exc:
                     raise DivergenceError(f"{exc} at epoch {epoch}, step {step}") from None
-        for history, means in zip(histories, (sums / steps).T):
-            history.append(EpochStats(epoch, *(float(v) for v in means)))
+        for row, means in zip(state.order, (sums / steps).T):
+            histories[row].append(EpochStats(epoch, *(float(v) for v in means)))
         if epoch_callback is not None:
             epoch_callback(epoch)
     # Each step's loss check sees the previous update; the last update
@@ -547,7 +583,7 @@ def _records(model: DualBranchModel):
                 yield group, name, shape
 
 
-def _checkpoint_bytes(model: DualBranchModel, cfg: TrainingConfig, epoch: int, metrics: dict) -> bytes:
+def checkpoint_bytes(model: DualBranchModel, cfg: TrainingConfig, epoch: int, metrics: dict) -> bytes:
     """The checkpoint file (binary, little-endian, magic 'NVFG').
 
     Layout: magic, u32 version, u64-length-prefixed JSON metadata block,
@@ -579,7 +615,7 @@ def save_checkpoint(model: DualBranchModel, cfg: TrainingConfig, path,
                     epoch: int = 0, metrics: dict | None = None) -> None:
     """Write the checkpoint file atomically: a temp file is renamed into
     place only on success."""
-    write_atomic(path, _checkpoint_bytes(model, cfg, epoch, metrics or {}))
+    write_atomic(path, checkpoint_bytes(model, cfg, epoch, metrics or {}))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -625,7 +661,7 @@ def load_checkpoint(path) -> Checkpoint:
             getattr(model, group)[name] = np.frombuffer(values, dtype="<f8").reshape(shape).copy()
         # The file must be the encoding of what it decoded to and nothing
         # more; a short tail is read so the message can show any excess.
-        encoded = _checkpoint_bytes(model, cfg, epoch, metrics)
+        encoded = checkpoint_bytes(model, cfg, epoch, metrics)
         fh.seek(0)
         data = fh.read(len(encoded) + 32)
     if data != encoded:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LabelError
+from .errors import ConfigError, DimensionError, LabelError
 
 
 @dataclass
@@ -66,6 +66,8 @@ def _as_logit_batch(f: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
     if single:
         f = f[None, :]
         y = [y]
+    if 0 in f.shape:
+        raise DimensionError(f"a loss needs at least one sample and one class, got logits of shape {f.shape}")
     return f, check_labels(y, f.shape[0], f.shape[1]), single
 
 
@@ -79,7 +81,16 @@ def cross_entropy_terms(f: np.ndarray, y: np.ndarray):
     """
     n = f.shape[-2]
     onehot = y[..., None] == np.arange(f.shape[-1])
-    shifted = f - f.max(axis=-1, keepdims=True)
+    # The row max from ceil(log2 c) np.maximum calls over overlapping
+    # halves, which on the short class axis cost less than one reduction.
+    # Max is exact, so the results are bit-identical: only a tie of +0.0
+    # and -0.0 may pick the other zero, and such a row's total holds two
+    # ones, so no zero's sign reaches log_p.
+    top = f
+    while top.shape[-1] > 1:
+        h = -(-top.shape[-1] // 2)
+        top = np.maximum(top[..., :h], top[..., -h:])
+    shifted = f - top
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     # log-softmax of the true class, from the shifted logits so log(0)
@@ -142,4 +153,10 @@ def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1=1.0, alpha2=1.0):
     """
     if not (np.all(alpha1 >= 0) and np.all(alpha2 >= 0)):
         raise ConfigError("cumulative loss weights must be >= 0")
+    return _combine(l_ce_r, l_ce_t, l_m_t, alpha1, alpha2)
+
+
+def _combine(l_ce_r, l_ce_t, l_m_t, alpha1, alpha2):
+    """cumulative_loss without its weight check, for callers whose weights
+    are already validated (the trainer's, by TrainingConfig)."""
     return l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t

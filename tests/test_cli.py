@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -57,6 +58,31 @@ class TestTrain:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"]
         assert len(rows) == 4  # header + 3 epochs
+
+    def test_files_get_the_umask_mode(self, tmp_path):
+        """history.csv and the checkpoint are created as `open` creates a
+        file: mode 0o666 less the umask."""
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        umask = os.umask(0o022)
+        try:
+            assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        for name in ("history.csv", "checkpoint.nvfg"):
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644, name
+
+    @pytest.mark.parametrize("blocked", ["checkpoint.nvfg", "history.csv"])
+    def test_writes_both_files_or_neither(self, tmp_path, capsys, blocked):
+        """A target that cannot be placed (here, a directory) fails the
+        command before the other file appears."""
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert os.listdir(out) == [blocked]
 
     def test_zero_epochs_equals_initialization(self, tmp_path):
         config = write_config(tmp_path, epochs=0, seed=6)
@@ -342,37 +368,61 @@ REAL_EDITS = [0.0, 1.0, -1.0, 5e-324, 1e300, -1e300]
 INT_EDITS = [0, 1, -1, 10**18]
 
 
+def draw_extreme_config(data, path):
+    """Write the quick benchmark config with one training or split key set
+    to an extreme value (epochs capped at 2) to `path`."""
+    with open(QUICK) as fh:
+        cfg = json.load(fh)
+    cfg["training"]["epochs"] = 2
+    sections = {"training": cfg["training"], "split": cfg["dataset"]["split"]}
+    section = data.draw(st.sampled_from(sorted(sections)), label="section")
+    key = data.draw(st.sampled_from(sorted(k for k, v in sections[section].items() if not isinstance(v, str))),
+                    label="key")
+    edits = REAL_EDITS if isinstance(sections[section][key], float) else INT_EDITS
+    value = data.draw(st.sampled_from(edits), label="value")
+    sections[section][key] = min(value, 2) if key == "epochs" else value
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+
+
+def run_or_fail_closed(capsys, argv, out, outputs):
+    """cli.main(argv) exits 0 having written `outputs` into `out`, or 1
+    with one error line and no `out`. A RuntimeWarning is an error in
+    this suite."""
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not os.path.exists(out)
+    else:
+        assert all(os.path.exists(os.path.join(out, name)) for name in outputs)
+
+
 class TestTrainFuzz:
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_extreme_value_trains_or_fails_closed(self, capsys, data):
         """One extreme value in a training or split key of the quick
         benchmark config either trains or ends in one error line and
-        writes nothing. A RuntimeWarning is an error in this suite."""
-        with open(QUICK) as fh:
-            cfg = json.load(fh)
-        cfg["training"]["epochs"] = 2
-        sections = {"training": cfg["training"], "split": cfg["dataset"]["split"]}
-        section = data.draw(st.sampled_from(sorted(sections)), label="section")
-        key = data.draw(st.sampled_from(sorted(k for k, v in sections[section].items() if not isinstance(v, str))),
-                        label="key")
-        edits = REAL_EDITS if isinstance(sections[section][key], float) else INT_EDITS
-        value = data.draw(st.sampled_from(edits), label="value")
-        sections[section][key] = min(value, 2) if key == "epochs" else value
+        writes nothing."""
         with tempfile.TemporaryDirectory() as tmp:
             config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
-            with open(config, "w") as fh:
-                json.dump(cfg, fh)
-            capsys.readouterr()
-            code = cli.main(["train", "--config", config, "--out", out])
-            err = capsys.readouterr().err
-            assert code in (0, 1)
-            if code == 1:
-                assert len(err.splitlines()) == 1 and err.startswith("error: ")
-                assert not os.path.exists(out)
-            else:
-                assert os.path.exists(os.path.join(out, "checkpoint.nvfg"))
-                assert os.path.exists(os.path.join(out, "history.csv"))
+            draw_extreme_config(data, config)
+            run_or_fail_closed(capsys, ["train", "--config", config, "--out", out],
+                               out, ("checkpoint.nvfg", "history.csv"))
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_extreme_value_ablates_or_fails_closed(self, capsys, data):
+        """The same edits through `ablate`, whose four modes train in one
+        stack, reordered by mode."""
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+            draw_extreme_config(data, config)
+            run_or_fail_closed(capsys, ["ablate", "--config", config, "--out", out, "--seeds", "1"],
+                               out, ("ablation.csv",))
 
 
 class TestEval:

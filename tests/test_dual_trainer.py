@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -654,6 +655,13 @@ class TestLockstep:
     def test_ablation_modes_over_two_reps_match_lone_training(self, modes):
         self.assert_rows_match_lone_runs(config_runs("benchmark-quick.json", modes, reps=2))
 
+    def test_every_order_of_the_modes_matches_lone_training(self):
+        """The stack sorts its rows by mode; in any caller order each row
+        trains as it would alone, and histories come back in that order."""
+        runs = config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=1)
+        for order in itertools.permutations(runs):
+            self.assert_rows_match_lone_runs(list(order))
+
     def test_conv_rows_match_lone_training(self):
         self.assert_rows_match_lone_runs(config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1))
 
@@ -685,6 +693,19 @@ class TestLockstep:
         models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=c.seed) for c in cfgs]
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="stacked model 1"):
             train_lockstep(models, [known, huge], [None, None], cfgs)
+
+
+    def test_divergence_names_the_callers_row(self, toy_datasets):
+        """ce-only is stacked before dual-full; the message still names
+        the caller's index of the diverging row."""
+        from novnet.errors import DivergenceError
+        known, _, reference = toy_datasets
+        huge = Dataset(known.x * 1e300, known.y, list(known.class_names), "huge")
+        cfgs = [TrainingConfig(mode=mode, epochs=1, seed=seed) for seed, mode in enumerate(("dual-full", "ce-only"))]
+        models = [build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0),
+                  build_dual_model(small_backbone(), known.n_classes, 0, seed=1)]
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="stacked model 1"):
+            train_lockstep(models, [known, huge], [reference, None], cfgs)
 
 
 class TestMembershipMask:

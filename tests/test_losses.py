@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from novnet.errors import ConfigError, LabelError
+from novnet.errors import ConfigError, DimensionError, LabelError
 from novnet.losses import (
     MembershipParams,
     cross_entropy,
+    cross_entropy_terms,
     cumulative_loss,
     membership_loss,
     sigmoid,
@@ -133,9 +137,49 @@ class TestCrossEntropy:
         singles = [cross_entropy(f[i], y[i]).value for i in range(2)]
         assert abs(r.value - np.mean(singles)) < 1e-15
 
+    @pytest.mark.parametrize("loss", [cross_entropy, membership_loss])
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (0,)])
+    def test_empty_batch_rejected(self, loss, shape):
+        with pytest.raises(DimensionError, match="at least one sample and one class"):
+            loss(np.zeros(shape), [] if len(shape) > 1 else 0)
+
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):
             cross_entropy(np.zeros(3), 3)
+
+
+def cross_entropy_terms_with_max_reduction(f, y):
+    """cross_entropy_terms as written with one max reduction over the
+    class axis: the bit-for-bit oracle of its max tree."""
+    n = f.shape[-2]
+    onehot = y[..., None] == np.arange(f.shape[-1])
+    shifted = f - f.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    log_p = shifted[onehot].reshape(onehot.shape[:-1]) - np.log(total[..., 0])
+    return -(log_p.sum(axis=-1) / n), (e / total - onehot) / n
+
+
+LOGITS = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                   st.floats(allow_nan=False), st.floats(-4.0, 4.0))
+
+
+class TestCrossEntropyTerms:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_bits_match_the_max_reduction(self, data):
+        """Values and gradients keep every bit, sign bits and NaNs
+        included, for 1-16 classes and leading shapes up to [5, 40]."""
+        c = data.draw(st.integers(1, 16), label="classes")
+        models = data.draw(st.one_of(st.just(()), st.tuples(st.integers(1, 5))), label="models")
+        lead = models + (data.draw(st.integers(1, 40), label="n"),)
+        f = data.draw(hnp.arrays(np.float64, lead + (c,), elements=LOGITS), label="f")
+        y = data.draw(hnp.arrays(np.int64, lead, elements=st.integers(0, c - 1)), label="y")
+        with np.errstate(all="ignore"):
+            got = cross_entropy_terms(f, y)
+            want = cross_entropy_terms_with_max_reduction(f, y)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestMembershipLoss:

@@ -593,6 +593,36 @@ class TestSgdStep:
             assert all(np.array_equal(before[g][k], getattr(model, g)[k]) for k in before[g])
 
 
+    # Stack order is ce-only (caller 1), dual-full (caller 2), dual-ce
+    # (caller 0); head_R holds the last two.
+    @pytest.mark.parametrize("group, rows, caller", [("backbone", [0], 1), ("backbone", [1, 2], 0),
+                                                     ("head_R", [0], 2), ("head_R", [1], 0)])
+    def test_nonfinite_gradient_names_the_callers_row(self, group, rows, caller):
+        spec = NetworkSpec((4,), (Dense(4, 3), Relu()))
+        modes = ("dual-ce", "ce-only", "dual-full")
+        models = [build_dual_model(spec, 2, 0 if mode == "ce-only" else 2, seed=seed)
+                  for seed, mode in enumerate(modes)]
+        state = TrainerState.stack(models, [TrainingConfig(mode=mode) for mode in modes])
+        assert state.order.tolist() == [1, 2, 0]
+        assert all(np.shares_memory(model.backbone["layer0.weight"], state.values) for model in models)
+        before = state.values.copy()
+        grads = {g: {k: np.zeros_like(v) for k, v in state.params[g].items()} for g in state.params}
+        grads[group]["layer0.bias"][rows, 1] = np.inf
+        with pytest.raises(DivergenceError, match=rf"'{group}\.layer0\.bias' of stacked model {caller}$"):
+            state.apply_gradients(grads)
+        assert state.values.tobytes() == before.tobytes()
+
+    def test_update_checks_every_gradient_with_one_call(self, monkeypatch):
+        model = build_dual_model(NetworkSpec((4,), (Dense(4, 3), Relu())), 2, 2, seed=0)
+        state = TrainerState.stack([model], [TrainingConfig(mode="dual-full")])
+        grads = {g: {k: np.ones_like(v) for k, v in state.params[g].items()} for g in state.params}
+        calls = []
+        real_isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or real_isfinite(a))
+        state.apply_gradients(grads)
+        assert calls == [state.values.shape]
+
+
 class TestFiniteDifferenceGrad:
     def test_quadratic(self):
         params = {"w": np.array([3.0])}
