@@ -62,6 +62,8 @@ def check_labels(y, n: int, c: int) -> np.ndarray:
 def _as_logit_batch(f: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
     """Normalize (f, y) to 2-D logits and a validated 1-D label array."""
     f = np.asarray(f, dtype=np.float64)
+    if f.ndim not in (1, 2):
+        raise DimensionError(f"a loss needs a logit vector or an [n, c] batch, got rank {f.ndim}")
     single = f.ndim == 1
     if single:
         f = f[None, :]

@@ -23,7 +23,10 @@ the calling thread plus helper threads, one per further CPU in the
 process's affinity mask. The helpers are started for that call and joined
 before it returns or raises; nothing persists between calls, so a forked
 child needs no special handling. Everything else, backward included, runs
-in the calling thread. Outputs do not depend on the thread count.
+in the calling thread. Outputs do not depend on the thread count. At
+stride 1 each chunk copies its column windows once, so every kernel
+offset's patch is contiguous over (i, j); outputs are unchanged by the
+copy.
 """
 
 from __future__ import annotations
@@ -302,34 +305,49 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) ->
     chunk = -(-_CHUNK_MACS // (cout * cin * k * k * h_out * w_out))
     starts = range(0, n, chunk)
     participants = max(1, min(len(starts), _cpu_count()))
-    # One scratch slab per participant, owned here, so threads allocate
-    # nothing of their own.
+    # One scratch slab and, at stride 1, one column-window slab per
+    # participant, owned here, so threads allocate nothing of their own.
     scratch = np.empty((participants, min(chunk, n), cout, h_out, w_out))
+    columns = np.empty((participants, k if stride == 1 else 0, min(chunk, n), cin, h, w_out))
     shared = iter(starts)  # a range iterator advances atomically under the GIL
 
-    def run(buf: np.ndarray) -> None:
+    def run(buf: np.ndarray, cols: np.ndarray) -> None:
         for s in shared:
             e = min(s + chunk, n)
             part, tmp = out[s:e], buf[:e - s]
+            windows = [x[s:e, :, :, v:v + stride * w_out:stride] for v in range(k)]
+            if stride == 1:
+                # Copy each column window once, so every patch below is
+                # contiguous over (i, j) and einsum runs it as one loop. At
+                # stride 1 a window's channels are contiguous exactly when
+                # x's are, so einsum keeps its summation kernel and the
+                # bits. A larger stride merges no rows, and a 1-row image
+                # narrower than the stride would get contiguous channels
+                # and another sum order, so its patches stay views of x.
+                for v in range(k):
+                    cols[v, :e - s] = windows[v]
+                windows = cols[:, :e - s]
             # Sum over kernel offsets: each (u, v) contributes a strided
-            # slice of x contracted with the matching kernel slab.
+            # row slice of column window v contracted with the matching
+            # kernel slab.
             for u in range(k):
                 for v in range(k):
-                    patch = x[s:e, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
+                    patch = windows[v][:, :, u:u + stride * h_out:stride]
                     np.einsum("ncij,oc->noij", patch, w[:, :, u, v], out=tmp)
                     part += tmp
             part += b[:, None, None]
 
     if participants == 1:
-        run(scratch[0])
+        run(scratch[0], columns[0])
         return out
     # Leaving the block joins every helper, also when the caller's share
     # raises, so no thread still writes into out once this returns. Each
     # helper runs in a copy of the caller's context, so the caller's
     # np.errstate holds in it too.
     with ThreadPoolExecutor(participants - 1, thread_name_prefix="novnet-conv") as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, buf) for buf in scratch[1:]]
-        run(scratch[0])
+        futures = [pool.submit(contextvars.copy_context().run, run, buf, cols)
+                   for buf, cols in zip(scratch[1:], columns[1:])]
+        run(scratch[0], columns[0])
     for f in futures:
         f.result()
     return out

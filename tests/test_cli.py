@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from novnet import cli
 from novnet.dual_trainer import TrainingConfig, build_dual_model, load_checkpoint, save_checkpoint
+from novnet.experiments import assemble_datasets, parse_experiment_config
 from novnet.nn_core import Conv2d, Dense, GlobalAveragePool, NetworkSpec, Relu
 from novnet.novelty_eval import auc_pairwise_oracle
 
@@ -122,6 +123,23 @@ class TestTrain:
         ckpt = load_checkpoint(out / "checkpoint.nvfg")
         assert ckpt.config.mode == "ce-only"
         assert ckpt.model.head_R is None
+
+    @pytest.mark.parametrize("train_fraction, small_side", [(0.001, "train_T"), (0.999, "test_T")])
+    def test_train_fraction_edges_keep_one_sample_per_class(self, tmp_path, train_fraction, small_side):
+        """A train_fraction near 0 or 1 is valid: the split keeps at least
+        one sample of every known class on each side, and no more on the
+        small one."""
+        with open(QUICK) as fh:
+            cfg = json.load(fh)
+        cfg["dataset"]["split"]["train_fraction"] = train_fraction
+        cfg["training"]["epochs"] = 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        data = assemble_datasets(parse_experiment_config(str(config)).dataset)
+        small = getattr(data, small_side)
+        assert np.bincount(small.y, minlength=small.n_classes).tolist() == [1] * small.n_classes
+        assert len(data.train_T) + len(data.test_T) > 2 * small.n_classes
 
 
 class TestBadInputExitsCleanly:
@@ -368,13 +386,15 @@ REAL_EDITS = [0.0, 1.0, -1.0, 5e-324, 1e300, -1e300]
 INT_EDITS = [0, 1, -1, 10**18]
 
 
-def draw_extreme_config(data, path):
-    """Write the quick benchmark config with one training or split key set
-    to an extreme value (epochs capped at 2) to `path`."""
+def draw_extreme_config(data, path, sections=("split", "training")):
+    """Write the quick benchmark config with one key of the named sections
+    (of training, split and evaluation) set to an extreme value (epochs
+    capped at 2) to `path`."""
     with open(QUICK) as fh:
         cfg = json.load(fh)
     cfg["training"]["epochs"] = 2
-    sections = {"training": cfg["training"], "split": cfg["dataset"]["split"]}
+    every = {"training": cfg["training"], "split": cfg["dataset"]["split"], "evaluation": cfg["evaluation"]}
+    sections = {name: every[name] for name in sections}
     section = data.draw(st.sampled_from(sorted(sections)), label="section")
     key = data.draw(st.sampled_from(sorted(k for k, v in sections[section].items() if not isinstance(v, str))),
                     label="key")
@@ -423,6 +443,35 @@ class TestTrainFuzz:
             draw_extreme_config(data, config)
             run_or_fail_closed(capsys, ["ablate", "--config", config, "--out", out, "--seeds", "1"],
                                out, ("ablation.csv",))
+
+
+class TestEvalFuzz:
+    """One checkpoint, trained once on the quick benchmark config, scored
+    under configs with one extreme split or evaluation value."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz-train")
+        with open(QUICK) as fh:
+            cfg = json.load(fh)
+        cfg["training"]["epochs"] = 2
+        config = out / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+        return str(out / "checkpoint.nvfg")
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("eval", ("summary.json", "scores.csv", "roc.csv")),
+        ("calibrate", ("threshold.json",)),
+    ])
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_extreme_value_scores_or_fails_closed(self, capsys, checkpoint, command, outputs, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+            draw_extreme_config(data, config, sections=("evaluation", "split"))
+            run_or_fail_closed(capsys, [command, "--config", config, "--checkpoint", checkpoint,
+                                        "--out", out], out, outputs)
 
 
 class TestEval:

@@ -143,6 +143,13 @@ class TestCrossEntropy:
         with pytest.raises(DimensionError, match="at least one sample and one class"):
             loss(np.zeros(shape), [] if len(shape) > 1 else 0)
 
+    @pytest.mark.parametrize("loss", [cross_entropy, membership_loss])
+    @pytest.mark.parametrize("shape, y", [((), 0), ((2, 3, 4), [0, 1]), ((1, 2, 3, 4), [0])],
+                             ids=["rank-0", "rank-3", "rank-4"])
+    def test_logits_of_other_ranks_rejected(self, loss, shape, y):
+        with pytest.raises(DimensionError, match=f"got rank {len(shape)}"):
+            loss(np.zeros(shape), y)
+
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):
             cross_entropy(np.zeros(3), 3)

@@ -3,9 +3,12 @@ import multiprocessing
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from novnet import nn_core
 from novnet.dual_trainer import TrainerState, TrainingConfig, build_dual_model
@@ -520,6 +523,26 @@ class TestConvSplit:
             assert not fails
         assert [t.name for t in threading.enumerate() if t.name.startswith("novnet-conv")] == []
         assert built == [1]  # the batch was split
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 5), h_extra=st.integers(0, 6), w_extra=st.integers(0, 6),
+           stride=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
+           chunk=st.integers(1, 3), n=st.integers(0, 8), cpus=st.sampled_from([1, 2]))
+    # A 1-row image narrower than the stride: copied column windows would
+    # have contiguous channels, and einsum would sum them in another order.
+    @example(k=1, h_extra=0, w_extra=1, stride=2, cin=4, cout=1, chunk=1, n=1, cpus=1)
+    def test_any_shape_equals_serial_loop(self, k, h_extra, w_extra, stride, cin, cout, chunk, n, cpus):
+        """Non-square images, every kernel size and stride, and batches
+        past two chunks of 1 to 3 samples: the bytes of the serial loop."""
+        h, win = k + h_extra, k + w_extra
+        h_out, w_out = (h - k) // stride + 1, (win - k) // stride + 1
+        rng = np.random.default_rng([h, win, k, stride, cin, cout, n])
+        x = rng.standard_normal((n, cin, h, win))
+        w, b = rng.standard_normal((cout, cin, k, k)), rng.standard_normal(cout)
+        with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * cout * cin * k * k * h_out * w_out), \
+                mock.patch.object(nn_core, "_cpu_count", lambda: cpus):
+            got = nn_core._conv2d_forward(x, w, b, stride)
+        assert got.tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
 
 
 def _digest_of_conv(spec, params, x, conn):
