@@ -26,6 +26,7 @@ from .errors import (
     CorruptionError,
     DatasetError,
     FormatError,
+    NovnetError,
     ParseError,
     ProtocolError,
     check_integer,
@@ -200,17 +201,18 @@ def load_csv(path) -> Dataset:
     return Dataset(np.stack(rows), labels, names.tolist(), provenance=str(path))
 
 
-def check_fits_in_memory(values: int, what: str) -> None:
-    """DatasetError naming `what` when `values` float64 values outgrow this
-    machine's physical memory, so an oversized dataset fails before it is
-    built. Platforms without sysconf skip the check."""
+def check_fits_in_memory(values: int, what: str, error: type[NovnetError] = DatasetError) -> None:
+    """`error` (a DatasetError by default) naming `what` when `values`
+    float64 values outgrow this machine's physical memory, so an oversized
+    dataset or model fails before it is built. Platforms without sysconf
+    skip the check."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if 8 * values > memory:
-        raise DatasetError(f"{what}: {8 * values} bytes of float64 values exceed the "
-                           f"{memory} bytes of physical memory")
+        raise error(f"{what}: {8 * values} bytes of float64 values exceed the "
+                    f"{memory} bytes of physical memory")
 
 
 def synth_gaussian(spec: SyntheticSpec) -> tuple[Dataset, Dataset, "Dataset | None"]:

@@ -197,9 +197,13 @@ def build_dual_model(backbone_spec: NetworkSpec, num_known: int, num_reference: 
     The backbone and the two heads draw from independent seed streams, so
     the heads never start identical. With combined_head=True the known
     head gets num_known + num_reference outputs and no reference head is
-    built (the finetune-cC baseline).
+    built (the finetune-cC baseline). A model whose parameters would
+    outgrow physical memory raises ConfigError before any weight is drawn.
     """
     head_t_spec, head_r_spec = _head_specs(backbone_spec, num_known, num_reference, combined_head)
+    count = sum(math.prod(shape) for spec in (backbone_spec, head_t_spec, head_r_spec) if spec is not None
+                for shape in nn_core.param_shapes(spec).values())
+    check_fits_in_memory(count, f"a model of {count} parameters", ConfigError)
     return DualBranchModel(
         backbone_spec=backbone_spec,
         head_T_spec=head_t_spec,

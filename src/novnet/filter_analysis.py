@@ -9,11 +9,12 @@ input belongs to none of the known classes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, LabelError
 
 
 @dataclass
@@ -43,12 +44,17 @@ def _check_weights(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _class_row(w: np.ndarray, class_index: int) -> np.ndarray:
+    # A bool would index a new axis, and a float no row at all.
+    if isinstance(class_index, bool) or not isinstance(class_index, numbers.Integral) \
+            or not 0 <= class_index < w.shape[0]:
+        raise LabelError(f"class index must be an integer in [0, {w.shape[0]}), got {class_index!r}")
+    return w[class_index]
+
+
 def classify_filters(w: np.ndarray, class_index: int) -> tuple[set[int], set[int]]:
     """Positive and negative filter index sets for one class row."""
-    w = _check_weights(w)
-    if not 0 <= class_index < w.shape[0]:
-        raise IndexError(f"class index {class_index} outside [0, {w.shape[0]})")
-    row = w[class_index]
+    row = _class_row(_check_weights(w), class_index)
     positive = set(np.flatnonzero(row > 0).tolist())
     negative = set(np.flatnonzero(row < 0).tolist())
     return positive, negative
@@ -65,15 +71,12 @@ def globally_negative_filters(w: np.ndarray) -> set[int]:
 def top_filters(w: np.ndarray, class_index: int, k_top: int, sign: str) -> list[int]:
     """Indices of the k_top largest (sign='positive') or smallest
     (sign='negative') weights for a class, ties broken by lower index."""
-    w = _check_weights(w)
-    if not 0 <= class_index < w.shape[0]:
-        raise IndexError(f"class index {class_index} outside [0, {w.shape[0]})")
-    k = w.shape[1]
+    row = _class_row(_check_weights(w), class_index)
+    k = row.shape[0]
     if not 1 <= k_top <= k:
         raise ConfigError(f"k_top must be in [1, {k}], got {k_top}")
     if sign not in ("positive", "negative"):
         raise ConfigError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    row = w[class_index]
     key = (lambda j: (-row[j], j)) if sign == "positive" else (lambda j: (row[j], j))
     return sorted(range(k), key=key)[:k_top]
 

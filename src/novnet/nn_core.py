@@ -17,24 +17,16 @@ forward/backward are pure functions of their arguments, so two calls with
 identical inputs return bit-identical outputs and may run concurrently on
 disjoint batches. Only momentum_update changes parameter values.
 
-A conv2d forward over a batch of at least two chunks (a chunk is the
-fewest samples holding _CHUNK_MACS multiply-adds) computes its chunks on
-the calling thread plus helper threads, one per further CPU in the
-process's affinity mask. The helpers are started for that call and joined
-before it returns or raises; nothing persists between calls, so a forked
-child needs no special handling. Everything else, backward included, runs
-in the calling thread. Outputs do not depend on the thread count. At
-stride 1 each chunk copies its column windows once, so every kernel
-offset's patch is contiguous over (i, j); outputs are unchanged by the
-copy.
+A conv2d forward runs its batch in chunks of at least _CHUNK_MACS
+multiply-adds, which bound its scratch buffers. At stride 1 each chunk
+copies its column windows once, so every kernel offset's patch is
+contiguous over (i, j); outputs are unchanged by the copy. Everything
+runs in the calling thread.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -43,8 +35,8 @@ from .errors import ConfigError, DimensionError, UsageError, check_integer, chec
 
 ParamSet = dict[str, np.ndarray]
 
-# A conv forward batch splits into chunks of at least this many
-# multiply-adds; a batch that holds fewer than two runs in the caller.
+# A conv forward batch runs in chunks of at least this many multiply-adds,
+# so its scratch buffers stay bounded however large the batch.
 _CHUNK_MACS = 1 << 21
 
 
@@ -283,73 +275,43 @@ def global_average_pool(g: np.ndarray) -> np.ndarray:
     return g.mean(axis=(-2, -1))
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: the participants of a split conv.
-    Platforms without affinity masks report every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
     n, cin, h, win = x.shape
     cout, _, k, _ = w.shape
     h_out = (h - k) // stride + 1
     w_out = (win - k) // stride + 1
     out = np.zeros((n, cout, h_out, w_out))
-    # Samples are independent, so the batch splits into chunks of at least
-    # _CHUNK_MACS multiply-adds. The chunks depend on the shapes only, and
-    # every output element comes from the same einsum and += calls in the
-    # same offset order whichever thread computes it: the result is
-    # bit-identical at any participant count.
+    # Samples are independent, so the batch runs in chunks of at least
+    # _CHUNK_MACS multiply-adds. The chunks exist to bound the scratch and
+    # column-window buffers below, and so the peak memory of a large batch.
+    # Every output element comes from the same einsum and += calls in the
+    # same offset order at any chunk size: the result is bit-identical.
     chunk = -(-_CHUNK_MACS // (cout * cin * k * k * h_out * w_out))
-    starts = range(0, n, chunk)
-    participants = max(1, min(len(starts), _cpu_count()))
-    # One scratch slab and, at stride 1, one column-window slab per
-    # participant, owned here, so threads allocate nothing of their own.
-    scratch = np.empty((participants, min(chunk, n), cout, h_out, w_out))
-    columns = np.empty((participants, k if stride == 1 else 0, min(chunk, n), cin, h, w_out))
-    shared = iter(starts)  # a range iterator advances atomically under the GIL
-
-    def run(buf: np.ndarray, cols: np.ndarray) -> None:
-        for s in shared:
-            e = min(s + chunk, n)
-            part, tmp = out[s:e], buf[:e - s]
-            windows = [x[s:e, :, :, v:v + stride * w_out:stride] for v in range(k)]
-            if stride == 1:
-                # Copy each column window once, so every patch below is
-                # contiguous over (i, j) and einsum runs it as one loop. At
-                # stride 1 a window's channels are contiguous exactly when
-                # x's are, so einsum keeps its summation kernel and the
-                # bits. A larger stride merges no rows, and a 1-row image
-                # narrower than the stride would get contiguous channels
-                # and another sum order, so its patches stay views of x.
-                for v in range(k):
-                    cols[v, :e - s] = windows[v]
-                windows = cols[:, :e - s]
-            # Sum over kernel offsets: each (u, v) contributes a strided
-            # row slice of column window v contracted with the matching
-            # kernel slab.
-            for u in range(k):
-                for v in range(k):
-                    patch = windows[v][:, :, u:u + stride * h_out:stride]
-                    np.einsum("ncij,oc->noij", patch, w[:, :, u, v], out=tmp)
-                    part += tmp
-            part += b[:, None, None]
-
-    if participants == 1:
-        run(scratch[0], columns[0])
-        return out
-    # Leaving the block joins every helper, also when the caller's share
-    # raises, so no thread still writes into out once this returns. Each
-    # helper runs in a copy of the caller's context, so the caller's
-    # np.errstate holds in it too.
-    with ThreadPoolExecutor(participants - 1, thread_name_prefix="novnet-conv") as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, buf, cols)
-                   for buf, cols in zip(scratch[1:], columns[1:])]
-        run(scratch[0], columns[0])
-    for f in futures:
-        f.result()
+    scratch = np.empty((min(chunk, n), cout, h_out, w_out))
+    columns = np.empty((k if stride == 1 else 0, min(chunk, n), cin, h, w_out))
+    for s in range(0, n, chunk):
+        e = min(s + chunk, n)
+        part, tmp = out[s:e], scratch[:e - s]
+        windows = [x[s:e, :, :, v:v + stride * w_out:stride] for v in range(k)]
+        if stride == 1:
+            # Copy each column window once, so every patch below is
+            # contiguous over (i, j) and einsum runs it as one loop. At
+            # stride 1 a window's channels are contiguous exactly when x's
+            # are, so einsum keeps its summation kernel and the bits. A
+            # larger stride merges no rows, and a 1-row image narrower than
+            # the stride would get contiguous channels and another sum
+            # order, so its patches stay views of x.
+            for v in range(k):
+                columns[v, :e - s] = windows[v]
+            windows = columns[:, :e - s]
+        # Sum over kernel offsets: each (u, v) contributes a strided row
+        # slice of column window v contracted with the matching kernel slab.
+        for u in range(k):
+            for v in range(k):
+                patch = windows[v][:, :, u:u + stride * h_out:stride]
+                np.einsum("ncij,oc->noij", patch, w[:, :, u, v], out=tmp)
+                part += tmp
+        part += b[:, None, None]
     return out
 
 

@@ -3,8 +3,6 @@ import json
 import os
 import stat
 import struct
-import subprocess
-import sys
 import tempfile
 import warnings
 
@@ -445,6 +443,68 @@ class TestTrainFuzz:
                                out, ("ablation.csv",))
 
 
+# The quick benchmark's 8 features as 2x2x2 images under a small conv.
+CONV_BACKBONE = {"input_shape": [2, 2, 2], "layers": [
+    {"kind": "conv2d", "in_channels": 2, "out_channels": 4, "kernel": 2, "stride": 1},
+    {"kind": "relu"}, {"kind": "global-average-pool"}]}
+
+
+def write_model_config(path, backbone, site, value):
+    """Write the quick benchmark config (epochs capped at 2) to `path`, with
+    its own dense backbone or CONV_BACKBONE, and `value` at `site`: an
+    ("input_shape", entry) or a (layer index, key) pair."""
+    with open(QUICK) as fh:
+        cfg = json.load(fh)
+    cfg["training"]["epochs"] = 2
+    if backbone == "conv":
+        cfg["model"]["backbone"] = json.loads(json.dumps(CONV_BACKBONE))
+        cfg["dataset"]["reshape"] = CONV_BACKBONE["input_shape"]
+    model = cfg["model"]["backbone"]
+    where, key = site
+    (model["input_shape"] if where == "input_shape" else model["layers"][where])[key] = value
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+
+
+def model_sites(backbone):
+    """Every integer of a backbone's model section, as write_model_config sites."""
+    if backbone == "conv":
+        model = CONV_BACKBONE
+    else:
+        with open(QUICK) as fh:
+            model = json.load(fh)["model"]["backbone"]
+    return [("input_shape", j) for j in range(len(model["input_shape"]))] + \
+        [(i, key) for i, layer in enumerate(model["layers"]) for key, v in layer.items() if isinstance(v, int)]
+
+
+class TestModelFuzz:
+    """One extreme integer (INT_EDITS) in the model section: the runs that
+    succeed hold well under 10**5 parameters, and a width of 10**18 fails
+    before any weight is drawn."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_extreme_value_trains_or_fails_closed(self, capsys, data):
+        backbone = data.draw(st.sampled_from(["dense", "conv"]), label="backbone")
+        site = data.draw(st.sampled_from(model_sites(backbone)), label="site")
+        value = data.draw(st.sampled_from(INT_EDITS), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+            write_model_config(config, backbone, site, value)
+            run_or_fail_closed(capsys, ["train", "--config", config, "--out", out],
+                               out, ("checkpoint.nvfg", "history.csv"))
+
+    @pytest.mark.parametrize("backbone, site", [("dense", (0, "out")), ("conv", (0, "out_channels"))],
+                             ids=["dense-out", "conv-out_channels"])
+    def test_width_beyond_memory_fails_closed(self, tmp_path, capsys, backbone, site):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        write_model_config(config, backbone, site, 10**18)
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "parameters" in err and "physical memory" in err
+        assert not out.exists()
+
+
 class TestEvalFuzz:
     """One checkpoint, trained once on the quick benchmark config, scored
     under configs with one extreme split or evaluation value."""
@@ -738,49 +798,3 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "is not valid JSON" in err
-
-
-def conv_image_config(tmp_path):
-    """A 1x28x28 conv backbone on random images, sized so that
-    training batches stay whole and the scored splits span several
-    chunks of a split conv forward pass."""
-    rng = np.random.default_rng(7)
-    clusters = [{"mean": [round(float(v), 6) for v in rng.uniform(0, 1, 784)], "stddev": 0.5,
-                 "count": 48, "role": role} for role in ("known", "known", "novel", "reference", "reference")]
-    cfg = {
-        "dataset": {"synthetic": {"dimension": 784, "seed": 3, "clusters": clusters},
-                    "reshape": [1, 28, 28], "split": {"train_fraction": 0.5, "seed": 3}},
-        "model": {"backbone": {"input_shape": [1, 28, 28], "layers": [
-            {"kind": "conv2d", "in_channels": 1, "out_channels": 8, "kernel": 5, "stride": 1},
-            {"kind": "relu"}, {"kind": "global-average-pool"}]}},
-        "training": {"mode": "dual-full", "epochs": 1, "lr": 0.05, "seed": 2,
-                     "batch_size_T": 16, "batch_size_R": 16},
-    }
-    path = tmp_path / "conv.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs CPU affinity and two CPUs to compare a split run with a serial one")
-def test_conv_outputs_do_not_depend_on_cpu_count(tmp_path):
-    """train + eval in a child process pinned to one CPU write the same
-    bytes as in one that may use every CPU of this process."""
-    cpus = os.sched_getaffinity(0)
-    config = conv_image_config(tmp_path)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    outputs = {}
-    for name, pin in (("pinned", f"os.sched_setaffinity(0, {{{min(cpus)}}})"), ("free", "")):
-        out = tmp_path / name
-        code = f"import os, sys\n{pin}\nfrom novnet.cli import main\nsys.exit(main(sys.argv[1:]))"
-        for argv in (["train", "--config", str(config), "--out", str(out)],
-                     ["eval", "--config", str(config), "--checkpoint", str(out / "checkpoint.nvfg"),
-                      "--out", str(out)]):
-            done = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True,
-                                  text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert sorted(outputs["free"]) == ["checkpoint.nvfg", "history.csv", "roc.csv", "scores.csv",
-                                       "summary.json"]
-    assert outputs["pinned"] == outputs["free"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from novnet.dual_trainer import build_dual_model, train_lockstep
-from novnet.errors import ConfigError
+from novnet.errors import ConfigError, LabelError
 from novnet.experiments import (
     ablation_seed,
     assemble_datasets,
@@ -44,7 +44,7 @@ class TestClassifyFilters:
             assert 4 in zeros
 
     def test_index_error(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(LabelError):
             classify_filters(np.zeros((2, 3)), 2)
 
     def test_nonfinite_rejected(self):
@@ -100,6 +100,11 @@ class TestTopFilters:
     def test_bad_sign(self):
         with pytest.raises(ConfigError):
             top_filters(np.zeros((1, 3)), 0, 1, "both")
+
+    @pytest.mark.parametrize("class_index", [-1, 1, 0.0, True])
+    def test_class_index_out_of_range_or_not_an_integer(self, class_index):
+        with pytest.raises(LabelError):
+            top_filters(np.zeros((1, 3)), class_index, 1, "positive")
 
 
 class TestFilterReport:

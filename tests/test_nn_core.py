@@ -1,8 +1,4 @@
-import hashlib
-import multiprocessing
-import sys
 import threading
-import time
 from unittest import mock
 
 import numpy as np
@@ -350,8 +346,8 @@ class TestModelAxis:
 
 
 def serial_conv2d_forward(x, w, b, stride):
-    """The conv forward loop before batches were split: the reference the
-    split kernel must match byte for byte."""
+    """The conv forward loop over the whole batch at once: the reference
+    the chunked kernel must match byte for byte."""
     n, _, h, win = x.shape
     cout, _, k, _ = w.shape
     h_out = (h - k) // stride + 1
@@ -372,46 +368,26 @@ def conv_operands(rng, n, cin, models=None):
 
 
 def chunk_size(cin, stride):
-    """Samples per chunk of the split for conv_operands' shapes."""
+    """Samples per chunk for conv_operands' shapes."""
     side = (28 - 5) // stride + 1
     return -(-nn_core._CHUNK_MACS // (8 * cin * 25 * side * side))
 
 
-@pytest.fixture(params=[1, 2], ids=["1-cpu", "2-cpus"])
-def cpus(request, monkeypatch):
-    monkeypatch.setattr(nn_core, "_cpu_count", lambda: request.param)
-    return request.param
-
-
-def spy_on_helper_pools(monkeypatch) -> list:
-    """Patch nn_core's ThreadPoolExecutor to record one entry per pool
-    built; returns the record."""
-    built = []
-    executor = nn_core.ThreadPoolExecutor
-
-    def counting(*args, **kwargs):
-        built.append(1)
-        return executor(*args, **kwargs)
-
-    monkeypatch.setattr(nn_core, "ThreadPoolExecutor", counting)
-    return built
-
-
 class TestConvSplit:
-    """_conv2d_forward splits large batches over the CPUs; the bytes must
-    not depend on the split or on the number of threads."""
+    """_conv2d_forward runs large batches in chunks; the bytes must not
+    depend on the chunking."""
 
     @pytest.mark.parametrize("cin", [1, 3, 8])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("batch", ["empty", "one", "odd", "chunks"])
-    def test_bytes_equal_serial_loop(self, cpus, cin, stride, batch):
+    def test_bytes_equal_serial_loop(self, cin, stride, batch):
         rng = np.random.default_rng([cin, stride])
         n = {"empty": 0, "one": 1, "odd": 5, "chunks": 2 * chunk_size(cin, stride) + 1}[batch]
         x, w, b = conv_operands(rng, n, cin)
         assert nn_core._conv2d_forward(x, w, b, stride).tobytes() == \
             serial_conv2d_forward(x, w, b, stride).tobytes()
 
-    def test_stacked_models_equal_serial_loop(self, cpus):
+    def test_stacked_models_equal_serial_loop(self):
         spec = NetworkSpec((3, 28, 28), (Conv2d(3, 8, 5), Relu(), GlobalAveragePool()))
         rng = np.random.default_rng(5)
         x, w, b = conv_operands(rng, 2 * chunk_size(3, 1) + 1, 3, models=2)
@@ -419,119 +395,28 @@ class TestConvSplit:
         expected = np.stack([serial_conv2d_forward(*operands, 1) for operands in zip(x, w, b)])
         assert cache[1].tobytes() == expected.tobytes()
 
-    def test_large_batch_is_split_small_batch_is_not(self, monkeypatch):
-        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
-        built = spy_on_helper_pools(monkeypatch)
-        rng = np.random.default_rng(0)
-        chunk = chunk_size(1, 1)
-        for n, splits in ((chunk, False), (chunk + 1, True)):
-            built.clear()
-            x, w, b = conv_operands(rng, n, 1)
-            nn_core._conv2d_forward(x, w, b, 1)
-            assert bool(built) == splits
-
-    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
-        """Every chunk is taken exactly once: a lost chunk would leave
-        zeros and a doubled one would add twice."""
-        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 8)
-        rng = np.random.default_rng(1)
-        x, w, b = conv_operands(rng, 20 * chunk_size(1, 1) + 3, 1)
-        expected = serial_conv2d_forward(x, w, b, 1).tobytes()
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=lambda: results.extend(
-                nn_core._conv2d_forward(x, w, b, 1).tobytes() for _ in range(3)))
-            worker.start()
-            worker.join(timeout=120)
-            assert not worker.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [expected] * 3
-
-    @pytest.mark.parametrize("failing", ["caller", "helper"])
-    def test_failure_waits_for_every_participant(self, monkeypatch, failing):
-        """The error reaches the caller, and only after no thread can
-        still write into the output."""
-        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
-        caller = threading.current_thread()
+    def test_every_chunk_runs_in_the_calling_thread(self, monkeypatch):
         einsum = np.einsum
-        calls_after_return = []
-        returned = threading.Event()
-
-        def fake_einsum(*args, **kwargs):
-            if returned.is_set():
-                calls_after_return.append(1)
-            if (threading.current_thread() is caller) == (failing == "caller"):
-                raise RuntimeError("injected")
-            time.sleep(0.002)
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", fake_einsum)
-        rng = np.random.default_rng(2)
-        x, w, b = conv_operands(rng, 6 * chunk_size(1, 1), 1)
-        with pytest.raises(RuntimeError, match="injected"):
-            nn_core._conv2d_forward(x, w, b, 1)
-        returned.set()
-        time.sleep(0.2)
-        assert calls_after_return == []
-
-    def test_helpers_follow_the_callers_errstate(self, monkeypatch):
-        """Every chunk runs under the caller's np.errstate, so a caller
-        that silences overflow hears no warning from a helper thread."""
-        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
-        einsum = np.einsum
-        overflow_modes = []
-        helper_ran = threading.Event()
+        threads = []
 
         def recording_einsum(*args, **kwargs):
-            overflow_modes.append(np.geterr()["over"])
-            if threading.current_thread().name.startswith("novnet-conv"):
-                helper_ran.set()
-            else:
-                helper_ran.wait(timeout=60)  # the helper takes a chunk too
+            threads.append(threading.current_thread())
             return einsum(*args, **kwargs)
 
         monkeypatch.setattr(np, "einsum", recording_einsum)
         x, w, b = conv_operands(np.random.default_rng(6), 4 * chunk_size(1, 1), 1)
-        with np.errstate(over="ignore"):
-            nn_core._conv2d_forward(x, w, b, 1)
-        assert helper_ran.is_set()
-        assert set(overflow_modes) == {"ignore"}
-
-    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-    def test_no_helper_thread_outlives_the_call(self, monkeypatch, fails):
-        monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
-        if fails:
-            einsum = np.einsum
-
-            def fake_einsum(*args, **kwargs):
-                if threading.current_thread().name.startswith("novnet-conv"):
-                    raise RuntimeError("injected")
-                return einsum(*args, **kwargs)
-
-            monkeypatch.setattr(np, "einsum", fake_einsum)
-        built = spy_on_helper_pools(monkeypatch)
-        rng = np.random.default_rng(4)
-        x, w, b = conv_operands(rng, 4 * chunk_size(1, 1), 1)
-        try:
-            nn_core._conv2d_forward(x, w, b, 1)
-        except RuntimeError:
-            assert fails
-        else:
-            assert not fails
-        assert [t.name for t in threading.enumerate() if t.name.startswith("novnet-conv")] == []
-        assert built == [1]  # the batch was split
+        nn_core._conv2d_forward(x, w, b, 1)
+        assert len(threads) == 4 * 25  # one einsum per kernel offset and chunk
+        assert set(threads) == {threading.current_thread()}
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(1, 5), h_extra=st.integers(0, 6), w_extra=st.integers(0, 6),
            stride=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
-           chunk=st.integers(1, 3), n=st.integers(0, 8), cpus=st.sampled_from([1, 2]))
+           chunk=st.integers(1, 3), n=st.integers(0, 8))
     # A 1-row image narrower than the stride: copied column windows would
     # have contiguous channels, and einsum would sum them in another order.
-    @example(k=1, h_extra=0, w_extra=1, stride=2, cin=4, cout=1, chunk=1, n=1, cpus=1)
-    def test_any_shape_equals_serial_loop(self, k, h_extra, w_extra, stride, cin, cout, chunk, n, cpus):
+    @example(k=1, h_extra=0, w_extra=1, stride=2, cin=4, cout=1, chunk=1, n=1)
+    def test_any_shape_equals_serial_loop(self, k, h_extra, w_extra, stride, cin, cout, chunk, n):
         """Non-square images, every kernel size and stride, and batches
         past two chunks of 1 to 3 samples: the bytes of the serial loop."""
         h, win = k + h_extra, k + w_extra
@@ -539,41 +424,9 @@ class TestConvSplit:
         rng = np.random.default_rng([h, win, k, stride, cin, cout, n])
         x = rng.standard_normal((n, cin, h, win))
         w, b = rng.standard_normal((cout, cin, k, k)), rng.standard_normal(cout)
-        with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * cout * cin * k * k * h_out * w_out), \
-                mock.patch.object(nn_core, "_cpu_count", lambda: cpus):
+        with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * cout * cin * k * k * h_out * w_out):
             got = nn_core._conv2d_forward(x, w, b, stride)
         assert got.tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
-
-
-def _digest_of_conv(spec, params, x, conn):
-    conn.send(hashlib.sha256(forward(spec, params, x)[0].tobytes()).hexdigest())
-    conn.close()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs os.fork")
-def test_forked_child_splits_like_its_parent(monkeypatch):
-    """A child forked after the parent split a batch over helper threads
-    splits the same batch too, and gets the same bytes."""
-    monkeypatch.setattr(nn_core, "_cpu_count", lambda: 2)
-    built = spy_on_helper_pools(monkeypatch)
-    spec = NetworkSpec((1, 28, 28), (Conv2d(1, 8, 5), Relu(), GlobalAveragePool()))
-    params = init_params(spec, 0)
-    x = np.random.default_rng(3).standard_normal((128, 1, 28, 28))
-    parent = hashlib.sha256(forward(spec, params, x)[0].tobytes()).hexdigest()
-    assert built == [1]  # the parent split the batch
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_digest_of_conv, args=(spec, params, x, send))
-    child.start()
-    try:
-        assert receive.poll(60), "the forked child did not finish scoring"
-        assert receive.recv() == parent
-    finally:
-        child.join(timeout=10)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert child.exitcode == 0
 
 
 class TestSgdStep:
