@@ -74,6 +74,35 @@ class TestBuildDualModel:
         with pytest.raises(ConfigError):
             build_dual_model(spec, 2, 2, seed=0)
 
+    @pytest.mark.parametrize("backbone, num_known, num_reference, combined", [
+        (NetworkSpec((4,), (Dense(4, 10**18), Relu())), 3, 2, False),
+        (NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 10**18, 3), Relu(), nn_core.GlobalAveragePool())), 3, 2, False),
+        (backbone16(), 10**18, 2, False),
+        (backbone16(), 3, 10**18, False),
+        (backbone16(), 3, 10**18, True),
+    ], ids=["dense-width", "conv-channels", "known-classes", "reference-classes", "combined-head"])
+    def test_oversized_model_fails_before_drawing(self, monkeypatch, backbone, num_known, num_reference,
+                                                  combined):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("build_dual_model drew weights for a model beyond memory")
+
+        monkeypatch.setattr(nn_core, "init_params", no_draws)
+        with pytest.raises(ConfigError, match="parameters: .* bytes of physical memory"):
+            build_dual_model(backbone, num_known, num_reference, seed=0, combined_head=combined)
+
+    @pytest.mark.parametrize("spare", [0, -1], ids=["fits", "one-value-over"])
+    def test_memory_bound_counts_every_parameter(self, monkeypatch, spare):
+        """backbone16 with heads of 4 and 3 classes holds 80 + 68 + 51
+        parameters: a memory of exactly that many float64 values fits."""
+        count = (4 * 16 + 16) + (16 * 4 + 4) + (16 * 3 + 3)
+        memory = 8 * (count + spare)
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
+        if spare < 0:
+            with pytest.raises(ConfigError, match=f"a model of {count} parameters"):
+                build_dual_model(backbone16(), 4, 3, seed=0)
+        else:
+            assert build_dual_model(backbone16(), 4, 3, seed=0).head_R["layer0.weight"].shape == (3, 16)
+
 
 def train_one_step(model, known, reference, **cfg_fields):
     """Train for exactly one step (one batch covers each dataset); returns

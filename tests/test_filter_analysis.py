@@ -47,6 +47,11 @@ class TestClassifyFilters:
         with pytest.raises(LabelError):
             classify_filters(np.zeros((2, 3)), 2)
 
+    @pytest.mark.parametrize("class_index", [-1, 0.0, True, np.int64(2)])
+    def test_class_index_out_of_range_or_not_an_integer(self, class_index):
+        with pytest.raises(LabelError):
+            classify_filters(np.zeros((2, 3)), class_index)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
             classify_filters(np.array([[np.inf, 0.0]]), 0)

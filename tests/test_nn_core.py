@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -379,21 +380,45 @@ class TestConvSplit:
 
     @pytest.mark.parametrize("cin", [1, 3, 8])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("batch", ["empty", "one", "odd", "chunks"])
+    @pytest.mark.parametrize("batch", ["empty", "one", "odd", "exact", "two", "chunks"])
     def test_bytes_equal_serial_loop(self, cin, stride, batch):
+        """Batches of no, one and a few samples, exactly one and two full
+        chunks, and two chunks and a 1-sample remainder."""
         rng = np.random.default_rng([cin, stride])
-        n = {"empty": 0, "one": 1, "odd": 5, "chunks": 2 * chunk_size(cin, stride) + 1}[batch]
+        size = chunk_size(cin, stride)
+        n = {"empty": 0, "one": 1, "odd": 5, "exact": size, "two": 2 * size, "chunks": 2 * size + 1}[batch]
         x, w, b = conv_operands(rng, n, cin)
         assert nn_core._conv2d_forward(x, w, b, stride).tobytes() == \
             serial_conv2d_forward(x, w, b, stride).tobytes()
 
-    def test_stacked_models_equal_serial_loop(self):
-        spec = NetworkSpec((3, 28, 28), (Conv2d(3, 8, 5), Relu(), GlobalAveragePool()))
-        rng = np.random.default_rng(5)
-        x, w, b = conv_operands(rng, 2 * chunk_size(3, 1) + 1, 3, models=2)
+    @pytest.mark.parametrize("models", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_stacked_models_equal_serial_loop(self, stride, models):
+        spec = NetworkSpec((3, 28, 28), (Conv2d(3, 8, 5, stride=stride), Relu(), GlobalAveragePool()))
+        rng = np.random.default_rng([5, stride, models])
+        x, w, b = conv_operands(rng, 2 * chunk_size(3, stride) + 1, 3, models=models)
         _, cache = forward(spec, {"layer0.weight": w, "layer0.bias": b}, x)
-        expected = np.stack([serial_conv2d_forward(*operands, 1) for operands in zip(x, w, b)])
+        expected = np.stack([serial_conv2d_forward(*operands, stride) for operands in zip(x, w, b)])
         assert cache[1].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_scratch_does_not_grow_with_the_batch(self, stride):
+        """Beyond its output, a forward over eight chunks holds no more
+        memory at its peak than one over two: the chunks bound the
+        scratch and column-window buffers."""
+        def extra_peak(n):
+            x, w, b = conv_operands(np.random.default_rng(n), n, 1)
+            tracemalloc.start()
+            try:
+                out = nn_core._conv2d_forward(x, w, b, stride)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - out.nbytes
+
+        size = chunk_size(1, stride)
+        small, large = extra_peak(2 * size), extra_peak(8 * size)
+        assert large <= small + (1 << 16), (small, large)
 
     def test_every_chunk_runs_in_the_calling_thread(self, monkeypatch):
         einsum = np.einsum
