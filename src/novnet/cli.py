@@ -4,12 +4,13 @@ Commands: train, eval, calibrate, ablate, inspect-filters. Commands take
 a JSON experiment config (dataset/model/training/evaluation sections)
 and/or a checkpoint, are deterministic given config + seed, and write
 reports atomically (temp file, rename on success); `train` places its
-history and checkpoint together or neither. Training and
-evaluation run through the library's own `experiments.train_models` and
-`experiments.evaluate_detection`. Module errors surface as a one-line
-diagnostic on stderr and a nonzero exit code. Each command computes its
-results before its first write, which creates the `--out` directory, so
-a command that fails while computing writes nothing.
+history and checkpoint together or neither, and `eval` all three of its
+reports or none. Training and evaluation run through the library's own
+`experiments.train_models` and `experiments.evaluate_detection`. Module
+errors surface as a one-line diagnostic on stderr and a nonzero exit
+code. Each command computes its results before its first write, which
+creates the `--out` directory, so a command that fails while computing
+writes nothing.
 """
 
 from __future__ import annotations
@@ -67,15 +68,19 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint).model
     data = experiments.assemble_datasets(cfg.dataset)
     records, roc, accuracy = experiments.evaluate_detection(model, data)
-    novelty_eval.write_score_report(records, os.path.join(args.out, "scores.csv"))
-    novelty_eval.write_roc_csv(roc, os.path.join(args.out, "roc.csv"))
+    scores_text, roc_text = novelty_eval.report_texts(records, roc)
     summary = {
         "auc": round(roc.auc, 4),
         "accuracy": round(accuracy, 4),
         "n_known_test": len(data.test_T),
         "n_novel_test": len(data.novel),
     }
-    write_atomic(os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    # All three files are placed, or none.
+    write_all_atomic({
+        os.path.join(args.out, "scores.csv"): scores_text,
+        os.path.join(args.out, "roc.csv"): roc_text,
+        os.path.join(args.out, "summary.json"): json.dumps(summary, indent=2) + "\n",
+    })
     print(json.dumps(summary))
     return 0
 

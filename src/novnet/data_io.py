@@ -344,14 +344,17 @@ def write_all_atomic(files) -> None:
     Each file's data goes to a temp file beside its path, and the temp
     files are renamed into place only once all of them are written; a
     path that is a directory fails the call before anything is written.
-    Temp files get mode 0o666 less the process umask, as `open` gives a
-    new file. A directory is created on the first write into it, so a
-    command that fails before it writes leaves nothing behind.
+    A rename that fails undoes the ones before it: a file placed where
+    none was is removed, and a replaced file comes back from the hard
+    link taken just before its rename. Temp files get mode 0o666 less
+    the process umask, as `open` gives a new file. A directory is created
+    on the first write into it, so a command that fails before it writes
+    leaves nothing behind.
     """
     for path in files:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    staged = []
+    staged, placed, kept = [], [], {}
     try:
         for path, data in files.items():
             directory = os.path.dirname(os.path.abspath(path))
@@ -361,9 +364,20 @@ def write_all_atomic(files) -> None:
                 staged.append(tmp)
                 fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         for tmp, path in zip(staged, files):
+            if os.path.lexists(path):
+                os.link(path, f"{tmp}.old", follow_symlinks=False)
+                kept[path] = f"{tmp}.old"
             os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        for tmp in staged:
-            if os.path.exists(tmp):
+        for path in placed:
+            if path in kept:
+                os.replace(kept.pop(path), path)
+            else:
+                os.unlink(path)
+        for tmp in [*staged, *kept.values()]:
+            if os.path.lexists(tmp):
                 os.unlink(tmp)
         raise
+    for old in kept.values():
+        os.unlink(old)

@@ -423,7 +423,9 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
     compared on identical data); across reps both the data seed and the
     training seeds advance deterministically. All rows train in one
     lockstep stack, each exactly as run_experiment would train it alone,
-    and are then scored one by one.
+    and are then scored one by one. Once the first rep's data is
+    assembled, an ablation whose n_seeds reps of data would outgrow
+    physical memory fails with a ConfigError.
     """
     modes = tuple(modes)
     if n_seeds < 1:
@@ -436,6 +438,11 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
     runs = []
     for rep in range(n_seeds):
         data = assemble_datasets(_reseed_dataset_section(cfg.dataset, rep))
+        if rep == 0:  # every rep draws as many values as the first
+            parts = (data.train_T, data.test_T, data.novel, data.reference)
+            values = sum(ds.x.size + ds.y.size for ds in parts if ds is not None)
+            data_io.check_fits_in_memory(
+                n_seeds * values, f"an ablation of {n_seeds} seeds x {values} data values per seed", ConfigError)
         for mode in modes:
             # canonical mode index, so a restricted run reproduces the
             # exact rows of the full matrix

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Dataset, csv_text, write_atomic
+from .data_io import Dataset, csv_text
 from .dual_trainer import DualBranchModel
 from .errors import CalibrationError, EvaluationError, ProtocolError
 
@@ -43,9 +43,14 @@ class NoveltyThreshold:
 
 @dataclass
 class RocResult:
-    points: list[tuple[float, float]]  # (fpr, tpr), from (0,0) to (1,1)
+    """The ROC curve as parallel float64 arrays, one entry per threshold:
+    (fpr, tpr) runs from (0, 0) at thresholds[0] = +inf to (1, 1) at the
+    minimum score, and thresholds fall strictly after the first."""
+
+    fpr: np.ndarray
+    tpr: np.ndarray
+    thresholds: np.ndarray
     auc: float
-    thresholds: list[float]  # parallel to points; starts at +inf
 
 
 def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
@@ -133,8 +138,7 @@ def roc_auc(known_scores, novel_scores) -> RocResult:
     # cumsum adds left to right, the order of a running trapezoid total;
     # np.sum would add pairwise and change the last bits.
     auc = np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
-    return RocResult(points=list(zip(fpr.tolist(), tpr.tolist())), auc=float(auc),
-                     thresholds=[math.inf] + thresholds.tolist())
+    return RocResult(fpr=fpr, tpr=tpr, thresholds=np.append(math.inf, thresholds), auc=float(auc))
 
 
 def auc_pairwise_oracle(known_scores, novel_scores) -> float:
@@ -165,28 +169,44 @@ def closed_set_accuracy(known: np.recarray) -> float:
 SCORE_CSV_HEADER = ["sample_id", "score", "predicted_class", "true_class", "is_novel"]
 
 
+def _distinct_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, texts, inverse) of a float64 or int64 array: its distinct
+    8-byte patterns, sorted; str of each, formatted once; and the index
+    of every value's pattern, so texts[inverse] is the column's text.
+    Keying on bits keeps 0.0 and -0.0 apart, as str does. Python scalars
+    come from tolist(): str of an np.float64 reads "np.float64(...)"."""
+    keys, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    return keys, np.array([str(v) for v in values[first].tolist()], dtype=object), inverse
+
+
 def _shared_text(values: np.ndarray) -> np.ndarray:
     """str of every value, as an object array holding one shared str per
-    distinct value, each formatted once: for columns with many repeats.
-    Values that compare equal must print alike (not 0.0 and -0.0)."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([str(v) for v in distinct.tolist()], dtype=object)[inverse]
+    distinct value: for columns with many repeats."""
+    _, texts, inverse = _distinct_text(values)
+    return texts[inverse]
 
 
-def write_score_report(records: np.ndarray, path) -> None:
-    # One column at a time, so only one column's Python values exist at
-    # once. tolist() yields Python scalars: str of a Python float is its
-    # bare shortest round-trip repr (np.float64's repr reads
-    # "np.float64(...)"). Class columns and is_novel (written as 0/1)
-    # repeat a few values.
-    columns = (records[name].tolist() if name in ("sample_id", "score")
-               else _shared_text(records[name].astype(np.int64)) for name in SCORE_CSV_HEADER)
-    write_atomic(path, csv_text(SCORE_CSV_HEADER, columns))
+def report_texts(records: np.ndarray, roc: RocResult) -> tuple[str, str]:
+    """The text of scores.csv and of roc.csv for a score table and the
+    ROC of its scores, with each distinct score formatted once.
 
-
-def write_roc_csv(roc: RocResult, path) -> None:
-    """`threshold,fpr,tpr` rows followed by a one-line `auc,<value>` trailer.
-    Rates are counts over a sample size, so they repeat along the curve."""
-    fpr, tpr = np.array(roc.points).T
-    text = csv_text(["threshold", "fpr", "tpr"], [roc.thresholds, _shared_text(fpr), _shared_text(tpr)])
-    write_atomic(path, f"{text}auc,{roc.auc!r}\r\n")
+    roc.csv holds `threshold,fpr,tpr` rows and a one-line `auc,<value>`
+    trailer. Each finite threshold is one of the table's scores, bit for
+    bit (roc_auc draws them from the scores with np.unique), so its text
+    is looked up in the score column's; a threshold that is not ends in
+    an EvaluationError. Class columns and is_novel (written as 0/1)
+    repeat a few values, and rates are counts over a sample size, so
+    they repeat along the curve.
+    """
+    keys, texts, inverse = _distinct_text(records["score"])
+    wanted = roc.thresholds[1:].view(np.int64)
+    at = np.searchsorted(keys, wanted)
+    if np.any(at == keys.size) or not np.array_equal(keys[at], wanted):
+        raise EvaluationError("ROC thresholds must be scores of the score table")
+    scores = csv_text(SCORE_CSV_HEADER, (
+        records["sample_id"].tolist() if name == "sample_id"
+        else texts[inverse] if name == "score"
+        else _shared_text(records[name].astype(np.int64)) for name in SCORE_CSV_HEADER))
+    roc_text = csv_text(["threshold", "fpr", "tpr"],
+                        [[str(math.inf), *texts[at]], _shared_text(roc.fpr), _shared_text(roc.tpr)])
+    return scores, f"{roc_text}auc,{roc.auc!r}\r\n"

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import stat
@@ -573,6 +574,30 @@ class TestEval:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("failure", ["directory", "rename"])
+    def test_writes_all_three_files_or_none(self, tmp_path, capsys, monkeypatch, failure):
+        """summary.json, the last file staged, cannot be placed: a
+        directory stands in its place, or its rename fails. Neither report
+        is left in --out."""
+        config, ckpt = self.run_train(tmp_path)
+        out = tmp_path / "eval_out"
+        if failure == "directory":
+            (out / "summary.json").mkdir(parents=True)
+        else:
+            rename = os.replace
+
+            def failing_rename(src, dst, **kwargs):
+                if os.path.basename(dst) == "summary.json":
+                    raise OSError(errno.EIO, "rename failed", dst)
+                rename(src, dst, **kwargs)
+
+            monkeypatch.setattr(os, "replace", failing_rename)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert os.listdir(out) == (["summary.json"] if failure == "directory" else [])
+
     def test_sample_shape_mismatch(self, tmp_path, capsys):
         # [n, 1, 3] samples against a (3,) input must not broadcast
         config, ckpt = self.run_train(tmp_path)
@@ -660,6 +685,15 @@ class TestAblate:
         mean_rows = [r for r in rows[1:] if r[1] == "mean"]
         assert len(data_rows) == 4 * 2
         assert len(mean_rows) == 4
+
+    def test_seeds_beyond_memory_fail_closed(self, tmp_path, capsys):
+        """10**12 reps of benchmark-quick's data fail once the first rep is
+        assembled, before any further rep is drawn."""
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", QUICK, "--out", str(out), "--seeds", str(10**12)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: an ablation of 1000000000000 seeds")
+        assert not out.exists()
 
     def test_reference_required(self, tmp_path, capsys):
         # 4 classes: 2 known and 2 novel, and no reference data

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import os
 import struct
@@ -19,6 +20,7 @@ from novnet.data_io import (
     split_known_novel,
     split_train_test,
     synth_gaussian,
+    write_all_atomic,
     write_atomic,
 )
 from novnet.errors import (
@@ -384,6 +386,30 @@ class TestWriteAtomic:
             write_atomic(target, 42)
         assert target.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+    def test_failed_rename_restores_every_target(self, tmp_path, monkeypatch):
+        """When the last rename fails, a file the call replaced gets its old
+        bytes back, a file it created is removed, and no temp file stays."""
+        (tmp_path / "old.txt").write_text("old")
+        rename = os.replace
+
+        def failing_rename(src, dst, **kwargs):
+            if os.path.basename(dst) == "last.txt":
+                raise OSError(errno.EIO, "rename failed", dst)
+            rename(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", failing_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            write_all_atomic({tmp_path / "old.txt": "new", tmp_path / "new.txt": "new",
+                              tmp_path / "last.txt": "new"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+        assert (tmp_path / "old.txt").read_text() == "old"
+
+    def test_replaced_file_keeps_no_link(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old")
+        write_all_atomic({tmp_path / "a.txt": "new"})
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        assert os.stat(tmp_path / "a.txt").st_nlink == 1 and (tmp_path / "a.txt").read_text() == "new"
 
     def test_csv_text(self):
         assert csv_text(["a", "b"], [[1], ["x,y"]]) == 'a,b\r\n1,"x,y"\r\n'

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from novnet import data_io
 from novnet.data_io import SplitSpec, synth_gaussian
 from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError
+from novnet import experiments
 from novnet.experiments import (
     ABLATION_MODES,
+    BENCHMARK_DIMENSION,
+    BENCHMARK_SAMPLES_PER_CLUSTER,
     DatasetConfig,
     ablation_means,
     ablation_seed,
@@ -376,3 +379,21 @@ class TestAblation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             run_ablation(benchmark_config(epochs=1), modes=("finetune-cC",), n_seeds=1)
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_seed_bound_is_exact(self, monkeypatch, spare):
+        """benchmark-quick draws 16 clusters of samples, each an 8-value
+        vector and a label: 3 seeds of that fit in exactly as many float64
+        values and not one fewer. Past the bound no row is trained."""
+        cfg = parse_experiment_config(os.path.join(CONFIGS, "benchmark-quick.json"))
+        values = 16 * BENCHMARK_SAMPLES_PER_CLUSTER * (BENCHMARK_DIMENSION + 1)
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * (3 * values + spare)}.get)
+        runs = []
+        monkeypatch.setattr(experiments, "_run", lambda r: runs.extend(r) or [])
+        if spare < 0:
+            with pytest.raises(ConfigError, match=f"an ablation of 3 seeds x {values} data values per seed"):
+                run_ablation(cfg, n_seeds=3)
+            assert runs == []
+        else:
+            run_ablation(cfg, n_seeds=3)
+            assert len(runs) == 3 * len(ABLATION_MODES)

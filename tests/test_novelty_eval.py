@@ -1,9 +1,10 @@
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_backbone
@@ -13,15 +14,16 @@ from novnet.errors import CalibrationError, EvaluationError, ProtocolError
 from novnet.nn_core import Dense, NetworkSpec
 from novnet.novelty_eval import (
     NOVEL_MARKER,
+    SCORE_CSV_HEADER,
+    SCORE_DTYPE,
     NoveltyThreshold,
     auc_pairwise_oracle,
     calibrate_threshold,
     closed_set_accuracy,
     realized_fnr,
+    report_texts,
     roc_auc,
     score_dataset,
-    write_roc_csv,
-    write_score_report,
 )
 
 
@@ -188,10 +190,9 @@ class TestRocAuc:
     def test_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(1)
         roc = roc_auc(rng.standard_normal(50) + 0.5, rng.standard_normal(40))
-        assert roc.points[0] == (0.0, 0.0)
-        assert roc.points[-1] == (1.0, 1.0)
-        for (x0, y0), (x1, y1) in zip(roc.points, roc.points[1:]):
-            assert x1 >= x0 and y1 >= y0
+        assert (roc.fpr[0], roc.tpr[0]) == (0.0, 0.0)
+        assert (roc.fpr[-1], roc.tpr[-1]) == (1.0, 1.0)
+        assert np.all(np.diff(roc.fpr) >= 0) and np.all(np.diff(roc.tpr) >= 0)
         assert 0.0 <= roc.auc <= 1.0
         assert roc.thresholds[0] == np.inf
 
@@ -249,14 +250,14 @@ class TestRocProperties:
         roc = roc_auc(known, novel)
         assert abs(roc.auc - auc_pairwise_oracle(known, novel)) < 1e-12
         points, thresholds, auc = roc_sweep_reference(known, novel)
-        assert roc.points == points
-        assert list(map(repr, roc.thresholds)) == list(map(repr, thresholds))
+        assert all(a.dtype == np.float64 for a in (roc.fpr, roc.tpr, roc.thresholds))
+        assert list(zip(roc.fpr.tolist(), roc.tpr.tolist())) == points
+        assert list(map(repr, roc.thresholds.tolist())) == list(map(repr, thresholds))
         assert repr(roc.auc) == repr(auc)
         assert roc.thresholds[0] == math.inf
-        assert all(a > b for a, b in zip(roc.thresholds, roc.thresholds[1:]))
-        assert roc.points[0] == (0.0, 0.0) and roc.points[-1] == (1.0, 1.0)
-        assert all(x1 >= x0 and y1 >= y0
-                   for (x0, y0), (x1, y1) in zip(roc.points, roc.points[1:]))
+        assert np.all(roc.thresholds[:-1] > roc.thresholds[1:])
+        assert (roc.fpr[0], roc.tpr[0]) == (0.0, 0.0) and (roc.fpr[-1], roc.tpr[-1]) == (1.0, 1.0)
+        assert np.all(np.diff(roc.fpr) >= 0) and np.all(np.diff(roc.tpr) >= 0)
 
 
 class TestPairwiseOracle:
@@ -327,16 +328,66 @@ class TestClosedSetAccuracy:
             closed_set_accuracy(np.concatenate([known_rows, novel_rows]).view(np.recarray))
 
 
+def score_table(known, novel, classes=3):
+    """A score table holding `known` then `novel` as its scores, with
+    class columns drawn from the score bits."""
+    scores = np.array([*known, *novel], dtype=np.float64)
+    n, is_novel = scores.size, np.arange(scores.size) >= len(known)
+    predicted = scores.view(np.int64) % classes
+    true_class = np.where(is_novel, NOVEL_MARKER, (predicted + 1) % classes)
+    return np.rec.fromarrays([np.arange(n) + 7, scores, predicted, true_class, is_novel], dtype=SCORE_DTYPE)
+
+
+def csv_writer_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+# Repeated values, both zeros, subnormals and the largest magnitudes.
+report_scores = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                                    1e308, -1e308, 1.7976931348623157e308, 1.5]),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=30)
+
+
 class TestReportFiles:
-    def test_score_report_round_trip(self, tmp_path, trained_dual_full):
+    @settings(max_examples=300, deadline=None)
+    @given(known=report_scores, novel=report_scores)
+    @example(known=[0.0], novel=[-0.0])
+    @example(known=[-0.0], novel=[0.0])
+    @example(known=[0.0, 1.0, -0.0], novel=[-0.0, 0.0, -1.0])
+    @example(known=[5e-324, -1e308, 1e308], novel=[-5e-324, 1e308, 5e-324])
+    def test_texts_are_csv_writer_bytes(self, known, novel):
+        """scores.csv is csv.writer's text of the table's rows, and roc.csv
+        that of the loop sweep's rows plus the `auc,<repr>` trailer, with
+        every zero printed with its own sign."""
+        records = score_table(known, novel)
+        scores_text, roc_text = report_texts(records, roc_auc(known, novel))
+        assert scores_text == csv_writer_text(
+            [SCORE_CSV_HEADER, *([r.sample_id.item(), r.score.item(), r.predicted_class.item(),
+                                  r.true_class.item(), int(r.is_novel)] for r in records)])
+        points, thresholds, auc = roc_sweep_reference(known, novel)
+        assert roc_text == csv_writer_text(
+            [["threshold", "fpr", "tpr"], *([t, fpr, tpr] for t, (fpr, tpr) in zip(thresholds, points)),
+             ["auc", repr(auc)]])
+
+    def test_thresholds_not_in_the_table_rejected(self):
+        """A threshold whose bits are not a score of the table fails
+        closed: -0.0 against a table holding 0.0, and 3.0 past its largest
+        score."""
+        with pytest.raises(EvaluationError, match="scores of the score table"):
+            report_texts(score_table([0.0], [1.0]), roc_auc([-0.0], [1.0]))
+        with pytest.raises(EvaluationError, match="scores of the score table"):
+            report_texts(score_table([1.0], [2.0]), roc_auc([1.0], [3.0]))
+
+    def test_score_report_round_trip(self, trained_dual_full):
         model, _, datasets = trained_dual_full
         known, novel, _ = datasets
         records = np.concatenate([score_dataset(model, known, False),
                                   score_dataset(model, novel, True, start_id=len(known))]).view(np.recarray)
-        path = tmp_path / "scores.csv"
-        write_score_report(records, path)
-        with open(path, newline="") as fh:
-            header, *rows = list(csv.reader(fh))
+        scores_text, _ = report_texts(records, roc_auc(records.score[:len(known)], records.score[len(known):]))
+        header, *rows = list(csv.reader(io.StringIO(scores_text, newline="")))
         assert header == ["sample_id", "score", "predicted_class", "true_class", "is_novel"]
         assert len(rows) == len(records)
         for a, b in zip(records, rows):
@@ -346,14 +397,14 @@ class TestReportFiles:
             assert a.true_class == int(b[3])
             assert b[4] == str(int(a.is_novel))
 
-    def test_roc_csv_round_trip(self, tmp_path):
+    def test_roc_csv_round_trip(self):
         rng = np.random.default_rng(7)
-        roc = roc_auc(rng.standard_normal(25) + 1, rng.standard_normal(25))
-        path = tmp_path / "roc.csv"
-        write_roc_csv(roc, path)
-        with open(path, newline="") as fh:
-            header, *rows, trailer = list(csv.reader(fh))
+        known, novel = rng.standard_normal(25) + 1, rng.standard_normal(25)
+        roc = roc_auc(known, novel)
+        _, roc_text = report_texts(score_table(known, novel), roc)
+        header, *rows, trailer = list(csv.reader(io.StringIO(roc_text, newline="")))
         assert header == ["threshold", "fpr", "tpr"]
         assert trailer == ["auc", repr(roc.auc)]
-        assert [float(t) for t, _, _ in rows] == roc.thresholds
-        assert [(float(fpr), float(tpr)) for _, fpr, tpr in rows] == roc.points
+        assert [float(t) for t, _, _ in rows] == roc.thresholds.tolist()
+        assert [float(fpr) for _, fpr, _ in rows] == roc.fpr.tolist()
+        assert [float(tpr) for _, _, tpr in rows] == roc.tpr.tolist()
