@@ -66,7 +66,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint).model
-    data = experiments.assemble_datasets(cfg.dataset)
+    data = experiments.assemble_datasets(cfg.dataset, draw_reference=False)
     records, roc, accuracy = experiments.evaluate_detection(model, data)
     scores_text, roc_text = novelty_eval.report_texts(records, roc)
     summary = {
@@ -88,7 +88,7 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint).model
-    data = experiments.assemble_datasets(cfg.dataset)
+    data = experiments.assemble_datasets(cfg.dataset, draw_reference=False)
     scores = novelty_eval.score_dataset(model, data.test_T, is_novel=False).score
     threshold = novelty_eval.calibrate_threshold(scores, cfg.evaluation.target_fnr)
     payload = {

@@ -215,26 +215,32 @@ def check_fits_in_memory(values: int, what: str, error: type[NovnetError] = Data
                     f"{memory} bytes of physical memory")
 
 
-def synth_gaussian(spec: SyntheticSpec) -> tuple[Dataset, Dataset, "Dataset | None"]:
+def synth_gaussian(spec: SyntheticSpec, draw_reference: bool = True) -> tuple[Dataset, Dataset, "Dataset | None"]:
     """Draw isotropic Gaussian clusters and route them to the (known,
     novel, reference) datasets by role. Deterministic given spec.seed.
     The reference slot is None when the spec has no reference clusters.
 
     Each cluster is drawn in spec order straight into its rows of the
-    role's preallocated feature array, so no per-cluster copies exist."""
+    role's preallocated feature array, so no per-cluster copies exist.
+    With draw_reference=False the reference slot is None and the clusters
+    after the last known or novel one are not drawn; no draw before them
+    changes, so the known and novel rows keep their bytes."""
     samples = sum(c.count for c in spec.clusters)
     what = f"synthetic 'clusters' of {samples} samples x {spec.dimension} values"
     check_fits_in_memory(samples * spec.dimension, what)
     rng = np.random.default_rng(spec.seed)
     prefix = {"known": "known", "novel": "novel", "reference": "ref"}
-    clusters = {role: [c for c in spec.clusters if c.role == role] for role in prefix}
+    drawn = spec.clusters
+    if not draw_reference:
+        drawn = drawn[:max(i for i, c in enumerate(drawn) if c.role != "reference") + 1]
+    clusters = {role: [c for c in drawn if c.role == role] for role in prefix}
     try:
         x = {role: np.empty((sum(c.count for c in group), spec.dimension))
              for role, group in clusters.items()}
     except MemoryError:  # where sysconf is missing, the allocation is the check
         raise DatasetError(f"{what}: out of memory") from None
     filled = dict.fromkeys(prefix, 0)
-    for cluster in spec.clusters:
+    for cluster in drawn:
         start = filled[cluster.role]
         block = x[cluster.role][start:start + cluster.count]
         rng.standard_normal(out=block)
@@ -246,7 +252,7 @@ def synth_gaussian(spec: SyntheticSpec) -> tuple[Dataset, Dataset, "Dataset | No
                 [f"{prefix[role]}_{i}" for i in range(len(group))],
                 provenance=f"synthetic:{role}:seed={spec.seed}") if group else None
         for role, group in clusters.items())
-    return known, novel, reference
+    return known, novel, reference if draw_reference else None
 
 
 def split_known_novel(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

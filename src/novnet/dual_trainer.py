@@ -142,7 +142,11 @@ class DualBranchModel:
     combined_head: bool = False
 
     def backbone_features(self, x: np.ndarray) -> np.ndarray:
-        return nn_core.forward(self.backbone_spec, self.backbone, x)[0]
+        """Backbone output for a batch, through the cache-free forward:
+        the conv, relu and pool layers before the first dense one run in
+        reused sample-chunk buffers, so their memory does not depend on
+        the batch size; dense layers see the whole batch."""
+        return nn_core.forward(self.backbone_spec, self.backbone, x, keep_cache=False)[0]
 
     # Both branches route through the single stored backbone; the two
     # accessors exist so the weight-sharing contract can be tested from
@@ -156,7 +160,7 @@ class DualBranchModel:
     def known_logits(self, x: np.ndarray) -> np.ndarray:
         """Full output of the known head (c entries, or c + C when combined)."""
         feat = self.backbone_features(x)
-        return nn_core.forward(self.head_T_spec, self.head_T, feat)[0]
+        return nn_core.forward(self.head_T_spec, self.head_T, feat, keep_cache=False)[0]
 
     def known_class_logits(self, x: np.ndarray) -> np.ndarray:
         """Known-class slice of the known head's output (always c entries)."""
@@ -166,7 +170,7 @@ class DualBranchModel:
         if self.head_R is None:
             raise ConfigError("model has no reference head")
         feat = self.backbone_features(x)
-        return nn_core.forward(self.head_R_spec, self.head_R, feat)[0]
+        return nn_core.forward(self.head_R_spec, self.head_R, feat, keep_cache=False)[0]
 
 
 def _dense_head_spec(width: int, outputs: int) -> NetworkSpec:

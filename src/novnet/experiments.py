@@ -224,7 +224,7 @@ def parse_experiment_config(source) -> ExperimentConfig:
                             evaluation=_from_section(EvalConfig, raw.get("evaluation", {}), "evaluation section"))
 
 
-def assemble_datasets(section: DatasetConfig) -> ExperimentData:
+def assemble_datasets(section: DatasetConfig, draw_reference: bool = True) -> ExperimentData:
     """Turn the dataset section into train/test/novel/reference datasets
     following the split protocol.
 
@@ -232,13 +232,16 @@ def assemble_datasets(section: DatasetConfig) -> ExperimentData:
     generator), or `csv`/`idx` files with an alphabetical known/novel
     split. A reference dataset may come from synthetic roles or from
     `reference_csv`; its class names must not intersect the known ones.
+    With draw_reference=False (eval and calibrate read no reference
+    data) a synthetic source gives no reference dataset and draws no
+    reference cluster after its last known or novel one.
     """
     reference = None
     if section.benchmark is not None:
         spec = make_benchmark_spec(section.benchmark.seed, section.benchmark.reference_clusters)
-        known, novel, reference = data_io.synth_gaussian(spec)
+        known, novel, reference = data_io.synth_gaussian(spec, draw_reference)
     elif section.synthetic is not None:
-        known, novel, reference = data_io.synth_gaussian(section.synthetic)
+        known, novel, reference = data_io.synth_gaussian(section.synthetic, draw_reference)
     else:
         if section.csv is not None:
             full = data_io.load_csv(section.csv.path)

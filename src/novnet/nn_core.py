@@ -17,11 +17,14 @@ forward/backward are pure functions of their arguments, so two calls with
 identical inputs return bit-identical outputs and may run concurrently on
 disjoint batches. Only momentum_update changes parameter values.
 
-A conv2d forward runs its batch in chunks of at least _CHUNK_MACS
-multiply-adds, which bound its scratch buffers. At stride 1 each chunk
-copies its column windows once, so every kernel offset's patch is
-contiguous over (i, j); outputs are unchanged by the copy. Everything
-runs in the calling thread.
+The layers before the first dense one (conv2d, relu, pool) act on each
+sample alone, so forward runs them over sample chunks in buffers
+allocated once per call (see _per_sample_forward). The scoring forward
+(keep_cache=False) keeps no cache, so its memory does not grow with the
+batch. Dense layers multiply the whole batch in one product, because
+BLAS can give a row other bits inside a product of another row count.
+Outputs are unchanged to the bit by the chunks. Everything runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -239,32 +242,89 @@ def _as_batch(spec: NetworkSpec, params: ParamSet, batch: np.ndarray) -> tuple[n
     return batch, models is not None
 
 
-def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray):
+def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: bool = True):
     """Run the network on a batch; returns (activations, cache).
 
     The returned activations are the raw final-layer values (no softmax or
     sigmoid applied). The cache holds each layer's input and is consumed
     by backward(). A [M, n, ...] batch needs [M, ...] stacked parameters.
+    With keep_cache=False the cache is None and the layers before the
+    first dense one hold one sample chunk's maps at a time; the
+    activations are the same bits.
     """
     x, stacked = _as_batch(spec, params, batch)
-    cache = []
-    for i, layer in enumerate(spec.layers):
-        cache.append(x)
+    cache = [] if keep_cache else None
+    first_dense = 0
+    if spec.layers and not isinstance(spec.layers[0], Dense):
+        first_dense = next((i for i, l in enumerate(spec.layers) if isinstance(l, Dense)), len(spec.layers))
+        x = _per_sample_forward(spec, params, x, first_dense, stacked, cache)
+    # Dense layers multiply the whole batch in one product: BLAS can give
+    # a row other bits inside a product of another row count.
+    for i, layer in enumerate(spec.layers[first_dense:], first_dense):
+        if cache is not None:
+            cache.append(x)
         if isinstance(layer, Dense):
             w = params[f"layer{i}.weight"]
             b = params[f"layer{i}.bias"]
             x = x @ w.swapaxes(-1, -2) + b[..., None, :]
-        elif isinstance(layer, Conv2d):
-            w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
-            if stacked:
-                x = np.stack([_conv2d_forward(xm, wm, bm, layer.stride) for xm, wm, bm in zip(x, w, b)])
-            else:
-                x = _conv2d_forward(x, w, b, layer.stride)
-        elif isinstance(layer, Relu):
+        else:  # a dense output has rank 1, so only relu can follow one
             x = np.maximum(x, 0.0)
-        elif isinstance(layer, GlobalAveragePool):
-            x = global_average_pool(x)
     return x, cache
+
+
+def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, count: int, stacked: bool,
+                        cache: "list | None") -> np.ndarray:
+    """Run layers 0..count-1 (conv2d, relu and pool) over sample chunks;
+    returns the last layer's whole-batch output and, with a cache,
+    appends each layer's input to it.
+
+    A chunk is the fewest samples that hold _CHUNK_MACS multiply-adds of
+    the largest conv (with no conv, the whole batch). A layer's output
+    is a whole-batch array when it is cached or last; otherwise it is a
+    chunk buffer that every chunk reuses, and a relu after the first
+    layer runs in place on its input's. Every value takes the same
+    operations in the same order at any chunk size.
+    """
+    shapes = spec.layer_input_shapes()
+    lead = x.shape[:1] if stacked else ()
+    n = x.shape[len(lead)]
+    conv_macs = [math.prod(shapes[i + 1]) * layer.in_channels * layer.kernel ** 2
+                 for i, layer in enumerate(spec.layers[:count]) if isinstance(layer, Conv2d)]
+    chunk = -(-_CHUNK_MACS // max(conv_macs)) if conv_macs else max(n, 1)
+    rows = min(chunk, n)
+
+    def samples(a, start, stop):
+        return a[:, start:stop] if stacked else a[start:stop]
+
+    outs, whole, scratch = [], [], {}
+    for i, layer in enumerate(spec.layers[:count]):
+        whole.append(cache is not None or i == count - 1)
+        if not whole[i] and isinstance(layer, Relu) and i > 0:
+            outs.append(outs[-1])
+        else:
+            outs.append(np.empty(lead + (n if whole[i] else rows,) + shapes[i + 1]))
+        if isinstance(layer, Conv2d):
+            cin, h, _ = shapes[i]
+            columns = (layer.kernel if layer.stride == 1 else 0, rows, cin, h, shapes[i + 1][2])
+            scratch[i] = np.empty((rows,) + shapes[i + 1]), np.empty(columns)
+    for s in range(0, n, chunk):
+        e = min(s + chunk, n)
+        h = samples(x, s, e)
+        for i, layer in enumerate(spec.layers[:count]):
+            out = samples(outs[i], s, e) if whole[i] else samples(outs[i], 0, e - s)
+            if isinstance(layer, Conv2d):
+                w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
+                tmp, columns = scratch[i][0][:e - s], scratch[i][1][:, :e - s]
+                for operands in zip(h, w, b, out) if stacked else [(h, w, b, out)]:
+                    _conv2d_forward(*operands, layer.stride, tmp, columns)
+            elif isinstance(layer, Relu):
+                np.maximum(h, 0.0, out=out)
+            else:
+                h.mean(axis=(-2, -1), out=out)
+            h = out
+    if cache is not None:
+        cache.extend([x] + outs[:-1])
+    return outs[-1]
 
 
 def global_average_pool(g: np.ndarray) -> np.ndarray:
@@ -275,60 +335,50 @@ def global_average_pool(g: np.ndarray) -> np.ndarray:
     return g.mean(axis=(-2, -1))
 
 
-def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
-    n, cin, h, win = x.shape
-    cout, _, k, _ = w.shape
-    h_out = (h - k) // stride + 1
-    w_out = (win - k) // stride + 1
-    out = np.zeros((n, cout, h_out, w_out))
-    # Samples are independent, so the batch runs in chunks of at least
-    # _CHUNK_MACS multiply-adds. The chunks exist to bound the scratch and
-    # column-window buffers below, and so the peak memory of a large batch.
-    # Every output element comes from the same einsum and += calls in the
-    # same offset order at any chunk size: the result is bit-identical.
-    chunk = -(-_CHUNK_MACS // (cout * cin * k * k * h_out * w_out))
-    scratch = np.empty((min(chunk, n), cout, h_out, w_out))
-    columns = np.empty((k if stride == 1 else 0, min(chunk, n), cin, h, w_out))
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
-        part, tmp = out[s:e], scratch[:e - s]
-        windows = [x[s:e, :, :, v:v + stride * w_out:stride] for v in range(k)]
-        if stride == 1:
-            # Copy each column window once, so every patch below is
-            # contiguous over (i, j) and einsum runs it as one loop. At
-            # stride 1 a window's channels are contiguous exactly when x's
-            # are, so einsum keeps its summation kernel and the bits. A
-            # larger stride merges no rows, and a 1-row image narrower than
-            # the stride would get contiguous channels and another sum
-            # order, so its patches stay views of x.
-            for v in range(k):
-                columns[v, :e - s] = windows[v]
-            windows = columns[:, :e - s]
-        # Sum over kernel offsets: each (u, v) contributes a strided row
-        # slice of column window v contracted with the matching kernel slab.
-        for u in range(k):
-            for v in range(k):
-                patch = windows[v][:, :, u:u + stride * h_out:stride]
-                np.einsum("ncij,oc->noij", patch, w[:, :, u, v], out=tmp)
-                part += tmp
-        part += b[:, None, None]
-    return out
+def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray, stride: int,
+                    scratch: np.ndarray, columns: np.ndarray) -> None:
+    """Convolve the samples x into out, through the caller's buffers:
+    scratch has out's shape, and columns, used at stride 1 only, is
+    [kernel, *x.shape[:3], out's width]."""
+    k = w.shape[2]
+    h_out, w_out = out.shape[2:]
+    windows = [x[..., v:v + stride * w_out:stride] for v in range(k)]
+    if stride == 1:
+        # Copy each column window once, so every patch below is
+        # contiguous over (i, j) and einsum runs it as one loop. At
+        # stride 1 a window's channels are contiguous exactly when x's
+        # are, so einsum keeps its summation kernel and the bits. A
+        # larger stride merges no rows, and a 1-row image narrower than
+        # the stride would get contiguous channels and another sum
+        # order, so its patches stay views of x.
+        for v in range(k):
+            columns[v] = windows[v]
+        windows = columns
+    # Sum over kernel offsets: each (u, v) contributes a strided row
+    # slice of column window v contracted with the matching kernel slab.
+    out.fill(0.0)
+    for u in range(k):
+        for v in range(k):
+            patch = windows[v][:, :, u:u + stride * h_out:stride]
+            np.einsum("ncij,oc->noij", patch, w[:, :, u, v], out=scratch)
+            out += scratch
+    out += b[:, None, None]
 
 
-def _conv2d_backward(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray, input_grad: bool):
+def _conv2d_backward(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray, dw: np.ndarray,
+                     dx: "np.ndarray | None") -> np.ndarray:
+    """Fill dw, add the input gradient into dx (zeros, or None to skip
+    it), and return the bias gradient."""
     _, _, h_out, w_out = dy.shape
     k = w.shape[2]
-    dw = np.zeros_like(w)
-    dx = np.zeros_like(x) if input_grad else None
-    db = dy.sum(axis=(0, 2, 3))
     for u in range(k):
         for v in range(k):
             window = (slice(None), slice(None), slice(u, u + stride * h_out, stride),
                       slice(v, v + stride * w_out, stride))
             dw[:, :, u, v] = np.einsum("noij,ncij->oc", dy, x[window])
-            if input_grad:
+            if dx is not None:
                 dx[window] += np.einsum("noij,oc->ncij", dy, w[:, :, u, v])
-    return dw, db, dx
+    return dy.sum(axis=(0, 2, 3))
 
 
 def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray, input_grad: bool = True):
@@ -357,15 +407,18 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray, inpu
             dy = dy @ w if pass_down else None
         elif isinstance(layer, Conv2d):
             w = params[f"layer{i}.weight"]
+            dw = np.empty_like(w)  # every kernel offset is written
+            dx = np.zeros_like(x) if pass_down else None
             if stacked:
-                dws, dbs, dxs = zip(*(_conv2d_backward(xm, wm, layer.stride, dym, pass_down)
-                                      for xm, wm, dym in zip(x, w, dy)))
-                dw, db = np.stack(dws), np.stack(dbs)
-                dy = np.stack(dxs) if pass_down else None
+                db = np.empty((len(w), w.shape[1]))
+                for m in range(len(w)):
+                    db[m] = _conv2d_backward(x[m], w[m], layer.stride, dy[m], dw[m],
+                                             None if dx is None else dx[m])
             else:
-                dw, db, dy = _conv2d_backward(x, w, layer.stride, dy, pass_down)
+                db = _conv2d_backward(x, w, layer.stride, dy, dw, dx)
             grads[f"layer{i}.weight"] = dw
             grads[f"layer{i}.bias"] = db
+            dy = dx
         elif isinstance(layer, Relu):
             dy = dy * (x > 0.0)
         elif isinstance(layer, GlobalAveragePool):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,14 @@ def rng_dataset(rng, n, dim, n_classes, names=None):
     """Random dense-labeled dataset for protocol tests."""
     return Dataset(rng.standard_normal((n, dim)), np.arange(n) % n_classes,
                    names or [f"c{i}" for i in range(n_classes)], provenance="test")
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

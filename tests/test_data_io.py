@@ -239,6 +239,34 @@ class TestSynthGaussian:
         assert novel.class_names == ["novel_0"]
         assert reference.class_names == ["ref_0"]
 
+    @pytest.mark.parametrize("roles", [("known", "known", "novel", "reference", "reference"),
+                                       ("reference", "known", "reference", "novel", "known", "reference")],
+                             ids=["reference-last", "reference-between"])
+    def test_skipped_reference_keeps_known_and_novel_bytes(self, monkeypatch, roles):
+        """draw_reference=False draws no cluster after the last known or
+        novel one, and every known and novel byte is that of the full draw."""
+        spec = SyntheticSpec(3, tuple(ClusterSpec((float(i), 0.0, -1.0), 0.5, 10 + i, role)
+                                      for i, role in enumerate(roles)), seed=4)
+        full = synth_gaussian(spec)
+        default_rng, drawn = np.random.default_rng, []
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *, out):
+                drawn.append(len(out))
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        known, novel, reference = synth_gaussian(spec, draw_reference=False)
+        last = max(i for i, role in enumerate(roles) if role != "reference")
+        assert reference is None
+        assert drawn == [c.count for c in spec.clusters[:last + 1]]
+        for got, want in zip((known, novel), full):
+            assert (got.x.tobytes(), got.y.tobytes(), got.class_names, got.provenance) == \
+                (want.x.tobytes(), want.y.tobytes(), want.class_names, want.provenance)
+
     def test_unallocatable_without_sysconf(self, monkeypatch):
         """Where physical memory is unknown, numpy's MemoryError becomes a
         DatasetError. 4 x 10**16 samples of 3 values exceed any address space."""

@@ -285,8 +285,20 @@ class TestAssembleDatasets:
         section = DatasetConfig.from_dict(section)
         monkeypatch.setattr(data_io.ClusterSpec, "__post_init__", None)  # make_benchmark_spec builds none
         monkeypatch.setattr(np.random, "default_rng", None)  # synth_gaussian draws nothing
-        with pytest.raises(DatasetError, match=named + ".* exceed the .* bytes of physical memory"):
-            assemble_datasets(section)
+        for draw_reference in (True, False):  # every cluster counts, drawn or not
+            with pytest.raises(DatasetError, match=named + ".* exceed the .* bytes of physical memory"):
+                assemble_datasets(section, draw_reference)
+
+    @pytest.mark.parametrize("source", ["benchmark", "conv-demo"])
+    def test_without_reference_known_and_novel_bytes_unchanged(self, source):
+        section = DatasetConfig.from_dict({"benchmark": {"seed": 3}} if source == "benchmark"
+                                          else bundled("conv-demo.json")["dataset"])
+        full, lean = assemble_datasets(section), assemble_datasets(section, draw_reference=False)
+        assert full.reference is not None and lean.reference is None
+        for name in ("train_T", "test_T", "novel"):
+            got, want = getattr(lean, name), getattr(full, name)
+            assert (got.x.tobytes(), got.y.tobytes(), got.class_names) == \
+                (want.x.tobytes(), want.y.tobytes(), want.class_names)
 
 
 class TestRunExperiment:

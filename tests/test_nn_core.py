@@ -1,5 +1,5 @@
+import math
 import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from novnet import nn_core
 from novnet.dual_trainer import TrainerState, TrainingConfig, build_dual_model
 from novnet.errors import ConfigError, DimensionError, DivergenceError, UsageError
@@ -368,6 +369,13 @@ def conv_operands(rng, n, cin, models=None):
             rng.standard_normal(lead + (8,)))
 
 
+def conv_forward(x, w, b, stride):
+    """forward() of a network that is one conv2d layer with these operands."""
+    cout, cin, k, _ = w.shape
+    spec = NetworkSpec(x.shape[1:], (Conv2d(cin, cout, k, stride=stride),))
+    return forward(spec, {"layer0.weight": w, "layer0.bias": b}, x)[0]
+
+
 def chunk_size(cin, stride):
     """Samples per chunk for conv_operands' shapes."""
     side = (28 - 5) // stride + 1
@@ -375,8 +383,8 @@ def chunk_size(cin, stride):
 
 
 class TestConvSplit:
-    """_conv2d_forward runs large batches in chunks; the bytes must not
-    depend on the chunking."""
+    """forward runs the layers before the first dense one over sample
+    chunks; the conv bytes must not depend on the chunking."""
 
     @pytest.mark.parametrize("cin", [1, 3, 8])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -388,8 +396,7 @@ class TestConvSplit:
         size = chunk_size(cin, stride)
         n = {"empty": 0, "one": 1, "odd": 5, "exact": size, "two": 2 * size, "chunks": 2 * size + 1}[batch]
         x, w, b = conv_operands(rng, n, cin)
-        assert nn_core._conv2d_forward(x, w, b, stride).tobytes() == \
-            serial_conv2d_forward(x, w, b, stride).tobytes()
+        assert conv_forward(x, w, b, stride).tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
 
     @pytest.mark.parametrize("models", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -408,12 +415,7 @@ class TestConvSplit:
         scratch and column-window buffers."""
         def extra_peak(n):
             x, w, b = conv_operands(np.random.default_rng(n), n, 1)
-            tracemalloc.start()
-            try:
-                out = nn_core._conv2d_forward(x, w, b, stride)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            out, peak = traced_peak(conv_forward, x, w, b, stride)
             return peak - out.nbytes
 
         size = chunk_size(1, stride)
@@ -430,7 +432,7 @@ class TestConvSplit:
 
         monkeypatch.setattr(np, "einsum", recording_einsum)
         x, w, b = conv_operands(np.random.default_rng(6), 4 * chunk_size(1, 1), 1)
-        nn_core._conv2d_forward(x, w, b, 1)
+        conv_forward(x, w, b, 1)
         assert len(threads) == 4 * 25  # one einsum per kernel offset and chunk
         assert set(threads) == {threading.current_thread()}
 
@@ -450,8 +452,114 @@ class TestConvSplit:
         x = rng.standard_normal((n, cin, h, win))
         w, b = rng.standard_normal((cout, cin, k, k)), rng.standard_normal(cout)
         with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * cout * cin * k * k * h_out * w_out):
-            got = nn_core._conv2d_forward(x, w, b, stride)
+            got = conv_forward(x, w, b, stride)
         assert got.tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
+
+
+def whole_batch_forward(spec, params, x):
+    """Every layer on the whole batch at once, one model at a time: the
+    reference the chunked forward must match byte for byte."""
+    if x.ndim == len(spec.input_shape) + 2:
+        return np.stack([whole_batch_forward(spec, {k: v[m] for k, v in params.items()}, x[m])
+                         for m in range(len(x))])
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, Dense):
+            x = x @ params[f"layer{i}.weight"].T + params[f"layer{i}.bias"]
+        elif isinstance(layer, Conv2d):
+            x = serial_conv2d_forward(x, params[f"layer{i}.weight"], params[f"layer{i}.bias"], layer.stride)
+        elif isinstance(layer, Relu):
+            x = np.maximum(x, 0.0)
+        else:
+            x = x.mean(axis=(-2, -1))
+    return x
+
+
+def cache_free_spec(kind, cin, side, stride):
+    """One network of each layer pattern the chunked forward handles."""
+    first = Conv2d(cin, 3, 3, stride=stride)
+    return {
+        "conv-relu-gap": NetworkSpec((cin, side, side), (first, Relu(), GlobalAveragePool(), Dense(3, 2))),
+        "conv-relu-conv-relu-gap": NetworkSpec(
+            (cin, side, side), (first, Relu(), Conv2d(3, 2, 2, stride=stride), Relu(), GlobalAveragePool(),
+                                Dense(2, 4), Relu(), Dense(4, 2))),
+        "gap-relu": NetworkSpec((cin, side, side), (first, Relu(), GlobalAveragePool(), Relu(), Dense(3, 2))),
+        "conv-relu": NetworkSpec((cin, side, side), (first, Relu())),
+        "dense": NetworkSpec((cin * side,), (Dense(cin * side, 5), Relu(), Dense(5, 3))),
+        "relu-first": NetworkSpec((cin * side,), (Relu(), Dense(cin * side, 3))),
+    }[kind]
+
+
+def most_conv_macs(spec):
+    shapes = spec.layer_input_shapes()
+    return max((math.prod(shapes[i + 1]) * l.in_channels * l.kernel ** 2
+                for i, l in enumerate(spec.layers) if isinstance(l, Conv2d)), default=1)
+
+
+class TestCacheFreeForward:
+    """forward(..., keep_cache=False) keeps no whole-batch maps before the
+    first dense layer, and returns the bits of the cached forward."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["conv-relu-gap", "conv-relu-conv-relu-gap", "gap-relu", "conv-relu",
+                                 "dense", "relu-first"]),
+           cin=st.integers(1, 3), side=st.integers(6, 9), stride=st.integers(1, 2), chunk=st.integers(1, 3),
+           batch=st.sampled_from(["one", "chunk-1", "chunk", "chunk+1", "2chunk"]),
+           models=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2 ** 16))
+    def test_bytes_equal_cached_and_whole_batch(self, kind, cin, side, stride, chunk, batch, models, seed):
+        spec = cache_free_spec(kind, cin, side, stride)
+        n = {"one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1, "2chunk": 2 * chunk}[batch]
+        rows = [init_params(spec, [seed, m]) for m in range(models or 1)]
+        params = rows[0] if models is None else {k: np.stack([p[k] for p in rows]) for k in rows[0]}
+        lead = () if models is None else (models,)
+        x = np.random.default_rng(seed).standard_normal(lead + (n,) + spec.input_shape)
+        with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * most_conv_macs(spec)):
+            cached, cache = forward(spec, params, x)
+            free, none = forward(spec, params, x, keep_cache=False)
+        assert none is None and len(cache) == len(spec.layers)
+        assert free.tobytes() == cached.tobytes() == whole_batch_forward(spec, params, x).tobytes()
+
+    @pytest.mark.parametrize("backbone", [
+        NetworkSpec((1, 6, 6), (Conv2d(1, 3, 3), Relu(), GlobalAveragePool(), Dense(3, 5), Relu())),
+        NetworkSpec((4,), (Relu(), Dense(4, 5), Relu(), Dense(5, 3))),
+    ], ids=["conv", "dense"])
+    def test_dense_layers_multiply_every_row_at_once(self, backbone):
+        """On the scoring path each dense layer is one product over all
+        n rows, however many chunks the conv layers took."""
+        products = []
+
+        class RecordingWeight(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [a.view(np.ndarray) if isinstance(a, RecordingWeight) else a for a in inputs]
+                if ufunc is np.matmul:
+                    products.append(inputs[0].shape[0])
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        model = build_dual_model(backbone, 2, 0, seed=0)
+        for params in (model.backbone, model.head_T):
+            for name in params:
+                if name.endswith(".weight") and params[name].ndim == 2:
+                    params[name] = params[name].view(RecordingWeight)
+        x = np.random.default_rng(1).standard_normal((7,) + backbone.input_shape)
+        with mock.patch.object(nn_core, "_CHUNK_MACS", 2 * most_conv_macs(backbone)):
+            model.known_class_logits(x)
+        assert products == [7] * (sum(isinstance(l, Dense) for l in backbone.layers) + 1)  # and head_T
+
+    def test_scoring_memory_does_not_grow_with_the_batch(self):
+        """Beyond its [n, filters] output, the backbone features of a conv
+        model over eight chunks peak no higher than over two: no conv or
+        relu map of the whole batch is held."""
+        spec = NetworkSpec((1, 28, 28), (Conv2d(1, 8, 5), Relu(), GlobalAveragePool()))
+        model = build_dual_model(spec, 2, 0, seed=0)
+
+        def extra_peak(n):
+            x = np.random.default_rng(n).standard_normal((n, 1, 28, 28))
+            features, peak = traced_peak(model.backbone_features, x)
+            assert features.shape == (n, 8)
+            return peak - features.nbytes
+
+        size = chunk_size(1, 1)
+        small, large = extra_peak(2 * size), extra_peak(8 * size)
+        assert large <= small + (1 << 16), (small, large)
 
 
 class TestSgdStep:
