@@ -46,7 +46,9 @@ def _load_config(args) -> experiments.ExperimentConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    data = experiments.assemble_datasets(cfg.dataset)
+    # Training reads only the train split and the reference data: the novel
+    # split is not kept, and the test split is dropped before training.
+    data = replace(experiments.assemble_datasets(cfg.dataset, ("known", "reference")), test_T=None)
     [(model, history)] = experiments.train_models([(cfg, data)])
 
     history_path = os.path.join(args.out, "history.csv")
@@ -66,7 +68,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint).model
-    data = experiments.assemble_datasets(cfg.dataset, draw_reference=False)
+    data = experiments.assemble_datasets(cfg.dataset, ("known", "novel"))
     records, roc, accuracy = experiments.evaluate_detection(model, data)
     scores_text, roc_text = novelty_eval.report_texts(records, roc)
     summary = {
@@ -88,7 +90,7 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint).model
-    data = experiments.assemble_datasets(cfg.dataset, draw_reference=False)
+    data = experiments.assemble_datasets(cfg.dataset, ("known",))
     scores = novelty_eval.score_dataset(model, data.test_T, is_novel=False).score
     threshold = novelty_eval.calibrate_threshold(scores, cfg.evaluation.target_fnr)
     payload = {

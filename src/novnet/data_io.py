@@ -34,6 +34,9 @@ from .errors import (
     check_number,
 )
 
+# A synthetic cluster's role: which dataset its samples go to.
+ROLES = ("known", "novel", "reference")
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -111,7 +114,7 @@ class ClusterSpec:
         if not check_number(self.stddev, "'stddev'") > 0:
             raise ConfigError(f"'stddev' must be positive, got {self.stddev}")
         check_integer(self.count, "'count'", 1)
-        if self.role not in ("known", "novel", "reference"):
+        if self.role not in ROLES:
             raise ConfigError(f"'role' must be known, novel or reference, got {self.role!r}")
 
 
@@ -215,31 +218,29 @@ def check_fits_in_memory(values: int, what: str, error: type[NovnetError] = Data
                     f"{memory} bytes of physical memory")
 
 
-def synth_gaussian(spec: SyntheticSpec, draw_reference: bool = True) -> tuple[Dataset, Dataset, "Dataset | None"]:
+def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple[Dataset | None, ...]:
     """Draw isotropic Gaussian clusters and route them to the (known,
     novel, reference) datasets by role. Deterministic given spec.seed.
-    The reference slot is None when the spec has no reference clusters.
+    A slot is None when its role is not in `roles` or has no clusters.
 
     Each cluster is drawn in spec order straight into its rows of the
     role's preallocated feature array, so no per-cluster copies exist.
-    With draw_reference=False the reference slot is None and the clusters
-    after the last known or novel one are not drawn; no draw before them
-    changes, so the known and novel rows keep their bytes."""
+    The clusters after the last one of a role in `roles` are not drawn;
+    no draw before them changes, so the returned datasets keep their
+    bytes. The memory check counts every cluster, drawn or not."""
     samples = sum(c.count for c in spec.clusters)
     what = f"synthetic 'clusters' of {samples} samples x {spec.dimension} values"
     check_fits_in_memory(samples * spec.dimension, what)
     rng = np.random.default_rng(spec.seed)
     prefix = {"known": "known", "novel": "novel", "reference": "ref"}
-    drawn = spec.clusters
-    if not draw_reference:
-        drawn = drawn[:max(i for i, c in enumerate(drawn) if c.role != "reference") + 1]
-    clusters = {role: [c for c in drawn if c.role == role] for role in prefix}
+    drawn = spec.clusters[:max((i + 1 for i, c in enumerate(spec.clusters) if c.role in roles), default=0)]
+    clusters = {role: [c for c in drawn if c.role == role] for role in ROLES}
     try:
         x = {role: np.empty((sum(c.count for c in group), spec.dimension))
              for role, group in clusters.items()}
     except MemoryError:  # where sysconf is missing, the allocation is the check
         raise DatasetError(f"{what}: out of memory") from None
-    filled = dict.fromkeys(prefix, 0)
+    filled = dict.fromkeys(ROLES, 0)
     for cluster in drawn:
         start = filled[cluster.role]
         block = x[cluster.role][start:start + cluster.count]
@@ -247,12 +248,11 @@ def synth_gaussian(spec: SyntheticSpec, draw_reference: bool = True) -> tuple[Da
         block *= cluster.stddev
         block += np.asarray(cluster.mean, dtype=np.float64)
         filled[cluster.role] += cluster.count
-    known, novel, reference = (
+    return tuple(
         Dataset(x[role], np.repeat(np.arange(len(group)), [c.count for c in group]),
                 [f"{prefix[role]}_{i}" for i in range(len(group))],
-                provenance=f"synthetic:{role}:seed={spec.seed}") if group else None
+                provenance=f"synthetic:{role}:seed={spec.seed}") if group and role in roles else None
         for role, group in clusters.items())
-    return known, novel, reference if draw_reference else None
 
 
 def split_known_novel(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

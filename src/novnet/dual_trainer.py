@@ -355,6 +355,8 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
     head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
     backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
+    # The reference pass holds its own maps: free the known branch's first.
+    del feat_t, cache_bt, cache_ht
 
     ce_r = np.zeros(rows)
     head_r_grads: ParamSet = {}

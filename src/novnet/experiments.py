@@ -191,7 +191,7 @@ class ExperimentConfig:
 @dataclass
 class ExperimentData:
     train_T: Dataset
-    test_T: Dataset
+    test_T: Dataset | None  # None while `novnet train` trains
     novel: Dataset | None
     reference: Dataset | None
 
@@ -224,7 +224,7 @@ def parse_experiment_config(source) -> ExperimentConfig:
                             evaluation=_from_section(EvalConfig, raw.get("evaluation", {}), "evaluation section"))
 
 
-def assemble_datasets(section: DatasetConfig, draw_reference: bool = True) -> ExperimentData:
+def assemble_datasets(section: DatasetConfig, roles: tuple[str, ...] = data_io.ROLES) -> ExperimentData:
     """Turn the dataset section into train/test/novel/reference datasets
     following the split protocol.
 
@@ -232,16 +232,19 @@ def assemble_datasets(section: DatasetConfig, draw_reference: bool = True) -> Ex
     generator), or `csv`/`idx` files with an alphabetical known/novel
     split. A reference dataset may come from synthetic roles or from
     `reference_csv`; its class names must not intersect the known ones.
-    With draw_reference=False (eval and calibrate read no reference
-    data) a synthetic source gives no reference dataset and draws no
-    reference cluster after its last known or novel one.
+    `roles` names the roles the caller reads; it must hold "known", whose
+    split gives train_T and test_T. Another role's dataset is None, and a
+    synthetic source draws no cluster after the last one of these roles
+    (no drawn byte changes). The memory check still counts every cluster,
+    and `reference_csv` is still loaded, since its class-overlap check
+    validates the config.
     """
     reference = None
     if section.benchmark is not None:
         spec = make_benchmark_spec(section.benchmark.seed, section.benchmark.reference_clusters)
-        known, novel, reference = data_io.synth_gaussian(spec, draw_reference)
+        known, novel, reference = data_io.synth_gaussian(spec, roles)
     elif section.synthetic is not None:
-        known, novel, reference = data_io.synth_gaussian(section.synthetic, draw_reference)
+        known, novel, reference = data_io.synth_gaussian(section.synthetic, roles)
     else:
         if section.csv is not None:
             full = data_io.load_csv(section.csv.path)
@@ -257,7 +260,8 @@ def assemble_datasets(section: DatasetConfig, draw_reference: bool = True) -> Ex
             raise ProtocolError(f"reference classes must not intersect known classes: {sorted(overlap)}")
 
     train_t, test_t = data_io.split_train_test(known, section.split.seed, section.split.train_fraction)
-    data = ExperimentData(train_T=train_t, test_T=test_t, novel=novel, reference=reference)
+    data = ExperimentData(train_T=train_t, test_T=test_t, novel=novel if "novel" in roles else None,
+                          reference=reference if "reference" in roles else None)
     if section.reshape is not None:
         data = ExperimentData(*[_reshape_dataset(ds, section.reshape) for ds in
                                 (data.train_T, data.test_T, data.novel, data.reference)])

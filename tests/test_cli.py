@@ -6,13 +6,14 @@ import stat
 import struct
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from novnet import cli
+from novnet import cli, experiments
 from novnet.dual_trainer import TrainingConfig, build_dual_model, load_checkpoint, save_checkpoint
 from novnet.experiments import assemble_datasets, parse_experiment_config
 from novnet.nn_core import Conv2d, Dense, GlobalAveragePool, NetworkSpec, Relu
@@ -802,6 +803,33 @@ class TestReshapePath:
                          "--out", str(rep)]) == 0
         report = json.loads((rep / "filter_report.json").read_text())
         assert len(report["weights"][0]) == 6  # conv filter count
+
+    def test_train_holds_no_test_or_novel_split(self, tmp_path, monkeypatch):
+        """`train` reads only the train split and the reference data: the
+        assembled known-test and novel arrays are gone while it trains."""
+        import pathlib
+        demo = pathlib.Path(__file__).resolve().parent.parent / "configs" / "conv-demo.json"
+        cfg = json.loads(demo.read_text())
+        cfg["training"]["epochs"] = 1
+        config = tmp_path / "conv.json"
+        config.write_text(json.dumps(cfg))
+        real_assemble, real_train = experiments.assemble_datasets, experiments.train_lockstep
+        assembled, alive = [], []
+
+        def assemble(*args, **kwargs):
+            data = real_assemble(*args, **kwargs)
+            assembled.extend(weakref.ref(a) for ds in (data.test_T, data.novel) if ds is not None
+                             for a in (ds.x, ds.y))
+            return data
+
+        def train_lockstep(*args, **kwargs):
+            alive.append([ref() is not None for ref in assembled])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "assemble_datasets", assemble)
+        monkeypatch.setattr(experiments, "train_lockstep", train_lockstep)
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert assembled and alive == [[False] * len(assembled)]
 
     def test_bad_reshape_rejected(self, tmp_path, capsys):
         cfg = json.loads(write_config(tmp_path).read_text())

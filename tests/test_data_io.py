@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from novnet.data_io import (
+    ROLES,
     ClusterSpec,
     Dataset,
     SplitSpec,
@@ -239,12 +240,16 @@ class TestSynthGaussian:
         assert novel.class_names == ["novel_0"]
         assert reference.class_names == ["ref_0"]
 
-    @pytest.mark.parametrize("roles", [("known", "known", "novel", "reference", "reference"),
-                                       ("reference", "known", "reference", "novel", "known", "reference")],
-                             ids=["reference-last", "reference-between"])
-    def test_skipped_reference_keeps_known_and_novel_bytes(self, monkeypatch, roles):
-        """draw_reference=False draws no cluster after the last known or
-        novel one, and every known and novel byte is that of the full draw."""
+    @pytest.mark.parametrize("roles, wanted", [
+        (("known", "known", "novel", "reference", "reference"), ("known", "novel")),
+        (("reference", "known", "reference", "novel", "known", "reference"), ("known", "novel")),
+        (("known", "known", "novel", "reference", "reference"), ("known",)),
+    ], ids=["reference-last", "reference-between", "known-only"])
+    def test_skipped_reference_keeps_known_and_novel_bytes(self, monkeypatch, roles, wanted):
+        """Asked for the `wanted` roles (eval's, then calibrate's), synth_gaussian
+        draws no cluster after the last one of them: calibrate draws no novel
+        cluster that follows the known ones. Every wanted byte is that of the
+        full draw, and the other slots are None."""
         spec = SyntheticSpec(3, tuple(ClusterSpec((float(i), 0.0, -1.0), 0.5, 10 + i, role)
                                       for i, role in enumerate(roles)), seed=4)
         full = synth_gaussian(spec)
@@ -259,13 +264,15 @@ class TestSynthGaussian:
                 return self.rng.standard_normal(out=out)
 
         monkeypatch.setattr(np.random, "default_rng", RecordingRng)
-        known, novel, reference = synth_gaussian(spec, draw_reference=False)
-        last = max(i for i, role in enumerate(roles) if role != "reference")
-        assert reference is None
+        lean = synth_gaussian(spec, wanted)
+        last = max(i for i, role in enumerate(roles) if role in wanted)
         assert drawn == [c.count for c in spec.clusters[:last + 1]]
-        for got, want in zip((known, novel), full):
-            assert (got.x.tobytes(), got.y.tobytes(), got.class_names, got.provenance) == \
-                (want.x.tobytes(), want.y.tobytes(), want.class_names, want.provenance)
+        for role, got, want in zip(ROLES, lean, full):
+            if role not in wanted:
+                assert got is None
+            else:
+                assert (got.x.tobytes(), got.y.tobytes(), got.class_names, got.provenance) == \
+                    (want.x.tobytes(), want.y.tobytes(), want.class_names, want.provenance)
 
     def test_unallocatable_without_sysconf(self, monkeypatch):
         """Where physical memory is unknown, numpy's MemoryError becomes a

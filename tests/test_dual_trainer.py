@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -782,3 +783,33 @@ class TestBackboneInputGradient:
         steps = -(-len(data.train_T) // cfg.training.batch_size_T)
         assert calls.count((True, False)) == calls.count((False, True)) == 2 * steps  # T and R branches
         assert len(calls) == 4 * steps
+
+
+class TestBranchCacheLifetime:
+    def test_known_caches_die_before_the_reference_pass(self, monkeypatch):
+        """A step holds one branch's forward maps at a time: every array in
+        the known branch's backbone and head caches (but the batch the
+        caller owns) is gone when the reference backbone forward runs."""
+        rng = np.random.default_rng(0)
+        spec = NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 3, 3), Relu(), nn_core.GlobalAveragePool()))
+        model = build_dual_model(spec, 3, 2, seed=0)
+        known = Dataset(rng.standard_normal((6, 1, 6, 6)), np.arange(6) % 3, ["a", "b", "c"], provenance="t")
+        reference = Dataset(rng.standard_normal((4, 1, 6, 6)), np.arange(4) % 2, ["r0", "r1"], provenance="r")
+        real_forward, known_maps, alive = nn_core.forward, [], []
+        calls = 0
+
+        def spy(spec, params, batch, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:  # the reference branch's backbone
+                alive.extend(ref() is not None for ref in known_maps)
+            out, cache = real_forward(spec, params, batch, *args, **kwargs)
+            if calls <= 2:
+                known_maps.extend(weakref.ref(a) for a in cache if calls == 2 or a is not batch)
+            return out, cache
+
+        monkeypatch.setattr(nn_core, "forward", spy)
+        train_one_step(model, known, reference)
+        assert calls == 4
+        assert len(known_maps) == 3  # conv map, relu map, pooled features
+        assert alive == [False] * 3

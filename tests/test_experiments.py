@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novnet import data_io
-from novnet.data_io import SplitSpec, synth_gaussian
+from novnet.data_io import ROLES, SplitSpec, synth_gaussian
 from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError
 from novnet import experiments
 from novnet.experiments import (
@@ -285,20 +285,24 @@ class TestAssembleDatasets:
         section = DatasetConfig.from_dict(section)
         monkeypatch.setattr(data_io.ClusterSpec, "__post_init__", None)  # make_benchmark_spec builds none
         monkeypatch.setattr(np.random, "default_rng", None)  # synth_gaussian draws nothing
-        for draw_reference in (True, False):  # every cluster counts, drawn or not
+        for roles in (ROLES, ("known", "novel"), ("known",)):  # every cluster counts, drawn or not
             with pytest.raises(DatasetError, match=named + ".* exceed the .* bytes of physical memory"):
-                assemble_datasets(section, draw_reference)
+                assemble_datasets(section, roles)
 
     @pytest.mark.parametrize("source", ["benchmark", "conv-demo"])
     def test_without_reference_known_and_novel_bytes_unchanged(self, source):
         section = DatasetConfig.from_dict({"benchmark": {"seed": 3}} if source == "benchmark"
                                           else bundled("conv-demo.json")["dataset"])
-        full, lean = assemble_datasets(section), assemble_datasets(section, draw_reference=False)
-        assert full.reference is not None and lean.reference is None
-        for name in ("train_T", "test_T", "novel"):
-            got, want = getattr(lean, name), getattr(full, name)
-            assert (got.x.tobytes(), got.y.tobytes(), got.class_names) == \
-                (want.x.tobytes(), want.y.tobytes(), want.class_names)
+        full = assemble_datasets(section)
+        # eval's, calibrate's and train's roles: each split they keep has the full draw's bytes.
+        for roles, kept in ((("known", "novel"), "novel"), (("known",), None), (("known", "reference"), "reference")):
+            lean = assemble_datasets(section, roles)
+            for name in ("novel", "reference"):
+                assert (getattr(lean, name) is None) == (name != kept)
+            for name in ("train_T", "test_T") + ((kept,) if kept else ()):
+                got, want = getattr(lean, name), getattr(full, name)
+                assert (got.x.tobytes(), got.y.tobytes(), got.class_names) == \
+                    (want.x.tobytes(), want.y.tobytes(), want.class_names)
 
 
 class TestRunExperiment:
