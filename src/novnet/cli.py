@@ -46,9 +46,11 @@ def _load_config(args) -> experiments.ExperimentConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    # Training reads only the train split and the reference data: the novel
-    # split is not kept, and the test split is dropped before training.
-    data = replace(experiments.assemble_datasets(cfg.dataset, ("known", "reference")), test_T=None)
+    # Training reads only the train split and, when its mode uses it, the
+    # reference data: the novel split is not kept, and the test split is
+    # dropped before training.
+    roles = ("known", "reference") if cfg.training.uses_reference else ("known",)
+    data = replace(experiments.assemble_datasets(cfg.dataset, roles), test_T=None)
     [(model, history)] = experiments.train_models([(cfg, data)])
 
     history_path = os.path.join(args.out, "history.csv")

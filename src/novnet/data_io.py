@@ -29,6 +29,7 @@ from .errors import (
     NovnetError,
     ParseError,
     ProtocolError,
+    UsageError,
     check_integer,
     check_list,
     check_number,
@@ -218,6 +219,13 @@ def check_fits_in_memory(values: int, what: str, error: type[NovnetError] = Data
                     f"{memory} bytes of physical memory")
 
 
+def check_roles(roles) -> None:
+    """Raise UsageError unless every entry of `roles` is one of ROLES."""
+    unknown = [role for role in roles if role not in ROLES]
+    if unknown:
+        raise UsageError(f"unknown roles {unknown}; roles are {list(ROLES)}")
+
+
 def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple[Dataset | None, ...]:
     """Draw isotropic Gaussian clusters and route them to the (known,
     novel, reference) datasets by role. Deterministic given spec.seed.
@@ -228,6 +236,7 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
     The clusters after the last one of a role in `roles` are not drawn;
     no draw before them changes, so the returned datasets keep their
     bytes. The memory check counts every cluster, drawn or not."""
+    check_roles(roles)
     samples = sum(c.count for c in spec.clusters)
     what = f"synthetic 'clusters' of {samples} samples x {spec.dimension} values"
     check_fits_in_memory(samples * spec.dimension, what)

@@ -22,7 +22,7 @@ from .dual_trainer import (
     build_dual_model,
     train_lockstep,
 )
-from .errors import ConfigError, ProtocolError, check_integer, check_keys, check_list, check_number
+from .errors import ConfigError, ProtocolError, UsageError, check_integer, check_keys, check_list, check_number
 from .nn_core import NetworkSpec, spec_from_dicts
 
 ABLATION_MODES = ("ce-only", "ce+membership", "dual-ce", "dual-full")
@@ -239,6 +239,9 @@ def assemble_datasets(section: DatasetConfig, roles: tuple[str, ...] = data_io.R
     and `reference_csv` is still loaded, since its class-overlap check
     validates the config.
     """
+    data_io.check_roles(roles)
+    if "known" not in roles:
+        raise UsageError(f"roles {list(roles)} must include 'known'")
     reference = None
     if section.benchmark is not None:
         spec = make_benchmark_spec(section.benchmark.seed, section.benchmark.reference_clusters)

@@ -23,8 +23,11 @@ allocated once per call (see _per_sample_forward). The scoring forward
 (keep_cache=False) keeps no cache, so its memory does not grow with the
 batch. Dense layers multiply the whole batch in one product, because
 BLAS can give a row other bits inside a product of another row count.
-Outputs are unchanged to the bit by the chunks. Everything runs in the
-calling thread.
+Outputs are unchanged to the bit by the chunks. A conv2d layer with one
+input channel sums its kernel offsets in one einsum over a patch buffer;
+one with several input channels loops over the offsets, since its
+channel sum nests inside the offset sum (see _conv2d_forward). Both give
+the loop's bits. Everything runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .errors import ConfigError, DimensionError, UsageError, check_integer, chec
 ParamSet = dict[str, np.ndarray]
 
 # A conv forward batch runs in chunks of at least this many multiply-adds,
-# so its scratch buffers stay bounded however large the batch.
-_CHUNK_MACS = 1 << 21
+# so its patch and scratch buffers stay bounded however large the batch.
+_CHUNK_MACS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,7 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
     def samples(a, start, stop):
         return a[:, start:stop] if stacked else a[start:stop]
 
-    outs, whole, scratch = [], [], {}
+    outs, whole, buffers = [], [], {}
     for i, layer in enumerate(spec.layers[:count]):
         whole.append(cache is not None or i == count - 1)
         if not whole[i] and isinstance(layer, Relu) and i > 0:
@@ -304,9 +307,7 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
         else:
             outs.append(np.empty(lead + (n if whole[i] else rows,) + shapes[i + 1]))
         if isinstance(layer, Conv2d):
-            cin, h, _ = shapes[i]
-            columns = (layer.kernel if layer.stride == 1 else 0, rows, cin, h, shapes[i + 1][2])
-            scratch[i] = np.empty((rows,) + shapes[i + 1]), np.empty(columns)
+            buffers[i] = _conv2d_buffers(layer, rows, shapes[i], shapes[i + 1])
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
         h = samples(x, s, e)
@@ -314,9 +315,8 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
             out = samples(outs[i], s, e) if whole[i] else samples(outs[i], 0, e - s)
             if isinstance(layer, Conv2d):
                 w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
-                tmp, columns = scratch[i][0][:e - s], scratch[i][1][:, :e - s]
                 for operands in zip(h, w, b, out) if stacked else [(h, w, b, out)]:
-                    _conv2d_forward(*operands, layer.stride, tmp, columns)
+                    _conv2d_forward(*operands, layer.stride, buffers[i])
             elif isinstance(layer, Relu):
                 np.maximum(h, 0.0, out=out)
             else:
@@ -335,15 +335,49 @@ def global_average_pool(g: np.ndarray) -> np.ndarray:
     return g.mean(axis=(-2, -1))
 
 
+def _conv2d_buffers(layer: Conv2d, rows: int, in_shape: tuple[int, ...],
+                    out_shape: tuple[int, ...]) -> tuple:
+    """The buffers _conv2d_forward fills for `layer` over up to `rows`
+    samples: with one input channel, a patch buffer
+    [kernel², rows, out_height, out_width]; otherwise a scratch buffer of
+    out's shape and, at stride 1 only, column windows
+    [kernel, rows, in_channels, in_height, out_width]."""
+    cin, h, _ = in_shape
+    if cin == 1:
+        return (np.empty((layer.kernel ** 2, rows) + out_shape[1:]),)
+    columns = np.empty((layer.kernel, rows, cin, h, out_shape[2])) if layer.stride == 1 else None
+    return np.empty((rows,) + out_shape), columns
+
+
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray, stride: int,
-                    scratch: np.ndarray, columns: np.ndarray) -> None:
-    """Convolve the samples x into out, through the caller's buffers:
-    scratch has out's shape, and columns, used at stride 1 only, is
-    [kernel, *x.shape[:3], out's width]."""
+                    buffers: tuple) -> None:
+    """Convolve the samples x into out, through the buffers that
+    _conv2d_buffers made for at least len(x) samples.
+
+    With one input channel, x's k² offset windows are copied into a
+    [k², n, h_out, w_out] patch buffer, offset first, and one einsum sums
+    them: each output adds the offsets in order, from zero, as the loop
+    below does. With several input channels each offset's channel sum
+    nests inside the offset sum, which no single einsum reproduces, so
+    those layers run the loop over kernel offsets. So does a chunk whose
+    patch holds one value (one sample, 1x1 output): the offset axis is
+    then einsum's only loop, and einsum sums it in another order.
+    """
+    n, cin = x.shape[:2]
     k = w.shape[2]
     h_out, w_out = out.shape[2:]
+    if cin == 1 and n * h_out * w_out > 1:
+        patches = buffers[0][:, :n]
+        for u in range(k):
+            for v in range(k):
+                patches[u * k + v] = x[:, 0, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
+        np.einsum("knij,ok->noij", patches, w.reshape(len(w), k * k), out=out)
+        out += b[:, None, None]
+        return
+    # A one-value patch is contiguous as a view of x, so it needs no copy.
+    scratch, columns = buffers if cin > 1 else (np.empty_like(out), None)
     windows = [x[..., v:v + stride * w_out:stride] for v in range(k)]
-    if stride == 1:
+    if columns is not None:
         # Copy each column window once, so every patch below is
         # contiguous over (i, j) and einsum runs it as one loop. At
         # stride 1 a window's channels are contiguous exactly when x's
@@ -351,11 +385,13 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
         # larger stride merges no rows, and a 1-row image narrower than
         # the stride would get contiguous channels and another sum
         # order, so its patches stay views of x.
+        columns = columns[:, :n]
         for v in range(k):
             columns[v] = windows[v]
         windows = columns
     # Sum over kernel offsets: each (u, v) contributes a strided row
     # slice of column window v contracted with the matching kernel slab.
+    scratch = scratch[:n]
     out.fill(0.0)
     for u in range(k):
         for v in range(k):

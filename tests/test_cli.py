@@ -50,6 +50,29 @@ def write_config(tmp_path, name="config.json", mode="dual-full", epochs=3, seed=
 
 
 class TestTrain:
+    @pytest.mark.parametrize("mode", ["ce-only", "ce+membership"])
+    def test_train_holds_no_reference_it_does_not_read(self, tmp_path, monkeypatch, mode):
+        """In a mode that reads no reference data, no assembled reference
+        array is alive while `train` trains."""
+        config = write_config(tmp_path, mode=mode, epochs=1)
+        real_assemble, real_train = experiments.assemble_datasets, experiments.train_lockstep
+        assembled, alive = [], []
+
+        def assemble(*args, **kwargs):
+            data = real_assemble(*args, **kwargs)
+            if data.reference is not None:
+                assembled.extend(weakref.ref(a) for a in (data.reference.x, data.reference.y))
+            return data
+
+        def train_lockstep(*args, **kwargs):
+            alive.append([ref() is not None for ref in assembled])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "assemble_datasets", assemble)
+        monkeypatch.setattr(experiments, "train_lockstep", train_lockstep)
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert alive == [[False] * len(assembled)]
+
     def test_writes_checkpoint_and_history(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "run"

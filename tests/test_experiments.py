@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from novnet import data_io
 from novnet.data_io import ROLES, SplitSpec, synth_gaussian
-from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError
+from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError, UsageError
 from novnet import experiments
 from novnet.experiments import (
     ABLATION_MODES,
@@ -303,6 +303,19 @@ class TestAssembleDatasets:
                 got, want = getattr(lean, name), getattr(full, name)
                 assert (got.x.tobytes(), got.y.tobytes(), got.class_names) == \
                     (want.x.tobytes(), want.y.tobytes(), want.class_names)
+
+    @pytest.mark.parametrize("build, roles", [
+        ("assemble", ("novel",)), ("assemble", ()), ("assemble", ("known", "bogus")),
+        ("synth", ("bogus",)), ("synth", ("known", "bogus"))])
+    def test_bad_roles_rejected(self, build, roles):
+        """A role outside ROLES, or assembled roles without "known", is a
+        UsageError before anything is drawn."""
+        section = benchmark_config(epochs=1).dataset
+        with pytest.raises(UsageError, match="roles"):
+            if build == "assemble":
+                assemble_datasets(section, roles)
+            else:
+                synth_gaussian(make_benchmark_spec(section.benchmark.seed), roles)
 
 
 class TestRunExperiment:

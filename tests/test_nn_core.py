@@ -398,12 +398,13 @@ class TestConvSplit:
         x, w, b = conv_operands(rng, n, cin)
         assert conv_forward(x, w, b, stride).tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
 
+    @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("models", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_stacked_models_equal_serial_loop(self, stride, models):
-        spec = NetworkSpec((3, 28, 28), (Conv2d(3, 8, 5, stride=stride), Relu(), GlobalAveragePool()))
-        rng = np.random.default_rng([5, stride, models])
-        x, w, b = conv_operands(rng, 2 * chunk_size(3, stride) + 1, 3, models=models)
+    def test_stacked_models_equal_serial_loop(self, stride, models, cin):
+        spec = NetworkSpec((cin, 28, 28), (Conv2d(cin, 8, 5, stride=stride), Relu(), GlobalAveragePool()))
+        rng = np.random.default_rng([5, stride, models, cin])
+        x, w, b = conv_operands(rng, 2 * chunk_size(cin, stride) + 1, cin, models=models)
         _, cache = forward(spec, {"layer0.weight": w, "layer0.bias": b}, x)
         expected = np.stack([serial_conv2d_forward(*operands, stride) for operands in zip(x, w, b)])
         assert cache[1].tobytes() == expected.tobytes()
@@ -422,7 +423,10 @@ class TestConvSplit:
         small, large = extra_peak(2 * size), extra_peak(8 * size)
         assert large <= small + (1 << 16), (small, large)
 
-    def test_every_chunk_runs_in_the_calling_thread(self, monkeypatch):
+    # One input channel: one einsum per chunk. Several: one per kernel
+    # offset and chunk.
+    @pytest.mark.parametrize("cin, per_chunk", [(1, 1), (3, 25)])
+    def test_every_chunk_runs_in_the_calling_thread(self, monkeypatch, cin, per_chunk):
         einsum = np.einsum
         threads = []
 
@@ -431,9 +435,9 @@ class TestConvSplit:
             return einsum(*args, **kwargs)
 
         monkeypatch.setattr(np, "einsum", recording_einsum)
-        x, w, b = conv_operands(np.random.default_rng(6), 4 * chunk_size(1, 1), 1)
+        x, w, b = conv_operands(np.random.default_rng(6), 4 * chunk_size(cin, 1), cin)
         conv_forward(x, w, b, 1)
-        assert len(threads) == 4 * 25  # one einsum per kernel offset and chunk
+        assert len(threads) == 4 * per_chunk
         assert set(threads) == {threading.current_thread()}
 
     @settings(max_examples=300, deadline=None)
@@ -443,6 +447,10 @@ class TestConvSplit:
     # A 1-row image narrower than the stride: copied column windows would
     # have contiguous channels, and einsum would sum them in another order.
     @example(k=1, h_extra=0, w_extra=1, stride=2, cin=4, cout=1, chunk=1, n=1)
+    # One input channel, one sample and a 1x1 output: a contiguous patch
+    # buffer would leave einsum only the offset axis to sum, in another
+    # order.
+    @example(k=3, h_extra=0, w_extra=0, stride=1, cin=1, cout=1, chunk=1, n=1)
     def test_any_shape_equals_serial_loop(self, k, h_extra, w_extra, stride, cin, cout, chunk, n):
         """Non-square images, every kernel size and stride, and batches
         past two chunks of 1 to 3 samples: the bytes of the serial loop."""
