@@ -33,7 +33,6 @@ from .filter_analysis import (
     build_filter_report,
     classify_filters,
     globally_negative_filters,
-    top_filters,
 )
 from .losses import (
     LossResult,
@@ -52,7 +51,6 @@ from .nn_core import (
     backward,
     finite_difference_grad,
     forward,
-    global_average_pool,
     init_params,
 )
 from .novelty_eval import (

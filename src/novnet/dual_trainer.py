@@ -50,7 +50,7 @@ from .errors import (
     check_keys,
     check_number,
 )
-from .losses import _combine, cross_entropy_terms, membership_terms
+from .losses import cross_entropy_terms, cumulative_loss, membership_terms
 from .nn_core import NetworkSpec, ParamSet
 
 CHECKPOINT_MAGIC = b"NVFG"
@@ -103,10 +103,6 @@ class TrainingConfig:
     @property
     def uses_reference(self) -> bool:
         return self.mode in _REFERENCE_MODES
-
-    @property
-    def uses_membership(self) -> bool:
-        return self.mode in _MEMBERSHIP_MODES
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -372,8 +368,7 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
-    # TrainingConfig has checked the weights.
-    total = _combine(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
+    total = cumulative_loss(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
     finite = np.isfinite(total)
     if not finite.all():
         row, where = state.first_bad(~finite)

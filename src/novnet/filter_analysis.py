@@ -44,17 +44,14 @@ def _check_weights(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _class_row(w: np.ndarray, class_index: int) -> np.ndarray:
+def classify_filters(w: np.ndarray, class_index: int) -> tuple[set[int], set[int]]:
+    """Positive and negative filter index sets for one class row."""
+    w = _check_weights(w)
     # A bool would index a new axis, and a float no row at all.
     if isinstance(class_index, bool) or not isinstance(class_index, numbers.Integral) \
             or not 0 <= class_index < w.shape[0]:
         raise LabelError(f"class index must be an integer in [0, {w.shape[0]}), got {class_index!r}")
-    return w[class_index]
-
-
-def classify_filters(w: np.ndarray, class_index: int) -> tuple[set[int], set[int]]:
-    """Positive and negative filter index sets for one class row."""
-    row = _class_row(_check_weights(w), class_index)
+    row = w[class_index]
     positive = set(np.flatnonzero(row > 0).tolist())
     negative = set(np.flatnonzero(row < 0).tolist())
     return positive, negative
@@ -66,19 +63,6 @@ def globally_negative_filters(w: np.ndarray) -> set[int]:
     if w.shape[0] < 1:
         raise ConfigError("weight matrix needs at least one class row")
     return set(np.flatnonzero(np.all(w < 0, axis=0)).tolist())
-
-
-def top_filters(w: np.ndarray, class_index: int, k_top: int, sign: str) -> list[int]:
-    """Indices of the k_top largest (sign='positive') or smallest
-    (sign='negative') weights for a class, ties broken by lower index."""
-    row = _class_row(_check_weights(w), class_index)
-    k = row.shape[0]
-    if not 1 <= k_top <= k:
-        raise ConfigError(f"k_top must be in [1, {k}], got {k_top}")
-    if sign not in ("positive", "negative"):
-        raise ConfigError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    key = (lambda j: (-row[j], j)) if sign == "positive" else (lambda j: (row[j], j))
-    return sorted(range(k), key=key)[:k_top]
 
 
 def build_filter_report(w: np.ndarray) -> FilterReport:

@@ -1,5 +1,5 @@
 """Loss functions: softmax cross-entropy, the membership loss, and the
-cumulative combiner used by the dual-branch trainer.
+cumulative loss that the dual-branch trainer's step minimizes.
 
 All losses consume the raw final-layer activations (no normalization
 applied beforehand); the membership loss applies the sigmoid elementwise
@@ -151,14 +151,7 @@ def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1=1.0, alpha2=1.0):
     L_ce(R) + alpha1 * L_ce(T) + alpha2 * L_m(T).
 
     Takes floats or arrays (e.g. one entry per model of a stack), and
-    returns a number or an array of the broadcast shape.
+    returns a number or an array of the broadcast shape. The weights are
+    not checked here: TrainingConfig checks that they are >= 0.
     """
-    if not (np.all(alpha1 >= 0) and np.all(alpha2 >= 0)):
-        raise ConfigError("cumulative loss weights must be >= 0")
-    return _combine(l_ce_r, l_ce_t, l_m_t, alpha1, alpha2)
-
-
-def _combine(l_ce_r, l_ce_t, l_m_t, alpha1, alpha2):
-    """cumulative_loss without its weight check, for callers whose weights
-    are already validated (the trainer's, by TrainingConfig)."""
     return l_ce_r + alpha1 * l_ce_t + alpha2 * l_m_t

@@ -25,9 +25,10 @@ batch. Dense layers multiply the whole batch in one product, because
 BLAS can give a row other bits inside a product of another row count.
 Outputs are unchanged to the bit by the chunks. A conv2d layer with one
 input channel sums its kernel offsets in one einsum over a patch buffer;
-one with several input channels loops over the offsets, since its
-channel sum nests inside the offset sum (see _conv2d_forward). Both give
-the loop's bits. Everything runs in the calling thread.
+one with several input channels runs one einsum per offset on a strided
+view of its input, since its channel sum nests inside the offset sum
+(see _conv2d_forward). Both give the loop's bits. Everything runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ ParamSet = dict[str, np.ndarray]
 
 # A conv forward batch runs in chunks of at least this many multiply-adds,
 # so its patch and scratch buffers stay bounded however large the batch.
+# A conv counts at least 8 (input, output) channel pairs, so a one-channel
+# conv's patch buffer does not grow as its filter count falls below 8.
 _CHUNK_MACS = 1 << 20
+_MIN_CHANNEL_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -282,16 +286,18 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
     appends each layer's input to it.
 
     A chunk is the fewest samples that hold _CHUNK_MACS multiply-adds of
-    the largest conv (with no conv, the whole batch). A layer's output
-    is a whole-batch array when it is cached or last; otherwise it is a
-    chunk buffer that every chunk reuses, and a relu after the first
-    layer runs in place on its input's. Every value takes the same
-    operations in the same order at any chunk size.
+    the largest conv, counted at _MIN_CHANNEL_PAIRS channel pairs or more
+    (with no conv, the whole batch). A layer's output is a whole-batch
+    array when it is cached or last; otherwise it is a chunk buffer that
+    every chunk reuses, and a relu after the first layer runs in place on
+    its input's. Every value takes the same operations in the same order
+    at any chunk size.
     """
     shapes = spec.layer_input_shapes()
     lead = x.shape[:1] if stacked else ()
     n = x.shape[len(lead)]
-    conv_macs = [math.prod(shapes[i + 1]) * layer.in_channels * layer.kernel ** 2
+    conv_macs = [math.prod(shapes[i + 1][1:]) * layer.kernel ** 2
+                 * max(layer.in_channels * layer.out_channels, _MIN_CHANNEL_PAIRS)
                  for i, layer in enumerate(spec.layers[:count]) if isinstance(layer, Conv2d)]
     chunk = -(-_CHUNK_MACS // max(conv_macs)) if conv_macs else max(n, 1)
     rows = min(chunk, n)
@@ -307,7 +313,7 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
         else:
             outs.append(np.empty(lead + (n if whole[i] else rows,) + shapes[i + 1]))
         if isinstance(layer, Conv2d):
-            buffers[i] = _conv2d_buffers(layer, rows, shapes[i], shapes[i + 1])
+            buffers[i] = _conv2d_buffer(layer, rows, shapes[i + 1])
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
         h = samples(x, s, e)
@@ -327,39 +333,28 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
     return outs[-1]
 
 
-def global_average_pool(g: np.ndarray) -> np.ndarray:
-    """Mean of each activation map: [[M,] batch, k, h, w] -> [[M,] batch, k]."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim not in (4, 5):
-        raise DimensionError(f"global_average_pool expects rank-4 or rank-5 input, got rank {g.ndim}")
-    return g.mean(axis=(-2, -1))
-
-
-def _conv2d_buffers(layer: Conv2d, rows: int, in_shape: tuple[int, ...],
-                    out_shape: tuple[int, ...]) -> tuple:
-    """The buffers _conv2d_forward fills for `layer` over up to `rows`
+def _conv2d_buffer(layer: Conv2d, rows: int, out_shape: tuple[int, ...]) -> np.ndarray:
+    """The buffer _conv2d_forward fills for `layer` over up to `rows`
     samples: with one input channel, a patch buffer
     [kernel², rows, out_height, out_width]; otherwise a scratch buffer of
-    out's shape and, at stride 1 only, column windows
-    [kernel, rows, in_channels, in_height, out_width]."""
-    cin, h, _ = in_shape
-    if cin == 1:
-        return (np.empty((layer.kernel ** 2, rows) + out_shape[1:]),)
-    columns = np.empty((layer.kernel, rows, cin, h, out_shape[2])) if layer.stride == 1 else None
-    return np.empty((rows,) + out_shape), columns
+    out's shape."""
+    if layer.in_channels == 1:
+        return np.empty((layer.kernel ** 2, rows) + out_shape[1:])
+    return np.empty((rows,) + out_shape)
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray, stride: int,
-                    buffers: tuple) -> None:
-    """Convolve the samples x into out, through the buffers that
-    _conv2d_buffers made for at least len(x) samples.
+                    buffer: np.ndarray) -> None:
+    """Convolve the samples x into out, through the buffer that
+    _conv2d_buffer made for at least len(x) samples.
 
     With one input channel, x's k² offset windows are copied into a
     [k², n, h_out, w_out] patch buffer, offset first, and one einsum sums
     them: each output adds the offsets in order, from zero, as the loop
     below does. With several input channels each offset's channel sum
     nests inside the offset sum, which no single einsum reproduces, so
-    those layers run the loop over kernel offsets. So does a chunk whose
+    those layers run the loop over kernel offsets, one einsum per offset
+    on a strided view of x into the scratch buffer. So does a chunk whose
     patch holds one value (one sample, 1x1 output): the offset axis is
     then einsum's only loop, and einsum sums it in another order.
     """
@@ -367,35 +362,20 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
     k = w.shape[2]
     h_out, w_out = out.shape[2:]
     if cin == 1 and n * h_out * w_out > 1:
-        patches = buffers[0][:, :n]
+        patches = buffer[:, :n]
         for u in range(k):
             for v in range(k):
                 patches[u * k + v] = x[:, 0, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
         np.einsum("knij,ok->noij", patches, w.reshape(len(w), k * k), out=out)
         out += b[:, None, None]
         return
-    # A one-value patch is contiguous as a view of x, so it needs no copy.
-    scratch, columns = buffers if cin > 1 else (np.empty_like(out), None)
-    windows = [x[..., v:v + stride * w_out:stride] for v in range(k)]
-    if columns is not None:
-        # Copy each column window once, so every patch below is
-        # contiguous over (i, j) and einsum runs it as one loop. At
-        # stride 1 a window's channels are contiguous exactly when x's
-        # are, so einsum keeps its summation kernel and the bits. A
-        # larger stride merges no rows, and a 1-row image narrower than
-        # the stride would get contiguous channels and another sum
-        # order, so its patches stay views of x.
-        columns = columns[:, :n]
-        for v in range(k):
-            columns[v] = windows[v]
-        windows = columns
-    # Sum over kernel offsets: each (u, v) contributes a strided row
-    # slice of column window v contracted with the matching kernel slab.
-    scratch = scratch[:n]
+    # Patches stay strided views of x: a copy could give them contiguous
+    # channels, and einsum would sum those in another order.
+    scratch = buffer[:n] if cin > 1 else np.empty_like(out)
     out.fill(0.0)
     for u in range(k):
         for v in range(k):
-            patch = windows[v][:, :, u:u + stride * h_out:stride]
+            patch = x[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
             np.einsum("ncij,oc->noij", patch, w[:, :, u, v], out=scratch)
             out += scratch
     out += b[:, None, None]

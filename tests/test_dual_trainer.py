@@ -131,6 +131,25 @@ class TestTrainStep:
                            alpha1=0.7, alpha2=0.3)
         assert abs(m.cumulative - (m.loss_ce_R + 0.7 * m.loss_ce_T + 0.3 * m.loss_m_T)) < 1e-12
 
+    @pytest.mark.parametrize("mode", ["ce-only", "ce+membership", "dual-ce", "dual-full"])
+    def test_cumulative_identity_in_a_mixed_stack(self, mode):
+        """One step of a stack of the four ablation modes: each row's
+        cumulative loss weighs its own terms, with alpha2 where its mode
+        uses the membership loss and no term a mode does not compute."""
+        rng = np.random.default_rng(1)
+        known, reference = rng_dataset(rng, 6, 4, 3), rng_dataset(rng, 6, 4, 2)
+        modes = ("ce-only", "ce+membership", "dual-ce", "dual-full")
+        cfgs = [TrainingConfig(mode=m, epochs=1, seed=0, batch_size_T=6, batch_size_R=6,
+                               alpha1=0.7, alpha2=0.3) for m in modes]
+        models = [build_dual_model(backbone16(), 3, 2 if cfg.uses_reference else 0, seed=1) for cfg in cfgs]
+        histories = train_lockstep(models, [known] * len(modes),
+                                   [reference if cfg.uses_reference else None for cfg in cfgs], cfgs)
+        [m] = histories[modes.index(mode)]
+        membership, dual = mode in ("ce+membership", "dual-full"), mode in ("dual-ce", "dual-full")
+        assert (m.loss_m_T != 0) == membership and (m.loss_ce_R != 0) == dual
+        alpha2 = 0.3 if membership else 0.0
+        assert abs(m.cumulative - (m.loss_ce_R + 0.7 * m.loss_ce_T + alpha2 * m.loss_m_T)) < 1e-12
+
     def test_backbone_gradient_is_sum_of_branches(self):
         rng = np.random.default_rng(2)
         model = build_dual_model(backbone16(), 3, 2, seed=2)
@@ -396,6 +415,7 @@ class TestTrainingConfig:
         ("epochs", "x"), ("lambda", "5"), ("lr", None), ("alpha1", True), ("momentum", [0.5]),
         ("lambda", float("inf")), pytest.param("lr", 10**400, id="lr-int-beyond-float"),
         ("epochs", 2.5), ("batch_size_T", 3.5), ("batch_size_R", None), ("seed", 1.5), ("epochs", True),
+        ("alpha1", -0.5), ("alpha2", -0.5),
     ])
     def test_bad_values_rejected(self, key, value):
         with pytest.raises(ConfigError, match="lr|learning rate" if key == "lr" else key):

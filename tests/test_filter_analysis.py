@@ -15,7 +15,6 @@ from novnet.filter_analysis import (
     build_filter_report,
     classify_filters,
     globally_negative_filters,
-    top_filters,
 )
 
 
@@ -73,43 +72,6 @@ class TestGloballyNegative:
         for i in range(4):
             expected &= classify_filters(w, i)[1]
         assert globally_negative_filters(w) == expected
-
-
-class TestTopFilters:
-    def test_positive_order(self):
-        w = np.array([[0.9, 0.1, 0.5]])
-        assert top_filters(w, 0, 2, "positive") == [0, 2]
-
-    def test_tie_breaks_low_index(self):
-        w = np.array([[0.5, 0.5]])
-        assert top_filters(w, 0, 1, "positive") == [0]
-
-    def test_negative_order(self):
-        w = np.array([[0.9, -1.5, -0.2]])
-        assert top_filters(w, 0, 2, "negative") == [1, 2]
-
-    def test_prefix_property(self):
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal((1, 9))
-        for sign in ("positive", "negative"):
-            for k in range(1, 9):
-                assert top_filters(w, 0, k, sign) == top_filters(w, 0, k + 1, sign)[:k]
-
-    def test_k_top_out_of_range(self):
-        w = np.zeros((1, 3))
-        with pytest.raises(ConfigError):
-            top_filters(w, 0, 0, "positive")
-        with pytest.raises(ConfigError):
-            top_filters(w, 0, 4, "positive")
-
-    def test_bad_sign(self):
-        with pytest.raises(ConfigError):
-            top_filters(np.zeros((1, 3)), 0, 1, "both")
-
-    @pytest.mark.parametrize("class_index", [-1, 1, 0.0, True])
-    def test_class_index_out_of_range_or_not_an_integer(self, class_index):
-        with pytest.raises(LabelError):
-            top_filters(np.zeros((1, 3)), class_index, 1, "positive")
 
 
 class TestFilterReport:

@@ -20,7 +20,6 @@ from novnet.nn_core import (
     backward,
     finite_difference_grad,
     forward,
-    global_average_pool,
     init_params,
     momentum_update,
     param_shapes,
@@ -160,6 +159,11 @@ class TestForward:
                 assert f[n, i] == np.dot(w[i], pooled[n]) + b[i]
 
 
+def global_average_pool(g):
+    """forward() of a network that is one global-average-pool layer."""
+    return forward(NetworkSpec(g.shape[1:], (GlobalAveragePool(),)), {}, g)[0]
+
+
 class TestGlobalAveragePool:
     def test_constant_map(self):
         g = np.full((1, 2, 3, 3), 3.5)
@@ -175,8 +179,8 @@ class TestGlobalAveragePool:
         assert np.allclose(global_average_pool(g * s), global_average_pool(g) * s, rtol=0, atol=1e-15)
 
     def test_rank_error(self):
-        with pytest.raises(DimensionError):
-            global_average_pool(np.zeros((2, 3, 4)))
+        with pytest.raises(ConfigError):
+            NetworkSpec((3, 4), (GlobalAveragePool(),))
 
 
 def relative_error(a, b):
@@ -379,7 +383,7 @@ def conv_forward(x, w, b, stride):
 def chunk_size(cin, stride):
     """Samples per chunk for conv_operands' shapes."""
     side = (28 - 5) // stride + 1
-    return -(-nn_core._CHUNK_MACS // (8 * cin * 25 * side * side))
+    return -(-nn_core._CHUNK_MACS // (max(8 * cin, nn_core._MIN_CHANNEL_PAIRS) * 25 * side * side))
 
 
 class TestConvSplit:
@@ -409,19 +413,44 @@ class TestConvSplit:
         expected = np.stack([serial_conv2d_forward(*operands, stride) for operands in zip(x, w, b)])
         assert cache[1].tobytes() == expected.tobytes()
 
+    def test_batch_with_scattered_channels_equals_serial_loop(self):
+        """A batch stored with its axes reversed: a contiguous copy of its
+        patches would have contiguous channels, and einsum would sum them
+        in another order."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((5, 1, 3, 1)).transpose(3, 2, 1, 0)
+        w, b = rng.standard_normal((3, 3, 1, 1)), rng.standard_normal(3)
+        assert conv_forward(x, w, b, 1).tobytes() == serial_conv2d_forward(x, w, b, 1).tobytes()
+
+    @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_scratch_does_not_grow_with_the_batch(self, stride):
+    def test_scratch_does_not_grow_with_the_batch(self, stride, cin):
         """Beyond its output, a forward over eight chunks holds no more
-        memory at its peak than one over two: the chunks bound the
-        scratch and column-window buffers."""
+        memory at its peak than one over two: the chunks bound the patch
+        buffer of one input channel and the scratch buffer of several."""
         def extra_peak(n):
-            x, w, b = conv_operands(np.random.default_rng(n), n, 1)
+            x, w, b = conv_operands(np.random.default_rng(n), n, cin)
             out, peak = traced_peak(conv_forward, x, w, b, stride)
             return peak - out.nbytes
 
-        size = chunk_size(1, stride)
+        size = chunk_size(cin, stride)
         small, large = extra_peak(2 * size), extra_peak(8 * size)
         assert large <= small + (1 << 16), (small, large)
+
+    @pytest.mark.parametrize("filters", [1, 2, 4])
+    def test_patch_buffer_does_not_grow_as_filters_fall(self, filters):
+        """Beyond its output, a scoring forward of a one-channel conv with
+        fewer than 8 filters peaks no higher than one with 8: a chunk's
+        patch buffer does not grow as the filter count falls."""
+        x = np.random.default_rng(7).standard_normal((512, 1, 28, 28))
+
+        def extra_peak(cout):
+            spec = NetworkSpec((1, 28, 28), (Conv2d(1, cout, 5), Relu(), GlobalAveragePool()))
+            out, peak = traced_peak(forward, spec, init_params(spec, 0), x, False)
+            return peak - out[0].nbytes
+
+        few, eight = extra_peak(filters), extra_peak(8)
+        assert few <= eight + (1 << 16), (few, eight)
 
     # One input channel: one einsum per chunk. Several: one per kernel
     # offset and chunk.
@@ -444,8 +473,9 @@ class TestConvSplit:
     @given(k=st.integers(1, 5), h_extra=st.integers(0, 6), w_extra=st.integers(0, 6),
            stride=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 4),
            chunk=st.integers(1, 3), n=st.integers(0, 8))
-    # A 1-row image narrower than the stride: copied column windows would
-    # have contiguous channels, and einsum would sum them in another order.
+    # A 1-row image narrower than the stride: a copy of its patches would
+    # have contiguous channels, and einsum would sum them in another order,
+    # so the offset loop reads strided views of x.
     @example(k=1, h_extra=0, w_extra=1, stride=2, cin=4, cout=1, chunk=1, n=1)
     # One input channel, one sample and a 1x1 output: a contiguous patch
     # buffer would leave einsum only the offset axis to sum, in another
@@ -459,7 +489,8 @@ class TestConvSplit:
         rng = np.random.default_rng([h, win, k, stride, cin, cout, n])
         x = rng.standard_normal((n, cin, h, win))
         w, b = rng.standard_normal((cout, cin, k, k)), rng.standard_normal(cout)
-        with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * cout * cin * k * k * h_out * w_out):
+        pairs = max(cout * cin, nn_core._MIN_CHANNEL_PAIRS)
+        with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * pairs * k * k * h_out * w_out):
             got = conv_forward(x, w, b, stride)
         assert got.tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
 
@@ -499,7 +530,8 @@ def cache_free_spec(kind, cin, side, stride):
 
 def most_conv_macs(spec):
     shapes = spec.layer_input_shapes()
-    return max((math.prod(shapes[i + 1]) * l.in_channels * l.kernel ** 2
+    return max((math.prod(shapes[i + 1][1:]) * l.kernel ** 2
+                * max(l.in_channels * l.out_channels, nn_core._MIN_CHANNEL_PAIRS)
                 for i, l in enumerate(spec.layers) if isinstance(l, Conv2d)), default=1)
 
 
