@@ -24,7 +24,6 @@ from .dual_trainer import (
     build_dual_model,
     load_checkpoint,
     save_checkpoint,
-    train,
     train_lockstep,
 )
 from .errors import NovnetError

@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import experiments, novelty_eval
-from .data_io import csv_text, write_all_atomic, write_atomic
+from .data_io import csv_text, write_all_atomic
 from .dual_trainer import MODES, checkpoint_bytes, load_checkpoint
 from .errors import NovnetError, UnsupportedArchitectureError
 from .experiments import ABLATION_MODES, parse_experiment_config
@@ -101,7 +101,7 @@ def cmd_calibrate(args) -> int:
         "sample_count": threshold.sample_count,
         "realized_fnr": novelty_eval.realized_fnr(scores, threshold),
     }
-    write_atomic(os.path.join(args.out, "threshold.json"), json.dumps(payload, indent=2) + "\n")
+    write_all_atomic({os.path.join(args.out, "threshold.json"): json.dumps(payload, indent=2) + "\n"})
     print(json.dumps(payload))
     return 0
 
@@ -116,7 +116,8 @@ def cmd_ablate(args) -> int:
                [row.seed for row in rows] + ["mean"] * len(modes),
                [row.auc for row in rows] + [means[mode] for mode in modes],
                [row.accuracy for row in rows] + [""] * len(modes)]
-    write_atomic(os.path.join(args.out, "ablation.csv"), csv_text(["mode", "seed", "auc", "accuracy"], columns))
+    write_all_atomic({os.path.join(args.out, "ablation.csv"):
+                      csv_text(["mode", "seed", "auc", "accuracy"], columns)})
     for mode in modes:
         print(f"{mode}\t{means[mode]:.4f}")
     return 0
@@ -131,9 +132,9 @@ def cmd_inspect_filters(args) -> int:
             "filter inspection needs a backbone ending in global-average-pool feeding the dense head")
     weights = model.head_T["layer0.weight"][: model.num_known]
     report = build_filter_report(weights)
-    write_atomic(os.path.join(args.out, "filter_report.json"),
-                 json.dumps(report.to_json_dict(), indent=2) + "\n")
-    print(os.path.join(args.out, "filter_report.json"))
+    path = os.path.join(args.out, "filter_report.json")
+    write_all_atomic({path: json.dumps(report.to_json_dict(), indent=2) + "\n"})
+    print(path)
     return 0
 
 

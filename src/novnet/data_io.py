@@ -347,11 +347,6 @@ def csv_text(header, columns) -> str:
     return "\r\n".join(map(",".join, zip(*texts, strict=True))) + "\r\n"
 
 
-def write_atomic(path, data: "str | bytes") -> None:
-    """Write `data` to `path` atomically: write_all_atomic of one file."""
-    write_all_atomic({path: data})
-
-
 def write_all_atomic(files) -> None:
     """Place every file of `files` (path -> str or bytes; text is UTF-8
     encoded), or none of them.

@@ -12,8 +12,8 @@ parameter is a [rows, *shape] view with a leading model axis into one
 flat buffer per stack, and the momentum is one array of the same size,
 so one step of the whole stack is a fixed set of numpy calls (one
 finiteness check and one momentum update), and each model ends
-bit-identical to training it alone. train() is the one-model case of
-the same loop. The stack holds its rows sorted by mode, so the rows
+bit-identical to training it alone; a lone model is a one-row stack
+of the same loop. The stack holds its rows sorted by mode, so the rows
 with a reference branch and the rows with the membership loss are each
 one slice; each step computes the membership terms only for that slice,
 and the other rows hold zeros. Histories come back, and errors name
@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import nn_core
-from .data_io import Dataset, check_fits_in_memory, read_exact, write_atomic
+from .data_io import Dataset, check_fits_in_memory, read_exact, write_all_atomic
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -143,15 +143,6 @@ class DualBranchModel:
         reused sample-chunk buffers, so their memory does not depend on
         the batch size; dense layers see the whole batch."""
         return nn_core.forward(self.backbone_spec, self.backbone, x, keep_cache=False)[0]
-
-    # Both branches route through the single stored backbone; the two
-    # accessors exist so the weight-sharing contract can be tested from
-    # either branch's point of view.
-    def features_for_known_branch(self, x: np.ndarray) -> np.ndarray:
-        return self.backbone_features(x)
-
-    def features_for_reference_branch(self, x: np.ndarray) -> np.ndarray:
-        return self.backbone_features(x)
 
     def known_logits(self, x: np.ndarray) -> np.ndarray:
         """Full output of the known head (c entries, or c + C when combined)."""
@@ -400,10 +391,9 @@ class _IndexStream:
 
 def _check_mode_datasets(model: DualBranchModel, dataset_T: Dataset,
                          dataset_R: Dataset | None, cfg: TrainingConfig) -> None:
-    if cfg.uses_reference:
-        if dataset_R is None and not (cfg.mode == "finetune-cC" and model.num_reference == 0):
-            raise ConfigError(f"mode {cfg.mode!r} requires a reference dataset")
-    elif dataset_R is not None:
+    if cfg.uses_reference and dataset_R is None:
+        raise ConfigError(f"mode {cfg.mode!r} needs a reference dataset")
+    if not cfg.uses_reference and dataset_R is not None:
         raise ConfigError(f"mode {cfg.mode!r} forbids a reference dataset")
     if dataset_T.n_classes != model.num_known:
         raise ConfigError(
@@ -441,11 +431,8 @@ def _epoch_set(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | 
     T and the reference data relabeled past the known classes."""
     if cfg.mode != "finetune-cC":
         return dataset_T.x, dataset_T.y
-    x_parts, y_parts = [dataset_T.x], [dataset_T.y]
-    if dataset_R is not None:
-        x_parts.append(dataset_R.x)
-        y_parts.append(dataset_R.y + model.num_known)
-    return np.concatenate(x_parts), np.concatenate(y_parts)
+    return (np.concatenate([dataset_T.x, dataset_R.x]),
+            np.concatenate([dataset_T.y, dataset_R.y + model.num_known]))
 
 
 def _pool(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -465,8 +452,14 @@ def _pool(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) -> list[list[EpochStats]]:
-    """Train M models at once, each step of all of them one set of numpy
-    calls; returns each model's history.
+    """Train M models in place for cfg.epochs epochs, each step of all of
+    them one set of numpy calls; returns each model's history (per-epoch
+    loss components averaged over steps). Deterministic given the seeds.
+
+    A mode that uses reference data (dual-ce, dual-full, finetune-cC)
+    needs an R dataset, the others take None (else ConfigError). R is an
+    endless shuffled stream, one batch per step; a finetune-cC epoch
+    runs over T and R relabeled past the known classes.
 
     Every row trains exactly as it would alone: the same parameters bit
     for bit and the same history. Rows may differ in mode (any of the
@@ -549,22 +542,6 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     return histories
 
 
-def train(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | None,
-          cfg: TrainingConfig, epoch_callback=None):
-    """Train the model for cfg.epochs epochs over T: train_lockstep with
-    one row.
-
-    The reference dataset is consumed as an endless shuffled stream, one
-    batch per step, reshuffled whenever it runs out. In finetune-cC mode
-    the epoch runs over the union of T and the relabeled reference data.
-    Per-epoch loss components are averaged over steps and returned as the
-    history; epoch_callback(epoch_index, model), when given, runs after
-    each epoch. Deterministic given cfg.seed.
-    """
-    callback = None if epoch_callback is None else (lambda epoch: epoch_callback(epoch, model))
-    return model, train_lockstep([model], [dataset_T], [dataset_R], [cfg], callback)[0]
-
-
 @dataclass
 class Checkpoint:
     """A saved model: format version, specs + parameters, the training
@@ -620,7 +597,7 @@ def save_checkpoint(model: DualBranchModel, cfg: TrainingConfig, path,
                     epoch: int = 0, metrics: dict | None = None) -> None:
     """Write the checkpoint file atomically: a temp file is renamed into
     place only on success."""
-    write_atomic(path, checkpoint_bytes(model, cfg, epoch, metrics or {}))
+    write_all_atomic({path: checkpoint_bytes(model, cfg, epoch, metrics or {})})
 
 
 def load_checkpoint(path) -> Checkpoint:

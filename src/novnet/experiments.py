@@ -320,29 +320,6 @@ def make_benchmark_spec(seed: int, reference_clusters: int = 8,
     return SyntheticSpec(dimension=dim, clusters=tuple(clusters), seed=seed)
 
 
-def benchmark_backbone() -> NetworkSpec:
-    """Small dense backbone matched to the benchmark's 8-dim inputs."""
-    return spec_from_dicts([BENCHMARK_DIMENSION], [
-        {"kind": "dense", "in": BENCHMARK_DIMENSION, "out": 20},
-        {"kind": "relu"},
-    ])
-
-
-def benchmark_config(data_seed: int = 0, reference_clusters: int = 8,
-                     mode: str = "dual-full", training_seed: int = 0,
-                     epochs: int = 100) -> ExperimentConfig:
-    """Ready-to-run configuration for the bundled benchmark."""
-    training = TrainingConfig(mode=mode, epochs=epochs, lr=0.05, momentum=0.9,
-                              batch_size_T=32, batch_size_R=32, seed=training_seed)
-    return ExperimentConfig(
-        dataset=DatasetConfig(benchmark=BenchmarkSource(data_seed, reference_clusters),
-                              split=SplitSpec(train_fraction=0.5, seed=data_seed)),
-        backbone=benchmark_backbone(),
-        training=training,
-        evaluation=EvalConfig(),
-    )
-
-
 @dataclass
 class ExperimentResult:
     mode: str
@@ -377,8 +354,6 @@ def train_models(runs) -> list[tuple[DualBranchModel, list[EpochStats]]]:
     models, references = [], []
     for cfg, data in runs:
         training = cfg.training
-        if training.uses_reference and data.reference is None:
-            raise ConfigError(f"mode {training.mode!r} needs a reference dataset")
         reference = data.reference if training.uses_reference else None
         models.append(build_dual_model(cfg.backbone, data.train_T.n_classes,
                                        reference.n_classes if reference is not None else 0,

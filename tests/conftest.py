@@ -1,11 +1,28 @@
+import json
+import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from novnet.data_io import ClusterSpec, Dataset, SyntheticSpec, synth_gaussian
-from novnet.dual_trainer import TrainingConfig, build_dual_model, train
+from novnet.dual_trainer import TrainingConfig, build_dual_model, train_lockstep
+from novnet.experiments import parse_experiment_config
 from novnet.nn_core import Dense, NetworkSpec, Relu
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def bundled(name: str) -> dict:
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)
+
+
+def benchmark(**training):
+    """configs/benchmark.json, with the given training fields replaced."""
+    cfg = parse_experiment_config(os.path.join(CONFIGS, "benchmark.json"))
+    return replace(cfg, training=replace(cfg.training, **training))
 
 
 def small_synthetic(seed=0, per_cluster=60, dim=4):
@@ -39,7 +56,7 @@ def trained_dual_full(toy_datasets):
     cfg = TrainingConfig(mode="dual-full", epochs=20, lr=0.05, seed=3,
                          batch_size_T=16, batch_size_R=16)
     model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=3)
-    model, history = train(model, known, reference, cfg)
+    history = train_lockstep([model], [known], [reference], [cfg])[0]
     return model, history, toy_datasets
 
 
@@ -48,7 +65,7 @@ def trained_ce_only(toy_datasets):
     known, novel, reference = toy_datasets
     cfg = TrainingConfig(mode="ce-only", epochs=20, lr=0.05, seed=3, batch_size_T=16)
     model = build_dual_model(small_backbone(), known.n_classes, 0, seed=3)
-    model, history = train(model, known, None, cfg)
+    history = train_lockstep([model], [known], [None], [cfg])[0]
     return model, history, toy_datasets
 
 

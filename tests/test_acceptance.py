@@ -7,24 +7,24 @@ synthetic benchmark (10 seeds x 4 modes).
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import benchmark, bundled
 from novnet import cli
 from novnet.dual_trainer import (
     TrainingConfig,
     build_dual_model,
     load_checkpoint,
     save_checkpoint,
-    train,
+    train_lockstep,
 )
 from novnet.errors import FormatError
 from novnet.experiments import (
     ablation_means,
     assemble_datasets,
-    benchmark_backbone,
-    benchmark_config,
     run_ablation,
 )
 from novnet.losses import MembershipParams, cross_entropy, membership_loss
@@ -51,7 +51,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def ablation_rows():
-    cfg = benchmark_config()
+    cfg = benchmark()
     start = time.perf_counter()
     rows = run_ablation(cfg, n_seeds=10)
     elapsed = time.perf_counter() - start
@@ -152,22 +152,25 @@ def test_criterion_4_known_values():
 
 
 def test_criterion_5_weight_sharing():
-    cfg = benchmark_config(epochs=5)
+    cfg = benchmark(epochs=5)
     data = assemble_datasets(cfg.dataset)
     probe = data.test_T.x[:16]
-    model = build_dual_model(benchmark_backbone(), data.train_T.n_classes,
+    model = build_dual_model(cfg.backbone, data.train_T.n_classes,
                              data.reference.n_classes, seed=0)
     epochs_checked = []
     mismatches = []
 
-    def check(epoch, m):
-        f_known = m.features_for_known_branch(probe)
-        f_ref = m.features_for_reference_branch(probe)
+    def check(epoch):
+        # Both heads read the one stored backbone: the cache-free pass that
+        # feeds them at scoring and the cached pass each branch's training
+        # step runs give the same bits.
+        f_known = model.backbone_features(probe)
+        f_ref = forward(model.backbone_spec, model.backbone, probe)[0]
         epochs_checked.append(epoch)
         if not np.array_equal(f_known, f_ref):
             mismatches.append(epoch)
 
-    train(model, data.train_T, data.reference, cfg.training, epoch_callback=check)
+    train_lockstep([model], [data.train_T], [data.reference], [cfg.training], epoch_callback=check)
     report("criterion 5 (backbone weight sharing across branches)",
            len(epochs_checked) == 5 and not mismatches,
            f"bitwise-identical features after every one of {len(epochs_checked)} epochs")
@@ -196,7 +199,10 @@ def test_criterion_8_reference_diversity(ablation_rows):
     rows, _ = ablation_rows
     auc8 = float(np.mean([r.auc for r in rows if r.mode == "dual-full"]))
     # the same 10 dual-full rows, with 2 reference clusters, in one stack
-    rows2 = run_ablation(benchmark_config(reference_clusters=2), modes=("dual-full",), n_seeds=10)
+    cfg = benchmark()
+    two_clusters = replace(cfg.dataset.benchmark, reference_clusters=2)
+    cfg = replace(cfg, dataset=replace(cfg.dataset, benchmark=two_clusters))
+    rows2 = run_ablation(cfg, modes=("dual-full",), n_seeds=10)
     auc2 = float(np.mean([r.auc for r in rows2]))
     ok = auc8 >= auc2 - 0.005
     report("criterion 8 (reference-dataset diversity effect)", ok,
@@ -228,9 +234,10 @@ def test_criterion_9_checkpoint_round_trip(tmp_path):
 
 
 def test_criterion_10_train_determinism(tmp_path):
-    cfg = benchmark_config(epochs=5)
+    raw = bundled("benchmark.json")
+    raw["training"]["epochs"] = 5
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(cfg.to_dict(), indent=2))
+    config_path.write_text(json.dumps(raw, indent=2))
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     rc_a = cli.main(["train", "--config", str(config_path), "--out", str(out_a)])

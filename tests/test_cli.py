@@ -776,7 +776,7 @@ class TestInspectFilters:
 
     def test_trained_toy_model_report_is_valid_json(self, tmp_path):
         from novnet.data_io import ClusterSpec, SyntheticSpec, synth_gaussian
-        from novnet.dual_trainer import train
+        from novnet.dual_trainer import train_lockstep
 
         # tiny image-shaped clusters: 1x4x4 tensors flattened into clusters
         rng = np.random.default_rng(0)
@@ -799,7 +799,7 @@ class TestInspectFilters:
         model = build_dual_model(backbone, 2, 2, seed=2)
         cfg = TrainingConfig(mode="dual-full", epochs=3, lr=0.05, seed=2,
                              batch_size_T=8, batch_size_R=8)
-        model, _ = train(model, known, reference, cfg)
+        train_lockstep([model], [known], [reference], [cfg])
         path = tmp_path / "toy.nvfg"
         save_checkpoint(model, cfg, path)
         out = tmp_path / "report"

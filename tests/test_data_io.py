@@ -22,7 +22,6 @@ from novnet.data_io import (
     split_train_test,
     synth_gaussian,
     write_all_atomic,
-    write_atomic,
 )
 from novnet.errors import (
     ConfigError,
@@ -408,17 +407,11 @@ class TestDatasetInvariants:
 
 
 class TestWriteAtomic:
-    def test_text_and_bytes(self, tmp_path):
-        write_atomic(tmp_path / "a.txt", "h\u00e9\n")
-        write_atomic(tmp_path / "b.bin", b"\x00\x01")
-        assert (tmp_path / "a.txt").read_bytes() == "h\u00e9\n".encode("utf-8")
-        assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
-
     def test_failed_write_leaves_target_and_no_temp(self, tmp_path):
         target = tmp_path / "keep.txt"
         target.write_text("old")
         with pytest.raises(TypeError):
-            write_atomic(target, 42)
+            write_all_atomic({target: 42})
         assert target.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
@@ -440,11 +433,13 @@ class TestWriteAtomic:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
         assert (tmp_path / "old.txt").read_text() == "old"
 
-    def test_replaced_file_keeps_no_link(self, tmp_path):
+    @pytest.mark.parametrize("data, written", [("h\u00e9\n", "h\u00e9\n".encode("utf-8")),
+                                               (b"\x00\x01", b"\x00\x01")], ids=["utf8-text", "bytes"])
+    def test_replaced_file_keeps_no_link(self, tmp_path, data, written):
         (tmp_path / "a.txt").write_text("old")
-        write_all_atomic({tmp_path / "a.txt": "new"})
+        write_all_atomic({tmp_path / "a.txt": data})
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
-        assert os.stat(tmp_path / "a.txt").st_nlink == 1 and (tmp_path / "a.txt").read_text() == "new"
+        assert os.stat(tmp_path / "a.txt").st_nlink == 1 and (tmp_path / "a.txt").read_bytes() == written
 
     def test_csv_text(self):
         assert csv_text(["a", "b"], [[1], ["x,y"]]) == 'a,b\r\n1,"x,y"\r\n'

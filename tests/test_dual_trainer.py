@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import rng_dataset, small_backbone, small_synthetic
+from conftest import CONFIGS, rng_dataset, small_backbone, small_synthetic
 from novnet import dual_trainer, experiments, nn_core
 from novnet.data_io import Dataset
 from novnet.dual_trainer import (
@@ -22,7 +22,6 @@ from novnet.dual_trainer import (
     build_dual_model,
     load_checkpoint,
     save_checkpoint,
-    train,
     train_lockstep,
 )
 from novnet.errors import ConfigError, CorruptionError, DatasetError, FormatError
@@ -110,7 +109,7 @@ def train_one_step(model, known, reference, **cfg_fields):
     the history row, which holds that step's losses."""
     cfg = TrainingConfig(mode="dual-full", epochs=1, momentum=0.0, seed=0,
                          batch_size_T=len(known), batch_size_R=len(reference), **cfg_fields)
-    _, history = train(model, known, reference, cfg)
+    history = train_lockstep([model], [known], [reference], [cfg])[0]
     assert len(history) == 1
     return history[0]
 
@@ -186,7 +185,7 @@ class TestTrain:
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
         before = (copy_params(model.backbone), copy_params(model.head_T), copy_params(model.head_R))
         cfg = TrainingConfig(mode="dual-full", epochs=3, lr=0.0, seed=0)
-        model, history = train(model, known, reference, cfg)
+        history = train_lockstep([model], [known], [reference], [cfg])[0]
         for prev, now in zip(before, (model.backbone, model.head_T, model.head_R)):
             for k in prev:
                 assert np.array_equal(prev[k], now[k])
@@ -196,7 +195,8 @@ class TestTrain:
         known, _, reference = toy_datasets
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
         before = copy_params(model.backbone)
-        model, history = train(model, known, reference, TrainingConfig(mode="dual-full", epochs=0, seed=0))
+        cfg = TrainingConfig(mode="dual-full", epochs=0, seed=0)
+        history = train_lockstep([model], [known], [reference], [cfg])[0]
         assert history == []
         assert all(np.array_equal(before[k], model.backbone[k]) for k in before)
 
@@ -208,7 +208,7 @@ class TestTrain:
         ds = Dataset(centers + 0.3 * rng.standard_normal((40, 2)), labels, ["neg", "pos"], "sep")
         model = build_dual_model(NetworkSpec((2,), (Dense(2, 8), Relu())), 2, 0, seed=seed)
         cfg = TrainingConfig(mode="ce-only", epochs=10, lr=0.05, seed=seed, batch_size_T=8)
-        model, history = train(model, ds, None, cfg)
+        history = train_lockstep([model], [ds], [None], [cfg])[0]
         assert history[-1].loss_ce_T < history[0].loss_ce_T
 
     def test_shared_backbone_instance(self, trained_dual_full):
@@ -235,17 +235,25 @@ class TestTrain:
         known, _, reference = toy_datasets
         model = build_dual_model(small_backbone(), known.n_classes, 0, seed=0)
         with pytest.raises(ConfigError):
-            train(model, known, reference, TrainingConfig(mode="ce-only", epochs=1, seed=0))
+            train_lockstep([model], [known], [reference], [TrainingConfig(mode="ce-only", epochs=1, seed=0)])
         model2 = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
         with pytest.raises(ConfigError):
-            train(model2, known, None, TrainingConfig(mode="dual-full", epochs=1, seed=0))
+            train_lockstep([model2], [known], [None], [TrainingConfig(mode="dual-full", epochs=1, seed=0)])
+
+    def test_finetune_cc_needs_reference_data(self, toy_datasets):
+        """finetune-cC trains on T and R together, so it refuses to train
+        without R even when the combined head holds only the known classes."""
+        known, _, _ = toy_datasets
+        model = build_dual_model(small_backbone(), known.n_classes, 0, seed=0, combined_head=True)
+        with pytest.raises(ConfigError, match="'finetune-cC' needs a reference dataset"):
+            train_lockstep([model], [known], [None], [TrainingConfig(mode="finetune-cC", epochs=1, seed=0)])
 
     def test_ce_only_equals_plain_trainer(self, toy_datasets):
         known, _, _ = toy_datasets
         cfg = TrainingConfig(mode="ce-only", epochs=4, lr=0.05, momentum=0.9,
                              batch_size_T=16, seed=11)
-        model = build_dual_model(small_backbone(), known.n_classes, 0, seed=11)
-        trained, _ = train(model, known, None, cfg)
+        trained = build_dual_model(small_backbone(), known.n_classes, 0, seed=11)
+        train_lockstep([trained], [known], [None], [cfg])
 
         # plain single-branch trainer written from scratch, with its own
         # SGD-with-momentum update
@@ -282,28 +290,12 @@ class TestTrain:
         for k in head:
             assert np.array_equal(trained.head_T[k], head[k])
 
-    def test_finetune_cc_with_zero_reference_degenerates_to_ce_only(self, toy_datasets):
-        known, _, _ = toy_datasets
-        cfg_ft = TrainingConfig(mode="finetune-cC", epochs=4, lr=0.05, seed=21, batch_size_T=16)
-        model_ft = build_dual_model(small_backbone(), known.n_classes, 0, seed=21, combined_head=True)
-        model_ft, hist_ft = train(model_ft, known, None, cfg_ft)
-
-        cfg_ce = TrainingConfig(mode="ce-only", epochs=4, lr=0.05, seed=21, batch_size_T=16)
-        model_ce = build_dual_model(small_backbone(), known.n_classes, 0, seed=21)
-        model_ce, hist_ce = train(model_ce, known, None, cfg_ce)
-
-        for k in model_ce.backbone:
-            assert np.array_equal(model_ft.backbone[k], model_ce.backbone[k])
-        for k in model_ce.head_T:
-            assert np.array_equal(model_ft.head_T[k], model_ce.head_T[k])
-        assert [h.to_dict() for h in hist_ft] == [h.to_dict() for h in hist_ce]
-
     def test_finetune_cc_trains_on_union(self, toy_datasets):
         known, _, reference = toy_datasets
         cfg = TrainingConfig(mode="finetune-cC", epochs=3, lr=0.05, seed=5, batch_size_T=16)
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes,
                                  seed=5, combined_head=True)
-        model, history = train(model, known, reference, cfg)
+        history = train_lockstep([model], [known], [reference], [cfg])[0]
         assert model.head_T["layer0.weight"].shape[0] == known.n_classes + reference.n_classes
         assert all(np.isfinite(h.loss_ce_T) for h in history)
 
@@ -313,7 +305,7 @@ class TestTrain:
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
         cfg = TrainingConfig(mode="dual-full", epochs=50, lr=1e9, seed=0)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=r"at epoch \d+, step \d+$"):
-            train(model, known, reference, cfg)
+            train_lockstep([model], [known], [reference], [cfg])
 
     def test_divergence_in_the_last_update_raises(self, toy_datasets):
         """No later step's loss check sees the last update, so training
@@ -324,7 +316,7 @@ class TestTrain:
         cfg = TrainingConfig(mode="ce-only", epochs=1, lr=1e308, momentum=0.0, batch_size_T=len(known))
         model = build_dual_model(small_backbone(), known.n_classes, 0, seed=0)
         with pytest.raises(DivergenceError, match="non-finite parameter .* at epoch 0, step 0$"):
-            train(model, large, None, cfg)
+            train_lockstep([model], [large], [None], [cfg])
 
     def test_reference_draw_bounded_before_drawing(self, toy_datasets, monkeypatch):
         """An epoch's reference draw larger than physical memory is
@@ -334,7 +326,7 @@ class TestTrain:
         cfg = TrainingConfig(mode="dual-full", epochs=1, batch_size_R=10**15, seed=0)
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
         with pytest.raises(DatasetError, match="'batch_size_R' 1000000000000000 .* bytes of physical memory"):
-            train(model, known, reference, cfg)
+            train_lockstep([model], [known], [reference], [cfg])
 
     def test_index_stream_holds_eight_bytes_per_index(self):
         """The reference-draw bound counts 8 bytes per drawn index, so the
@@ -361,7 +353,7 @@ class TestTrain:
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
         cfg = TrainingConfig(mode="dual-full", epochs=1, batch_size_T=1, batch_size_R=b_r, seed=0)
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
-        _, history = train(model, known, reference, cfg)
+        history = train_lockstep([model], [known], [reference], [cfg])[0]
         assert len(history) == 1
 
     def test_epoch_callback_sees_every_epoch(self, toy_datasets):
@@ -369,7 +361,7 @@ class TestTrain:
         seen = []
         cfg = TrainingConfig(mode="dual-full", epochs=3, seed=0)
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
-        train(model, known, reference, cfg, epoch_callback=lambda e, m: seen.append(e))
+        train_lockstep([model], [known], [reference], [cfg], epoch_callback=seen.append)
         assert seen == [0, 1, 2]
 
 
@@ -396,7 +388,7 @@ class TestTrainingConfig:
         for alpha2 in (3.0, 0.0):
             model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=2)
             cfg = TrainingConfig(mode=mode, alpha2=alpha2, epochs=2, lr=0.05, seed=2, batch_size_T=16)
-            model, history = train(model, known, reference, cfg)
+            history = train_lockstep([model], [known], [reference], [cfg])[0]
             runs.append(([p.tobytes() for p in (*model.backbone.values(), *model.head_T.values())],
                          [h.to_dict() for h in history]))
         assert (runs[0] == runs[1]) == ignored
@@ -646,18 +638,15 @@ class TestWeightSharingInvariant:
         model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=7)
         mismatches = []
 
-        def check(epoch, m):
-            f_t = m.features_for_known_branch(probe)
-            f_r = m.features_for_reference_branch(probe)
-            if not np.array_equal(f_t, f_r):
+        def check(epoch):
+            f_scored = model.backbone_features(probe)
+            f_trained = nn_core.forward(model.backbone_spec, model.backbone, probe)[0]
+            if not np.array_equal(f_scored, f_trained):
                 mismatches.append(epoch)
 
         cfg = TrainingConfig(mode="dual-full", epochs=5, seed=7)
-        train(model, known, reference, cfg, epoch_callback=check)
+        train_lockstep([model], [known], [reference], [cfg], epoch_callback=check)
         assert mismatches == []
-
-
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def config_runs(config, modes, reps):
@@ -690,7 +679,7 @@ class TestLockstep:
         stacked = experiments.train_models(runs)
         for (cfg, data), (model, history) in zip(runs, stacked):
             alone, reference = untrained(cfg, data)
-            _, alone_history = train(alone, data.train_T, reference, cfg.training)
+            alone_history = train_lockstep([alone], [data.train_T], [reference], [cfg.training])[0]
             for group in ("backbone", "head_T", "head_R"):
                 want, got = getattr(alone, group), getattr(model, group)
                 assert (want is None) == (got is None)
@@ -717,23 +706,24 @@ class TestLockstep:
 
     @pytest.mark.parametrize("mismatch", ["train_size", "finetune", *SCHEDULE_FIELDS])
     def test_rows_must_share_the_step_schedule(self, toy_datasets, mismatch):
-        known, _, _ = toy_datasets
+        known, _, reference = toy_datasets
         cfg = TrainingConfig(mode="ce-only", epochs=2, seed=0)
         datasets = [known, known]
         cfgs = [cfg, replace(cfg, seed=1)]
-        combined = False
+        combined, references = False, [None, None]
         if mismatch == "train_size":
             datasets[1] = Dataset(known.x[:-2], known.y[:-2], list(known.class_names), "subset")
         elif mismatch == "finetune":
             cfgs = [replace(c, mode="finetune-cC") for c in cfgs]
-            combined = True
+            combined, references = True, [reference, reference]
         else:
             value = getattr(cfg, mismatch)
             cfgs[1] = replace(cfgs[1], **{mismatch: value + 1 if isinstance(value, int) else value / 2})
-        models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=c.seed, combined_head=combined)
-                  for c in cfgs]
+        num_reference = reference.n_classes if combined else 0
+        models = [build_dual_model(small_backbone(), known.n_classes, num_reference, seed=c.seed,
+                                   combined_head=combined) for c in cfgs]
         with pytest.raises(ConfigError, match="lockstep stack"):
-            train_lockstep(models, datasets, [None, None], cfgs)
+            train_lockstep(models, datasets, references, cfgs)
 
     def test_divergence_names_the_stacked_model(self, toy_datasets):
         from novnet.errors import DivergenceError
@@ -799,7 +789,7 @@ class TestBackboneInputGradient:
             return real_backward(*args, **kwargs)
 
         monkeypatch.setattr(nn_core, "backward", spy)
-        train(model, data.train_T, reference, replace(cfg.training, epochs=1))
+        train_lockstep([model], [data.train_T], [reference], [replace(cfg.training, epochs=1)])
         steps = -(-len(data.train_T) // cfg.training.batch_size_T)
         assert calls.count((True, False)) == calls.count((False, True)) == 2 * steps  # T and R branches
         assert len(calls) == 4 * steps

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIGS, benchmark, bundled
 from novnet import data_io
 from novnet.data_io import ROLES, SplitSpec, synth_gaussian
 from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError, UsageError
@@ -19,8 +20,6 @@ from novnet.experiments import (
     ablation_means,
     ablation_seed,
     assemble_datasets,
-    benchmark_backbone,
-    benchmark_config,
     make_benchmark_spec,
     parse_experiment_config,
     run_ablation,
@@ -29,13 +28,7 @@ from novnet.experiments import (
 )
 
 
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 CONFIG_NAMES = ["benchmark.json", "benchmark-quick.json", "conv-demo.json"]
-
-
-def bundled(name: str) -> dict:
-    with open(os.path.join(CONFIGS, name)) as fh:
-        return json.load(fh)
 
 
 class TestBenchmarkSpec:
@@ -72,7 +65,7 @@ class TestBenchmarkSpec:
 
 class TestConfigParsing:
     def test_benchmark_config_round_trips_through_json(self, tmp_path):
-        cfg = benchmark_config(epochs=2)
+        cfg = benchmark(epochs=2)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg.to_dict()))
         parsed = parse_experiment_config(str(path))
@@ -96,13 +89,13 @@ class TestConfigParsing:
             parse_experiment_config(str(path))
 
     def test_referenced_files_checked_at_parse_time(self, tmp_path):
-        raw = benchmark_config(epochs=1).to_dict()
+        raw = bundled("benchmark.json")
         raw["dataset"] = {"csv": {"path": str(tmp_path / "missing.csv")}, "split": {}}
         with pytest.raises(ConfigError, match="missing.csv"):
             parse_experiment_config(raw)
 
     def test_bad_evaluation_section(self):
-        raw = benchmark_config(epochs=1).to_dict()
+        raw = bundled("benchmark.json")
         raw["evaluation"] = {"target_fnr": 2.0}
         with pytest.raises(ConfigError):
             parse_experiment_config(raw)
@@ -310,7 +303,7 @@ class TestAssembleDatasets:
     def test_bad_roles_rejected(self, build, roles):
         """A role outside ROLES, or assembled roles without "known", is a
         UsageError before anything is drawn."""
-        section = benchmark_config(epochs=1).dataset
+        section = benchmark().dataset
         with pytest.raises(UsageError, match="roles"):
             if build == "assemble":
                 assemble_datasets(section, roles)
@@ -320,14 +313,14 @@ class TestAssembleDatasets:
 
 class TestRunExperiment:
     def test_modes_without_reference_ignore_it(self):
-        cfg = benchmark_config(epochs=1)
+        cfg = benchmark(epochs=1)
         result = run_experiment(cfg, mode="ce-only", seed=0)
         assert result.model.head_R is None
         assert 0.0 <= result.auc <= 1.0
         assert 0.0 <= result.accuracy <= 1.0
 
     def test_finetune_cc_builds_combined_head(self):
-        cfg = benchmark_config(epochs=1, mode="finetune-cC")
+        cfg = benchmark(epochs=1, mode="finetune-cC")
         result = run_experiment(cfg, seed=0)
         assert result.model.combined_head
         assert result.model.head_T["layer0.weight"].shape[0] == 4 + 8
@@ -339,7 +332,7 @@ class TestRunExperiment:
                 lines.append(f"{name},{i}.0")
         path = tmp_path / "d.csv"
         path.write_text("\n".join(lines) + "\n")
-        raw = benchmark_config(epochs=1).to_dict()
+        raw = bundled("benchmark.json")
         raw["dataset"] = {"csv": {"path": str(path)},
                           "split": {"known_fraction": 0.5, "seed": 0}}
         raw["model"]["backbone"] = {"input_shape": [1], "layers": [
@@ -352,7 +345,7 @@ class TestRunExperiment:
 class TestEvaluateDetection:
     def test_zero_novel_samples_rejected(self):
         from novnet.experiments import ExperimentData, evaluate_detection
-        cfg = benchmark_config(epochs=1)
+        cfg = benchmark(epochs=1)
         result = run_experiment(cfg, mode="ce-only", seed=0)
         degenerate = ExperimentData(train_T=result.data.train_T, test_T=result.data.test_T,
                                     novel=None, reference=None)
@@ -363,7 +356,7 @@ class TestEvaluateDetection:
         from novnet.dual_trainer import DualBranchModel
         from novnet.experiments import evaluate_detection
         from novnet.novelty_eval import SCORE_DTYPE, closed_set_accuracy
-        result = run_experiment(benchmark_config(epochs=1), mode="ce-only", seed=0)
+        result = run_experiment(benchmark(epochs=1), mode="ce-only", seed=0)
         data = result.data
         batches = []
         logits = DualBranchModel.known_class_logits
@@ -399,7 +392,7 @@ class TestAblation:
         assert shifted.split == SplitSpec(seed=3)
 
     def test_rows_and_means(self):
-        cfg = benchmark_config(epochs=1)
+        cfg = benchmark(epochs=1)
         rows = run_ablation(cfg, modes=("ce-only", "dual-ce"), n_seeds=2)
         assert len(rows) == 4
         means = ablation_means(rows)
@@ -407,7 +400,7 @@ class TestAblation:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            run_ablation(benchmark_config(epochs=1), modes=("finetune-cC",), n_seeds=1)
+            run_ablation(benchmark(epochs=1), modes=("finetune-cC",), n_seeds=1)
 
     @pytest.mark.parametrize("spare", [0, -1])
     def test_seed_bound_is_exact(self, monkeypatch, spare):

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import benchmark
 from novnet.dual_trainer import build_dual_model, train_lockstep
 from novnet.errors import ConfigError, LabelError
 from novnet.experiments import (
     ablation_seed,
     assemble_datasets,
-    benchmark_config,
     _reseed_dataset_section,
 )
 from novnet.filter_analysis import (
@@ -93,7 +93,7 @@ class TestFilterReport:
         # non-empty globally-negative set, ce-only tends not to. This is a
         # measured tendency of the training procedure, not a theorem.
         # All 20 models train in one lockstep stack.
-        cfg = benchmark_config()
+        cfg = benchmark()
         runs = []
         for rep in range(10):
             data = assemble_datasets(_reseed_dataset_section(cfg.dataset, rep))

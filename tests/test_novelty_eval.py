@@ -307,12 +307,12 @@ class TestClosedSetAccuracy:
     def test_trained_model_beats_chance(self, seed):
         from conftest import small_synthetic
         from novnet.data_io import split_train_test
-        from novnet.dual_trainer import TrainingConfig, train
+        from novnet.dual_trainer import TrainingConfig, train_lockstep
         known, _, _ = small_synthetic(seed=seed)
         train_ds, test_ds = split_train_test(known, seed=seed)
         model = build_dual_model(small_backbone(), known.n_classes, 0, seed=seed)
         cfg = TrainingConfig(mode="ce-only", epochs=15, lr=0.05, seed=seed, batch_size_T=16)
-        model, _ = train(model, train_ds, None, cfg)
+        train_lockstep([model], [train_ds], [None], [cfg])
         assert closed_set_accuracy(score_dataset(model, test_ds, is_novel=False)) > 1.0 / known.n_classes + 0.2
 
     def test_novel_label_rejected(self):
