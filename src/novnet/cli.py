@@ -182,8 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args returns a fresh namespace and leaves
+# the parser as it was, so every call of main() can share it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (NovnetError, OSError) as exc:

@@ -109,9 +109,15 @@ class ClusterSpec:
     role: str  # known | novel | reference
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", check_list(self.mean, "'mean'"))
-        for value in self.mean:  # thousands of entries for an image: no per-entry message text
-            check_number(value, "'mean' entry")
+        mean = check_list(self.mean, "'mean'")
+        object.__setattr__(self, "mean", mean)
+        # An image's mean holds thousands of entries. JSON gives Python
+        # floats, which one type scan and one isfinite pass accept; any
+        # other mean, or one that fails, takes the per-entry check, which
+        # names the first bad entry.
+        if not (set(map(type, mean)) <= {float} and np.isfinite(np.array(mean)).all()):
+            for value in mean:
+                check_number(value, "'mean' entry")
         if not check_number(self.stddev, "'stddev'") > 0:
             raise ConfigError(f"'stddev' must be positive, got {self.stddev}")
         check_integer(self.count, "'count'", 1)
@@ -233,9 +239,11 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
 
     Each cluster is drawn in spec order straight into its rows of the
     role's preallocated feature array, so no per-cluster copies exist.
-    The clusters after the last one of a role in `roles` are not drawn;
-    no draw before them changes, so the returned datasets keep their
-    bytes. The memory check counts every cluster, drawn or not."""
+    A cluster of a role not in `roles` still draws its numbers, so the
+    clusters after it keep their bytes, but into one scratch block the
+    size of the largest such cluster, unscaled and unshifted. The
+    clusters after the last one of a role in `roles` are not drawn. The
+    memory check counts every cluster, drawn or not."""
     check_roles(roles)
     samples = sum(c.count for c in spec.clusters)
     what = f"synthetic 'clusters' of {samples} samples x {spec.dimension} values"
@@ -244,13 +252,18 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
     prefix = {"known": "known", "novel": "novel", "reference": "ref"}
     drawn = spec.clusters[:max((i + 1 for i, c in enumerate(spec.clusters) if c.role in roles), default=0)]
     clusters = {role: [c for c in drawn if c.role == role] for role in ROLES}
+    skipped = max((c.count for c in drawn if c.role not in roles), default=0)
     try:
         x = {role: np.empty((sum(c.count for c in group), spec.dimension))
-             for role, group in clusters.items()}
+             for role, group in clusters.items() if role in roles}
+        scratch = np.empty((skipped, spec.dimension))
     except MemoryError:  # where sysconf is missing, the allocation is the check
         raise DatasetError(f"{what}: out of memory") from None
     filled = dict.fromkeys(ROLES, 0)
     for cluster in drawn:
+        if cluster.role not in roles:
+            rng.standard_normal(out=scratch[:cluster.count])
+            continue
         start = filled[cluster.role]
         block = x[cluster.role][start:start + cluster.count]
         rng.standard_normal(out=block)

@@ -883,3 +883,31 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "is not valid JSON" in err
+
+    def test_overrides_do_not_reach_the_next_command(self, tmp_path, monkeypatch):
+        """main() parses every command with one parser. The flags one call
+        gives reach no later call: each command without flags reads the
+        config's own seed, mode and target."""
+        config = write_config(tmp_path)
+        ckpt = str(tmp_path / "a" / cli.CHECKPOINT_NAME)
+        real_load, loaded = cli._load_config, []
+
+        def load_config(args):
+            loaded.append(real_load(args))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_config", load_config)
+        calls = [
+            ["train", "--config", str(config), "--out", str(tmp_path / "a"), "--seed", "7", "--mode", "ce-only"],
+            ["calibrate", "--config", str(config), "--checkpoint", ckpt, "--out", str(tmp_path / "c"),
+             "--seed", "3", "--target-fnr", "0.5"],
+            ["eval", "--config", str(config), "--checkpoint", ckpt, "--out", str(tmp_path / "e")],
+            ["calibrate", "--config", str(config), "--checkpoint", ckpt, "--out", str(tmp_path / "d")],
+            ["train", "--config", str(config), "--out", str(tmp_path / "b")],
+        ]
+        for argv in calls:
+            assert cli.main(argv) == 0
+        given = [(c.training.seed, c.training.mode, c.evaluation.target_fnr) for c in loaded]
+        plain = parse_experiment_config(str(config))
+        assert given[:2] == [(7, "ce-only", 0.05), (3, "dual-full", 0.5)]
+        assert loaded[2:] == [plain] * 3

@@ -3,6 +3,7 @@ import errno
 import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from novnet.errors import (
     FormatError,
     ParseError,
     ProtocolError,
+    check_number,
 )
 
 
@@ -243,12 +245,14 @@ class TestSynthGaussian:
         (("known", "known", "novel", "reference", "reference"), ("known", "novel")),
         (("reference", "known", "reference", "novel", "known", "reference"), ("known", "novel")),
         (("known", "known", "novel", "reference", "reference"), ("known",)),
-    ], ids=["reference-last", "reference-between", "known-only"])
+        (("known", "known", "novel", "novel", "reference", "reference"), ("known", "reference")),
+    ], ids=["reference-last", "reference-between", "known-only", "novel-between"])
     def test_skipped_reference_keeps_known_and_novel_bytes(self, monkeypatch, roles, wanted):
-        """Asked for the `wanted` roles (eval's, then calibrate's), synth_gaussian
-        draws no cluster after the last one of them: calibrate draws no novel
-        cluster that follows the known ones. Every wanted byte is that of the
-        full draw, and the other slots are None."""
+        """Asked for the `wanted` roles (eval's, calibrate's, then train's),
+        synth_gaussian draws no cluster after the last one of them:
+        calibrate draws no novel cluster that follows the known ones. An
+        unwanted cluster before it is still drawn. Every wanted byte is
+        that of the full draw, and the other slots are None."""
         spec = SyntheticSpec(3, tuple(ClusterSpec((float(i), 0.0, -1.0), 0.5, 10 + i, role)
                                       for i, role in enumerate(roles)), seed=4)
         full = synth_gaussian(spec)
@@ -273,6 +277,25 @@ class TestSynthGaussian:
                 assert (got.x.tobytes(), got.y.tobytes(), got.class_names, got.provenance) == \
                     (want.x.tobytes(), want.y.tobytes(), want.class_names, want.provenance)
 
+    def test_unwanted_clusters_share_one_scratch_block(self):
+        """Train's draw (known and reference) holds the novel clusters
+        between them in one block the size of one cluster, not in a novel
+        array. The allowance covers numpy's ufunc buffers and the labels."""
+        dim, novel_count = 256, 500
+        roles = ["known"] * 2 + ["novel"] * 3 + ["reference"] * 2
+        spec = SyntheticSpec(dim, tuple(
+            ClusterSpec((float(i),) * dim, 0.5, novel_count if role == "novel" else 100, role)
+            for i, role in enumerate(roles)), seed=2)
+        tracemalloc.start()
+        try:
+            known, novel, reference = synth_gaussian(spec, ("known", "reference"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert novel is None
+        one_cluster = novel_count * dim * 8
+        assert peak < known.x.nbytes + reference.x.nbytes + one_cluster + 128 * 1024
+
     def test_unallocatable_without_sysconf(self, monkeypatch):
         """Where physical memory is unknown, numpy's MemoryError becomes a
         DatasetError. 4 x 10**16 samples of 3 values exceed any address space."""
@@ -287,6 +310,31 @@ class TestSynthGaussian:
             ClusterSpec((0.0,), -1.0, 5, "known")
         with pytest.raises(ConfigError):
             ClusterSpec((0.0,), 1.0, 5, "other")
+
+    ENTRIES = st.one_of(
+        st.floats(), st.integers(-10**6, 10**6), st.booleans(), st.text(max_size=3), st.none(),
+        st.lists(st.floats(), max_size=2), st.sampled_from([10**400, -10**400]),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+
+    @given(st.one_of(st.lists(st.floats(), max_size=6), st.lists(ENTRIES, max_size=6)), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_mean_entries_checked_as_one_by_one(self, mean, as_tuple):
+        """A mean is accepted or refused, with the same message, as by
+        check_number on each entry in turn: the first bad entry is named."""
+        expected = None
+        for value in mean:
+            try:
+                check_number(value, "'mean' entry")
+            except ConfigError as exc:
+                expected = str(exc)
+                break
+        mean = tuple(mean) if as_tuple else mean
+        if expected is None:
+            assert ClusterSpec(mean, 1.0, 1, "known").mean == tuple(mean)
+        else:
+            with pytest.raises(ConfigError) as info:
+                ClusterSpec(mean, 1.0, 1, "known")
+            assert str(info.value) == expected
 
 
 def four_class_dataset():
