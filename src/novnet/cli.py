@@ -2,7 +2,7 @@
 
 Commands: train, eval, calibrate, ablate, inspect-filters. Commands take
 a JSON experiment config (dataset/model/training/evaluation sections)
-and/or a checkpoint, are deterministic given config + seed, and write
+and/or a checkpoint, are deterministic given their inputs, and write
 reports atomically (temp file, rename on success); `train` places its
 history and checkpoint together or neither, and `eval` all three of its
 reports or none. Training and evaluation run through the library's own
@@ -10,7 +10,10 @@ reports or none. Training and evaluation run through the library's own
 errors surface as a one-line diagnostic on stderr and a nonzero exit
 code. Each command computes its results before its first write, which
 creates the `--out` directory, so a command that fails while computing
-writes nothing.
+writes nothing. Only `train` and `ablate` take `--seed`: on `train` it is
+the training seed, on `ablate` the base of the seed matrix. `eval` and
+`calibrate` read the model from the checkpoint and the split from the
+config.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import experiments, novelty_eval
 from .data_io import csv_text, write_all_atomic
-from .dual_trainer import MODES, checkpoint_bytes, load_checkpoint
+from .dual_trainer import MODES, EpochStats, checkpoint_bytes, load_checkpoint
 from .errors import NovnetError, UnsupportedArchitectureError
 from .experiments import ABLATION_MODES, parse_experiment_config
 from .filter_analysis import build_filter_report
@@ -54,7 +57,7 @@ def cmd_train(args) -> int:
     [(model, history)] = experiments.train_models([(cfg, data)])
 
     history_path = os.path.join(args.out, "history.csv")
-    header = ["epoch", "loss_ce_R", "loss_ce_T", "loss_m_T", "cumulative"]
+    header = [field.name for field in fields(EpochStats)]
     final_metrics = history[-1].to_dict() if history else {}
     checkpoint_path = os.path.join(args.out, CHECKPOINT_NAME)
     # Both files are placed, or neither.
@@ -109,7 +112,7 @@ def cmd_calibrate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     modes = (args.mode,) if args.mode else ABLATION_MODES
-    rows = experiments.run_ablation(cfg, modes=modes, n_seeds=args.seeds, base_seed=args.seed)
+    rows = experiments.run_ablation(cfg, modes=modes, n_seeds=args.seeds)
     means = experiments.ablation_means(rows)
     # One row per (mode, seed), then one `mean` row per mode.
     columns = [[row.mode for row in rows] + list(modes),
@@ -150,34 +153,35 @@ def build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the training seed")
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     add_common(p, config=True)
+    p.add_argument("--seed", type=int, default=None, help="training seed (default: the training section's)")
     p.add_argument("--mode", choices=MODES, default=None, help="override the training mode")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score test data, write ROC/AUC and accuracy reports")
     add_common(p, config=True, checkpoint=True)
-    p.set_defaults(func=cmd_eval, mode=None)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("calibrate", help="calibrate the novelty threshold from matched scores")
     add_common(p, config=True, checkpoint=True)
     p.add_argument("--target-fnr", type=float, default=None,
                    help="accepted false-negative rate (default: evaluation section, 0.05)")
-    p.set_defaults(func=cmd_calibrate, mode=None)
+    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("ablate", help="run the ablation matrix (modes x seeds)")
     add_common(p, config=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="base of the seed matrix (default: the training section's seed)")
     p.add_argument("--seeds", type=int, default=10, help="number of repetitions per mode")
     p.add_argument("--mode", choices=experiments.ABLATION_MODES, default=None,
                    help="restrict to a single mode")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("inspect-filters", help="emit the per-class filter sign report")
-    p.add_argument("--checkpoint", required=True, help="checkpoint file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_inspect_filters, mode=None, seed=None)
+    add_common(p, checkpoint=True)
+    p.set_defaults(func=cmd_inspect_filters)
 
     return parser
 

@@ -111,7 +111,9 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        d = dict(check_keys(d, "training section", optional=("lambda", *cls.__dataclass_fields__)))
+        """The config of a training section, which spells `lam` as `lambda`."""
+        keys = [("lambda" if name == "lam" else name) for name in cls.__dataclass_fields__]
+        d = dict(check_keys(d, "training section", optional=keys))
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
         return cls(**d)

@@ -77,11 +77,10 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def check_integer(value, what: str, minimum: int | None = None):
-    """`value` itself when it is an integer, and >= `minimum` when one is given."""
-    if not _is_a(value, numbers.Integral) or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+def check_integer(value, what: str, minimum: int):
+    """`value` itself when it is an integer >= `minimum`."""
+    if not _is_a(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return value
 
 

@@ -400,9 +400,9 @@ def _reseed_dataset_section(section: DatasetConfig, rep: int) -> DatasetConfig:
     return replace(section, split=replace(section.split, seed=section.split.seed + rep), **sources)
 
 
-def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
-                 base_seed: int | None = None) -> list[ExperimentResult]:
-    """Run every mode n_seeds times.
+def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10) -> list[ExperimentResult]:
+    """Run every mode n_seeds times, with cfg.training.seed the base of
+    the seed matrix.
 
     Within a rep, all modes share one data draw and split (so modes are
     compared on identical data); across reps both the data seed and the
@@ -418,8 +418,6 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ConfigError(f"ablation mode must be one of {ABLATION_MODES}, got {mode!r}")
-    if base_seed is None:
-        base_seed = cfg.training.seed
     runs = []
     for rep in range(n_seeds):
         data = assemble_datasets(_reseed_dataset_section(cfg.dataset, rep))
@@ -431,7 +429,7 @@ def run_ablation(cfg: ExperimentConfig, modes=ABLATION_MODES, n_seeds: int = 10,
         for mode in modes:
             # canonical mode index, so a restricted run reproduces the
             # exact rows of the full matrix
-            seed = ablation_seed(base_seed, rep, ABLATION_MODES.index(mode), len(ABLATION_MODES))
+            seed = ablation_seed(cfg.training.seed, rep, ABLATION_MODES.index(mode), len(ABLATION_MODES))
             runs.append((replace(cfg, training=replace(cfg.training, mode=mode, seed=seed)), data))
     return _run(runs)
 

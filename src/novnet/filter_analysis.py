@@ -68,15 +68,11 @@ def globally_negative_filters(w: np.ndarray) -> set[int]:
 def build_filter_report(w: np.ndarray) -> FilterReport:
     """Full per-class sign report plus the globally negative set."""
     w = _check_weights(w)
-    positive = []
-    negative = []
-    for i in range(w.shape[0]):
-        pos, neg = classify_filters(w, i)
-        positive.append(sorted(pos))
-        negative.append(sorted(neg))
+    if w.shape[0] < 1:
+        raise ConfigError("weight matrix needs at least one class row")
     return FilterReport(
-        positive=positive,
-        negative=negative,
-        globally_negative=sorted(globally_negative_filters(w)),
+        positive=[np.flatnonzero(row > 0).tolist() for row in w],
+        negative=[np.flatnonzero(row < 0).tolist() for row in w],
+        globally_negative=np.flatnonzero(np.all(w < 0, axis=0)).tolist(),
         weights=w,
     )

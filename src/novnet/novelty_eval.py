@@ -166,7 +166,7 @@ def closed_set_accuracy(known: np.recarray) -> float:
 
 # --- report files ---------------------------------------------------------
 
-SCORE_CSV_HEADER = ["sample_id", "score", "predicted_class", "true_class", "is_novel"]
+SCORE_CSV_HEADER = list(SCORE_DTYPE.names)
 
 
 def _distinct_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

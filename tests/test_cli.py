@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -733,6 +734,17 @@ class TestAblate:
         assert len(err.splitlines()) == 1 and "reference dataset" in err
         assert cli.main(argv + ["--mode", "ce-only"]) == 0  # ce-only uses no reference data
 
+    def test_seed_flag_is_the_training_sections_seed(self, tmp_path):
+        """`--seed 7` bases the seed matrix where a config's `seed: 7` would."""
+        flagged = write_config(tmp_path, epochs=2, seed=1)
+        seeded = write_config(tmp_path, "s7.json", epochs=2, seed=7)
+        for config, extra, out in ((flagged, ["--seed", "7"], "a"), (seeded, [], "b")):
+            assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path / out), "--seeds", "2",
+                             "--mode", "dual-full", *extra]) == 0
+        written = (tmp_path / "a" / "ablation.csv").read_bytes()
+        assert written == (tmp_path / "b" / "ablation.csv").read_bytes()
+        assert [row[1] for row in csv.reader(written.decode().splitlines())][1:] == ["10", "14", "mean"]
+
 
 class TestInspectFilters:
     def conv_model(self):
@@ -900,7 +912,7 @@ class TestConfigParsing:
         calls = [
             ["train", "--config", str(config), "--out", str(tmp_path / "a"), "--seed", "7", "--mode", "ce-only"],
             ["calibrate", "--config", str(config), "--checkpoint", ckpt, "--out", str(tmp_path / "c"),
-             "--seed", "3", "--target-fnr", "0.5"],
+             "--target-fnr", "0.5"],
             ["eval", "--config", str(config), "--checkpoint", ckpt, "--out", str(tmp_path / "e")],
             ["calibrate", "--config", str(config), "--checkpoint", ckpt, "--out", str(tmp_path / "d")],
             ["train", "--config", str(config), "--out", str(tmp_path / "b")],
@@ -909,5 +921,38 @@ class TestConfigParsing:
             assert cli.main(argv) == 0
         given = [(c.training.seed, c.training.mode, c.evaluation.target_fnr) for c in loaded]
         plain = parse_experiment_config(str(config))
-        assert given[:2] == [(7, "ce-only", 0.05), (3, "dual-full", 0.5)]
+        assert given[:2] == [(7, "ce-only", 0.05), (1, "dual-full", 0.5)]
         assert loaded[2:] == [plain] * 3
+
+
+# Every subcommand's flags: a flag that has no effect on a command is not one of them.
+FLAGS = {
+    "train": {"--config", "--out", "--seed", "--mode"},
+    "eval": {"--config", "--checkpoint", "--out"},
+    "calibrate": {"--config", "--checkpoint", "--out", "--target-fnr"},
+    "ablate": {"--config", "--out", "--seed", "--seeds", "--mode"},
+    "inspect-filters": {"--checkpoint", "--out"},
+}
+
+
+class TestFlags:
+    def subparsers(self):
+        [action] = [a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_commands(self):
+        assert set(self.subparsers()) == set(FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flag_set(self, command):
+        options = {option for action in self.subparsers()[command]._actions for option in action.option_strings}
+        assert options - {"-h", "--help"} == FLAGS[command]
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_seed_rejected_where_nothing_trains(self, tmp_path, capsys, command):
+        argv = [command, "--config", QUICK, "--checkpoint", str(tmp_path / "m.nvfg"), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -380,6 +380,12 @@ class TestTrainingConfig:
         with pytest.raises(ConfigError):
             TrainingConfig.from_dict({"mode": "ce-only", "bogus": 1})
 
+    @pytest.mark.parametrize("section", [{"lam": 0.5}, {"lambda": 5.0, "lam": 0.5}])
+    def test_lam_is_an_unknown_key(self, section):
+        """`lambda` is the only spelling: `lam` is not read, and not dropped."""
+        with pytest.raises(ConfigError, match=r"unknown keys \['lam'\]"):
+            TrainingConfig.from_dict(section)
+
     @pytest.mark.parametrize("mode,ignored", [("dual-ce", True), ("dual-full", False)])
     def test_alpha2_weighs_membership_modes_only(self, mode, ignored):
         """dual-ce trains bit for bit alike at any alpha2; dual-full does not."""
