@@ -27,20 +27,8 @@ from .dual_trainer import (
     train_lockstep,
 )
 from .errors import NovnetError
-from .filter_analysis import (
-    FilterReport,
-    build_filter_report,
-    classify_filters,
-    globally_negative_filters,
-)
-from .losses import (
-    LossResult,
-    MembershipParams,
-    cross_entropy,
-    cumulative_loss,
-    membership_loss,
-    sigmoid,
-)
+from .filter_analysis import FilterReport, build_filter_report
+from .losses import cumulative_loss, sigmoid
 from .nn_core import (
     Conv2d,
     Dense,

@@ -155,12 +155,6 @@ class DualBranchModel:
         """Known-class slice of the known head's output (always c entries)."""
         return self.known_logits(x)[:, : self.num_known]
 
-    def reference_logits(self, x: np.ndarray) -> np.ndarray:
-        if self.head_R is None:
-            raise ConfigError("model has no reference head")
-        feat = self.backbone_features(x)
-        return nn_core.forward(self.head_R_spec, self.head_R, feat, keep_cache=False)[0]
-
 
 def _dense_head_spec(width: int, outputs: int) -> NetworkSpec:
     return NetworkSpec((width,), (nn_core.Dense(width, outputs),))
@@ -453,7 +447,7 @@ def _pool(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ys), offsets
 
 
-def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) -> list[list[EpochStats]]:
+def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats]]:
     """Train M models in place for cfg.epochs epochs, each step of all of
     them one set of numpy calls; returns each model's history (per-epoch
     loss components averaged over steps). Deterministic given the seeds.
@@ -474,7 +468,8 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
     changes nothing. Histories are in the caller's order, and a
     divergence names the caller's index of the row. Labels are validated
     once, by the Dataset invariants and the mode/dataset checks.
-    epoch_callback(epoch_index), when given, runs after each epoch.
+    Training k epochs gives, bit for bit, the parameters and history
+    prefix that a longer run with the same seeds has after epoch k.
     """
     models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
     if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):
@@ -532,8 +527,6 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs, epoch_callback=None) ->
                     raise DivergenceError(f"{exc} at epoch {epoch}, step {step}") from None
         for row, means in zip(state.order, (sums / steps).T):
             histories[row].append(EpochStats(epoch, *(float(v) for v in means)))
-        if epoch_callback is not None:
-            epoch_callback(epoch)
     # Each step's loss check sees the previous update; the last update
     # has no next step, so its result is checked here.
     for group, group_params in state.params.items():

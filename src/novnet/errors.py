@@ -29,10 +29,6 @@ class DivergenceError(NovnetError):
     """Training produced a non-finite loss or gradient."""
 
 
-class LabelError(NovnetError):
-    """A class label is outside the valid range."""
-
-
 class FormatError(NovnetError):
     """A file does not match its documented format (magic, header, layout)."""
 

@@ -1,38 +1,18 @@
 """Loss functions: softmax cross-entropy, the membership loss, and the
 cumulative loss that the dual-branch trainer's step minimizes.
 
-All losses consume the raw final-layer activations (no normalization
-applied beforehand); the membership loss applies the sigmoid elementwise
-inside. Batched inputs reduce by the arithmetic mean, so gradients carry
-the 1/n factor and match finite differences of the reduced scalar.
+The loss API is cross_entropy_terms(f, y) and membership_terms(f, y, lam):
+f holds raw final-layer activations [..., n, c] (any leading model axes,
+no normalization applied beforehand) and y integer labels [..., n] that
+already lie in [0, c). Neither kernel validates its input; the Dataset
+invariants and TrainingConfig do that before training. Both return the
+mean-reduced value, of shape [...], and its gradient, shaped like f:
+it carries the 1/n factor and matches finite differences of the value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ConfigError, DimensionError, LabelError
-
-
-@dataclass
-class LossResult:
-    """Scalar loss value plus its gradient w.r.t. the input activations."""
-
-    value: float
-    grad: np.ndarray
-
-
-@dataclass(frozen=True)
-class MembershipParams:
-    """Weight of the wrong-class risk term in the membership loss."""
-
-    lam: float = 5.0
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError(f"membership lambda must be positive, got {self.lam}")
 
 
 def sigmoid(t):
@@ -48,38 +28,12 @@ def sigmoid(t):
     return out
 
 
-def check_labels(y, n: int, c: int) -> np.ndarray:
-    """n integer labels in [0, c) as an int64 array, else LabelError."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (n,):
-        raise LabelError(f"expected {n} labels, got shape {y.shape}")
-    if np.any(y < 0) or np.any(y >= c):
-        bad = y[(y < 0) | (y >= c)][0]
-        raise LabelError(f"label {bad} outside [0, {c})")
-    return y
-
-
-def _as_logit_batch(f: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Normalize (f, y) to 2-D logits and a validated 1-D label array."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim not in (1, 2):
-        raise DimensionError(f"a loss needs a logit vector or an [n, c] batch, got rank {f.ndim}")
-    single = f.ndim == 1
-    if single:
-        f = f[None, :]
-        y = [y]
-    if 0 in f.shape:
-        raise DimensionError(f"a loss needs at least one sample and one class, got logits of shape {f.shape}")
-    return f, check_labels(y, f.shape[0], f.shape[1]), single
-
-
 def cross_entropy_terms(f: np.ndarray, y: np.ndarray):
-    """Batched kernel behind cross_entropy.
+    """Negative log softmax probability of the true class, per sample
 
-    f holds logits [..., n, c] (any leading model axes) and y labels
-    [..., n], which must already lie in [0, c); nothing is validated
-    here. Returns the mean-reduced value, of shape [...], and the
-    gradient, shaped like f, from one shifted exp.
+        value = -log softmax(f)_y,    grad = softmax(f) - onehot(y),
+
+    averaged over the n samples, from one shifted exp.
     """
     n = f.shape[-2]
     onehot = y[..., None] == np.arange(f.shape[-1])
@@ -102,8 +56,16 @@ def cross_entropy_terms(f: np.ndarray, y: np.ndarray):
 
 
 def membership_terms(f: np.ndarray, y: np.ndarray, lam: float):
-    """Batched kernel behind membership_loss, with the shapes and the
-    preconditions of cross_entropy_terms; its one exp is inside sigmoid."""
+    """Sigmoid-based quadratic risk pushing the true-class activation
+    toward 1 and every other activation toward 0, per sample
+
+        value  = [1 - sigma(f_y)]^2 + lam/(c-1) * sum_{i != y} sigma(f_i)^2
+        grad_i = -2 [1 - sigma(f_i)] sigma'(f_i)        for i == y
+               =  2 lam/(c-1) sigma(f_i) sigma'(f_i)    for i != y
+
+    averaged over the n samples; c >= 2 and lam > 0 (TrainingConfig and
+    the model builder check both). Its one exp is inside sigmoid.
+    """
     n, c = f.shape[-2:]
     onehot = y[..., None] == np.arange(c)
     s = sigmoid(f)
@@ -116,34 +78,6 @@ def membership_terms(f: np.ndarray, y: np.ndarray, lam: float):
     value = (correct + lam * wrong).sum(axis=-1) / n
     grad = np.where(onehot, -2.0 * rest * sp, (2.0 * lam / (c - 1)) * s * sp) / n
     return value, grad
-
-
-def cross_entropy(f: np.ndarray, y) -> LossResult:
-    """Negative log softmax probability of the true class.
-
-    Accepts a single logit vector with an integer label, or a [n, c] batch
-    with n labels (mean reduction). grad = (softmax - onehot) / n.
-    """
-    f, y, single = _as_logit_batch(f, y)
-    value, grad = cross_entropy_terms(f, y)
-    return LossResult(float(value), grad[0] if single else grad)
-
-
-def membership_loss(f: np.ndarray, y, params: MembershipParams = MembershipParams()) -> LossResult:
-    """Sigmoid-based quadratic risk pushing the true-class activation
-    toward 1 and every other activation toward 0.
-
-    value  = [1 - sigma(f_y)]^2 + lambda/(c-1) * sum_{i != y} sigma(f_i)^2
-    grad_i = -2 [1 - sigma(f_i)] sigma'(f_i)          for i == y
-           =  2 lambda/(c-1) sigma(f_i) sigma'(f_i)   for i != y
-
-    Batches reduce by the mean, so the per-sample gradient is divided by n.
-    """
-    f, y, single = _as_logit_batch(f, y)
-    if f.shape[1] < 2:
-        raise ConfigError("membership loss needs at least 2 classes")
-    value, grad = membership_terms(f, y, params.lam)
-    return LossResult(float(value), grad[0] if single else grad)
 
 
 def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1=1.0, alpha2=1.0):

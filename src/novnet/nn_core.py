@@ -95,15 +95,18 @@ LayerSpec = Dense | Conv2d | Relu | GlobalAveragePool
 class NetworkSpec:
     """A layer chain plus the per-sample input shape it consumes.
 
-    Construction validates that consecutive layer shapes chain, that at
-    most one global-average-pool is present, and that a pool (when
-    present) comes before the final dense layer.
+    Construction validates that there is at least one layer, that
+    consecutive layer shapes chain, that at most one global-average-pool
+    is present, and that a pool (when present) comes before the final
+    dense layer.
     """
 
     input_shape: tuple[int, ...]
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
+        if not self.layers:
+            raise ConfigError("'layers' is empty: a network needs at least one layer")
         # Sizes are checked, never coerced: 20.9 or true is not a width.
         for j, size in enumerate(self.input_shape):
             check_integer(size, f"input_shape entry {j}", 1)

@@ -27,7 +27,7 @@ from novnet.experiments import (
     assemble_datasets,
     run_ablation,
 )
-from novnet.losses import MembershipParams, cross_entropy, membership_loss
+from novnet.losses import cross_entropy_terms, membership_terms
 from novnet.nn_core import (
     Conv2d,
     Dense,
@@ -65,17 +65,16 @@ def test_criterion_1_membership_gradient():
     worst = 0.0
     for c in (2, 5, 10):
         for lam in (1.0, 5.0):
-            params = MembershipParams(lam)
             for _ in range(50):
-                f = rng.uniform(-4.0, 4.0, size=c)
-                y = int(rng.integers(0, c))
-                grad = membership_loss(f, y, params).grad
+                # one logit vector, as a one-sample [1, c] batch
+                f = rng.uniform(-4.0, 4.0, size=c)[None]
+                y = np.array([rng.integers(0, c)])
+                grad = membership_terms(f, y, lam)[1][0]
                 eps = 1e-6
                 for j in range(c):
-                    hi = f.copy(); hi[j] += eps
-                    lo = f.copy(); lo[j] -= eps
-                    fd = (membership_loss(hi, y, params).value
-                          - membership_loss(lo, y, params).value) / (2 * eps)
+                    hi = f.copy(); hi[0, j] += eps
+                    lo = f.copy(); lo[0, j] -= eps
+                    fd = (membership_terms(hi, y, lam)[0] - membership_terms(lo, y, lam)[0]) / (2 * eps)
                     rel = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-10)
                     worst = max(worst, rel)
                 checked += 1
@@ -93,14 +92,13 @@ def test_criterion_2_end_to_end_gradient():
     rng = np.random.default_rng(77)
     x = rng.standard_normal((2, 1, 7, 7))
     y = np.array([0, 2])
-    mp = MembershipParams(5.0)
 
     def loss_fn(p):
         f, _ = forward(spec, p, x)
-        return cross_entropy(f, y).value + membership_loss(f, y, mp).value
+        return float(cross_entropy_terms(f, y)[0] + membership_terms(f, y, 5.0)[0])
 
     f, cache = forward(spec, params, x)
-    upstream = cross_entropy(f, y).grad + membership_loss(f, y, mp).grad
+    upstream = cross_entropy_terms(f, y)[1] + membership_terms(f, y, 5.0)[1]
     grads, _ = backward(spec, params, cache, upstream)
     fd = finite_difference_grad(loss_fn, params, eps=1e-6)
     worst = 0.0
@@ -136,9 +134,10 @@ def test_criterion_3_auc_oracle_equivalence():
 
 
 def test_criterion_4_known_values():
-    lm = membership_loss(np.zeros(3), 0, MembershipParams(5.0)).value
-    ce4 = cross_entropy(np.zeros(4), 1).value
-    ce7 = cross_entropy(np.zeros(7), 3).value
+    # uniform logits, each a one-sample [1, c] batch
+    lm = float(membership_terms(np.zeros((1, 3)), np.array([0]), 5.0)[0])
+    ce4 = float(cross_entropy_terms(np.zeros((1, 4)), np.array([1]))[0])
+    ce7 = float(cross_entropy_terms(np.zeros((1, 7)), np.array([3]))[0])
     scores = list(range(1, 101))
     threshold = calibrate_threshold(scores, 0.05)
     fnr = realized_fnr(scores, threshold)
@@ -155,12 +154,16 @@ def test_criterion_5_weight_sharing():
     cfg = benchmark(epochs=5)
     data = assemble_datasets(cfg.dataset)
     probe = data.test_T.x[:16]
-    model = build_dual_model(cfg.backbone, data.train_T.n_classes,
-                             data.reference.n_classes, seed=0)
     epochs_checked = []
     mismatches = []
-
-    def check(epoch):
+    # The state after epoch k of a 5-epoch run is that of a k-epoch run
+    # from the same seed, bit for bit (tests/test_dual_trainer.py,
+    # TestEpochPrefix), so each epoch is checked by training k epochs.
+    for epoch in range(cfg.training.epochs):
+        model = build_dual_model(cfg.backbone, data.train_T.n_classes,
+                                 data.reference.n_classes, seed=0)
+        training = replace(cfg.training, epochs=epoch + 1)
+        train_lockstep([model], [data.train_T], [data.reference], [training])
         # Both heads read the one stored backbone: the cache-free pass that
         # feeds them at scoring and the cached pass each branch's training
         # step runs give the same bits.
@@ -169,8 +172,6 @@ def test_criterion_5_weight_sharing():
         epochs_checked.append(epoch)
         if not np.array_equal(f_known, f_ref):
             mismatches.append(epoch)
-
-    train_lockstep([model], [data.train_T], [data.reference], [cfg.training], epoch_callback=check)
     report("criterion 5 (backbone weight sharing across branches)",
            len(epochs_checked) == 5 and not mismatches,
            f"bitwise-identical features after every one of {len(epochs_checked)} epochs")
@@ -217,9 +218,12 @@ def test_criterion_9_checkpoint_round_trip(tmp_path):
     save_checkpoint(model, cfg, path, epoch=2, metrics={"cumulative": 0.5})
     probe = np.random.default_rng(9).standard_normal((4, 1, 6, 6))
     restored = load_checkpoint(path)
+
+    def reference_logits(m):
+        return forward(m.head_R_spec, m.head_R, m.backbone_features(probe), keep_cache=False)[0]
+
     bitwise = (np.array_equal(restored.model.known_logits(probe), model.known_logits(probe))
-               and np.array_equal(restored.model.reference_logits(probe),
-                                  model.reference_logits(probe)))
+               and np.array_equal(reference_logits(restored.model), reference_logits(model)))
     corrupted = bytearray(path.read_bytes())
     corrupted[:4] = b"ZZZZ"
     bad_path = tmp_path / "bad.nvfg"

@@ -374,6 +374,21 @@ class TestBadInputExitsCleanly:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_empty_backbone(self, tmp_path, capsys, command):
+        """A backbone without layers is a config error, not a crash in the
+        first backward pass."""
+        with open(QUICK) as fh:
+            cfg = json.load(fh)
+        cfg["model"]["backbone"]["layers"] = []
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps(cfg))
+        extra = ["--seeds", "1"] if command == "ablate" else []
+        out = tmp_path / "o"
+        err = self.run_failing([command, "--config", str(config), "--out", str(out), *extra], capsys)
+        assert "model 'backbone' entry 'layers' is empty" in err
+        assert not out.exists()
+
     def test_zero_ablation_seeds(self, tmp_path, capsys):
         config = write_config(tmp_path)
         err = self.run_failing(["ablate", "--config", str(config), "--out", str(tmp_path / "o"),

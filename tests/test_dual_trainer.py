@@ -17,6 +17,7 @@ from novnet import dual_trainer, experiments, nn_core
 from novnet.data_io import Dataset
 from novnet.dual_trainer import (
     Checkpoint,
+    EpochStats,
     TrainerState,
     TrainingConfig,
     build_dual_model,
@@ -25,7 +26,7 @@ from novnet.dual_trainer import (
     train_lockstep,
 )
 from novnet.errors import ConfigError, CorruptionError, DatasetError, FormatError
-from novnet.losses import MembershipParams, cross_entropy, membership_loss
+from novnet.losses import cross_entropy_terms, membership_terms
 from novnet.nn_core import Dense, NetworkSpec, Relu
 
 
@@ -35,6 +36,11 @@ def copy_params(params):
 
 def backbone16():
     return NetworkSpec((4,), (Dense(4, 16), Relu()))
+
+
+def reference_logits(model, x):
+    """The reference head's output on a batch, through the scoring forward."""
+    return nn_core.forward(model.head_R_spec, model.head_R, model.backbone_features(x), keep_cache=False)[0]
 
 
 class TestBuildDualModel:
@@ -165,13 +171,11 @@ class TestTrainStep:
             return grads
 
         def t_upstream(f, y):
-            ce = cross_entropy(f, y)
-            mem = membership_loss(f, y, MembershipParams(lam))
-            return alpha1 * ce.grad + alpha2 * mem.grad
+            return alpha1 * cross_entropy_terms(f, y)[1] + alpha2 * membership_terms(f, y, lam)[1]
 
         g_t = branch_grads(model.head_T_spec, model.head_T, known, t_upstream)
         g_r = branch_grads(model.head_R_spec, model.head_R, reference,
-                           lambda f, y: cross_entropy(f, y).grad)
+                           lambda f, y: cross_entropy_terms(f, y)[1])
         before = copy_params(model.backbone)
         train_one_step(model, known, reference, lam=lam, alpha1=alpha1, alpha2=alpha2, lr=lr)
         for k in before:
@@ -216,12 +220,12 @@ class TestTrain:
         known, _, _ = datasets
         x = known.x[:4]
         f_t_before = model.known_logits(x)
-        f_r_before = model.reference_logits(x)
+        f_r_before = reference_logits(model, x)
         perturbed = {k: v + 0.1 for k, v in model.backbone.items()}
         original, model.backbone = model.backbone, perturbed
         try:
             assert not np.array_equal(model.known_logits(x), f_t_before)
-            assert not np.array_equal(model.reference_logits(x), f_r_before)
+            assert not np.array_equal(reference_logits(model, x), f_r_before)
         finally:
             model.backbone = original
 
@@ -280,8 +284,8 @@ class TestTrain:
                 idx = perm[start:start + 16]
                 feat, cache_b = nn_core.forward(backbone_spec, backbone, x_all[idx])
                 f, cache_h = nn_core.forward(head_spec, head, feat)
-                ce = cross_entropy(f, y_all[idx])
-                head_grads, dfeat = nn_core.backward(head_spec, head, cache_h, ce.grad)
+                _, ce_grad = cross_entropy_terms(f, y_all[idx])
+                head_grads, dfeat = nn_core.backward(head_spec, head, cache_h, ce_grad)
                 bb_grads, _ = nn_core.backward(backbone_spec, backbone, cache_b, dfeat)
                 backbone = sgd("backbone", backbone, bb_grads)
                 head = sgd("head", head, head_grads)
@@ -356,13 +360,52 @@ class TestTrain:
         history = train_lockstep([model], [known], [reference], [cfg])[0]
         assert len(history) == 1
 
-    def test_epoch_callback_sees_every_epoch(self, toy_datasets):
-        known, _, reference = toy_datasets
-        seen = []
-        cfg = TrainingConfig(mode="dual-full", epochs=3, seed=0)
-        model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0)
-        train_lockstep([model], [known], [reference], [cfg], epoch_callback=seen.append)
-        assert seen == [0, 1, 2]
+
+def parameter_bytes(models):
+    """Every parameter of every model, as bytes, in a fixed order."""
+    return [value.tobytes() for model in models for group in (model.backbone, model.head_T, model.head_R)
+            if group is not None for value in group.values()]
+
+
+class TestEpochPrefix:
+    """Training k epochs gives, bit for bit, the parameters and the
+    history prefix that a 5-epoch run with the same seeds has after
+    epoch k, so the state after epoch k is read by training k epochs."""
+
+    @staticmethod
+    def train(modes, epochs, datasets, monkeypatch=None):
+        """Train one row per mode for `epochs` epochs in one stack; returns
+        the histories, the final parameters and, when `monkeypatch` is
+        given, the parameters as each epoch closed."""
+        known, _, reference = datasets
+        cfgs = [TrainingConfig(mode=mode, epochs=epochs, lr=0.05, seed=7 + i, batch_size_T=16, batch_size_R=16)
+                for i, mode in enumerate(modes)]
+        models = [build_dual_model(small_backbone(), known.n_classes,
+                                   reference.n_classes if cfg.uses_reference else 0, seed=cfg.seed)
+                  for cfg in cfgs]
+        closed = {}
+        if monkeypatch is not None:
+            # train_lockstep builds each row's EpochStats once the epoch's
+            # last update is applied; the models' dicts view the stack.
+            def epoch_stats(epoch, *losses):
+                closed[epoch] = parameter_bytes(models)
+                return EpochStats(epoch, *losses)
+
+            monkeypatch.setattr(dual_trainer, "EpochStats", epoch_stats)
+        histories = train_lockstep(models, [known] * len(modes),
+                                   [reference if cfg.uses_reference else None for cfg in cfgs], cfgs)
+        return [[h.to_dict() for h in history] for history in histories], parameter_bytes(models), closed
+
+    @pytest.mark.parametrize("modes", [("dual-full",), experiments.ABLATION_MODES],
+                             ids=["lone-dual-full", "mixed-mode-stack"])
+    def test_k_epochs_are_a_prefix_of_five(self, toy_datasets, monkeypatch, modes):
+        with monkeypatch.context() as patch:
+            full_histories, full_params, closed = self.train(modes, 5, toy_datasets, patch)
+        assert sorted(closed) == [0, 1, 2, 3, 4] and closed[4] == full_params
+        for k in range(1, 6):
+            histories, params, _ = self.train(modes, k, toy_datasets)
+            assert params == closed[k - 1], k
+            assert histories == [history[:k] for history in full_histories], k
 
 
 class TestTrainingConfig:
@@ -398,6 +441,11 @@ class TestTrainingConfig:
             runs.append(([p.tobytes() for p in (*model.backbone.values(), *model.head_T.values())],
                          [h.to_dict() for h in history]))
         assert (runs[0] == runs[1]) == ignored
+
+    @pytest.mark.parametrize("lam", [0.0, math.nan])
+    def test_lambda_positive(self, lam):
+        with pytest.raises(ConfigError, match="lambda"):
+            TrainingConfig(lam=lam)
 
     @pytest.mark.parametrize("field", ["lam", "lr", "alpha1", "alpha2", "momentum"])
     def test_nan_rejected(self, field):
@@ -456,7 +504,7 @@ class TestCheckpoint:
         assert ckpt.config == cfg
         probe = np.random.default_rng(0).standard_normal((5, 4))
         assert np.array_equal(ckpt.model.known_logits(probe), model.known_logits(probe))
-        assert np.array_equal(ckpt.model.reference_logits(probe), model.reference_logits(probe))
+        assert np.array_equal(reference_logits(ckpt.model, probe), reference_logits(model, probe))
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.nvfg"
@@ -639,19 +687,20 @@ class TestCheckpoint:
 
 class TestWeightSharingInvariant:
     def test_branches_see_identical_features_every_epoch(self, toy_datasets):
+        """After each of 5 epochs (read by training k = 1..5 epochs from one
+        seed, see TestEpochPrefix), the scoring and training forwards of
+        the backbone give the same bits."""
         known, _, reference = toy_datasets
         probe = known.x[:6]
-        model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=7)
         mismatches = []
-
-        def check(epoch):
+        for epochs in range(1, 6):
+            model = build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=7)
+            cfg = TrainingConfig(mode="dual-full", epochs=epochs, seed=7)
+            train_lockstep([model], [known], [reference], [cfg])
             f_scored = model.backbone_features(probe)
             f_trained = nn_core.forward(model.backbone_spec, model.backbone, probe)[0]
             if not np.array_equal(f_scored, f_trained):
-                mismatches.append(epoch)
-
-        cfg = TrainingConfig(mode="dual-full", epochs=5, seed=7)
-        train_lockstep([model], [known], [reference], [cfg], epoch_callback=check)
+                mismatches.append(epochs - 1)
         assert mismatches == []
 
 

@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from novnet.errors import ConfigError, DimensionError, LabelError
-from novnet.losses import (
-    MembershipParams,
-    cross_entropy,
-    cross_entropy_terms,
-    cumulative_loss,
-    membership_loss,
-    sigmoid,
-)
+from novnet.losses import cross_entropy_terms, cumulative_loss, membership_terms, sigmoid
 
 
 def scalar_sigmoid(t):
@@ -29,13 +21,26 @@ def membership_scalar_oracle(f, y, lam):
     return correct + lam * wrong
 
 
+def ce_single(f, y):
+    """cross_entropy_terms on the one-sample batch [f] with label y:
+    (value, the sample's gradient row)."""
+    value, grad = cross_entropy_terms(np.asarray(f, dtype=np.float64)[None], np.array([y]))
+    return float(value), grad[0]
+
+
+def membership_single(f, y, lam=5.0):
+    """membership_terms on the one-sample batch [f] with label y."""
+    value, grad = membership_terms(np.asarray(f, dtype=np.float64)[None], np.array([y]), lam)
+    return float(value), grad[0]
+
+
 class TestSoftmax:
-    """The softmax inside cross_entropy: one sample's gradient is
+    """The softmax inside cross_entropy_terms: one sample's gradient is
     softmax(f) - onehot(y), so adding the one-hot back recovers it."""
 
     @staticmethod
     def softmax(f, y=0):
-        grad = cross_entropy(f, y).grad.copy()
+        grad = ce_single(f, y)[1].copy()
         grad[y] += 1.0
         return grad
 
@@ -45,15 +50,16 @@ class TestSoftmax:
     def test_shift_invariance_exact_values(self):
         # shift by an integer keeps f + c exactly representable here
         f = np.array([1.0, 2.0, 0.5])
-        assert np.array_equal(cross_entropy(f, 1).grad, cross_entropy(f + 16.0, 1).grad)
+        assert np.array_equal(ce_single(f, 1)[1], ce_single(f + 16.0, 1)[1])
 
     def test_shift_invariance_random(self):
         rng = np.random.default_rng(0)
         f = rng.standard_normal((4, 6))
         y = rng.integers(0, 6, size=4)
-        shifted = cross_entropy(f + rng.standard_normal(), y)
-        assert np.allclose(cross_entropy(f, y).grad, shifted.grad, rtol=0, atol=1e-12)
-        assert abs(cross_entropy(f, y).value - shifted.value) < 1e-12
+        value, grad = cross_entropy_terms(f, y)
+        shifted_value, shifted_grad = cross_entropy_terms(f + rng.standard_normal(), y)
+        assert np.allclose(grad, shifted_grad, rtol=0, atol=1e-12)
+        assert abs(value - shifted_value) < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -83,7 +89,7 @@ class TestSigmoid:
         assert sigmoid(1000.0) == 1.0
 
     def test_prime(self):
-        # membership_loss's gradient relies on sigma' = sigma * (1 - sigma)
+        # membership_terms's gradient relies on sigma' = sigma * (1 - sigma)
         h = 1e-5
         for t in (-2.0, 0.0, 1.5):
             s = scalar_sigmoid(t)
@@ -92,27 +98,27 @@ class TestSigmoid:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        r = cross_entropy(np.zeros(4), 2)
-        assert abs(r.value - math.log(4)) < 1e-12
+        value, _ = ce_single(np.zeros(4), 2)
+        assert abs(value - math.log(4)) < 1e-12
 
     def test_saturated(self):
         f = np.array([40.0, -40.0, -40.0])
-        assert cross_entropy(f, 0).value < 1e-6
+        assert ce_single(f, 0)[0] < 1e-6
 
     def test_grad_is_softmax_minus_onehot(self):
         f = np.array([0.3, -1.2, 2.0])
-        r = cross_entropy(f, 1)
+        _, grad = ce_single(f, 1)
         e = np.array([math.exp(v) for v in f])
         expected = e / e.sum()
         expected[1] -= 1.0
-        assert np.allclose(r.grad, expected, rtol=0, atol=1e-15)
+        assert np.allclose(grad, expected, rtol=0, atol=1e-15)
 
     def test_grad_rows_sum_zero(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((6, 5)) * 3
         y = rng.integers(0, 5, size=6)
-        r = cross_entropy(f, y)
-        assert np.allclose(r.grad.sum(axis=1), 0.0, rtol=0, atol=1e-12)
+        _, grad = cross_entropy_terms(f, y)
+        assert np.allclose(grad.sum(axis=1), 0.0, rtol=0, atol=1e-12)
 
     def test_grad_matches_finite_differences(self):
         # logits bounded so no softmax entry saturates below the finite-
@@ -121,38 +127,21 @@ class TestCrossEntropy:
         for _ in range(10):
             f = rng.uniform(-2.0, 2.0, size=5)
             y = int(rng.integers(0, 5))
-            r = cross_entropy(f, y)
+            _, grad = ce_single(f, y)
             eps = 1e-6
             for j in range(5):
                 hi = f.copy(); hi[j] += eps
                 lo = f.copy(); lo[j] -= eps
-                fd = (cross_entropy(hi, y).value - cross_entropy(lo, y).value) / (2 * eps)
-                scale = max(abs(fd), abs(r.grad[j]), 1e-10)
-                assert abs(r.grad[j] - fd) / scale < 1e-6
+                fd = (ce_single(hi, y)[0] - ce_single(lo, y)[0]) / (2 * eps)
+                scale = max(abs(fd), abs(grad[j]), 1e-10)
+                assert abs(grad[j] - fd) / scale < 1e-6
 
     def test_batch_mean(self):
         f = np.array([[1.0, 0.0], [0.0, 2.0]])
         y = np.array([0, 1])
-        r = cross_entropy(f, y)
-        singles = [cross_entropy(f[i], y[i]).value for i in range(2)]
-        assert abs(r.value - np.mean(singles)) < 1e-15
-
-    @pytest.mark.parametrize("loss", [cross_entropy, membership_loss])
-    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (0,)])
-    def test_empty_batch_rejected(self, loss, shape):
-        with pytest.raises(DimensionError, match="at least one sample and one class"):
-            loss(np.zeros(shape), [] if len(shape) > 1 else 0)
-
-    @pytest.mark.parametrize("loss", [cross_entropy, membership_loss])
-    @pytest.mark.parametrize("shape, y", [((), 0), ((2, 3, 4), [0, 1]), ((1, 2, 3, 4), [0])],
-                             ids=["rank-0", "rank-3", "rank-4"])
-    def test_logits_of_other_ranks_rejected(self, loss, shape, y):
-        with pytest.raises(DimensionError, match=f"got rank {len(shape)}"):
-            loss(np.zeros(shape), y)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(LabelError):
-            cross_entropy(np.zeros(3), 3)
+        value, _ = cross_entropy_terms(f, y)
+        singles = [ce_single(f[i], y[i])[0] for i in range(2)]
+        assert abs(value - np.mean(singles)) < 1e-15
 
 
 def cross_entropy_terms_with_max_reduction(f, y):
@@ -191,38 +180,36 @@ class TestCrossEntropyTerms:
 
 class TestMembershipLoss:
     def test_symmetric_zero_logits(self):
-        r = membership_loss(np.zeros(3), 0, MembershipParams(5.0))
-        assert abs(r.value - 1.5) < 1e-12
+        value, _ = membership_single(np.zeros(3), 0)
+        assert abs(value - 1.5) < 1e-12
 
     def test_saturated(self):
         f = np.array([40.0, -40.0, -40.0])
-        r = membership_loss(f, 0, MembershipParams(5.0))
-        assert r.value < 1e-6
-        assert np.all(np.abs(r.grad) < 1e-6)
+        value, grad = membership_single(f, 0)
+        assert value < 1e-6
+        assert np.all(np.abs(grad) < 1e-6)
 
     def test_scalar_oracle(self):
         f = np.array([1.0, -0.5, 0.2])
         expected = membership_scalar_oracle(f, 0, 5.0)
         assert abs(expected - 1.1845) < 5e-5  # sanity on the quoted value
-        r = membership_loss(f, 0, MembershipParams(5.0))
-        assert abs(r.value - expected) < 1e-12
+        assert abs(membership_single(f, 0)[0] - expected) < 1e-12
 
     @pytest.mark.parametrize("c", [2, 5, 10])
     @pytest.mark.parametrize("lam", [1.0, 5.0])
     def test_grad_matches_finite_differences(self, c, lam):
         rng = np.random.default_rng(c * 100 + int(lam))
-        params = MembershipParams(lam)
         for _ in range(10):
             f = rng.uniform(-4.0, 4.0, size=c)
             y = int(rng.integers(0, c))
-            r = membership_loss(f, y, params)
+            _, grad = membership_single(f, y, lam)
             eps = 1e-6
             for j in range(c):
                 hi = f.copy(); hi[j] += eps
                 lo = f.copy(); lo[j] -= eps
-                fd = (membership_loss(hi, y, params).value - membership_loss(lo, y, params).value) / (2 * eps)
-                scale = max(abs(fd), abs(r.grad[j]), 1e-10)
-                assert abs(r.grad[j] - fd) / scale < 1e-5
+                fd = (membership_single(hi, y, lam)[0] - membership_single(lo, y, lam)[0]) / (2 * eps)
+                scale = max(abs(fd), abs(grad[j]), 1e-10)
+                assert abs(grad[j] - fd) / scale < 1e-5
 
     def test_value_bounded(self):
         rng = np.random.default_rng(4)
@@ -231,7 +218,7 @@ class TestMembershipLoss:
                 c = int(rng.integers(2, 8))
                 f = rng.standard_normal(c) * 10
                 y = int(rng.integers(0, c))
-                v = membership_loss(f, y, MembershipParams(lam)).value
+                v = membership_single(f, y, lam)[0]
                 assert 0.0 <= v <= 1.0 + lam
 
     def test_monotonicity_signs(self):
@@ -240,7 +227,7 @@ class TestMembershipLoss:
             c = int(rng.integers(2, 7))
             f = rng.uniform(-4, 4, size=c)
             y = int(rng.integers(0, c))
-            g = membership_loss(f, y, MembershipParams(5.0)).grad
+            g = membership_single(f, y)[1]
             assert g[y] < 0.0  # decreasing in the true-class activation
             for i in range(c):
                 if i != y:
@@ -249,34 +236,63 @@ class TestMembershipLoss:
     def test_limit_at_extremes(self):
         f = np.full(5, -40.0)
         f[2] = 40.0
-        assert membership_loss(f, 2, MembershipParams(5.0)).value < 1e-6
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ConfigError):
-            membership_loss(np.zeros(1), 0, MembershipParams(5.0))
-
-    def test_lambda_positive(self):
-        for lam in (0.0, math.nan):
-            with pytest.raises(ConfigError):
-                MembershipParams(lam)
+        assert membership_single(f, 2)[0] < 1e-6
 
     def test_batch_mean_of_singles(self):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((4, 3))
         y = np.array([0, 2, 1, 0])
-        r = membership_loss(f, y, MembershipParams(5.0))
-        singles = [membership_loss(f[i], y[i], MembershipParams(5.0)) for i in range(4)]
-        assert abs(r.value - np.mean([s.value for s in singles])) < 1e-14
-        stacked = np.stack([s.grad for s in singles]) / 4
-        assert np.allclose(r.grad, stacked, rtol=0, atol=1e-15)
+        value, grad = membership_terms(f, y, 5.0)
+        singles = [membership_single(f[i], y[i]) for i in range(4)]
+        assert abs(value - np.mean([v for v, _ in singles])) < 1e-14
+        stacked = np.stack([g for _, g in singles]) / 4
+        assert np.allclose(grad, stacked, rtol=0, atol=1e-15)
 
     def test_risk_components(self):
         # value = correct-class risk + lambda * mean wrong-class risk
         f = np.array([1.0, -0.5, 0.2])
         correct = (1 - scalar_sigmoid(1.0)) ** 2
         wrong = (scalar_sigmoid(-0.5) ** 2 + scalar_sigmoid(0.2) ** 2) / 2
-        value = membership_loss(f, 0, MembershipParams(5.0)).value
+        value = membership_single(f, 0)[0]
         assert abs(value - (correct + 5.0 * wrong)) < 1e-12
+
+
+class TestKernelLeadingAxes:
+    """The lockstep trainer stacks M models' logits [M, n, c]; each
+    model's slice of one stacked call is that model's own result."""
+
+    KERNELS = {
+        "cross_entropy_terms": cross_entropy_terms,
+        "membership_terms": lambda f, y: membership_terms(f, y, 5.0),
+    }
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)], ids=["none", "1", "3", "2x3"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_each_slice_is_its_own_batch(self, kernel, lead):
+        loss = self.KERNELS[kernel]
+        rng = np.random.default_rng(len(lead) * 10 + sum(lead))
+        f = rng.standard_normal(lead + (7, 4)) * 3
+        y = rng.integers(0, 4, size=lead + (7,))
+        value, grad = loss(f, y)
+        assert value.shape == lead and grad.shape == f.shape
+        for index in np.ndindex(*lead):
+            v, g = loss(f[index], y[index])
+            assert value[index].tobytes() == v.tobytes()
+            assert grad[index].tobytes() == g.tobytes()
+
+
+class TestMembershipFormula:
+    @pytest.mark.parametrize("c", [2, 3, 7])
+    def test_batch_value_is_the_mean_of_the_formula(self, c):
+        """membership_terms's value is the mean over samples of the
+        docstring formula, evaluated with math.exp only."""
+        rng = np.random.default_rng(40 + c)
+        f = rng.uniform(-4.0, 4.0, size=(6, c))
+        y = rng.integers(0, c, size=6)
+        lam = 2.5
+        value, _ = membership_terms(f, y, lam)
+        expected = np.mean([membership_scalar_oracle(f[i], int(y[i]), lam) for i in range(6)])
+        assert abs(float(value) - expected) < 1e-12
 
 
 class TestCumulativeLoss:

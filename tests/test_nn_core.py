@@ -57,6 +57,10 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             NetworkSpec((2,), (Dense(2, 8), GlobalAveragePool()))
 
+    def test_no_layers_rejected(self):
+        with pytest.raises(ConfigError, match="'layers' is empty"):
+            NetworkSpec((4,), ())
+
     def test_output_shape_walk(self):
         assert conv_spec().output_shape == (2,)
 
