@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import errno
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 
@@ -382,7 +381,7 @@ def write_all_atomic(files) -> None:
         for path, data in files.items():
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
-            tmp = os.path.join(directory, f"tmp{secrets.token_hex(16)}.tmp")
+            tmp = os.path.join(directory, f"tmp{os.urandom(16).hex()}.tmp")
             with open(tmp, "xb") as fh:
                 staged.append(tmp)
                 fh.write(data.encode("utf-8") if isinstance(data, str) else data)

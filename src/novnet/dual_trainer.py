@@ -539,10 +539,9 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
 
 @dataclass
 class Checkpoint:
-    """A saved model: format version, specs + parameters, the training
-    configuration, the epoch counter, and final training metrics."""
+    """A saved model: specs + parameters, the training configuration,
+    the epoch counter, and final training metrics."""
 
-    version: int
     model: DualBranchModel
     config: TrainingConfig
     epoch: int
@@ -645,4 +644,4 @@ def load_checkpoint(path) -> Checkpoint:
         excess = f"; it goes on past them with {data[len(encoded):]!r}" if data.startswith(encoded) else ""
         raise CorruptionError(f"{path}: checkpoint is not the bytes save_checkpoint writes for what it "
                               f"decodes to{excess}")
-    return Checkpoint(version=version, model=model, config=cfg, epoch=epoch, metrics=metrics)
+    return Checkpoint(model=model, config=cfg, epoch=epoch, metrics=metrics)

@@ -97,10 +97,10 @@ _SOURCES = ("benchmark", "synthetic", "csv", "idx")
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """The config's dataset section: exactly one data source, the split,
-    an optional reference dataset file, and an optional `reshape` that
-    recasts every sample (e.g. flat synthetic vectors into [channels, h,
-    w] images for conv backbones)."""
+    """The config's dataset section: exactly one data source, the split, an
+    optional reference dataset file (then the source has no reference
+    clusters), and an optional `reshape` that recasts every sample (e.g. flat
+    synthetic vectors into [channels, h, w] images for conv backbones)."""
 
     benchmark: BenchmarkSource | None = None
     synthetic: SyntheticSpec | None = None
@@ -114,6 +114,11 @@ class DatasetConfig:
         sources = [key for key in _SOURCES if getattr(self, key) is not None]
         if len(sources) != 1:
             raise ConfigError(f"dataset section needs exactly one of {', '.join(_SOURCES)}, got {sources}")
+        drawn = (self.benchmark.reference_clusters if self.benchmark is not None else
+                 sum(c.role == "reference" for c in self.synthetic.clusters) if self.synthetic is not None else 0)
+        if self.reference_csv is not None and drawn:
+            raise ConfigError(f"dataset section takes reference data from both 'reference_csv' and {drawn} "
+                              f"reference clusters of its {sources[0]!r} entry; keep one of them")
         if self.reshape is not None:
             object.__setattr__(self, "reshape", check_list(self.reshape, "dataset 'reshape' entry"))
             for j, size in enumerate(self.reshape):
@@ -230,14 +235,14 @@ def assemble_datasets(section: DatasetConfig, roles: tuple[str, ...] = data_io.R
 
     Sources: `synthetic` (explicit clusters), `benchmark` (the bundled
     generator), or `csv`/`idx` files with an alphabetical known/novel
-    split. A reference dataset may come from synthetic roles or from
-    `reference_csv`; its class names must not intersect the known ones.
-    `roles` names the roles the caller reads; it must hold "known", whose
-    split gives train_T and test_T. Another role's dataset is None, and a
-    synthetic source draws no cluster after the last one of these roles
-    (no drawn byte changes). The memory check still counts every cluster,
-    and `reference_csv` is still loaded, since its class-overlap check
-    validates the config.
+    split. A reference dataset comes from synthetic roles or from
+    `reference_csv`, never both; its class names must not intersect the
+    known ones. `roles` names the roles the caller reads; it must hold
+    "known", whose split gives train_T and test_T. Another role's dataset
+    is None, and a synthetic source draws no cluster after the last one of
+    these roles (no drawn byte changes). The memory check still counts
+    every cluster, and `reference_csv` is still loaded, since its
+    class-overlap check validates the config.
     """
     data_io.check_roles(roles)
     if "known" not in roles:

@@ -50,6 +50,21 @@ def write_config(tmp_path, name="config.json", mode="dual-full", epochs=3, seed=
     return path
 
 
+def quick_with_reference_csv(tmp_path, reference_clusters):
+    """configs/benchmark-quick.json with `reference_clusters` set and a
+    two-class 8-feature `reference_csv` added; returns the config path."""
+    ref = tmp_path / "ref.csv"
+    ref.write_text("label," + ",".join(f"f{j}" for j in range(8)) + "\n"
+                   + "".join(f"{name},{','.join([str(i - 2.0)] * 8)}\n" for name in ("yy", "zz") for i in range(4)))
+    with open(QUICK) as fh:
+        cfg = json.load(fh)
+    cfg["dataset"]["benchmark"]["reference_clusters"] = reference_clusters
+    cfg["dataset"]["reference_csv"] = {"path": str(ref)}
+    path = tmp_path / "with-reference-csv.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestTrain:
     @pytest.mark.parametrize("mode", ["ce-only", "ce+membership"])
     def test_train_holds_no_reference_it_does_not_read(self, tmp_path, monkeypatch, mode):
@@ -108,6 +123,12 @@ class TestTrain:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert os.listdir(out) == [blocked]
+
+    def test_trains_on_reference_csv(self, tmp_path):
+        """With no reference clusters, `reference_csv` is the reference data."""
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(quick_with_reference_csv(tmp_path, 0)), "--out", str(out)]) == 0
+        assert load_checkpoint(out / "checkpoint.nvfg").model.num_reference == 2
 
     def test_zero_epochs_equals_initialization(self, tmp_path):
         config = write_config(tmp_path, epochs=0, seed=6)
@@ -311,6 +332,15 @@ class TestBadInputExitsCleanly:
         extra = ["--seeds", "1"] if command == "ablate" else []
         err = self.run_failing([command, "--config", config, "--out", str(tmp_path / "o"), *extra], capsys)
         assert named in err and "physical memory" in err
+
+    @pytest.mark.parametrize("clusters", [3, 8])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_reference_csv_beside_reference_clusters(self, tmp_path, capsys, clusters, command):
+        config = quick_with_reference_csv(tmp_path, clusters)
+        extra = ["--seeds", "1"] if command == "ablate" else []
+        err = self.run_failing([command, "--config", str(config), "--out", str(tmp_path / "o"), *extra], capsys)
+        assert "'reference_csv'" in err and f"{clusters} reference clusters of its 'benchmark' entry" in err
+        assert not (tmp_path / "o").exists()
 
     def test_train_non_utf8_csv(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -262,6 +262,34 @@ class TestAssembleDatasets:
                                                        "reference_csv": {"path": str(ref)},
                                                        "split": {"known_fraction": 0.5, "seed": 0}}))
 
+    @pytest.mark.parametrize("source, named", [
+        ({"benchmark": {"seed": 0}}, "8 reference clusters of its 'benchmark' entry"),
+        ({"benchmark": {"seed": 0, "reference_clusters": 3}}, "3 reference clusters of its 'benchmark' entry"),
+        (bundled("conv-demo.json")["dataset"], "2 reference clusters of its 'synthetic' entry"),
+    ])
+    def test_reference_csv_and_reference_clusters_rejected(self, tmp_path, source, named):
+        """Reference data comes from one place: the clusters would be drawn and then dropped."""
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label,f0\nzzz,1.0\nzzz,2.0\n")
+        with pytest.raises(ConfigError, match="^dataset section .*'reference_csv'") as info:
+            DatasetConfig.from_dict({**source, "reference_csv": {"path": str(ref)}})
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("source", [{"benchmark": {"seed": 0, "reference_clusters": 0}}, "conv-demo"])
+    def test_reference_csv_without_reference_clusters_is_the_reference(self, tmp_path, source):
+        if source == "conv-demo":
+            source = bundled("conv-demo.json")["dataset"]
+            source["synthetic"]["clusters"] = [c for c in source["synthetic"]["clusters"] if c["role"] != "reference"]
+            source.pop("reshape")
+        dim = BENCHMARK_DIMENSION if "benchmark" in source else source["synthetic"]["dimension"]
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label," + ",".join(f"f{j}" for j in range(dim)) + "\n"
+                       + "".join(f"{name},{','.join([str(i)] * dim)}\n" for name in ("yy", "zz") for i in range(3)))
+        data = assemble_datasets(DatasetConfig.from_dict({**source, "reference_csv": {"path": str(ref)}}))
+        want = data_io.load_csv(str(ref))
+        assert data.reference.class_names == ["yy", "zz"]
+        assert (data.reference.x.tobytes(), data.reference.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
             assemble_datasets(DatasetConfig.from_dict({"split": {}}))
