@@ -140,20 +140,24 @@ class DualBranchModel:
     combined_head: bool = False
 
     def backbone_features(self, x: np.ndarray) -> np.ndarray:
-        """Backbone output for a batch, through the cache-free forward:
-        the conv, relu and pool layers before the first dense one run in
-        reused sample-chunk buffers, so their memory does not depend on
-        the batch size; dense layers see the whole batch."""
-        return nn_core.forward(self.backbone_spec, self.backbone, x, keep_cache=False)[0]
+        """Backbone output for a batch, through the cache-free forward of
+        a one-row stack: the conv, relu and pool layers before the first
+        dense one run in reused sample-chunk buffers, so their memory does
+        not depend on the batch size; dense layers see the whole batch."""
+        return _score(self.backbone_spec, self.backbone, x)
 
     def known_logits(self, x: np.ndarray) -> np.ndarray:
         """Full output of the known head (c entries, or c + C when combined)."""
-        feat = self.backbone_features(x)
-        return nn_core.forward(self.head_T_spec, self.head_T, feat, keep_cache=False)[0]
+        return _score(self.head_T_spec, self.head_T, self.backbone_features(x))
 
     def known_class_logits(self, x: np.ndarray) -> np.ndarray:
         """Known-class slice of the known head's output (always c entries)."""
         return self.known_logits(x)[:, : self.num_known]
+
+
+def _score(spec: NetworkSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
+    """The cache-free forward of one network, run as a one-row stack."""
+    return nn_core.forward(spec, {k: v[None] for k, v in params.items()}, x[None], keep_cache=False)[0][0]
 
 
 def _dense_head_spec(width: int, outputs: int) -> NetworkSpec:

@@ -22,10 +22,7 @@ def sigmoid(t):
     so exp never overflows."""
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    out = np.where(t >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def cross_entropy_terms(f: np.ndarray, y: np.ndarray):
@@ -80,7 +77,7 @@ def membership_terms(f: np.ndarray, y: np.ndarray, lam: float):
     return value, grad
 
 
-def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1=1.0, alpha2=1.0):
+def cumulative_loss(l_ce_r, l_ce_t, l_m_t, alpha1, alpha2):
     """Combine the three training loss components:
     L_ce(R) + alpha1 * L_ce(T) + alpha2 * L_m(T).
 

@@ -7,11 +7,11 @@ tight tolerances. Supported layers: dense, conv2d (valid padding, stride
 immutable NetworkSpec; parameters live in a plain dict keyed by
 "layer{i}.weight" / "layer{i}.bias".
 
-forward/backward take an optional leading model axis: a batch of shape
-[M, n, *input_shape] runs M models at once, each with its own parameters
-stacked as [M, *shape] under the same keys. Dense layers and relu/pool
-work at either rank unchanged; conv2d runs its kernel once per model.
-Each model's outputs are bit-identical to running it alone.
+forward/backward run a stack of M models at once: parameters stacked as
+[M, *shape] under the same keys, batches as [M, n, *input_shape]. A lone
+model is a one-row stack ({k: v[None]}, batch[None]). Dense layers run
+one stacked product; conv2d runs its kernel once per model. Each model's
+outputs are bit-identical to running it in a one-row stack.
 
 forward/backward are pure functions of their arguments, so two calls with
 identical inputs return bit-identical outputs and may run concurrently on
@@ -225,49 +225,44 @@ def init_params(spec: NetworkSpec, seed) -> ParamSet:
     return params
 
 
-def _model_count(spec: NetworkSpec, params: ParamSet, batch: np.ndarray) -> int | None:
-    """Number of stacked models, or None for one model. Read from the
-    first layer with parameters, whose weight has one more axis when the
-    params are stacked; a spec without parameters follows the batch."""
+def _as_batch(spec: NetworkSpec, params: ParamSet, batch: np.ndarray) -> np.ndarray:
+    """The batch as float64, after checking that it is [M, n, *input_shape]
+    for the M models of the params: the leading axis of the first weight.
+    A spec without parameters runs any M."""
+    batch = np.asarray(batch, dtype=np.float64)
+    models = "M"
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, (Dense, Conv2d)):
             w = params[f"layer{i}.weight"]
-            return w.shape[0] if w.ndim == (3 if isinstance(layer, Dense) else 5) else None
-    return batch.shape[0] if batch.ndim == len(spec.input_shape) + 2 else None
-
-
-def _as_batch(spec: NetworkSpec, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The batch as float64, and whether it is a [M, n, *input_shape]
-    stack. A batch carries the model axis exactly when the params do."""
-    batch = np.asarray(batch, dtype=np.float64)
+            if w.ndim != (3 if isinstance(layer, Dense) else 5):
+                raise DimensionError(f"layer{i}.weight shape {w.shape} has no leading model axis")
+            models = w.shape[0]
+            break
     expected = tuple(spec.input_shape)
-    models = _model_count(spec, params, batch)
-    lead = () if models is None else (models,)
-    k = len(lead)
-    if batch.ndim != k + 1 + len(expected) or batch.shape[:k] != lead or batch.shape[k + 1:] != expected:
+    if batch.ndim != len(expected) + 2 or batch.shape[2:] != expected or models not in ("M", batch.shape[0]):
         raise DimensionError(
             f"batch shape {batch.shape} does not match input shape "
-            f"({', '.join(map(str, lead + ('n',) + expected))})"
+            f"({', '.join(map(str, (models, 'n') + expected))})"
         )
-    return batch, models is not None
+    return batch
 
 
 def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: bool = True):
-    """Run the network on a batch; returns (activations, cache).
+    """Run a stack of M models on their batches; returns (activations, cache).
 
-    The returned activations are the raw final-layer values (no softmax or
-    sigmoid applied). The cache holds each layer's input and is consumed
-    by backward(). A [M, n, ...] batch needs [M, ...] stacked parameters.
-    With keep_cache=False the cache is None and the layers before the
-    first dense one hold one sample chunk's maps at a time; the
-    activations are the same bits.
+    params holds [M, *shape] stacks and batch is [M, n, *input_shape]. The
+    activations, [M, n, *output_shape], are the raw final-layer values (no
+    softmax or sigmoid applied). The cache holds each layer's input and is
+    consumed by backward(). With keep_cache=False the cache is None and the
+    layers before the first dense one hold one sample chunk's maps at a
+    time; the activations are the same bits.
     """
-    x, stacked = _as_batch(spec, params, batch)
+    x = _as_batch(spec, params, batch)
     cache = [] if keep_cache else None
     first_dense = 0
-    if spec.layers and not isinstance(spec.layers[0], Dense):
+    if not isinstance(spec.layers[0], Dense):
         first_dense = next((i for i, l in enumerate(spec.layers) if isinstance(l, Dense)), len(spec.layers))
-        x = _per_sample_forward(spec, params, x, first_dense, stacked, cache)
+        x = _per_sample_forward(spec, params, x, first_dense, cache)
     # Dense layers multiply the whole batch in one product: BLAS can give
     # a row other bits inside a product of another row count.
     for i, layer in enumerate(spec.layers[first_dense:], first_dense):
@@ -276,13 +271,13 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
         if isinstance(layer, Dense):
             w = params[f"layer{i}.weight"]
             b = params[f"layer{i}.bias"]
-            x = x @ w.swapaxes(-1, -2) + b[..., None, :]
+            x = x @ w.swapaxes(1, 2) + b[:, None, :]
         else:  # a dense output has rank 1, so only relu can follow one
             x = np.maximum(x, 0.0)
     return x, cache
 
 
-def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, count: int, stacked: bool,
+def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, count: int,
                         cache: "list | None") -> np.ndarray:
     """Run layers 0..count-1 (conv2d, relu and pool) over sample chunks;
     returns the last layer's whole-batch output and, with a cache,
@@ -297,16 +292,12 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
     at any chunk size.
     """
     shapes = spec.layer_input_shapes()
-    lead = x.shape[:1] if stacked else ()
-    n = x.shape[len(lead)]
+    models, n = x.shape[:2]
     conv_macs = [math.prod(shapes[i + 1][1:]) * layer.kernel ** 2
                  * max(layer.in_channels * layer.out_channels, _MIN_CHANNEL_PAIRS)
                  for i, layer in enumerate(spec.layers[:count]) if isinstance(layer, Conv2d)]
     chunk = -(-_CHUNK_MACS // max(conv_macs)) if conv_macs else max(n, 1)
     rows = min(chunk, n)
-
-    def samples(a, start, stop):
-        return a[:, start:stop] if stacked else a[start:stop]
 
     outs, whole, buffers = [], [], {}
     for i, layer in enumerate(spec.layers[:count]):
@@ -314,17 +305,17 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
         if not whole[i] and isinstance(layer, Relu) and i > 0:
             outs.append(outs[-1])
         else:
-            outs.append(np.empty(lead + (n if whole[i] else rows,) + shapes[i + 1]))
+            outs.append(np.empty((models, n if whole[i] else rows) + shapes[i + 1]))
         if isinstance(layer, Conv2d):
             buffers[i] = _conv2d_buffer(layer, rows, shapes[i + 1])
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
-        h = samples(x, s, e)
+        h = x[:, s:e]
         for i, layer in enumerate(spec.layers[:count]):
-            out = samples(outs[i], s, e) if whole[i] else samples(outs[i], 0, e - s)
+            out = outs[i][:, s:e] if whole[i] else outs[i][:, :e - s]
             if isinstance(layer, Conv2d):
                 w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
-                for operands in zip(h, w, b, out) if stacked else [(h, w, b, out)]:
+                for operands in zip(h, w, b, out):
                     _conv2d_forward(*operands, layer.stride, buffers[i])
             elif isinstance(layer, Relu):
                 np.maximum(h, 0.0, out=out)
@@ -401,19 +392,19 @@ def _conv2d_backward(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray, 
 
 
 def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray, input_grad: bool = True):
-    """Backpropagate dl_df through the network.
+    """Backpropagate dl_df, [M, n, *output_shape], through the stack whose
+    forward made the cache.
 
-    Returns (grads, dx) where grads mirrors the ParamSet shapes and dx is
-    the gradient with respect to the input batch (needed when this network
-    is a head stacked on another network). With input_grad=False, dx is
-    None and layer 0 computes only its parameter gradients, not its input
-    gradient (for conv2d, half of its backward work). The grads are the
-    same arrays either way.
+    Returns (grads, dx) where grads mirrors the [M, *shape] params and dx
+    is the gradient with respect to the [M, n, ...] input batch (needed
+    when this network is a head stacked on another network). With
+    input_grad=False, dx is None and layer 0 computes only its parameter
+    gradients, not its input gradient (for conv2d, half of its backward
+    work). The grads are the same arrays either way.
     """
     if cache is None or len(cache) != len(spec.layers):
         raise UsageError("backward needs the cache produced by forward on the same batch")
     dy = np.asarray(dl_df, dtype=np.float64)
-    stacked = cache[0].ndim == len(spec.input_shape) + 2
     grads: ParamSet = {}
     for i in reversed(range(len(spec.layers))):
         layer = spec.layers[i]
@@ -421,20 +412,16 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray, inpu
         pass_down = input_grad or i > 0
         if isinstance(layer, Dense):
             w = params[f"layer{i}.weight"]
-            grads[f"layer{i}.weight"] = dy.swapaxes(-1, -2) @ x
-            grads[f"layer{i}.bias"] = dy.sum(axis=-2)
+            grads[f"layer{i}.weight"] = dy.swapaxes(1, 2) @ x
+            grads[f"layer{i}.bias"] = dy.sum(axis=1)
             dy = dy @ w if pass_down else None
         elif isinstance(layer, Conv2d):
             w = params[f"layer{i}.weight"]
             dw = np.empty_like(w)  # every kernel offset is written
             dx = np.zeros_like(x) if pass_down else None
-            if stacked:
-                db = np.empty((len(w), w.shape[1]))
-                for m in range(len(w)):
-                    db[m] = _conv2d_backward(x[m], w[m], layer.stride, dy[m], dw[m],
-                                             None if dx is None else dx[m])
-            else:
-                db = _conv2d_backward(x, w, layer.stride, dy, dw, dx)
+            db = np.empty((len(w), w.shape[1]))
+            for m in range(len(w)):
+                db[m] = _conv2d_backward(x[m], w[m], layer.stride, dy[m], dw[m], None if dx is None else dx[m])
             grads[f"layer{i}.weight"] = dw
             grads[f"layer{i}.bias"] = db
             dy = dx

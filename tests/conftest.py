@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from novnet import nn_core
 from novnet.data_io import ClusterSpec, Dataset, SyntheticSpec, synth_gaussian
 from novnet.dual_trainer import TrainingConfig, build_dual_model, train_lockstep
 from novnet.experiments import parse_experiment_config
@@ -84,3 +85,19 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def lone_forward(spec, params, batch, keep_cache=True):
+    """nn_core.forward of one model, run as a one-row stack: its
+    [n, ...] activations and the stack's cache, which lone_backward takes."""
+    out, cache = nn_core.forward(spec, {k: v[None] for k, v in params.items()}, np.asarray(batch)[None],
+                                 keep_cache)
+    return out[0], cache
+
+
+def lone_backward(spec, params, cache, dl_df, input_grad=True):
+    """nn_core.backward of one model through lone_forward's cache: its
+    gradients and [n, ...] input gradient (None without input_grad)."""
+    grads, dx = nn_core.backward(spec, {k: v[None] for k, v in params.items()}, cache,
+                                 np.asarray(dl_df)[None], input_grad)
+    return {k: g[0] for k, g in grads.items()}, None if dx is None else dx[0]

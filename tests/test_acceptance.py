@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import benchmark, bundled
+from conftest import benchmark, bundled, lone_backward, lone_forward
 from novnet import cli
 from novnet.dual_trainer import (
     TrainingConfig,
@@ -34,9 +34,7 @@ from novnet.nn_core import (
     GlobalAveragePool,
     NetworkSpec,
     Relu,
-    backward,
     finite_difference_grad,
-    forward,
     init_params,
 )
 from novnet.novelty_eval import auc_pairwise_oracle, calibrate_threshold, realized_fnr, roc_auc
@@ -94,12 +92,12 @@ def test_criterion_2_end_to_end_gradient():
     y = np.array([0, 2])
 
     def loss_fn(p):
-        f, _ = forward(spec, p, x)
+        f, _ = lone_forward(spec, p, x)
         return float(cross_entropy_terms(f, y)[0] + membership_terms(f, y, 5.0)[0])
 
-    f, cache = forward(spec, params, x)
+    f, cache = lone_forward(spec, params, x)
     upstream = cross_entropy_terms(f, y)[1] + membership_terms(f, y, 5.0)[1]
-    grads, _ = backward(spec, params, cache, upstream)
+    grads, _ = lone_backward(spec, params, cache, upstream)
     fd = finite_difference_grad(loss_fn, params, eps=1e-6)
     worst = 0.0
     total = 0
@@ -168,7 +166,7 @@ def test_criterion_5_weight_sharing():
         # feeds them at scoring and the cached pass each branch's training
         # step runs give the same bits.
         f_known = model.backbone_features(probe)
-        f_ref = forward(model.backbone_spec, model.backbone, probe)[0]
+        f_ref = lone_forward(model.backbone_spec, model.backbone, probe)[0]
         epochs_checked.append(epoch)
         if not np.array_equal(f_known, f_ref):
             mismatches.append(epoch)
@@ -220,7 +218,7 @@ def test_criterion_9_checkpoint_round_trip(tmp_path):
     restored = load_checkpoint(path)
 
     def reference_logits(m):
-        return forward(m.head_R_spec, m.head_R, m.backbone_features(probe), keep_cache=False)[0]
+        return lone_forward(m.head_R_spec, m.head_R, m.backbone_features(probe), keep_cache=False)[0]
 
     bitwise = (np.array_equal(restored.model.known_logits(probe), model.known_logits(probe))
                and np.array_equal(reference_logits(restored.model), reference_logits(model)))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, rng_dataset, small_backbone, small_synthetic
+from conftest import CONFIGS, lone_backward, lone_forward, rng_dataset, small_backbone, small_synthetic
 from novnet import dual_trainer, experiments, nn_core
 from novnet.data_io import Dataset
 from novnet.dual_trainer import (
@@ -40,7 +40,7 @@ def backbone16():
 
 def reference_logits(model, x):
     """The reference head's output on a batch, through the scoring forward."""
-    return nn_core.forward(model.head_R_spec, model.head_R, model.backbone_features(x), keep_cache=False)[0]
+    return lone_forward(model.head_R_spec, model.head_R, model.backbone_features(x), keep_cache=False)[0]
 
 
 class TestBuildDualModel:
@@ -164,10 +164,10 @@ class TestTrainStep:
         # independent two-pass decomposition oracle
         def branch_grads(head_spec, head, dataset, upstream_fn):
             x, y = dataset.x, dataset.y
-            feat, cache_b = nn_core.forward(model.backbone_spec, model.backbone, x)
-            f, cache_h = nn_core.forward(head_spec, head, feat)
-            _, dfeat = nn_core.backward(head_spec, head, cache_h, upstream_fn(f, y))
-            grads, _ = nn_core.backward(model.backbone_spec, model.backbone, cache_b, dfeat)
+            feat, cache_b = lone_forward(model.backbone_spec, model.backbone, x)
+            f, cache_h = lone_forward(head_spec, head, feat)
+            _, dfeat = lone_backward(head_spec, head, cache_h, upstream_fn(f, y))
+            grads, _ = lone_backward(model.backbone_spec, model.backbone, cache_b, dfeat)
             return grads
 
         def t_upstream(f, y):
@@ -282,11 +282,11 @@ class TestTrain:
             perm = rng.permutation(len(y_all))
             for start in range(0, len(y_all), 16):
                 idx = perm[start:start + 16]
-                feat, cache_b = nn_core.forward(backbone_spec, backbone, x_all[idx])
-                f, cache_h = nn_core.forward(head_spec, head, feat)
+                feat, cache_b = lone_forward(backbone_spec, backbone, x_all[idx])
+                f, cache_h = lone_forward(head_spec, head, feat)
                 _, ce_grad = cross_entropy_terms(f, y_all[idx])
-                head_grads, dfeat = nn_core.backward(head_spec, head, cache_h, ce_grad)
-                bb_grads, _ = nn_core.backward(backbone_spec, backbone, cache_b, dfeat)
+                head_grads, dfeat = lone_backward(head_spec, head, cache_h, ce_grad)
+                bb_grads, _ = lone_backward(backbone_spec, backbone, cache_b, dfeat)
                 backbone = sgd("backbone", backbone, bb_grads)
                 head = sgd("head", head, head_grads)
         for k in backbone:
@@ -698,7 +698,7 @@ class TestWeightSharingInvariant:
             cfg = TrainingConfig(mode="dual-full", epochs=epochs, seed=7)
             train_lockstep([model], [known], [reference], [cfg])
             f_scored = model.backbone_features(probe)
-            f_trained = nn_core.forward(model.backbone_spec, model.backbone, probe)[0]
+            f_trained = lone_forward(model.backbone_spec, model.backbone, probe)[0]
             if not np.array_equal(f_scored, f_trained):
                 mismatches.append(epochs - 1)
         assert mismatches == []

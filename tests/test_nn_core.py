@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import lone_backward, lone_forward, traced_peak
 from novnet import nn_core
 from novnet.dual_trainer import TrainerState, TrainingConfig, build_dual_model
 from novnet.errors import ConfigError, DimensionError, DivergenceError, UsageError
@@ -104,14 +104,14 @@ class TestForward:
     def test_zero_params_zero_output(self):
         spec = dense_spec()
         params = {k: np.zeros_like(v) for k, v in init_params(spec, 0).items()}
-        f, _ = forward(spec, params, np.random.default_rng(0).standard_normal((5, 4)))
+        f, _ = lone_forward(spec, params, np.random.default_rng(0).standard_normal((5, 4)))
         assert np.all(f == 0.0)
 
     def test_identity_dense(self):
         spec = NetworkSpec((3,), (Dense(3, 3),))
         params = {"layer0.weight": np.eye(3), "layer0.bias": np.zeros(3)}
         v = np.array([[1.5, -2.0, 0.25]])
-        f, _ = forward(spec, params, v)
+        f, _ = lone_forward(spec, params, v)
         assert np.array_equal(f, v)
 
     def test_two_layer_matmul_oracle(self):
@@ -122,7 +122,7 @@ class TestForward:
         b1 = np.array([0.125])
         params = {"layer0.weight": w0, "layer0.bias": b0, "layer1.weight": w1, "layer1.bias": b1}
         x = np.array([[0.5, -1.5]])
-        f, _ = forward(spec, params, x)
+        f, _ = lone_forward(spec, params, x)
         # scalar oracle, no matrix ops
         h = [w0[i, 0] * x[0, 0] + w0[i, 1] * x[0, 1] + b0[i] for i in range(2)]
         expected = w1[0, 0] * h[0] + w1[0, 1] * h[1] + b1[0]
@@ -131,14 +131,14 @@ class TestForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            forward(dense_spec(), init_params(dense_spec(), 0), np.zeros((2, 5)))
+            lone_forward(dense_spec(), init_params(dense_spec(), 0), np.zeros((2, 5)))
 
     def test_deterministic_bitwise(self):
         spec = conv_spec()
         params = init_params(spec, 1)
         x = np.random.default_rng(2).standard_normal((3, 1, 6, 6))
-        f1, _ = forward(spec, params, x)
-        f2, _ = forward(spec, params, x)
+        f1, _ = lone_forward(spec, params, x)
+        f2, _ = lone_forward(spec, params, x)
         assert np.array_equal(f1, f2)
 
     def test_batch_permutation(self):
@@ -146,15 +146,15 @@ class TestForward:
         params = init_params(spec, 1)
         x = np.random.default_rng(3).standard_normal((5, 1, 6, 6))
         perm = np.array([3, 0, 4, 1, 2])
-        f, _ = forward(spec, params, x)
-        f_perm, _ = forward(spec, params, x[perm])
+        f, _ = lone_forward(spec, params, x)
+        f_perm, _ = lone_forward(spec, params, x[perm])
         assert np.array_equal(f[perm], f_perm)
 
     def test_gap_dense_head_matches_per_class_dot(self):
         spec = NetworkSpec((3, 4, 4), (GlobalAveragePool(), Dense(3, 5)))
         params = init_params(spec, 4)
         g = np.random.default_rng(5).standard_normal((2, 3, 4, 4))
-        f, _ = forward(spec, params, g)
+        f, _ = lone_forward(spec, params, g)
         pooled = g.mean(axis=(2, 3))
         w = params["layer1.weight"]
         b = params["layer1.bias"]
@@ -164,8 +164,8 @@ class TestForward:
 
 
 def global_average_pool(g):
-    """forward() of a network that is one global-average-pool layer."""
-    return forward(NetworkSpec(g.shape[1:], (GlobalAveragePool(),)), {}, g)[0]
+    """lone_forward() of a network that is one global-average-pool layer."""
+    return lone_forward(NetworkSpec(g.shape[1:], (GlobalAveragePool(),)), {}, g)[0]
 
 
 class TestGlobalAveragePool:
@@ -197,15 +197,15 @@ class TestBackward:
         spec = dense_spec()
         params = init_params(spec, 0)
         x = np.random.default_rng(0).standard_normal((3, 4))
-        f, cache = forward(spec, params, x)
-        grads, dx = backward(spec, params, cache, np.zeros_like(f))
+        f, cache = lone_forward(spec, params, x)
+        grads, dx = lone_backward(spec, params, cache, np.zeros_like(f))
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(dx == 0.0)
 
     def test_missing_cache(self):
         spec = dense_spec()
         with pytest.raises(UsageError):
-            backward(spec, init_params(spec, 0), None, np.zeros((1, 3)))
+            lone_backward(spec, init_params(spec, 0), None, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("trial", range(20))
     def test_matches_finite_differences(self, trial):
@@ -222,11 +222,11 @@ class TestBackward:
         target = rng.standard_normal((2,) + spec.output_shape)
 
         def loss_fn(p):
-            f, _ = forward(spec, p, x)
+            f, _ = lone_forward(spec, p, x)
             return 0.5 * np.sum((f - target) ** 2)
 
-        f, cache = forward(spec, params, x)
-        grads, _ = backward(spec, params, cache, f - target)
+        f, cache = lone_forward(spec, params, x)
+        grads, _ = lone_backward(spec, params, cache, f - target)
         fd = finite_difference_grad(loss_fn, params, eps=1e-6)
         for name in grads:
             assert relative_error(grads[name], fd[name]) < 1e-5, name
@@ -237,12 +237,12 @@ class TestBackward:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 1, 5, 5))
         dy = rng.standard_normal((2, 3))
-        _, cache = forward(spec, params, x)
-        combined, _ = backward(spec, params, cache, dy)
+        _, cache = lone_forward(spec, params, x)
+        combined, _ = lone_backward(spec, params, cache, dy)
         parts = []
         for i in range(2):
-            _, cache_i = forward(spec, params, x[i:i + 1])
-            g, _ = backward(spec, params, cache_i, dy[i:i + 1])
+            _, cache_i = lone_forward(spec, params, x[i:i + 1])
+            g, _ = lone_backward(spec, params, cache_i, dy[i:i + 1])
             parts.append(g)
         for name in combined:
             total = parts[0][name] + parts[1][name]
@@ -254,14 +254,14 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 3)) + 0.05  # keep relu inputs off the kink
         target = rng.standard_normal((1, 2))
-        f, cache = forward(spec, params, x)
-        _, dx = backward(spec, params, cache, f - target)
+        f, cache = lone_forward(spec, params, x)
+        _, dx = lone_backward(spec, params, cache, f - target)
         eps = 1e-6
         for j in range(3):
             hi = x.copy(); hi[0, j] += eps
             lo = x.copy(); lo[0, j] -= eps
-            f_hi, _ = forward(spec, params, hi)
-            f_lo, _ = forward(spec, params, lo)
+            f_hi, _ = lone_forward(spec, params, hi)
+            f_lo, _ = lone_forward(spec, params, lo)
             fd = (0.5 * np.sum((f_hi - target) ** 2) - 0.5 * np.sum((f_lo - target) ** 2)) / (2 * eps)
             assert relative_error(np.array(dx[0, j]), np.array(fd)) < 1e-5
 
@@ -276,11 +276,11 @@ class TestBackward:
         target = rng.standard_normal((2,) + spec.output_shape)
 
         def loss(batch):
-            f, _ = forward(spec, params, batch)
+            f, _ = lone_forward(spec, params, batch)
             return 0.5 * np.sum((f - target) ** 2)
 
-        f, cache = forward(spec, params, x)
-        _, dx = backward(spec, params, cache, f - target)
+        f, cache = lone_forward(spec, params, x)
+        _, dx = lone_backward(spec, params, cache, f - target)
         eps = 1e-6
         fd = np.zeros_like(x)
         for j in np.ndindex(x.shape):
@@ -288,6 +288,11 @@ class TestBackward:
             lo = x.copy(); lo[j] -= eps
             fd[j] = (loss(hi) - loss(lo)) / (2 * eps)
         assert relative_error(dx, fd) < 1e-5
+
+
+def stack(rows):
+    """The ParamSets of several models as one [M, *shape] stack."""
+    return {name: np.stack([p[name] for p in rows]) for name in rows[0]}
 
 
 INPUT_GRAD_SPECS = {
@@ -303,19 +308,14 @@ class TestInputGradOff:
     """backward(..., input_grad=False) skips only dx: the parameter
     gradients are the same bits as those of the full call."""
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    @pytest.mark.parametrize("models", [1, 3], ids=["single", "stacked"])
     @pytest.mark.parametrize("name", list(INPUT_GRAD_SPECS))
-    def test_same_parameter_gradients_and_no_dx(self, name, stacked):
+    def test_same_parameter_gradients_and_no_dx(self, name, models):
         spec = INPUT_GRAD_SPECS[name]
         rng = np.random.default_rng(3)
-        lead = (3, 5) if stacked else (5,)
-        if stacked:
-            rows = [init_params(spec, seed) for seed in range(3)]
-            params = {k: np.stack([p[k] for p in rows]) for k in rows[0]}
-        else:
-            params = init_params(spec, 0)
-        x = rng.standard_normal(lead + spec.input_shape)
-        dy = rng.standard_normal(lead + spec.output_shape)
+        params = stack([init_params(spec, seed) for seed in range(models)])
+        x = rng.standard_normal((models, 5) + spec.input_shape)
+        dy = rng.standard_normal((models, 5) + spec.output_shape)
         _, cache = forward(spec, params, x)
         full, dx = backward(spec, params, cache, dy)
         assert dx.shape == x.shape
@@ -326,33 +326,43 @@ class TestInputGradOff:
 
 
 class TestModelAxis:
+    """An M-row stack gives each model the bits of its own one-row stack."""
+
+    @pytest.mark.parametrize("keep_cache", [True, False], ids=["cached", "cache-free"])
     @pytest.mark.parametrize("spec", [NetworkSpec((4,), (Dense(4, 6), Relu(), Dense(6, 3))), conv_spec()],
                              ids=["dense", "conv"])
-    def test_stacked_passes_equal_per_model_passes(self, spec):
+    def test_stacked_passes_equal_per_model_passes(self, spec, keep_cache):
         rng = np.random.default_rng(0)
         rows = [init_params(spec, seed) for seed in range(3)]
-        stacked = {name: np.stack([p[name] for p in rows]) for name in rows[0]}
         x = rng.standard_normal((3, 5) + spec.input_shape)
         dy = rng.standard_normal((3, 5) + spec.output_shape)
-        out, cache = forward(spec, stacked, x)
-        grads, dx = backward(spec, stacked, cache, dy)
+        out, cache = forward(spec, stack(rows), x, keep_cache)
+        if keep_cache:
+            grads, dx = backward(spec, stack(rows), cache, dy)
         for m, params in enumerate(rows):
-            out_m, cache_m = forward(spec, params, x[m])
-            grads_m, dx_m = backward(spec, params, cache_m, dy[m])
+            out_m, cache_m = lone_forward(spec, params, x[m], keep_cache)
             assert out[m].tobytes() == out_m.tobytes()
-            assert dx[m].tobytes() == dx_m.tobytes()
-            assert all(grads[name][m].tobytes() == grads_m[name].tobytes() for name in grads_m)
+            if keep_cache:
+                grads_m, dx_m = lone_backward(spec, params, cache_m, dy[m])
+                assert dx[m].tobytes() == dx_m.tobytes()
+                assert all(grads[name][m].tobytes() == grads_m[name].tobytes() for name in grads_m)
 
-
-    def test_model_axis_follows_the_params(self):
-        spec = NetworkSpec((4,), (Dense(4, 3),))
-        params = init_params(spec, 0)
-        stacked = {name: np.stack([v, v]) for name, v in params.items()}
-        for p, x in ((params, np.zeros((2, 5, 4))),      # [n, k, d] samples, one model
-                     (stacked, np.zeros((5, 4))),         # stacked params, unstacked batch
-                     (stacked, np.zeros((3, 5, 4)))):     # model counts disagree
-            with pytest.raises(DimensionError):
-                forward(spec, p, x)
+    @pytest.mark.parametrize("case", ["batch without model axis", "unstacked params",
+                                      "unstacked params, stacked-shape batch", "model counts disagree",
+                                      "unstacked conv params"])
+    def test_input_without_a_matching_model_axis_is_rejected(self, case):
+        dense = NetworkSpec((4,), (Dense(4, 3),))
+        params = init_params(dense, 0)
+        spec, p, x = {
+            "batch without model axis": (dense, stack([params]), np.zeros((5, 4))),
+            "unstacked params": (dense, params, np.zeros((1, 5, 4))),
+            # would broadcast [3, 5, 4] @ [4, 3] to [3, 5, 3] unchecked
+            "unstacked params, stacked-shape batch": (dense, params, np.zeros((3, 5, 4))),
+            "model counts disagree": (dense, stack([params, params]), np.zeros((3, 5, 4))),
+            "unstacked conv params": (conv_spec(), init_params(conv_spec(), 0), np.zeros((1, 2, 1, 6, 6))),
+        }[case]
+        with pytest.raises(DimensionError):
+            forward(spec, p, x)
 
 
 def serial_conv2d_forward(x, w, b, stride):
@@ -381,7 +391,7 @@ def conv_forward(x, w, b, stride):
     """forward() of a network that is one conv2d layer with these operands."""
     cout, cin, k, _ = w.shape
     spec = NetworkSpec(x.shape[1:], (Conv2d(cin, cout, k, stride=stride),))
-    return forward(spec, {"layer0.weight": w, "layer0.bias": b}, x)[0]
+    return lone_forward(spec, {"layer0.weight": w, "layer0.bias": b}, x)[0]
 
 
 def chunk_size(cin, stride):
@@ -450,7 +460,7 @@ class TestConvSplit:
 
         def extra_peak(cout):
             spec = NetworkSpec((1, 28, 28), (Conv2d(1, cout, 5), Relu(), GlobalAveragePool()))
-            out, peak = traced_peak(forward, spec, init_params(spec, 0), x, False)
+            out, peak = traced_peak(lone_forward, spec, init_params(spec, 0), x, False)
             return peak - out[0].nbytes
 
         few, eight = extra_peak(filters), extra_peak(8)
@@ -500,11 +510,8 @@ class TestConvSplit:
 
 
 def whole_batch_forward(spec, params, x):
-    """Every layer on the whole batch at once, one model at a time: the
-    reference the chunked forward must match byte for byte."""
-    if x.ndim == len(spec.input_shape) + 2:
-        return np.stack([whole_batch_forward(spec, {k: v[m] for k, v in params.items()}, x[m])
-                         for m in range(len(x))])
+    """Every layer on one model's whole batch at once: the reference each
+    row of the chunked forward must match byte for byte."""
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Dense):
             x = x @ params[f"layer{i}.weight"].T + params[f"layer{i}.bias"]
@@ -548,19 +555,18 @@ class TestCacheFreeForward:
                                  "dense", "relu-first"]),
            cin=st.integers(1, 3), side=st.integers(6, 9), stride=st.integers(1, 2), chunk=st.integers(1, 3),
            batch=st.sampled_from(["one", "chunk-1", "chunk", "chunk+1", "2chunk"]),
-           models=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2 ** 16))
+           models=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
     def test_bytes_equal_cached_and_whole_batch(self, kind, cin, side, stride, chunk, batch, models, seed):
         spec = cache_free_spec(kind, cin, side, stride)
         n = {"one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1, "2chunk": 2 * chunk}[batch]
-        rows = [init_params(spec, [seed, m]) for m in range(models or 1)]
-        params = rows[0] if models is None else {k: np.stack([p[k] for p in rows]) for k in rows[0]}
-        lead = () if models is None else (models,)
-        x = np.random.default_rng(seed).standard_normal(lead + (n,) + spec.input_shape)
+        rows = [init_params(spec, [seed, m]) for m in range(models)]
+        x = np.random.default_rng(seed).standard_normal((models, n) + spec.input_shape)
         with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * most_conv_macs(spec)):
-            cached, cache = forward(spec, params, x)
-            free, none = forward(spec, params, x, keep_cache=False)
+            cached, cache = forward(spec, stack(rows), x)
+            free, none = forward(spec, stack(rows), x, keep_cache=False)
         assert none is None and len(cache) == len(spec.layers)
-        assert free.tobytes() == cached.tobytes() == whole_batch_forward(spec, params, x).tobytes()
+        expected = np.stack([whole_batch_forward(spec, params, x[m]) for m, params in enumerate(rows)])
+        assert free.tobytes() == cached.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("backbone", [
         NetworkSpec((1, 6, 6), (Conv2d(1, 3, 3), Relu(), GlobalAveragePool(), Dense(3, 5), Relu())),
@@ -575,7 +581,7 @@ class TestCacheFreeForward:
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 inputs = [a.view(np.ndarray) if isinstance(a, RecordingWeight) else a for a in inputs]
                 if ufunc is np.matmul:
-                    products.append(inputs[0].shape[0])
+                    products.append(inputs[0].shape[-2])
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
         model = build_dual_model(backbone, 2, 0, seed=0)
