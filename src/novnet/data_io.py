@@ -339,24 +339,33 @@ def _quoted(field: str) -> str:
 
 def csv_text(header, columns) -> str:
     """CSV document text: the header row, then one row per position of
-    `columns`, which yields one iterable per header name, all of one
-    length. A generator of columns keeps only one column's values alive.
+    `columns`, which holds one sequence per header name, all of one
+    length (ValueError otherwise).
 
-    Each value is written as str(value); for a Python float that is its
-    shortest round-trip repr. The text is byte for byte what csv.writer
-    writes (\\r\\n line ends, minimal quoting), built column by column:
-    one scan of a column's joined text decides whether any of its fields
-    needs quotes, and rows are joined without per-row Python code.
+    Each value is written as format(value, ""). That is str(value) for
+    str, int, float, bool, None and numpy's float64 and int64 scalars
+    (for a float, its shortest round-trip repr), but not for np.float32,
+    so callers pass Python scalars. The text is byte for byte what
+    csv.writer writes (\\r\\n line ends, minimal quoting): one str.format
+    call writes every field, and the document is written again with
+    quotes only when its separator counts show a field that needs them.
     """
+    width = len(header)
+    if len(columns) != width:
+        raise ValueError(f"{width} header names for {len(columns)} columns")
+    rows = 1 + len(columns[0])
+    flat = [*header, *[None] * (width * (rows - 1))]
+    for j, column in enumerate(columns):
+        flat[width + j::width] = column
+    template = ("{}," * (width - 1) + "{}\r\n") * rows
+    text = template.format(*flat)
+    # A field holding a delimiter, quote, CR or LF adds to these counts;
     # csv.writer also quotes the field of a one-field row when it is empty.
-    one_column = len(header) == 1
-    texts = []
-    for name, column in zip(header, columns, strict=True):
-        fields = [str(name), *map(str, column)]
-        if _needs_quotes("".join(fields)) or (one_column and "" in fields):
-            fields = [_quoted(f) if _needs_quotes(f) or (one_column and not f) else f for f in fields]
-        texts.append(fields)
-    return "\r\n".join(map(",".join, zip(*texts, strict=True))) + "\r\n"
+    if (text.count(",") != (width - 1) * rows or text.count("\r") != rows or text.count("\n") != rows
+            or '"' in text or (width == 1 and (text.startswith("\r\n") or "\n\r\n" in text))):
+        text = template.format(*[_quoted(f) if _needs_quotes(f) or (width == 1 and not f) else f
+                                 for f in map(format, flat)])
+    return text
 
 
 def write_all_atomic(files) -> None:

@@ -169,44 +169,33 @@ def closed_set_accuracy(known: np.recarray) -> float:
 SCORE_CSV_HEADER = list(SCORE_DTYPE.names)
 
 
-def _distinct_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keys, texts, inverse) of a float64 or int64 array: its distinct
-    8-byte patterns, sorted; str of each, formatted once; and the index
-    of every value's pattern, so texts[inverse] is the column's text.
-    Keying on bits keeps 0.0 and -0.0 apart, as str does. Python scalars
-    come from tolist(): str of an np.float64 reads "np.float64(...)"."""
-    keys, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    return keys, np.array([str(v) for v in values[first].tolist()], dtype=object), inverse
-
-
-def _shared_text(values: np.ndarray) -> np.ndarray:
-    """str of every value, as an object array holding one shared str per
-    distinct value: for columns with many repeats."""
-    _, texts, inverse = _distinct_text(values)
-    return texts[inverse]
-
-
 def report_texts(records: np.ndarray, roc: RocResult) -> tuple[str, str]:
     """The text of scores.csv and of roc.csv for a score table and the
-    ROC of its scores, with each distinct score formatted once.
+    ROC of its scores, with each score formatted once.
 
     roc.csv holds `threshold,fpr,tpr` rows and a one-line `auc,<value>`
     trailer. Each finite threshold is one of the table's scores, bit for
     bit (roc_auc draws them from the scores with np.unique), so its text
-    is looked up in the score column's; a threshold that is not ends in
-    an EvaluationError. Class columns and is_novel (written as 0/1)
-    repeat a few values, and rates are counts over a sample size, so
-    they repeat along the curve.
+    is looked up by bits in the score column's; keying on bits keeps 0.0
+    and -0.0 apart, as str does, and a threshold that is not a score ends
+    in an EvaluationError. Rates are counts over the two sample sizes, so
+    fpr and tpr share their distinct values, each formatted once.
     """
-    keys, texts, inverse = _distinct_text(records["score"])
+    score = records["score"]
+    texts = np.array([str(v) for v in score.tolist()], dtype=object)
+    keys, first = np.unique(score.view(np.int64), return_index=True)
     wanted = roc.thresholds[1:].view(np.int64)
     at = np.searchsorted(keys, wanted)
     if np.any(at == keys.size) or not np.array_equal(keys[at], wanted):
         raise EvaluationError("ROC thresholds must be scores of the score table")
-    scores = csv_text(SCORE_CSV_HEADER, (
-        records["sample_id"].tolist() if name == "sample_id"
-        else texts[inverse] if name == "score"
-        else _shared_text(records[name].astype(np.int64)) for name in SCORE_CSV_HEADER))
-    roc_text = csv_text(["threshold", "fpr", "tpr"],
-                        [[str(math.inf), *texts[at]], _shared_text(roc.fpr), _shared_text(roc.tpr)])
+    rates = np.concatenate([roc.fpr, roc.tpr])
+    _, rate_first, rate_at = np.unique(rates.view(np.int64), return_index=True, return_inverse=True)
+    rate_texts = np.array([str(v) for v in rates[rate_first].tolist()], dtype=object)[rate_at]
+    scores = csv_text(SCORE_CSV_HEADER, [
+        texts.tolist() if name == "score"
+        else records[name].astype(np.int64).tolist() if name == "is_novel"
+        else records[name].tolist() for name in SCORE_CSV_HEADER])
+    roc_text = csv_text(["threshold", "fpr", "tpr"], [[str(math.inf), *texts[first[at]].tolist()],
+                                                      rate_texts[:roc.fpr.size].tolist(),
+                                                      rate_texts[roc.fpr.size:].tolist()])
     return scores, f"{roc_text}auc,{roc.auc!r}\r\n"

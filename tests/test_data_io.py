@@ -491,13 +491,24 @@ class TestWriteAtomic:
 
     def test_csv_text(self):
         assert csv_text(["a", "b"], [[1], ["x,y"]]) == 'a,b\r\n1,"x,y"\r\n'
-        with pytest.raises(ValueError):
-            csv_text(["a", "b"], [[1, 2], [3]])
+        # Columns of unequal lengths, and fewer or more columns than names.
+        for header, columns in ((["a", "b"], [[1, 2], [3]]), (["a", "b"], [[1]]), (["a"], [[1], [2]])):
+            with pytest.raises(ValueError):
+                csv_text(header, columns)
+
+    def test_csv_text_writes_numpy_scalars_bools_and_none_as_str(self):
+        """format(value, "") is str(value) for these; csv.writer itself
+        would write None as an empty field."""
+        columns = [[np.float64(0.1), np.float64(-0.0)], [np.int64(-3), np.int64(2**62)],
+                   [True, False], [None, None]]
+        assert csv_text(["f", "i", "b", "n"], columns) == (
+            "f,i,b,n\r\n0.1,-3,True,None\r\n-0.0,4611686018427387904,False,None\r\n")
 
     # Fields that csv.writer quotes (delimiter, quote, CR, LF, and the
-    # empty field of a one-field row) next to ones it leaves bare.
-    CSV_FIELDS = st.one_of(st.text(alphabet=',"\r\nab \u00e9', max_size=5), st.text(max_size=5),
-                           st.integers(), st.floats())
+    # empty field of a one-field row) next to ones it leaves bare, and
+    # format syntax, which must be written as it is.
+    CSV_FIELDS = st.one_of(st.text(alphabet=',"\r\nab \u00e9{}', max_size=5), st.text(max_size=5),
+                           st.sampled_from(["{", "}", "{0}", "{!r}"]), st.integers(), st.floats())
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -358,6 +358,10 @@ class TestReportFiles:
     @example(known=[-0.0], novel=[0.0])
     @example(known=[0.0, 1.0, -0.0], novel=[-0.0, 0.0, -1.0])
     @example(known=[5e-324, -1e308, 1e308], novel=[-5e-324, 1e308, 5e-324])
+    # fpr and tpr share the rate 0.5 (2 known, 4 novel scores), or only
+    # the end points 0.0 and 1.0 (3 known, 2 novel), with both zeros.
+    @example(known=[0.0, 1.0], novel=[-0.0, 2.0, 0.5, -1.0])
+    @example(known=[-0.0, 1.0, 3.0], novel=[0.0, 2.0])
     def test_texts_are_csv_writer_bytes(self, known, novel):
         """scores.csv is csv.writer's text of the table's rows, and roc.csv
         that of the loop sweep's rows plus the `auc,<repr>` trailer, with

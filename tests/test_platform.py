@@ -54,7 +54,6 @@ def conv_einsums(n, k, size, filters):
 LOGITS = -40.0 * np.abs(inputs(9, 4096))
 
 PRIMITIVES = {
-    "2-D matmul": lambda: dense_products(()),
     "stacked matmul": lambda: [*dense_products((1,)), *dense_products((4,))],
     "np.exp": lambda: [np.exp(LOGITS)],
     "np.log": lambda: [np.log(1.0 - 0.5 * LOGITS[:512])],
@@ -64,7 +63,6 @@ PRIMITIVES = {
 # sha256 of each primitive's results, recorded with numpy 2.4.6, OpenBLAS
 # 0.3.31 (SkylakeX core) and numpy's AVX-512 loops on an AVX-512 x86-64 CPU.
 DIGESTS = {
-    "2-D matmul": "839fc1509a856cb7baa51f723594bdb0910df2908b7ab166763348dd3ed5a9b5",
     "stacked matmul": "6e72aebc308a3ae12c24364843d0eea4bd919c3e42ccd0b4f2bd0dee051135ff",
     "np.exp": "f0e7994b96ae38b16187a66714ab6b92ed10a1e254118b05ef3819bba14a2db9",
     "np.log": "712db5cc7e779e7f41f3726d2fc925b9c0be972f0d69357566b62374e59db60c",
