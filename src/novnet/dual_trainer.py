@@ -13,11 +13,10 @@ flat buffer per stack, and the momentum is one array of the same size,
 so one step of the whole stack is a fixed set of numpy calls (one
 finiteness check and one momentum update), and each model ends
 bit-identical to training it alone; a lone model is a one-row stack
-of the same loop. The stack holds its rows sorted by mode, so the rows
-with a reference branch and the rows with the membership loss are each
-one slice; each step computes the membership terms only for that slice,
-and the other rows hold zeros. Histories come back, and errors name
-rows, in the caller's order.
+of the same loop. The rows keep the caller's order; the rows with a
+reference branch and the rows with the membership loss are selected by
+index, and each step computes the membership terms only for the latter,
+while the other rows hold zeros.
 
 Training modes (ablation/baseline variants):
   ce-only        single branch, cross-entropy only
@@ -220,52 +219,40 @@ class EpochStats:
         return asdict(self)
 
 
-# Stack position of each mode. The rows are sorted by it (stably), so the
-# membership rows (ce+membership, dual-full) and the dual rows (dual-full,
-# dual-ce) each form one run, and a step selects them with slices.
-_STACK_ORDER = ("ce-only", "finetune-cC", "ce+membership", "dual-full", "dual-ce")
-
-
 @dataclass
 class TrainerState:
     """Parameters and momentum of the models of one lockstep stack.
 
-    The rows are the models sorted by mode (_STACK_ORDER); `order[i]` is
-    the caller's index of row i. Every parameter of the stack lives in
-    one flat float64 buffer, `values`, and `params[group][name]` is a
-    [rows, *shape] view of it: `backbone` and `head_T` have one row per
-    model, `head_R` one per dual-branch model, the `dual_rows` slice of
-    the stack. Each model's own dicts hold views of its rows, so scoring,
-    checkpoints and filter analysis read the trained values directly.
-    `velocity` is the momentum buffer shaped like `values`, None before
-    the first update. `cfg` is the step schedule the rows share (the
-    caller's first config; rows may differ only in mode and seed),
-    `alpha2` is each row's effective membership weight, and the
-    `membership_rows` slice selects the rows whose mode uses the
-    membership loss.
+    The rows are the models in the caller's order. Every parameter of the
+    stack lives in one flat float64 buffer, `values`, and
+    `params[group][name]` is a [rows, *shape] view of it: `backbone` and
+    `head_T` have one row per model, `head_R` one per dual-branch model,
+    the models whose indices `dual_rows` holds. Each model's own dicts
+    hold views of its rows, so scoring, checkpoints and filter analysis
+    read the trained values directly. `velocity` is the momentum buffer
+    shaped like `values`, None before the first update. `cfg` is the step
+    schedule the rows share (the caller's first config; rows may differ
+    only in mode and seed), `alpha2` is each row's effective membership
+    weight, and `membership_rows` holds the indices of the rows whose mode
+    uses the membership loss.
     """
 
     specs: tuple[NetworkSpec, NetworkSpec, NetworkSpec | None]
     values: np.ndarray
     params: dict[str, ParamSet]
     cfg: TrainingConfig
-    order: np.ndarray
-    membership_rows: slice
+    membership_rows: np.ndarray
     alpha2: np.ndarray
-    dual_rows: slice
+    dual_rows: np.ndarray
     velocity: np.ndarray | None = None
 
     @classmethod
     def stack(cls, models, cfgs) -> "TrainerState":
-        """Sort the models into stack order, copy their parameters into
-        one new buffer and point each model's dicts at its rows."""
-        order = sorted(range(len(models)), key=lambda row: _STACK_ORDER.index(cfgs[row].mode))
-        models, modes = [models[row] for row in order], [cfgs[row].mode for row in order]
-        dual = sum(mode in _DUAL_MODES for mode in modes)
-        membership = [mode in _MEMBERSHIP_MODES for mode in modes]
-        first_membership = membership.index(True) if any(membership) else 0
-        dual_rows = slice(len(models) - dual, len(models))
-        groups = {"backbone": models, "head_T": models, "head_R": models[dual_rows]}
+        """Copy the models' parameters into one new buffer and point each
+        model's dicts at its rows."""
+        membership = [cfg.mode in _MEMBERSHIP_MODES for cfg in cfgs]
+        dual_rows = np.flatnonzero([cfg.mode in _DUAL_MODES for cfg in cfgs])
+        groups = {"backbone": models, "head_T": models, "head_R": [models[row] for row in dual_rows]}
         # Each parameter is one [rows, *shape] block of the buffer.
         blocks = [(group, name, [getattr(model, group)[name] for model in rows])
                   for group, rows in groups.items() if rows for name in getattr(rows[0], group)]
@@ -281,19 +268,13 @@ class TrainerState:
                 setattr(model, group, {name: v[row] for name, v in params[group].items()})
         return cls(
             specs=(models[0].backbone_spec, models[0].head_T_spec,
-                   models[-1].head_R_spec if dual else None),
-            values=values, params=params, cfg=cfgs[0], order=np.array(order),
-            membership_rows=slice(first_membership, first_membership + sum(membership)),
+                   groups["head_R"][0].head_R_spec if dual_rows.size else None),
+            values=values, params=params, cfg=cfgs[0], membership_rows=np.flatnonzero(membership),
             alpha2=np.where(membership, cfgs[0].alpha2, 0.0), dual_rows=dual_rows)
 
-    def first_bad(self, bad: np.ndarray, rows: slice = slice(None)) -> tuple[int, str]:
-        """Of the stack rows `rows` that `bad` marks, the position of the
-        one with the lowest caller index, and " of stacked model K" naming
-        that index ("" for a lone model)."""
-        positions = np.flatnonzero(bad)
-        callers = self.order[rows][positions]
-        k = np.argmin(callers)
-        return positions[k], f" of stacked model {callers[k]}" if len(self.order) > 1 else ""
+    def where(self, row) -> str:
+        """The suffix " of stacked model K" naming row K ("" for a lone model)."""
+        return f" of stacked model {row}" if len(self.alpha2) > 1 else ""
 
     def apply_gradients(self, grads: dict[str, ParamSet]) -> None:
         """One SGD-with-momentum update of the whole stack; grads mirror
@@ -302,13 +283,13 @@ class TrainerState:
                                for name in group_params], axis=None)
         if not np.isfinite(flat).all():
             for group, group_params in self.params.items():
-                rows = self.dual_rows if group == "head_R" else slice(None)
+                rows = self.dual_rows if group == "head_R" else range(len(self.alpha2))
                 for name in group_params:
                     g = grads[group][name]
                     bad = ~np.isfinite(g.reshape(len(g), -1)).all(axis=1)
                     if bad.any():
-                        where = self.first_bad(bad, rows)[1]
-                        raise DivergenceError(f"non-finite gradient for parameter '{group}.{name}'{where}")
+                        raise DivergenceError(f"non-finite gradient for parameter '{group}.{name}'"
+                                              f"{self.where(rows[bad.argmax()])}")
         self.velocity = nn_core.momentum_update(self.values, flat, self.velocity, self.cfg.lr, self.cfg.momentum)
 
 
@@ -317,9 +298,9 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
 
     batch_T is an ([M, b_T, ...], [M, b_T]) pair, batch_R the
     ([D, b_R, ...], [D, b_R]) reference batches of the dual rows (None
-    when there are none), with labels already validated, both in stack
-    order. Returns the [4, M] loss components (ce_R, ce_T, m_T,
-    cumulative) at the pre-update parameters, in stack order.
+    when there are none), with labels already validated. Returns the
+    [4, M] loss components (ce_R, ce_T, m_T, cumulative) at the
+    pre-update parameters.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
@@ -333,11 +314,11 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     # Only the membership rows compute the membership terms. The other
     # rows keep zeros, which are still added (as alpha2 * 0), so their
     # -0.0 gradients turn +0.0 whatever the stack holds. With no such
-    # row the call is skipped: on an empty slice it still costs most of
-    # a one-row call.
+    # row the call is skipped: with no rows it still costs most of a
+    # one-row call.
     m_rows = state.membership_rows
     m_t, m_t_grad = np.zeros(rows), np.zeros_like(f_t)
-    if m_rows.start < m_rows.stop:
+    if m_rows.size:
         m_t[m_rows], m_t_grad[m_rows] = membership_terms(f_t[m_rows], y_t[m_rows], cfg.lam)
     upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
     head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
@@ -362,8 +343,8 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     total = cumulative_loss(ce_r, ce_t, m_t, cfg.alpha1, state.alpha2)
     finite = np.isfinite(total)
     if not finite.all():
-        row, where = state.first_bad(~finite)
-        raise DivergenceError(f"non-finite cumulative loss {total[row]}{where}")
+        row = finite.argmin()
+        raise DivergenceError(f"non-finite cumulative loss {total[row]}{state.where(row)}")
     state.apply_gradients({"backbone": backbone_grads, "head_T": head_t_grads, "head_R": head_r_grads})
     return np.array([ce_r, ce_t, m_t, total])
 
@@ -468,9 +449,8 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
     TrainingConfig field (else ConfigError).
     finetune-cC models train alone. Each row draws its epoch permutations
     and reference reshuffles from its own seed stream, in the order a
-    lone run does, so the stack's internal row order (TrainerState)
-    changes nothing. Histories are in the caller's order, and a
-    divergence names the caller's index of the row. Labels are validated
+    lone run does. Histories are in the caller's order, and a divergence
+    names the first bad row by its index. Labels are validated
     once, by the Dataset invariants and the mode/dataset checks.
     Training k epochs gives, bit for bit, the parameters and history
     prefix that a longer run with the same seeds has after epoch k.
@@ -487,16 +467,13 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
         return histories
 
     state = TrainerState.stack(models, cfgs)
-    # From here on every list is in stack order.
-    models, datasets_T, datasets_R, cfgs = ([a[row] for row in state.order]
-                                            for a in (models, datasets_T, datasets_R, cfgs))
     rngs = [np.random.default_rng([c.seed, _STREAM_BATCHING]) for c in cfgs]
     epoch_sets = [_epoch_set(*args) for args in zip(models, datasets_T, datasets_R, cfgs)]
     x_t, y_t, offsets_t = _pool(epoch_sets)
-    dual = datasets_R[state.dual_rows]
+    dual = [datasets_R[row] for row in state.dual_rows]
     if dual:
         x_r, y_r, offsets_r = _pool([(d.x, d.y) for d in dual])
-    streams = [_IndexStream(len(d), rng) for d, rng in zip(dual, rngs[state.dual_rows])]
+    streams = [_IndexStream(len(datasets_R[row]), rngs[row]) for row in state.dual_rows]
 
     n = len(epoch_sets[0][1])
     b_t, b_r = cfg.batch_size_T, cfg.batch_size_R
@@ -529,8 +506,8 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
                     sums += _lockstep_step(state, (x_t[t], y_t[t]), batch_R)
                 except DivergenceError as exc:
                     raise DivergenceError(f"{exc} at epoch {epoch}, step {step}") from None
-        for row, means in zip(state.order, (sums / steps).T):
-            histories[row].append(EpochStats(epoch, *(float(v) for v in means)))
+        for history, means in zip(histories, (sums / steps).T):
+            history.append(EpochStats(epoch, *(float(v) for v in means)))
     # Each step's loss check sees the previous update; the last update
     # has no next step, so its result is checked here.
     for group, group_params in state.params.items():

@@ -5,7 +5,6 @@ Every error raised by novnet derives from NovnetError so callers (and the
 CLI) can catch toolkit failures with a single except clause.
 """
 
-import numbers
 import sys
 
 
@@ -66,16 +65,14 @@ class UnsupportedArchitectureError(NovnetError):
 
 
 # Config values are checked, never converted: a bool, a string or 2.0 is
-# not an integer, and a bool or a string is not a number.
-
-def _is_a(value, kind) -> bool:
-    """isinstance(value, kind), where a bool never counts as a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
+# not an integer, and a bool or a string is not a number. Only int and
+# float and their subclasses pass: they are the scalars a checkpoint's
+# JSON metadata can encode, so a numpy integer or float32 fails here and
+# not at the checkpoint write.
 
 def check_integer(value, what: str, minimum: int):
     """`value` itself when it is an integer >= `minimum`."""
-    if not _is_a(value, numbers.Integral) or value < minimum:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return value
 
@@ -83,9 +80,7 @@ def check_integer(value, what: str, minimum: int):
 def check_number(value, what: str):
     """`value` itself when it is a finite real number. NaN, the infinities
     and an integer beyond the float range fail the bounds comparison."""
-    # float and int are tested first: a cluster mean can hold thousands
-    # of entries, and the abstract-class test costs several times more.
-    real = type(value) in (float, int) or _is_a(value, numbers.Real)
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (real and -sys.float_info.max <= value <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return value

@@ -103,9 +103,9 @@ def calibrate_threshold(matched_scores, target_fnr: float) -> NoveltyThreshold:
     return NoveltyThreshold(gamma=float(scores[rank - 1]), percentile=target_fnr, sample_count=n)
 
 
-def realized_fnr(matched_scores, threshold: "NoveltyThreshold | float") -> float:
+def realized_fnr(matched_scores, threshold: NoveltyThreshold) -> float:
     """Fraction of matched scores the strict rule would reject as novel."""
-    gamma = threshold.gamma if isinstance(threshold, NoveltyThreshold) else float(threshold)
+    gamma = threshold.gamma
     scores = np.asarray(matched_scores, dtype=np.float64)
     if scores.size == 0:
         raise CalibrationError("no matched scores")

@@ -462,6 +462,9 @@ class TestTrainingConfig:
         ("lambda", float("inf")), pytest.param("lr", 10**400, id="lr-int-beyond-float"),
         ("epochs", 2.5), ("batch_size_T", 3.5), ("batch_size_R", None), ("seed", 1.5), ("epochs", True),
         ("alpha1", -0.5), ("alpha2", -0.5),
+        # numpy scalars that the checkpoint's JSON metadata cannot encode
+        pytest.param("lr", np.float32(0.1), id="lr-float32"),
+        pytest.param("epochs", np.int64(2), id="epochs-int64"),
     ])
     def test_bad_values_rejected(self, key, value):
         with pytest.raises(ConfigError, match="lr|learning rate" if key == "lr" else key):
@@ -750,8 +753,8 @@ class TestLockstep:
         self.assert_rows_match_lone_runs(config_runs("benchmark-quick.json", modes, reps=2))
 
     def test_every_order_of_the_modes_matches_lone_training(self):
-        """The stack sorts its rows by mode; in any caller order each row
-        trains as it would alone, and histories come back in that order."""
+        """The rows keep the caller's order; in any order of the modes each
+        row trains as it would alone, and histories come back in that order."""
         runs = config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=1)
         for order in itertools.permutations(runs):
             self.assert_rows_match_lone_runs(list(order))

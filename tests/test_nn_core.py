@@ -61,6 +61,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="'layers' is empty"):
             NetworkSpec((4,), ())
 
+    def test_numpy_integer_size_rejected(self):
+        """The spec goes into the checkpoint's JSON metadata, which cannot
+        encode a numpy integer."""
+        with pytest.raises(ConfigError, match="'out' must be an integer"):
+            NetworkSpec((4,), (Dense(4, np.int64(3)),))
+
     def test_output_shape_walk(self):
         assert conv_spec().output_shape == (2,)
 
@@ -652,18 +658,19 @@ class TestSgdStep:
             assert all(np.array_equal(before[g][k], getattr(model, g)[k]) for k in before[g])
 
 
-    # Stack order is ce-only (caller 1), dual-full (caller 2), dual-ce
-    # (caller 0); head_R holds the last two.
-    @pytest.mark.parametrize("group, rows, caller", [("backbone", [0], 1), ("backbone", [1, 2], 0),
-                                                     ("head_R", [0], 2), ("head_R", [1], 0)])
+    # The rows keep the caller's order; head_R holds the dual rows,
+    # callers 0 (dual-ce) and 2 (dual-full).
+    @pytest.mark.parametrize("group, rows, caller", [("backbone", [1], 1), ("backbone", [0, 2], 0),
+                                                     ("head_R", [0], 0), ("head_R", [1], 2)])
     def test_nonfinite_gradient_names_the_callers_row(self, group, rows, caller):
         spec = NetworkSpec((4,), (Dense(4, 3), Relu()))
         modes = ("dual-ce", "ce-only", "dual-full")
         models = [build_dual_model(spec, 2, 0 if mode == "ce-only" else 2, seed=seed)
                   for seed, mode in enumerate(modes)]
         state = TrainerState.stack(models, [TrainingConfig(mode=mode) for mode in modes])
-        assert state.order.tolist() == [1, 2, 0]
         assert all(np.shares_memory(model.backbone["layer0.weight"], state.values) for model in models)
+        for row, model in enumerate((models[0], models[2])):
+            assert np.shares_memory(model.head_R["layer0.weight"], state.params["head_R"]["layer0.weight"][row])
         before = state.values.copy()
         grads = {g: {k: np.zeros_like(v) for k, v in state.params[g].items()} for g in state.params}
         grads[group]["layer0.bias"][rows, 1] = np.inf

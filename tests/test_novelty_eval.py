@@ -97,14 +97,14 @@ class TestDecide:
     def rec(self, score):
         return score_one(passthrough_model(), np.array([score, -50.0, -50.0]))
 
-    def is_novel(self, record, threshold):
-        return realized_fnr([record.score], threshold) == 1.0
+    def is_novel(self, record, gamma):
+        return realized_fnr([record.score], NoveltyThreshold(gamma, 0.05, 10)) == 1.0
 
     def test_below_threshold_is_novel(self):
         assert self.is_novel(self.rec(2.0), 2.5)
 
     def test_tie_is_known(self):
-        assert not self.is_novel(self.rec(2.5), NoveltyThreshold(2.5, 0.05, 10))
+        assert not self.is_novel(self.rec(2.5), 2.5)
 
     def test_single_flip_over_sweep(self):
         record = self.rec(1.0)
@@ -163,9 +163,9 @@ class TestCalibrateThreshold:
             with pytest.raises(CalibrationError):
                 calibrate_threshold([1.0, bad, 2.0], 0.05)
             with pytest.raises(CalibrationError):
-                realized_fnr([bad, 1.0], 0.5)
+                realized_fnr([bad, 1.0], NoveltyThreshold(0.5, 0.5, 2))
             with pytest.raises(CalibrationError):
-                realized_fnr([1.0, 2.0], bad)
+                realized_fnr([1.0, 2.0], NoveltyThreshold(bad, 0.5, 2))
 
     @settings(max_examples=300, deadline=None)
     @given(scores=score_lists, target=st.floats(0.001, 0.999))
