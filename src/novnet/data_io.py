@@ -239,10 +239,10 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
     Each cluster is drawn in spec order straight into its rows of the
     role's preallocated feature array, so no per-cluster copies exist.
     A cluster of a role not in `roles` still draws its numbers, so the
-    clusters after it keep their bytes, but into one scratch block the
-    size of the largest such cluster, unscaled and unshifted. The
-    clusters after the last one of a role in `roles` are not drawn. The
-    memory check counts every cluster, drawn or not."""
+    clusters after it keep their bytes, but the draw is discarded
+    unscaled and unshifted. The clusters after the last one of a role in
+    `roles` are not drawn. The memory check counts every cluster, drawn
+    or not."""
     check_roles(roles)
     samples = sum(c.count for c in spec.clusters)
     what = f"synthetic 'clusters' of {samples} samples x {spec.dimension} values"
@@ -251,24 +251,22 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
     prefix = {"known": "known", "novel": "novel", "reference": "ref"}
     drawn = spec.clusters[:max((i + 1 for i, c in enumerate(spec.clusters) if c.role in roles), default=0)]
     clusters = {role: [c for c in drawn if c.role == role] for role in ROLES}
-    skipped = max((c.count for c in drawn if c.role not in roles), default=0)
+    filled = dict.fromkeys(ROLES, 0)
     try:
         x = {role: np.empty((sum(c.count for c in group), spec.dimension))
              for role, group in clusters.items() if role in roles}
-        scratch = np.empty((skipped, spec.dimension))
-    except MemoryError:  # where sysconf is missing, the allocation is the check
+        for cluster in drawn:
+            if cluster.role not in roles:
+                rng.standard_normal((cluster.count, spec.dimension))
+                continue
+            start = filled[cluster.role]
+            block = x[cluster.role][start:start + cluster.count]
+            rng.standard_normal(out=block)
+            block *= cluster.stddev
+            block += np.asarray(cluster.mean, dtype=np.float64)
+            filled[cluster.role] += cluster.count
+    except MemoryError:  # where sysconf is missing, allocating is the check
         raise DatasetError(f"{what}: out of memory") from None
-    filled = dict.fromkeys(ROLES, 0)
-    for cluster in drawn:
-        if cluster.role not in roles:
-            rng.standard_normal(out=scratch[:cluster.count])
-            continue
-        start = filled[cluster.role]
-        block = x[cluster.role][start:start + cluster.count]
-        rng.standard_normal(out=block)
-        block *= cluster.stddev
-        block += np.asarray(cluster.mean, dtype=np.float64)
-        filled[cluster.role] += cluster.count
     return tuple(
         Dataset(x[role], np.repeat(np.arange(len(group)), [c.count for c in group]),
                 [f"{prefix[role]}_{i}" for i in range(len(group))],
@@ -327,44 +325,31 @@ def split_train_test(dataset: Dataset, seed: int, train_fraction: float = 0.5) -
     return train, test
 
 
-def _needs_quotes(text: str) -> bool:
-    """Whether csv.writer (excel dialect) would quote a field holding
-    `text`: it has a delimiter, quote, CR or LF. Each test is one C scan."""
-    return "," in text or '"' in text or "\r" in text or "\n" in text
-
-
-def _quoted(field: str) -> str:
-    return '"' + field.replace('"', '""') + '"'
-
-
 def csv_text(header, columns) -> str:
     """CSV document text: the header row, then one row per position of
     `columns`, which holds one sequence per header name, all of one
-    length (ValueError otherwise).
+    length. There must be at least two columns (ValueError otherwise).
 
     Each value is written as format(value, ""). That is str(value) for
     str, int, float, bool, None and numpy's float64 and int64 scalars
     (for a float, its shortest round-trip repr), but not for np.float32,
-    so callers pass Python scalars. The text is byte for byte what
-    csv.writer writes (\\r\\n line ends, minimal quoting): one str.format
-    call writes every field, and the document is written again with
-    quotes only when its separator counts show a field that needs them.
+    so callers pass Python scalars. One str.format call writes every
+    field with \\r\\n line ends and no field quoted: the text is byte for
+    byte what csv.writer writes. A field that csv.writer would quote,
+    one holding a comma, quote, CR or LF, raises ValueError instead.
     """
     width = len(header)
-    if len(columns) != width:
-        raise ValueError(f"{width} header names for {len(columns)} columns")
+    if len(columns) != width or width < 2:
+        raise ValueError(f"{width} header names for {len(columns)} columns; a table needs at least 2")
     rows = 1 + len(columns[0])
     flat = [*header, *[None] * (width * (rows - 1))]
     for j, column in enumerate(columns):
         flat[width + j::width] = column
-    template = ("{}," * (width - 1) + "{}\r\n") * rows
-    text = template.format(*flat)
-    # A field holding a delimiter, quote, CR or LF adds to these counts;
-    # csv.writer also quotes the field of a one-field row when it is empty.
+    text = (("{}," * (width - 1) + "{}\r\n") * rows).format(*flat)
+    # A field holding a comma, quote, CR or LF adds to these counts.
     if (text.count(",") != (width - 1) * rows or text.count("\r") != rows or text.count("\n") != rows
-            or '"' in text or (width == 1 and (text.startswith("\r\n") or "\n\r\n" in text))):
-        text = template.format(*[_quoted(f) if _needs_quotes(f) or (width == 1 and not f) else f
-                                 for f in map(format, flat)])
+            or '"' in text):
+        raise ValueError("a CSV field holds a comma, quote, CR or LF")
     return text
 
 

@@ -276,20 +276,25 @@ class TrainerState:
         """The suffix " of stacked model K" naming row K ("" for a lone model)."""
         return f" of stacked model {row}" if len(self.alpha2) > 1 else ""
 
+    def check_finite(self, flat: np.ndarray, tree: dict[str, ParamSet], what: str) -> None:
+        """Raise DivergenceError naming the first parameter of `tree` (which
+        mirrors params; `flat` holds its values) with a non-finite value, and its row."""
+        if not np.isfinite(flat).all():
+            for group, group_params in self.params.items():
+                rows = self.dual_rows if group == "head_R" else range(len(self.alpha2))
+                for name in group_params:
+                    value = tree[group][name]
+                    bad = ~np.isfinite(value.reshape(len(value), -1)).all(axis=1)
+                    if bad.any():
+                        raise DivergenceError(f"non-finite {what} '{group}.{name}'"
+                                              f"{self.where(rows[bad.argmax()])}")
+
     def apply_gradients(self, grads: dict[str, ParamSet]) -> None:
         """One SGD-with-momentum update of the whole stack; grads mirror
         params. Every gradient is checked before any parameter changes."""
         flat = np.concatenate([grads[group][name] for group, group_params in self.params.items()
                                for name in group_params], axis=None)
-        if not np.isfinite(flat).all():
-            for group, group_params in self.params.items():
-                rows = self.dual_rows if group == "head_R" else range(len(self.alpha2))
-                for name in group_params:
-                    g = grads[group][name]
-                    bad = ~np.isfinite(g.reshape(len(g), -1)).all(axis=1)
-                    if bad.any():
-                        raise DivergenceError(f"non-finite gradient for parameter '{group}.{name}'"
-                                              f"{self.where(rows[bad.argmax()])}")
+        self.check_finite(flat, grads, "gradient for parameter")
         self.velocity = nn_core.momentum_update(self.values, flat, self.velocity, self.cfg.lr, self.cfg.momentum)
 
 
@@ -510,11 +515,10 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
             history.append(EpochStats(epoch, *(float(v) for v in means)))
     # Each step's loss check sees the previous update; the last update
     # has no next step, so its result is checked here.
-    for group, group_params in state.params.items():
-        for name, value in group_params.items():
-            if not np.isfinite(value).all():
-                raise DivergenceError(f"non-finite parameter '{group}.{name}' after the last update "
-                                      f"at epoch {cfg.epochs - 1}, step {steps - 1}")
+    try:
+        state.check_finite(state.values, state.params, "parameter")
+    except DivergenceError as exc:
+        raise DivergenceError(f"{exc} after the last update at epoch {cfg.epochs - 1}, step {steps - 1}") from None
     return histories
 
 

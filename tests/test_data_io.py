@@ -262,9 +262,9 @@ class TestSynthGaussian:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def standard_normal(self, *, out):
-                drawn.append(len(out))
-                return self.rng.standard_normal(out=out)
+            def standard_normal(self, size=None, *, out=None):
+                drawn.append(len(out) if size is None else size[0])
+                return self.rng.standard_normal(size, out=out)
 
         monkeypatch.setattr(np.random, "default_rng", RecordingRng)
         lean = synth_gaussian(spec, wanted)
@@ -277,9 +277,9 @@ class TestSynthGaussian:
                 assert (got.x.tobytes(), got.y.tobytes(), got.class_names, got.provenance) == \
                     (want.x.tobytes(), want.y.tobytes(), want.class_names, want.provenance)
 
-    def test_unwanted_clusters_share_one_scratch_block(self):
+    def test_unwanted_clusters_are_held_one_at_a_time(self):
         """Train's draw (known and reference) holds the novel clusters
-        between them in one block the size of one cluster, not in a novel
+        between them one at a time, each a discarded draw, not in a novel
         array. The allowance covers numpy's ufunc buffers and the labels."""
         dim, novel_count = 256, 500
         roles = ["known"] * 2 + ["novel"] * 3 + ["reference"] * 2
@@ -490,9 +490,11 @@ class TestWriteAtomic:
         assert os.stat(tmp_path / "a.txt").st_nlink == 1 and (tmp_path / "a.txt").read_bytes() == written
 
     def test_csv_text(self):
-        assert csv_text(["a", "b"], [[1], ["x,y"]]) == 'a,b\r\n1,"x,y"\r\n'
-        # Columns of unequal lengths, and fewer or more columns than names.
-        for header, columns in ((["a", "b"], [[1, 2], [3]]), (["a", "b"], [[1]]), (["a"], [[1], [2]])):
+        assert csv_text(["a", "b"], [[1], ["x y"]]) == "a,b\r\n1,x y\r\n"
+        # Columns of unequal lengths, fewer or more columns than names,
+        # fewer than two columns, and a field that csv.writer would quote.
+        for header, columns in ((["a", "b"], [[1, 2], [3]]), (["a", "b"], [[1]]), (["a"], [[1], [2]]),
+                                ([], []), (["a"], [[1]]), (["a"], [[""]]), (["a", "b"], [[1], ["x,y"]])):
             with pytest.raises(ValueError):
                 csv_text(header, columns)
 
@@ -504,23 +506,41 @@ class TestWriteAtomic:
         assert csv_text(["f", "i", "b", "n"], columns) == (
             "f,i,b,n\r\n0.1,-3,True,None\r\n-0.0,4611686018427387904,False,None\r\n")
 
-    # Fields that csv.writer quotes (delimiter, quote, CR, LF, and the
-    # empty field of a one-field row) next to ones it leaves bare, and
-    # format syntax, which must be written as it is.
-    CSV_FIELDS = st.one_of(st.text(alphabet=',"\r\nab \u00e9{}', max_size=5), st.text(max_size=5),
+    # Fields that csv.writer leaves bare, including format syntax, which
+    # must be written as it is. NEEDS_QUOTES fields hold a comma, quote, CR
+    # or LF, which csv.writer would quote.
+    BARE_TEXT = st.text(alphabet=st.characters(exclude_characters=',"\r\n'), max_size=5)
+    CSV_FIELDS = st.one_of(st.text(alphabet="ab \u00e9{}", max_size=5), BARE_TEXT,
                            st.sampled_from(["{", "}", "{0}", "{!r}"]), st.integers(), st.floats())
+    NEEDS_QUOTES = st.tuples(BARE_TEXT, st.sampled_from(',"\r\n'), BARE_TEXT).map("".join)
+
+    def draw_table(self, data):
+        """A header and its rows, 2 to 4 fields wide and up to 6 rows long."""
+        width = data.draw(st.integers(2, 4))
+        fields = st.lists(self.CSV_FIELDS, min_size=width, max_size=width)
+        return data.draw(fields), data.draw(st.lists(fields, max_size=6))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_csv_text_matches_csv_writer(self, data):
-        """csv.writer is the independent oracle: same text for any table,
-        including one-column tables and tables with no rows."""
-        width = data.draw(st.integers(1, 4))
-        header = data.draw(st.lists(self.CSV_FIELDS, min_size=width, max_size=width))
-        rows = data.draw(st.lists(st.lists(self.CSV_FIELDS, min_size=width, max_size=width), max_size=6))
+        """csv.writer is the independent oracle: same text for any table
+        of fields it leaves bare, including tables with no rows."""
+        header, rows = self.draw_table(data)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
         writer.writerows(rows)
-        columns = [[row[j] for row in rows] for j in range(width)]
+        columns = [[row[j] for row in rows] for j in range(len(header))]
         assert csv_text(header, columns) == buf.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_csv_text_refuses_a_field_that_needs_quotes(self, data):
+        """One field holding a comma, quote, CR or LF, anywhere in the
+        header or the rows, raises ValueError instead of being written."""
+        header, rows = self.draw_table(data)
+        table = [header, *rows]
+        i = data.draw(st.integers(0, len(table) - 1))
+        table[i][data.draw(st.integers(0, len(header) - 1))] = data.draw(self.NEEDS_QUOTES)
+        with pytest.raises(ValueError, match="comma, quote, CR or LF"):
+            csv_text(table[0], [[row[j] for row in table[1:]] for j in range(len(header))])

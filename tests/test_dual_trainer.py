@@ -805,6 +805,21 @@ class TestLockstep:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="stacked model 1"):
             train_lockstep(models, [known, huge], [reference, None], cfgs)
 
+    def test_divergence_in_the_last_update_names_its_row(self):
+        """Row 1's features are row 0's times 1e150: its one update leaves
+        it non-finite while its loss and gradients stay finite, so the
+        check after the last update must name it."""
+        from novnet.errors import DivergenceError
+        x = np.random.default_rng(0).standard_normal((8, 3))
+        data = [Dataset(x * scale, np.arange(8) % 2, ["a", "b"], "x") for scale in (1.0, 1e150)]
+        cfgs = [TrainingConfig(mode="ce-only", epochs=1, lr=1e160, momentum=0.0, batch_size_T=8, seed=seed)
+                for seed in (0, 1)]
+        models = [build_dual_model(NetworkSpec((3,), (Dense(3, 4), Relu())), 2, 0, seed=c.seed) for c in cfgs]
+        with pytest.raises(DivergenceError, match=r"^non-finite parameter 'backbone\.layer0\.weight' of stacked "
+                                                  r"model 1 after the last update at epoch 0, step 0$"):
+            train_lockstep(models, data, [None, None], cfgs)
+        assert all(np.isfinite(v).all() for v in models[0].backbone.values())
+
 
 class TestMembershipMask:
     def test_rows_without_membership_pass_positive_zeros_to_the_head(self, toy_datasets, monkeypatch):
