@@ -27,7 +27,7 @@ from dataclasses import fields, replace
 from . import experiments, novelty_eval
 from .data_io import csv_text, write_all_atomic
 from .dual_trainer import MODES, EpochStats, checkpoint_bytes, load_checkpoint
-from .errors import NovnetError, UnsupportedArchitectureError
+from .errors import NovnetError, UnsupportedArchitectureError, to_json
 from .experiments import ABLATION_MODES, parse_experiment_config
 from .filter_analysis import build_filter_report
 from .nn_core import GlobalAveragePool
@@ -58,7 +58,7 @@ def cmd_train(args) -> int:
 
     history_path = os.path.join(args.out, "history.csv")
     header = [field.name for field in fields(EpochStats)]
-    final_metrics = history[-1].to_dict() if history else {}
+    final_metrics = to_json(history[-1]) if history else {}
     checkpoint_path = os.path.join(args.out, CHECKPOINT_NAME)
     # Both files are placed, or neither.
     write_all_atomic({

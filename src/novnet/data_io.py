@@ -87,14 +87,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Known/novel and train/test split parameters (alphabetical protocol)."""
+    """Known/novel and train/test split parameters (alphabetical protocol).
+    A `known_fraction` of None was not given; split_known_novel then
+    keeps half of the classes as known."""
 
-    known_fraction: float = 0.5
+    known_fraction: float | None = None
     train_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("known_fraction", "train_fraction"):
+        given = ("train_fraction",) if self.known_fraction is None else ("known_fraction", "train_fraction")
+        for name in given:
             if not 0.0 < check_number(getattr(self, name), repr(name)) < 1.0:
                 raise ConfigError(f"{name!r} must be in (0, 1), got {getattr(self, name)}")
         check_integer(self.seed, "'seed'", 0)
@@ -276,16 +279,16 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
 
 def split_known_novel(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Alphabetical class split: the first floor(known_fraction * K)
-    class names become the known set, the rest the novel set. Labels are
-    re-densified within each side."""
+    class names become the known set, the rest the novel set; a
+    known_fraction that was not given is 0.5. Labels are re-densified
+    within each side."""
     if dataset.n_classes < 2:
         raise ProtocolError("known/novel split needs at least 2 classes")
     ordered = sorted(dataset.class_names)
-    n_known = int(spec.known_fraction * len(ordered))
+    fraction = 0.5 if spec.known_fraction is None else spec.known_fraction
+    n_known = int(fraction * len(ordered))
     if n_known < 1 or n_known >= len(ordered):
-        raise ProtocolError(
-            f"known_fraction {spec.known_fraction} leaves {n_known} known of {len(ordered)} classes"
-        )
+        raise ProtocolError(f"known_fraction {fraction} leaves {n_known} known of {len(ordered)} classes")
     known_names = ordered[:n_known]
     novel_names = ordered[n_known:]
     return (_subset_by_names(dataset, known_names, "known"),

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,8 +46,9 @@ from .errors import (
     DivergenceError,
     FormatError,
     check_integer,
-    check_keys,
     check_number,
+    from_json,
+    to_json,
 )
 from .losses import cross_entropy_terms, cumulative_loss, membership_terms
 from .nn_core import NetworkSpec, ParamSet
@@ -70,7 +71,7 @@ _STREAM_BATCHING = 3
 @dataclass
 class TrainingConfig:
     mode: str = "dual-full"
-    lam: float = 5.0
+    lam: float = field(default=5.0, metadata={"key": "lambda"})
     alpha1: float = 1.0
     alpha2: float = 1.0
     lr: float = 0.01
@@ -102,20 +103,6 @@ class TrainingConfig:
     @property
     def uses_reference(self) -> bool:
         return self.mode in _REFERENCE_MODES
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingConfig":
-        """The config of a training section, which spells `lam` as `lambda`."""
-        keys = [("lambda" if name == "lam" else name) for name in cls.__dataclass_fields__]
-        d = dict(check_keys(d, "training section", optional=keys))
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        return cls(**d)
 
 
 @dataclass
@@ -214,9 +201,6 @@ class EpochStats:
     loss_ce_T: float
     loss_m_T: float
     cumulative: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -552,12 +536,11 @@ def checkpoint_bytes(model: DualBranchModel, cfg: TrainingConfig, epoch: int, me
     dims, float64 values).
     """
     metadata = {
-        "backbone": {"input_shape": list(model.backbone_spec.input_shape),
-                     "layers": model.backbone_spec.to_dicts()},
+        "backbone": to_json(model.backbone_spec),
         "num_known": model.num_known,
         "num_reference": model.num_reference,
         "combined_head": model.combined_head,
-        "config": cfg.to_dict(),
+        "config": to_json(cfg),
         "epoch": epoch,
         "metrics": metrics,
     }
@@ -601,9 +584,8 @@ def load_checkpoint(path) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CorruptionError(f"{path}: unreadable metadata block: {exc}") from None
         try:
-            backbone_spec = nn_core.spec_from_dicts(metadata["backbone"]["input_shape"],
-                                                    metadata["backbone"]["layers"])
-            cfg = TrainingConfig.from_dict(metadata["config"])
+            backbone_spec = nn_core.spec_from_json(metadata["backbone"], "'backbone' block")
+            cfg = from_json(TrainingConfig, metadata["config"], "'config' block")
             num_known, num_reference = int(metadata["num_known"]), int(metadata["num_reference"])
             combined_head = bool(metadata["combined_head"])
             epoch, metrics = int(metadata["epoch"]), dict(metadata["metrics"])

@@ -1,11 +1,22 @@
-"""Exception hierarchy shared across the toolkit, and the config value
-checks that raise its ConfigError.
+"""Exception hierarchy shared across the toolkit, the config value
+checks that raise its ConfigError, and the JSON codec of the config
+carriers.
 
 Every error raised by novnet derives from NovnetError so callers (and the
 CLI) can catch toolkit failures with a single except clause.
+
+A config carrier is a frozen dataclass (a config section, a dataset
+entry, a layer, the training config). `from_json` builds one from its
+JSON object and `to_json` writes it back, so a config file's sections and
+a checkpoint's `backbone` and `config` metadata blocks are one form. A
+field's JSON key is its name unless its `metadata` names another key:
+`TrainingConfig.lam` is `lambda`, and `Dense.in_width`/`out_width` are
+`in`/`out`.
 """
 
 import sys
+from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass
 
 
 class NovnetError(Exception):
@@ -105,3 +116,33 @@ def check_keys(raw, what: str, required=(), optional=()) -> dict:
     if unknown:
         raise ConfigError(f"{what} has unknown keys {unknown}")
     return raw
+
+
+def from_json(cls, raw, what: str):
+    """A `cls` built from the JSON object `raw`, one key per `init` field;
+    the fields without a default are required. Errors name `what`."""
+    keys = {f.metadata.get("key", f.name): f for f in fields(cls) if f.init}
+    check_keys(raw, what, [key for key, f in keys.items() if f.default is MISSING], keys)
+    with naming(what):
+        return cls(**{keys[key].name: value for key, value in raw.items()})
+
+
+@contextmanager
+def naming(what: str):
+    """Prefix the message of a ConfigError raised inside with `what`."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {exc}") from None
+
+
+def to_json(value):
+    """The JSON form of a config carrier: a dataclass is an object of its
+    fields that are not None, each under its JSON key; a tuple or list is
+    a list."""
+    if is_dataclass(value):
+        return {f.metadata.get("key", f.name): to_json(v) for f in fields(value)
+                if (v := getattr(value, f.name)) is not None}
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return value

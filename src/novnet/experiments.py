@@ -8,8 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,8 +21,9 @@ from .dual_trainer import (
     build_dual_model,
     train_lockstep,
 )
-from .errors import ConfigError, ProtocolError, UsageError, check_integer, check_keys, check_list, check_number
-from .nn_core import NetworkSpec, spec_from_dicts
+from .errors import (ConfigError, ProtocolError, UsageError, check_integer, check_keys, check_list, check_number,
+                     from_json, to_json)
+from .nn_core import NetworkSpec, spec_from_json
 
 ABLATION_MODES = ("ce-only", "ce+membership", "dual-ce", "dual-full")
 
@@ -100,7 +100,10 @@ class DatasetConfig:
     """The config's dataset section: exactly one data source, the split, an
     optional reference dataset file (then the source has no reference
     clusters), and an optional `reshape` that recasts every sample (e.g. flat
-    synthetic vectors into [channels, h, w] images for conv backbones)."""
+    synthetic vectors into [channels, h, w] images for conv backbones).
+    The split's `known_fraction` divides the classes of a csv or idx
+    file; a benchmark or synthetic source gives each cluster its role, so
+    it refuses the key."""
 
     benchmark: BenchmarkSource | None = None
     synthetic: SyntheticSpec | None = None
@@ -114,6 +117,9 @@ class DatasetConfig:
         sources = [key for key in _SOURCES if getattr(self, key) is not None]
         if len(sources) != 1:
             raise ConfigError(f"dataset section needs exactly one of {', '.join(_SOURCES)}, got {sources}")
+        if self.split.known_fraction is not None and sources[0] in ("benchmark", "synthetic"):
+            raise ConfigError(f"dataset 'split' entry sets 'known_fraction', which the {sources[0]!r} entry "
+                              f"does not use: its clusters carry their roles; remove the key")
         drawn = (self.benchmark.reference_clusters if self.benchmark is not None else
                  sum(c.role == "reference" for c in self.synthetic.clusters) if self.synthetic is not None else 0)
         if self.reference_csv is not None and drawn:
@@ -132,48 +138,17 @@ class DatasetConfig:
         for key, value in raw.items():
             what = f"dataset {key!r} entry"
             if key == "synthetic" and isinstance(value, dict) and isinstance(value.get("clusters"), list):
-                value = {**value, "clusters": tuple(_from_section(ClusterSpec, c, f"{what} cluster {i}")
+                value = {**value, "clusters": tuple(from_json(ClusterSpec, c, f"{what} cluster {i}")
                                                     for i, c in enumerate(value["clusters"]))}
             if key == "reshape":
                 entries[key] = value
             elif not (key == "split" and value is None):
-                entries[key] = _from_section(_ENTRY_TYPES[key], value, what)
+                entries[key] = from_json(_ENTRY_TYPES[key], value, what)
         return cls(**entries)
-
-    def to_dict(self) -> dict:
-        return _json_value(self)
 
 
 _ENTRY_TYPES = {"benchmark": BenchmarkSource, "synthetic": SyntheticSpec, "csv": CsvFile,
                 "idx": IdxFiles, "reference_csv": CsvFile, "split": SplitSpec}
-
-
-def _from_section(cls, raw, what: str):
-    """A `cls` built from the JSON object `raw`, one key per field; the
-    fields without a default are required. Errors name `what`."""
-    required = [name for name, f in cls.__dataclass_fields__.items() if f.default is MISSING]
-    check_keys(raw, what, required, cls.__dataclass_fields__)
-    with _naming(what):
-        return cls(**raw)
-
-
-@contextmanager
-def _naming(what: str):
-    """Prefix the message of a ConfigError raised inside with `what`."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{what} {exc}") from None
-
-
-def _json_value(value):
-    """The JSON form of a config carrier: a dataclass is an object of its
-    fields that are not None, a tuple is a list."""
-    if is_dataclass(value):
-        return {name: _json_value(v) for name, v in vars(value).items() if v is not None}
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -184,13 +159,8 @@ class ExperimentConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "model": {"backbone": {"input_shape": list(self.backbone.input_shape),
-                                   "layers": self.backbone.to_dicts()}},
-            "training": self.training.to_dict(),
-            "evaluation": _json_value(self.evaluation),
-        }
+        return {"dataset": to_json(self.dataset), "model": {"backbone": to_json(self.backbone)},
+                "training": to_json(self.training), "evaluation": to_json(self.evaluation)}
 
 
 @dataclass
@@ -221,12 +191,10 @@ def parse_experiment_config(source) -> ExperimentConfig:
             raise ConfigError(f"config file {source} must hold a JSON object, got {type(raw).__name__}")
     check_keys(raw, "config", ("dataset", "model", "training"), ("evaluation",))
     model = check_keys(raw["model"], "model section", ("backbone",))
-    backbone = check_keys(model["backbone"], "model 'backbone' entry", ("input_shape", "layers"))
-    with _naming("model 'backbone' entry"):
-        backbone = spec_from_dicts(backbone["input_shape"], backbone["layers"])
+    backbone = spec_from_json(model["backbone"], "model 'backbone' entry")
     return ExperimentConfig(dataset=DatasetConfig.from_dict(raw["dataset"]), backbone=backbone,
-                            training=TrainingConfig.from_dict(raw["training"]),
-                            evaluation=_from_section(EvalConfig, raw.get("evaluation", {}), "evaluation section"))
+                            training=from_json(TrainingConfig, raw["training"], "training section"),
+                            evaluation=from_json(EvalConfig, raw.get("evaluation", {}), "evaluation section"))
 
 
 def assemble_datasets(section: DatasetConfig, roles: tuple[str, ...] = data_io.ROLES) -> ExperimentData:

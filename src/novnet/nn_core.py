@@ -34,11 +34,12 @@ calling thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UsageError, check_integer, check_keys, check_list
+from .errors import (ConfigError, DimensionError, UsageError, check_integer, check_keys, check_list, from_json,
+                     naming, to_json)
 
 ParamSet = dict[str, np.ndarray]
 
@@ -54,8 +55,8 @@ _MIN_CHANNEL_PAIRS = 8
 class Dense:
     """Fully connected layer: y = x @ W.T + b, weight shape [out, in]."""
 
-    in_width: int
-    out_width: int
+    in_width: int = field(metadata={"key": "in"})
+    out_width: int = field(metadata={"key": "out"})
     kind: str = field(default="dense", init=False)
 
 
@@ -111,7 +112,7 @@ class NetworkSpec:
         for j, size in enumerate(self.input_shape):
             check_integer(size, f"input_shape entry {j}", 1)
         for i, layer in enumerate(self.layers):
-            for key, value in _layer_dict(layer).items():
+            for key, value in to_json(layer).items():
                 if key != "kind":
                     check_integer(value, f"layer {i} ({layer.kind}) {key!r}", 1)
         self.layer_input_shapes()  # raises ConfigError on a bad chain
@@ -158,39 +159,26 @@ class NetworkSpec:
     def output_shape(self) -> tuple[int, ...]:
         return self.layer_input_shapes()[-1]
 
-    def to_dicts(self) -> list[dict]:
-        """JSON-friendly layer description (used by configs and checkpoints)."""
-        return [_layer_dict(layer) for layer in self.layers]
+
+_LAYER_KINDS = {layer.kind: layer for layer in (Dense, Conv2d, Relu, GlobalAveragePool)}
 
 
-# Layer class and description keys, in constructor order, per kind.
-_LAYER_KINDS = {
-    "dense": (Dense, ("in", "out")),
-    "conv2d": (Conv2d, ("in_channels", "out_channels", "kernel", "stride")),
-    "relu": (Relu, ()),
-    "global-average-pool": (GlobalAveragePool, ()),
-}
-
-
-def _layer_dict(layer: LayerSpec) -> dict:
-    _, keys = _LAYER_KINDS[layer.kind]
-    return {"kind": layer.kind, **{key: getattr(layer, f.name) for key, f in zip(keys, fields(layer))}}
-
-
-def spec_from_dicts(input_shape, layer_dicts) -> NetworkSpec:
-    """Inverse of NetworkSpec.to_dicts. Every layer object holds its kind's
-    keys and no others; a conv2d `stride` may be left out (1). Values are
-    taken as given, so a field that is not an integer >= 1 fails
-    NetworkSpec's checks."""
-    layers: list[LayerSpec] = []
-    for i, d in enumerate(check_list(layer_dicts, "'layers'")):
-        kind = d.get("kind") if isinstance(d, dict) else None
-        if not isinstance(kind, str) or kind not in _LAYER_KINDS:
-            raise ConfigError(f"layer {i} needs a 'kind' of {sorted(_LAYER_KINDS)}, got {d!r}")
-        cls, keys = _LAYER_KINDS[kind]
-        check_keys(d, f"layer {i} ({kind})", [key for key in keys if key != "stride"], ("kind",) + keys)
-        layers.append(cls(*(d[key] for key in keys if key in d)))
-    return NetworkSpec(check_list(input_shape, "'input_shape'"), tuple(layers))
+def spec_from_json(raw, what: str) -> NetworkSpec:
+    """The NetworkSpec of a JSON backbone object, the form to_json writes:
+    `input_shape` and `layers`, each layer its `kind` and that kind's
+    keys; a conv2d `stride` may be left out (1). Values are taken as
+    given, so a field that is not an integer >= 1 fails NetworkSpec's
+    checks. Errors name `what`."""
+    check_keys(raw, what, ("input_shape", "layers"))
+    with naming(what):
+        layers: list[LayerSpec] = []
+        for i, d in enumerate(check_list(raw["layers"], "'layers'")):
+            kind = d.get("kind") if isinstance(d, dict) else None
+            if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+                raise ConfigError(f"layer {i} needs a 'kind' of {sorted(_LAYER_KINDS)}, got {d!r}")
+            fields = {key: value for key, value in d.items() if key != "kind"}
+            layers.append(from_json(_LAYER_KINDS[kind], fields, f"layer {i} ({kind})"))
+        return NetworkSpec(check_list(raw["input_shape"], "'input_shape'"), tuple(layers))
 
 
 def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:

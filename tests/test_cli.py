@@ -186,6 +186,19 @@ class TestTrain:
         assert np.bincount(small.y, minlength=small.n_classes).tolist() == [1] * small.n_classes
         assert len(data.train_T) + len(data.test_T) > 2 * small.n_classes
 
+    @pytest.mark.parametrize("name", ["benchmark-quick.json", "conv-demo.json"])
+    def test_checkpoint_metadata_is_the_config_form(self, tmp_path, capsys, name):
+        """The checkpoint's `backbone` and `config` blocks are the config's
+        own model backbone and training section, written by one codec."""
+        config = os.path.join(os.path.dirname(QUICK), name)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        data = (out / "checkpoint.nvfg").read_bytes()
+        (meta_len,) = struct.unpack("<Q", data[8:16])
+        metadata = json.loads(data[16:16 + meta_len])
+        raw = parse_experiment_config(config).to_dict()
+        assert metadata["backbone"] == raw["model"]["backbone"]
+        assert metadata["config"] == raw["training"]
 
 class TestBadInputExitsCleanly:
     """Each bad input exits 1 with exactly one line on stderr."""
@@ -332,6 +345,19 @@ class TestBadInputExitsCleanly:
         extra = ["--seeds", "1"] if command == "ablate" else []
         err = self.run_failing([command, "--config", config, "--out", str(tmp_path / "o"), *extra], capsys)
         assert named in err and "physical memory" in err
+
+    @pytest.mark.parametrize("name,source", [("benchmark-quick.json", "benchmark"), ("conv-demo.json", "synthetic")])
+    def test_known_fraction_beside_generated_source(self, tmp_path, capsys, name, source):
+        """A generated source's clusters carry their roles, so a
+        known_fraction there would change nothing; it is refused."""
+        with open(os.path.join(os.path.dirname(QUICK), name)) as fh:
+            cfg = json.load(fh)
+        cfg["dataset"]["split"]["known_fraction"] = 0.2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        err = self.run_failing(["train", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+        assert "'known_fraction'" in err and f"'{source}' entry" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("clusters", [3, 8])
     @pytest.mark.parametrize("command", ["train", "ablate"])

@@ -25,7 +25,7 @@ from novnet.dual_trainer import (
     save_checkpoint,
     train_lockstep,
 )
-from novnet.errors import ConfigError, CorruptionError, DatasetError, FormatError
+from novnet.errors import ConfigError, CorruptionError, DatasetError, FormatError, from_json, to_json
 from novnet.losses import cross_entropy_terms, membership_terms
 from novnet.nn_core import Dense, NetworkSpec, Relu
 
@@ -394,7 +394,7 @@ class TestEpochPrefix:
             monkeypatch.setattr(dual_trainer, "EpochStats", epoch_stats)
         histories = train_lockstep(models, [known] * len(modes),
                                    [reference if cfg.uses_reference else None for cfg in cfgs], cfgs)
-        return [[h.to_dict() for h in history] for history in histories], parameter_bytes(models), closed
+        return [[to_json(h) for h in history] for history in histories], parameter_bytes(models), closed
 
     @pytest.mark.parametrize("modes", [("dual-full",), experiments.ABLATION_MODES],
                              ids=["lone-dual-full", "mixed-mode-stack"])
@@ -415,19 +415,19 @@ class TestTrainingConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainingConfig(mode="dual-ce", lam=2.5, alpha1=0.5, epochs=7, seed=9)
-        again = TrainingConfig.from_dict(cfg.to_dict())
+        again = from_json(TrainingConfig, to_json(cfg), "training section")
         assert again == cfg
-        assert cfg.to_dict()["lambda"] == 2.5
+        assert to_json(cfg)["lambda"] == 2.5
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
-            TrainingConfig.from_dict({"mode": "ce-only", "bogus": 1})
+            from_json(TrainingConfig, {"mode": "ce-only", "bogus": 1}, "training section")
 
     @pytest.mark.parametrize("section", [{"lam": 0.5}, {"lambda": 5.0, "lam": 0.5}])
     def test_lam_is_an_unknown_key(self, section):
         """`lambda` is the only spelling: `lam` is not read, and not dropped."""
         with pytest.raises(ConfigError, match=r"unknown keys \['lam'\]"):
-            TrainingConfig.from_dict(section)
+            from_json(TrainingConfig, section, "training section")
 
     @pytest.mark.parametrize("mode,ignored", [("dual-ce", True), ("dual-full", False)])
     def test_alpha2_weighs_membership_modes_only(self, mode, ignored):
@@ -439,7 +439,7 @@ class TestTrainingConfig:
             cfg = TrainingConfig(mode=mode, alpha2=alpha2, epochs=2, lr=0.05, seed=2, batch_size_T=16)
             history = train_lockstep([model], [known], [reference], [cfg])[0]
             runs.append(([p.tobytes() for p in (*model.backbone.values(), *model.head_T.values())],
-                         [h.to_dict() for h in history]))
+                         [to_json(h) for h in history]))
         assert (runs[0] == runs[1]) == ignored
 
     @pytest.mark.parametrize("lam", [0.0, math.nan])
@@ -468,28 +468,28 @@ class TestTrainingConfig:
     ])
     def test_bad_values_rejected(self, key, value):
         with pytest.raises(ConfigError, match="lr|learning rate" if key == "lr" else key):
-            TrainingConfig.from_dict({key: value})
+            from_json(TrainingConfig, {key: value}, "training section")
 
     def test_values_are_not_coerced(self):
-        cfg = TrainingConfig.from_dict({"lr": 1, "lambda": 5, "momentum": 0})
-        assert cfg.to_dict() == {**TrainingConfig().to_dict(), "lr": 1, "lambda": 5, "momentum": 0}
-        assert type(cfg.to_dict()["lr"]) is int
+        cfg = from_json(TrainingConfig, {"lr": 1, "lambda": 5, "momentum": 0}, "training section")
+        assert to_json(cfg) == {**to_json(TrainingConfig()), "lr": 1, "lambda": 5, "momentum": 0}
+        assert type(to_json(cfg)["lr"]) is int
 
     json_values = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
         lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
         max_leaves=4)
-    training_keys = st.sampled_from(sorted(TrainingConfig().to_dict()) + ["lam", "bogus"])
+    training_keys = st.sampled_from(sorted(to_json(TrainingConfig())) + ["lam", "bogus"])
 
     @settings(max_examples=300, deadline=None)
     @given(d=st.dictionaries(training_keys, json_values | st.sampled_from(["dual-ce", 0.5, 3]), max_size=6)
            | json_values)
     def test_any_training_dict_validates_or_raises_config_error(self, d):
         try:
-            cfg = TrainingConfig.from_dict(d)
+            cfg = from_json(TrainingConfig, d, "training section")
         except ConfigError:
             return
-        assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_json(TrainingConfig, to_json(cfg), "training section") == cfg
 
 
 class TestCheckpoint:
@@ -744,7 +744,7 @@ class TestLockstep:
                 if want is not None:
                     assert want.keys() == got.keys()
                     assert all(want[k].tobytes() == got[k].tobytes() for k in want), (cfg.training, group)
-            assert [h.to_dict() for h in history] == [h.to_dict() for h in alone_history]
+            assert [to_json(h) for h in history] == [to_json(h) for h in alone_history]
 
     @pytest.mark.parametrize("modes", [experiments.ABLATION_MODES, ("ce-only", "dual-ce"),
                                        ("dual-ce", "dual-full")],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import CONFIGS, benchmark, bundled
 from novnet import data_io
 from novnet.data_io import ROLES, SplitSpec, synth_gaussian
-from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError, UsageError
+from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError, UsageError, to_json
 from novnet import experiments
 from novnet.experiments import (
     ABLATION_MODES,
@@ -105,8 +105,7 @@ class TestConfigParsing:
     def test_bundled_configs_parse_to_their_values(self, name):
         raw = bundled(name)
         cfg = parse_experiment_config(os.path.join(CONFIGS, name))
-        # the canonical form is the file plus the one default it leaves out
-        raw["dataset"]["split"] = {"known_fraction": 0.5, **raw["dataset"]["split"]}
+        # the canonical form is the file: no bundled split gives known_fraction
         assert cfg.to_dict() == raw
         assert parse_experiment_config(cfg.to_dict()) == cfg
 
@@ -165,8 +164,8 @@ class TestDatasetSectionFailsClosed:
                "reshape": [1, 1]}
         section = DatasetConfig.from_dict(raw)
         assert section.split == SplitSpec() and section.reshape == (1, 1)
-        assert DatasetConfig.from_dict(section.to_dict()) == section
-        assert section.to_dict() == {**raw, "split": {"known_fraction": 0.5, "train_fraction": 0.5, "seed": 0}}
+        assert DatasetConfig.from_dict(to_json(section)) == section
+        assert to_json(section) == {**raw, "split": {"train_fraction": 0.5, "seed": 0}}
 
 
 json_values = st.recursive(

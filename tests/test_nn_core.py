@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import lone_backward, lone_forward, traced_peak
 from novnet import nn_core
 from novnet.dual_trainer import TrainerState, TrainingConfig, build_dual_model
-from novnet.errors import ConfigError, DimensionError, DivergenceError, UsageError
+from novnet.errors import ConfigError, DimensionError, DivergenceError, UsageError, to_json
 from novnet.nn_core import (
     Conv2d,
     Dense,
@@ -23,7 +23,7 @@ from novnet.nn_core import (
     init_params,
     momentum_update,
     param_shapes,
-    spec_from_dicts,
+    spec_from_json,
 )
 
 
@@ -72,7 +72,7 @@ class TestSpecValidation:
 
     def test_round_trip_dicts(self):
         spec = conv_spec()
-        again = spec_from_dicts(spec.input_shape, spec.to_dicts())
+        again = spec_from_json(to_json(spec), "backbone")
         assert again == spec
 
 
