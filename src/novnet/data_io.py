@@ -4,9 +4,10 @@ other modules share.
 
 A dataset is a value object: a float64 feature array `x` of shape
 [n, ...], an int64 label array `y` of shape [n], an ordered list of class
-names, and a provenance string. Features are finite, labels are dense in
-[0, n_classes), and every class is non-empty. Readers and splits build the
-arrays directly; no per-sample objects exist.
+names, and a provenance string. Features are finite, labels are given as
+integers and dense in [0, n_classes), class names are distinct, and every
+class is non-empty. Readers and splits build the arrays directly; no
+per-sample objects exist.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Dataset:
     def __post_init__(self):
         try:
             self.x = np.asarray(self.x, dtype=np.float64)
-            self.y = np.asarray(self.y, dtype=np.int64)
+            self.y = np.asarray(self.y)
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"dataset {self.provenance!r} is not a numeric array: {exc}") from None
         if self.x.ndim < 2 or self.y.shape != self.x.shape[:1]:
@@ -59,6 +60,9 @@ class Dataset:
                                f"shape [n], got {self.x.shape} and {self.y.shape}")
         if len(self.y) == 0:
             raise DatasetError(f"dataset {self.provenance!r} has no samples")
+        # Labels must be integers: a float label is refused, never truncated.
+        if not np.issubdtype(self.y.dtype, np.integer):
+            raise DatasetError(f"dataset {self.provenance!r} needs integer labels, got dtype {self.y.dtype}")
         if self.x.size == 0:
             raise DatasetError(f"dataset {self.provenance!r} has samples of no values, shape {self.x.shape}")
         # min/max propagate NaN and reach +-inf, so no boolean mask is needed
@@ -66,9 +70,14 @@ class Dataset:
             row = int(np.argwhere(~np.isfinite(self.x))[0, 0])
             raise DatasetError(f"dataset {self.provenance!r} has a non-finite feature in sample {row}")
         n_classes = len(self.class_names)
+        if len(set(self.class_names)) < n_classes:
+            repeated = next(name for i, name in enumerate(self.class_names) if name in self.class_names[:i])
+            raise DatasetError(f"dataset {self.provenance!r} repeats class name {repeated!r}")
         if self.y.min() < 0 or self.y.max() >= n_classes:
             bad = self.y[(self.y < 0) | (self.y >= n_classes)][0]
             raise DatasetError(f"label {bad} outside [0, {n_classes})")
+        # In range, any integer label fits int64: the cast keeps every value.
+        self.y = self.y.astype(np.int64, copy=False)
         missing = np.flatnonzero(np.bincount(self.y, minlength=n_classes) == 0)
         if missing.size:
             raise DatasetError(f"classes {missing.tolist()} have no samples")

@@ -381,18 +381,15 @@ def _check_mode_datasets(model: DualBranchModel, dataset_T: Dataset,
                                  f"backbone expects {tuple(model.backbone_spec.input_shape)}")
 
 
-def _check_lockstep(models, datasets_T, cfgs) -> None:
-    """Rows of one stack must share their step schedule."""
-    if len(models) > 1 and any(cfg.mode == "finetune-cC" for cfg in cfgs):
-        raise ConfigError("finetune-cC models train alone, not in a lockstep stack")
+def _check_lockstep(models, epoch_sets, cfgs) -> None:
+    """Rows of one stack must share their step schedule, epoch sets' lengths included."""
     first = cfgs[0]
-    shapes = {(model.backbone_spec, model.head_T_spec, len(dataset_T))
-              for model, dataset_T in zip(models, datasets_T)}
+    shapes = {(model.backbone_spec, model.head_T_spec, len(y)) for model, (_, y) in zip(models, epoch_sets)}
     reference_heads = {model.head_R_spec for model, cfg in zip(models, cfgs) if cfg.mode in _DUAL_MODES}
     if (len(shapes) > 1 or len(reference_heads) > 1
             or any(replace(cfg, mode=first.mode, seed=first.seed) != first for cfg in cfgs)):
-        raise ConfigError("models of one lockstep stack must share backbone, class counts, training-set "
-                          "size and every training setting but mode and seed")
+        raise ConfigError("models of one lockstep stack must share backbone, class counts, epoch "
+                          "length and every training setting but mode and seed")
 
 
 def _epoch_set(model: DualBranchModel, dataset_T: Dataset, dataset_R: Dataset | None,
@@ -432,11 +429,10 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
     runs over T and R relabeled past the known classes.
 
     Every row trains exactly as it would alone: the same parameters bit
-    for bit and the same history. Rows may differ in mode (any of the
-    four ablation modes), seed and data. They must share the step
-    schedule: backbone, class counts, len(dataset_T) and every other
-    TrainingConfig field (else ConfigError).
-    finetune-cC models train alone. Each row draws its epoch permutations
+    for bit and the same history. Rows may differ in mode, seed and
+    data. They must share the step schedule: backbone, class counts,
+    epoch length and every other TrainingConfig field (else
+    ConfigError). Each row draws its epoch permutations
     and reference reshuffles from its own seed stream, in the order a
     lone run does. Histories are in the caller's order, and a divergence
     names the first bad row by its index. Labels are validated
@@ -449,7 +445,8 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
         raise ConfigError("lockstep training needs one T dataset, R dataset (or None) and config per model")
     for args in zip(models, datasets_T, datasets_R, cfgs):
         _check_mode_datasets(*args)
-    _check_lockstep(models, datasets_T, cfgs)
+    epoch_sets = [_epoch_set(*args) for args in zip(models, datasets_T, datasets_R, cfgs)]
+    _check_lockstep(models, epoch_sets, cfgs)
     histories: list[list[EpochStats]] = [[] for _ in models]
     cfg = cfgs[0]
     if cfg.epochs == 0:
@@ -457,7 +454,6 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
 
     state = TrainerState.stack(models, cfgs)
     rngs = [np.random.default_rng([c.seed, _STREAM_BATCHING]) for c in cfgs]
-    epoch_sets = [_epoch_set(*args) for args in zip(models, datasets_T, datasets_R, cfgs)]
     x_t, y_t, offsets_t = _pool(epoch_sets)
     dual = [datasets_R[row] for row in state.dual_rows]
     if dual:

@@ -427,6 +427,23 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError, match="outside"):
             Dataset(np.zeros((3, 2)), labels, ["a", "b", "c"], "x")
 
+    @pytest.mark.parametrize("labels", [[0.0, 1.7, 1.2], [0.0, 1.0, 1.0], [True, False, True], ["0", "1", "1"]],
+                             ids=["fractional", "whole-floats", "bool", "str"])
+    def test_non_integer_labels_rejected(self, labels):
+        # checked, never coerced: [0.0, 1.7, 1.2] used to load as [0, 1, 1]
+        with pytest.raises(DatasetError, match="needs integer labels"):
+            Dataset(np.zeros((3, 2)), labels, ["a", "b"], "x")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_integer_labels_of_any_width_stored_as_int64(self, dtype):
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 1], dtype=dtype), ["a", "b"], "x")
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [0, 1, 1]
+
+    def test_repeated_class_name_rejected(self):
+        # before split_known_novel could report it as "classes [0] have no samples"
+        with pytest.raises(DatasetError, match="repeats class name 'a'"):
+            Dataset(np.zeros((4, 2)), [0, 1, 2, 3], ["a", "a", "b", "c"], "x")
+
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             Dataset(np.zeros((0, 2)), [], [], "x")

@@ -723,8 +723,22 @@ def config_runs(config, modes, reps):
 def untrained(cfg, data):
     reference = data.reference if cfg.training.uses_reference else None
     model = build_dual_model(cfg.backbone, data.train_T.n_classes,
-                             reference.n_classes if reference is not None else 0, seed=cfg.training.seed)
+                             reference.n_classes if reference is not None else 0, seed=cfg.training.seed,
+                             combined_head=cfg.training.mode == "finetune-cC")
     return model, reference
+
+
+def assert_trained_as_alone(model, history, alone, dataset_T, dataset_R, cfg):
+    """`model` and `history`, trained in a stack, equal what training the
+    untrained `alone` by itself on the same data and config gives."""
+    alone_history = train_lockstep([alone], [dataset_T], [dataset_R], [cfg])[0]
+    for group in ("backbone", "head_T", "head_R"):
+        want, got = getattr(alone, group), getattr(model, group)
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert want.keys() == got.keys()
+            assert all(want[k].tobytes() == got[k].tobytes() for k in want), (cfg, group)
+    assert [to_json(h) for h in history] == [to_json(h) for h in alone_history]
 
 
 SCHEDULE_FIELDS = [f.name for f in fields(TrainingConfig) if f.name not in ("mode", "seed")]
@@ -737,14 +751,7 @@ class TestLockstep:
         stacked = experiments.train_models(runs)
         for (cfg, data), (model, history) in zip(runs, stacked):
             alone, reference = untrained(cfg, data)
-            alone_history = train_lockstep([alone], [data.train_T], [reference], [cfg.training])[0]
-            for group in ("backbone", "head_T", "head_R"):
-                want, got = getattr(alone, group), getattr(model, group)
-                assert (want is None) == (got is None)
-                if want is not None:
-                    assert want.keys() == got.keys()
-                    assert all(want[k].tobytes() == got[k].tobytes() for k in want), (cfg.training, group)
-            assert [to_json(h) for h in history] == [to_json(h) for h in alone_history]
+            assert_trained_as_alone(model, history, alone, data.train_T, reference, cfg.training)
 
     @pytest.mark.parametrize("modes", [experiments.ABLATION_MODES, ("ce-only", "dual-ce"),
                                        ("dual-ce", "dual-full")],
@@ -762,26 +769,72 @@ class TestLockstep:
     def test_conv_rows_match_lone_training(self):
         self.assert_rows_match_lone_runs(config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1))
 
-    @pytest.mark.parametrize("mismatch", ["train_size", "finetune", *SCHEDULE_FIELDS])
+    @pytest.mark.parametrize("config, reps", [("benchmark-quick.json", 2), ("conv-demo.json", 1)])
+    def test_finetune_rows_match_lone_training(self, config, reps):
+        """Two finetune-cC rows per rep: rows on one data draw, and on
+        different draws, stack as they train alone."""
+        self.assert_rows_match_lone_runs(config_runs(config, ("finetune-cC", "finetune-cC"), reps=reps))
+
+    @pytest.mark.parametrize("mismatch", ["train_size", *SCHEDULE_FIELDS])
     def test_rows_must_share_the_step_schedule(self, toy_datasets, mismatch):
-        known, _, reference = toy_datasets
+        known, _, _ = toy_datasets
         cfg = TrainingConfig(mode="ce-only", epochs=2, seed=0)
         datasets = [known, known]
         cfgs = [cfg, replace(cfg, seed=1)]
-        combined, references = False, [None, None]
         if mismatch == "train_size":
             datasets[1] = Dataset(known.x[:-2], known.y[:-2], list(known.class_names), "subset")
-        elif mismatch == "finetune":
-            cfgs = [replace(c, mode="finetune-cC") for c in cfgs]
-            combined, references = True, [reference, reference]
         else:
             value = getattr(cfg, mismatch)
             cfgs[1] = replace(cfgs[1], **{mismatch: value + 1 if isinstance(value, int) else value / 2})
-        num_reference = reference.n_classes if combined else 0
-        models = [build_dual_model(small_backbone(), known.n_classes, num_reference, seed=c.seed,
-                                   combined_head=combined) for c in cfgs]
+        models = [build_dual_model(small_backbone(), known.n_classes, 0, seed=c.seed) for c in cfgs]
         with pytest.raises(ConfigError, match="lockstep stack"):
-            train_lockstep(models, datasets, references, cfgs)
+            train_lockstep(models, datasets, [None, None], cfgs)
+
+    @pytest.mark.parametrize("mode", experiments.ABLATION_MODES)
+    def test_finetune_rows_stack_only_with_each_other(self, toy_datasets, mode):
+        """The other row trains on as many samples per epoch as the
+        finetune-cC row, so only its head (c, not c + C outputs) differs."""
+        known, _, reference = toy_datasets
+        doubled = Dataset(np.concatenate([known.x] * 2), np.concatenate([known.y] * 2),
+                          list(known.class_names), "doubled")
+        assert len(doubled) == len(known) + len(reference)
+        other = TrainingConfig(mode=mode, epochs=2, seed=1)
+        other_reference = reference if other.uses_reference else None
+        models = [build_dual_model(small_backbone(), known.n_classes, reference.n_classes, seed=0,
+                                   combined_head=True),
+                  build_dual_model(small_backbone(), known.n_classes,
+                                   reference.n_classes if other_reference else 0, seed=1)]
+        with pytest.raises(ConfigError, match="lockstep stack"):
+            train_lockstep(models, [known, doubled], [reference, other_reference],
+                           [replace(other, mode="finetune-cC", seed=0), other])
+
+    @staticmethod
+    def finetune_rows(known, references):
+        return [build_dual_model(small_backbone(), known.n_classes, r.n_classes, seed=seed, combined_head=True)
+                for seed, r in enumerate(references)]
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_finetune_rows_must_share_the_epoch_length(self, toy_datasets, epochs):
+        """Equal T, reference sets 6 samples apart: a finetune-cC epoch runs
+        over T and R, so the rows' epochs differ in length."""
+        known, _, reference = toy_datasets
+        short = Dataset(reference.x[:-6], reference.y[:-6], list(reference.class_names), "short")
+        references = [reference, short]
+        cfgs = [TrainingConfig(mode="finetune-cC", epochs=epochs, seed=seed) for seed in (0, 1)]
+        with pytest.raises(ConfigError, match="lockstep stack"):
+            train_lockstep(self.finetune_rows(known, references), [known, known], references, cfgs)
+
+    def test_finetune_rows_of_one_epoch_length_match_lone_training(self, toy_datasets):
+        """Row 1 has 6 fewer T samples and 6 more reference samples than
+        row 0: the rows share the epoch length and stack."""
+        known, _, reference = toy_datasets
+        datasets = [known, Dataset(known.x[6:], known.y[6:], list(known.class_names), "short")]
+        references = [Dataset(reference.x[6:], reference.y[6:], list(reference.class_names), "short"), reference]
+        cfgs = [TrainingConfig(mode="finetune-cC", epochs=2, seed=seed, batch_size_T=16) for seed in (0, 1)]
+        models = self.finetune_rows(known, references)
+        histories = train_lockstep(models, datasets, references, cfgs)
+        for args in zip(models, histories, self.finetune_rows(known, references), datasets, references, cfgs):
+            assert_trained_as_alone(*args)
 
     def test_divergence_names_the_stacked_model(self, toy_datasets):
         from novnet.errors import DivergenceError
