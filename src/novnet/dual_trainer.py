@@ -30,9 +30,13 @@ Training modes (ablation/baseline variants):
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -282,6 +286,58 @@ class TrainerState:
         self.velocity = nn_core.momentum_update(self.values, flat, self.velocity, self.cfg.lr, self.cfg.momentum)
 
 
+# The worker: one daemon thread, started on first use, that runs the
+# jobs _start_on_worker hands it, in order. Only the lockstep step of a
+# backbone with per-sample layers uses it.
+_worker_lock = threading.Lock()
+_worker_jobs: "queue.SimpleQueue | None" = None
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        _run(*jobs.get())
+
+
+def _run(context: contextvars.Context, job, done: queue.SimpleQueue) -> None:
+    """Run one job and hand back its result or exception. A frame of its
+    own drops the job, and the maps it holds, as soon as it ends."""
+    try:
+        done.put((True, context.run(job)))
+    except BaseException as exc:
+        done.put((False, exc))
+
+
+def _start_on_worker(job):
+    """Start job() on the worker thread; returns a function that waits for
+    it and returns its result or raises its exception. The job runs in a
+    copy of the caller's context, so np.errstate holds there too."""
+    global _worker_jobs
+    with _worker_lock:
+        if _worker_jobs is None:
+            _worker_jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_worker_jobs,), name="novnet-worker", daemon=True).start()
+        jobs = _worker_jobs
+    done = queue.SimpleQueue()
+    jobs.put((contextvars.copy_context(), job, done))
+
+    def result():
+        ok, value = done.get()
+        if not ok:
+            raise value
+        return value
+
+    return result
+
+
+def _forget_worker() -> None:
+    """A forked child has no copy of the worker thread; it starts its own."""
+    global _worker_lock, _worker_jobs
+    _worker_lock, _worker_jobs = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     """One SGD step of every model in the stack.
 
@@ -290,6 +346,15 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     when there are none), with labels already validated. Returns the
     [4, M] loss components (ce_R, ce_T, m_T, cumulative) at the
     pre-update parameters.
+
+    The calling thread runs the known branch's forward, then the
+    reference branch's, so both branches' maps are held at once. For a
+    backbone with per-sample layers (conv2d, relu, pool before the first
+    dense one) the reference branch's cross-entropy and backward then run
+    on the worker thread while the calling thread runs the known
+    branch's; the two read the parameters and write only their own
+    caches. The reference gradients join the known ones after both end,
+    so every value takes the operations it takes on one thread.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
@@ -299,6 +364,28 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
 
     feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t)
     f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
+    ce_r = np.zeros(rows)
+    reference = None
+    if batch_R is not None:
+        x_r, y_r = batch_R
+        dual = state.dual_rows
+        backbone_r = {k: v[dual] for k, v in backbone.items()}
+        feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
+        f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
+
+        def reference_backward():
+            ce, ce_grad = cross_entropy_terms(f_r, y_r)
+            head_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_grad)
+            grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
+            return ce, head_grads, grads
+
+        # A per-sample backbone's backward is mostly einsum, which runs
+        # without the GIL, so the reference branch's runs on the worker
+        # beside the known branch's. Dense backbones run it inline: their
+        # small arrays would pass the GIL back and forth.
+        reference = (_start_on_worker(reference_backward) if backbone_spec.per_sample_depth
+                     else reference_backward)
+
     ce_t, ce_t_grad = cross_entropy_terms(f_t, y_t)
     # Only the membership rows compute the membership terms. The other
     # rows keep zeros, which are still added (as alpha2 * 0), so their
@@ -312,20 +399,10 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
     head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
     backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
-    # The reference pass holds its own maps: free the known branch's first.
-    del feat_t, cache_bt, cache_ht
 
-    ce_r = np.zeros(rows)
     head_r_grads: ParamSet = {}
-    if batch_R is not None:
-        x_r, y_r = batch_R
-        dual = state.dual_rows
-        backbone_r = {k: v[dual] for k, v in backbone.items()}
-        feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
-        f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
-        ce_r[dual], ce_r_grad = cross_entropy_terms(f_r, y_r)
-        head_r_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_r_grad)
-        backbone_r_grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
+    if reference is not None:
+        ce_r[dual], head_r_grads, backbone_r_grads = reference()
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
@@ -439,6 +516,12 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
     once, by the Dataset invariants and the mode/dataset checks.
     Training k epochs gives, bit for bit, the parameters and history
     prefix that a longer run with the same seeds has after epoch k.
+
+    A backbone whose first layer is not dense runs each step's reference
+    backward on a worker thread, beside the known branch's, with the same
+    bits (see _lockstep_step). The worker is a daemon thread, started by
+    the first such step and kept for the process; a dense backbone runs
+    in the calling thread alone.
     """
     models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
     if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):

@@ -13,9 +13,10 @@ model is a one-row stack ({k: v[None]}, batch[None]). Dense layers run
 one stacked product; conv2d runs its kernel once per model. Each model's
 outputs are bit-identical to running it in a one-row stack.
 
-forward/backward are pure functions of their arguments, so two calls with
-identical inputs return bit-identical outputs and may run concurrently on
-disjoint batches. Only momentum_update changes parameter values.
+forward is a pure function of its arguments, and backward changes only
+the cache it consumes, so two calls with identical inputs return
+bit-identical outputs and may run concurrently on disjoint batches and
+caches. Only momentum_update changes parameter values.
 
 The layers before the first dense one (conv2d, relu, pool) act on each
 sample alone, so forward runs them over sample chunks in buffers
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +161,13 @@ class NetworkSpec:
     def output_shape(self) -> tuple[int, ...]:
         return self.layer_input_shapes()[-1]
 
+    @cached_property
+    def per_sample_depth(self) -> int:
+        """How many layers act on each sample alone: those before the first
+        dense one, which forward runs over sample chunks. 0 when the first
+        layer is dense."""
+        return next((i for i, l in enumerate(self.layers) if isinstance(l, Dense)), len(self.layers))
+
 
 _LAYER_KINDS = {layer.kind: layer for layer in (Dense, Conv2d, Relu, GlobalAveragePool)}
 
@@ -240,16 +249,18 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
 
     params holds [M, *shape] stacks and batch is [M, n, *input_shape]. The
     activations, [M, n, *output_shape], are the raw final-layer values (no
-    softmax or sigmoid applied). The cache holds each layer's input and is
-    consumed by backward(). With keep_cache=False the cache is None and the
+    softmax or sigmoid applied). The cache holds each layer's input,
+    except that a relu between the first and the last layer before the
+    first dense one runs in place, so its cached map is its output, which
+    gives the same mask; the layer after it shares that map. backward()
+    consumes the cache. With keep_cache=False the cache is None and the
     layers before the first dense one hold one sample chunk's maps at a
     time; the activations are the same bits.
     """
     x = _as_batch(spec, params, batch)
     cache = [] if keep_cache else None
-    first_dense = 0
-    if not isinstance(spec.layers[0], Dense):
-        first_dense = next((i for i, l in enumerate(spec.layers) if isinstance(l, Dense)), len(spec.layers))
+    first_dense = spec.per_sample_depth
+    if first_dense:
         x = _per_sample_forward(spec, params, x, first_dense, cache)
     # Dense layers multiply the whole batch in one product: BLAS can give
     # a row other bits inside a product of another row count.
@@ -275,9 +286,10 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
     the largest conv, counted at _MIN_CHANNEL_PAIRS channel pairs or more
     (with no conv, the whole batch). A layer's output is a whole-batch
     array when it is cached or last; otherwise it is a chunk buffer that
-    every chunk reuses, and a relu after the first layer runs in place on
-    its input's. Every value takes the same operations in the same order
-    at any chunk size.
+    every chunk reuses. A relu between the first and the last layer runs
+    in place on its input's array, so a cache holds that array once, as
+    the relu's input and its output. Every value takes the same
+    operations in the same order at any chunk size.
     """
     shapes = spec.layer_input_shapes()
     models, n = x.shape[:2]
@@ -290,7 +302,7 @@ def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, coun
     outs, whole, buffers = [], [], {}
     for i, layer in enumerate(spec.layers[:count]):
         whole.append(cache is not None or i == count - 1)
-        if not whole[i] and isinstance(layer, Relu) and i > 0:
+        if isinstance(layer, Relu) and 0 < i < count - 1:
             outs.append(outs[-1])
         else:
             outs.append(np.empty((models, n if whole[i] else rows) + shapes[i + 1]))
@@ -383,12 +395,17 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray, inpu
     """Backpropagate dl_df, [M, n, *output_shape], through the stack whose
     forward made the cache.
 
+    The pass consumes the cache: a relu writes its gradient into its
+    cached map (never into cache[0], the caller's batch), so a cache takes
+    one backward pass.
+
     Returns (grads, dx) where grads mirrors the [M, *shape] params and dx
     is the gradient with respect to the [M, n, ...] input batch (needed
     when this network is a head stacked on another network). With
     input_grad=False, dx is None and layer 0 computes only its parameter
     gradients, not its input gradient (for conv2d, half of its backward
-    work). The grads are the same arrays either way.
+    work). The grads are the same values either way. When layer 0 is the
+    pool, dx is a read-only broadcast view.
     """
     if cache is None or len(cache) != len(spec.layers):
         raise UsageError("backward needs the cache produced by forward on the same batch")
@@ -409,15 +426,25 @@ def backward(spec: NetworkSpec, params: ParamSet, cache, dl_df: np.ndarray, inpu
             dx = np.zeros_like(x) if pass_down else None
             db = np.empty((len(w), w.shape[1]))
             for m in range(len(w)):
-                db[m] = _conv2d_backward(x[m], w[m], layer.stride, dy[m], dw[m], None if dx is None else dx[m])
+                # A pool's gradient is a broadcast view, and einsum sums a
+                # view in another order than the contiguous array.
+                db[m] = _conv2d_backward(x[m], w[m], layer.stride, np.ascontiguousarray(dy[m]), dw[m],
+                                         None if dx is None else dx[m])
             grads[f"layer{i}.weight"] = dw
             grads[f"layer{i}.bias"] = db
             dy = dx
         elif isinstance(layer, Relu):
-            dy = dy * (x > 0.0)
+            # The map takes its mask as 1.0 and 0.0, then its gradient,
+            # unless it is the caller's batch or an earlier relu's, which
+            # still needs its mask: a relu's map holds its output or its
+            # input, and either gives the same mask.
+            if i > 0 and x is not cache[i - 1]:
+                dy = np.multiply(dy, np.greater(x, 0.0, out=x), out=x)
+            else:
+                dy = dy * (x > 0.0)
         elif isinstance(layer, GlobalAveragePool):
             h, w_ = x.shape[-2:]
-            dy = np.broadcast_to(dy[..., None, None] / (h * w_), x.shape).copy()
+            dy = np.broadcast_to(dy[..., None, None] / (h * w_), x.shape)
     return grads, dy if input_grad else None
 
 

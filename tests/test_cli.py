@@ -5,6 +5,8 @@ import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -21,6 +23,7 @@ from novnet.nn_core import Conv2d, Dense, GlobalAveragePool, NetworkSpec, Relu
 from novnet.novelty_eval import auc_pairwise_oracle
 
 QUICK = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "benchmark-quick.json")
+CONV_DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "conv-demo.json")
 
 
 def synthetic_section(n_known=2, per_cluster=24, with_reference=True, data_seed=0):
@@ -406,17 +409,20 @@ class TestBadInputExitsCleanly:
                                capsys)
         assert "truncated" in err
 
-    @pytest.mark.parametrize("command,training,named", [
-        ("train", {}, "non-finite cumulative loss nan at epoch 0, step 1"),
-        ("ablate", {}, "non-finite cumulative loss nan of stacked model 0 at epoch 0, step 1"),
+    @pytest.mark.parametrize("source,command,training,named", [
+        (QUICK, "train", {}, "non-finite cumulative loss nan at epoch 0, step 1"),
+        (QUICK, "ablate", {}, "non-finite cumulative loss nan of stacked model 0 at epoch 0, step 1"),
         # One step: training ends with finite weights whose scores overflow.
-        ("ablate", {"epochs": 1, "batch_size_T": 10**6}, "ROC needs finite scores"),
-    ], ids=["train", "ablate", "ablate-scores-overflow"])
-    def test_divergence(self, tmp_path, capsys, command, training, named):
+        (QUICK, "ablate", {"epochs": 1, "batch_size_T": 10**6}, "ROC needs finite scores"),
+        # A conv backbone: the reference branch's backward runs on the worker thread.
+        (CONV_DEMO, "train", {}, "non-finite cumulative loss nan at epoch 0, step 1"),
+        (CONV_DEMO, "ablate", {}, "non-finite cumulative loss nan of stacked model 0 at epoch 0, step 1"),
+    ], ids=["train", "ablate", "ablate-scores-overflow", "conv-train", "conv-ablate"])
+    def test_divergence(self, tmp_path, capsys, source, command, training, named):
         """A diverging run ends in one line, naming the epoch and step when
         training diverged: numpy's floating-point warnings never reach
-        the user."""
-        with open(QUICK) as fh:
+        the user, from either thread."""
+        with open(source) as fh:
             cfg = json.load(fh)
         cfg["training"].update(lr=1e300, **training)
         config = tmp_path / "diverging.json"
@@ -909,6 +915,16 @@ class TestReshapePath:
                          "--out", str(rep)]) == 0
         report = json.loads((rep / "filter_report.json").read_text())
         assert len(report["weights"][0]) == 6  # conv filter count
+
+    def test_conv_train_process_exits_promptly(self, tmp_path):
+        """The worker thread of a conv backbone's training is a daemon: the
+        process exits 0 once training is done, without waiting for it."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "novnet.cli", "train", "--config", CONV_DEMO,
+                               "--out", str(tmp_path / "run")], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "run" / "checkpoint.nvfg").exists()
 
     def test_train_holds_no_test_or_novel_split(self, tmp_path, monkeypatch):
         """`train` reads only the train split and the reference data: the

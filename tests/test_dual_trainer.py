@@ -2,7 +2,10 @@ import itertools
 import json
 import math
 import os
+import select
+import signal
 import struct
+import threading
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -921,31 +924,164 @@ class TestBackboneInputGradient:
         assert len(calls) == 4 * steps
 
 
+def whole_set_step(rows):
+    """`rows` dual-full conv-demo models, with their datasets and configs
+    for one step whose batches are the whole known and reference sets."""
+    ((cfg, data),) = config_runs("conv-demo.json", ("dual-full",), reps=1)
+    training = replace(cfg.training, epochs=1, batch_size_T=len(data.train_T), batch_size_R=len(data.reference))
+    cfgs = [replace(training, seed=seed) for seed in range(rows)]
+    models = [untrained(replace(cfg, training=c), data)[0] for c in cfgs]
+    return models, [data.train_T] * rows, [data.reference] * rows, cfgs
+
+
 class TestBranchCacheLifetime:
-    def test_known_caches_die_before_the_reference_pass(self, monkeypatch):
-        """A step holds one branch's forward maps at a time: every array in
-        the known branch's backbone and head caches (but the batch the
-        caller owns) is gone when the reference backbone forward runs."""
+    def test_known_branch_holds_one_map_per_conv_layer(self, monkeypatch):
+        """Both branches' maps are held while the reference backward runs;
+        the known branch's are one map per conv layer, which the relu
+        after it shares, and the pooled features."""
         rng = np.random.default_rng(0)
-        spec = NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 3, 3), Relu(), nn_core.GlobalAveragePool()))
+        spec = NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 3, 3), Relu(), nn_core.Conv2d(3, 2, 2), Relu(),
+                                       nn_core.GlobalAveragePool()))
         model = build_dual_model(spec, 3, 2, seed=0)
         known = Dataset(rng.standard_normal((6, 1, 6, 6)), np.arange(6) % 3, ["a", "b", "c"], provenance="t")
         reference = Dataset(rng.standard_normal((4, 1, 6, 6)), np.arange(4) % 2, ["r0", "r1"], provenance="r")
-        real_forward, known_maps, alive = nn_core.forward, [], []
-        calls = 0
+        real_forward, real_backward = nn_core.forward, nn_core.backward
+        caches, known_maps, alive = [], {}, []
 
-        def spy(spec, params, batch, *args, **kwargs):
-            nonlocal calls
-            calls += 1
-            if calls == 3:  # the reference branch's backbone
-                alive.extend(ref() is not None for ref in known_maps)
+        def forward_spy(spec, params, batch, *args, **kwargs):
             out, cache = real_forward(spec, params, batch, *args, **kwargs)
-            if calls <= 2:
-                known_maps.extend(weakref.ref(a) for a in cache if calls == 2 or a is not batch)
+            if not caches:  # the known branch's backbone: its maps and features
+                known_maps.update((id(a), weakref.ref(a)) for a in (*cache[1:], out))
+            caches.append(cache)
+            return out, cache
+
+        def backward_spy(spec, params, cache, *args, **kwargs):
+            if cache is caches[3]:  # the reference head: its backward starts
+                alive.append(sum(ref() is not None for ref in known_maps.values()))
+            return real_backward(spec, params, cache, *args, **kwargs)
+
+        monkeypatch.setattr(nn_core, "forward", forward_spy)
+        monkeypatch.setattr(nn_core, "backward", backward_spy)
+        train_one_step(model, known, reference)
+        assert len(caches) == 4
+        assert caches[0][1] is caches[0][2] and caches[0][3] is caches[0][4]
+        assert len(known_maps) == 3  # two conv maps and the pooled features
+        assert alive == [3]
+
+    def test_no_map_outlives_its_step(self, monkeypatch):
+        """Once training returns, no branch's maps are alive: the worker
+        thread drops each job when it ends."""
+        real_forward, maps = nn_core.forward, []
+
+        def spy(*args, **kwargs):
+            out, cache = real_forward(*args, **kwargs)
+            maps.extend(weakref.ref(a) for a in cache[1:])
             return out, cache
 
         monkeypatch.setattr(nn_core, "forward", spy)
-        train_one_step(model, known, reference)
-        assert calls == 4
-        assert len(known_maps) == 3  # conv map, relu map, pooled features
-        assert alive == [False] * 3
+        train_lockstep(*whole_set_step(2))
+        assert maps and all(ref() is None for ref in maps)
+
+    def test_step_peak_is_bounded(self, monkeypatch):
+        """One step of an 8-row conv-demo stack over the whole known (60)
+        and reference (120) sets peaks below 5 times its batches' bytes.
+        Measured on a 2-vCPU VM: 0.55-0.69 MB, which varies with how the
+        two threads' backward passes overlap. A step that held one
+        branch's maps at a time and copied the relu and pool maps peaked
+        at 1.02 MB; with both branches' maps held, 1.2-1.5 MB."""
+        real_step, steps = dual_trainer._lockstep_step, []
+
+        def spy(state, batch_T, batch_R):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = real_step(state, batch_T, batch_R)
+            steps.append((tracemalloc.get_traced_memory()[1] - start, batch_T[0].nbytes + batch_R[0].nbytes))
+            return result
+
+        monkeypatch.setattr(dual_trainer, "_lockstep_step", spy)
+        tracemalloc.start()
+        try:
+            train_lockstep(*whole_set_step(8))
+        finally:
+            tracemalloc.stop()
+        ((peak, batches),) = steps
+        assert peak < 5 * batches, (peak, batches)
+
+
+def worker_threads():
+    return [t for t in threading.enumerate() if t.name == "novnet-worker"]
+
+
+def trained_bytes():
+    """The parameter bytes of a one-epoch dual-full conv-demo training."""
+    ((cfg, data),) = config_runs("conv-demo.json", ("dual-full",), reps=1)
+    model, reference = untrained(cfg, data)
+    train_lockstep([model], [data.train_T], [reference], [replace(cfg.training, epochs=1)])
+    return b"".join(v.tobytes() for group in (model.backbone, model.head_T, model.head_R) for v in group.values())
+
+
+class TestReferenceWorker:
+    """A conv backbone's reference backward runs on one worker thread."""
+
+    def test_dense_training_starts_no_thread(self):
+        before = threading.active_count()
+        experiments.train_models(config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=1))
+        assert threading.active_count() == before
+
+    def test_conv_trainings_share_one_worker(self):
+        trained_bytes()
+        after_first = threading.active_count()
+        assert len(worker_threads()) == 1
+        trained_bytes()
+        assert threading.active_count() == after_first
+        assert len(worker_threads()) == 1
+
+    def test_exception_in_the_worker_reaches_the_caller(self, monkeypatch):
+        want = trained_bytes()
+        real_backward = nn_core.backward
+
+        class Boom(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise Boom("raised on the worker")
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(nn_core, "backward", failing)
+        with pytest.raises(Boom, match="raised on the worker"):
+            trained_bytes()
+        monkeypatch.setattr(nn_core, "backward", real_backward)
+        assert trained_bytes() == want
+
+    def test_forked_child_trains_like_its_parent(self):
+        """A child forked after conv training has no copy of the worker
+        thread; it starts its own, trains the same bits and exits."""
+        want = trained_bytes()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its bits and exit, whatever happens
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as fh:
+                    fh.write(trained_bytes())
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60)
+            got = b""
+            while ready:
+                chunk = os.read(read, 1 << 16)
+                if not chunk:
+                    break
+                got += chunk
+                ready, _, _ = select.select([read], [], [], 60)
+        finally:
+            os.close(read)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        assert ready, "the forked child did not finish training"
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want

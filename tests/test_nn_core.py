@@ -296,6 +296,56 @@ class TestBackward:
         assert relative_error(dx, fd) < 1e-5
 
 
+class TestCacheConsumption:
+    """A relu runs in place on the map before it, and backward writes each
+    relu's gradient into its map: a cache is consumed by one pass."""
+
+    @pytest.mark.parametrize("spec", [
+        conv_spec(),
+        NetworkSpec((1, 6, 6), (Conv2d(1, 2, 3), Relu(), Relu(), GlobalAveragePool(), Relu(),
+                                Dense(2, 3), Relu(), Relu(), Dense(3, 2))),
+        NetworkSpec((4,), (Relu(), Relu(), Dense(4, 3))),
+    ], ids=["conv", "relu-chains", "relu-first"])
+    def test_shared_maps_give_the_bits_of_separate_ones(self, spec):
+        """The gradients are the bits of a cache whose maps are separate
+        arrays, and the caller's batch is left as it was."""
+        rng = np.random.default_rng(4)
+        params = stack([init_params(spec, seed) for seed in range(2)])
+        x = rng.standard_normal((2, 5) + spec.input_shape)
+        dy = rng.standard_normal((2, 5) + spec.output_shape)
+        batch = x.copy()
+        _, shared = forward(spec, params, x)
+        _, cache = forward(spec, params, x)
+        separate = [cache[0]] + [a.copy() for a in cache[1:]]
+        if spec.layers[1:3] == (Relu(), Relu()):
+            assert shared[1] is shared[2] is shared[3]  # the conv map, which both relus run on
+        grads, dx = backward(spec, params, shared, dy)
+        want, want_dx = backward(spec, params, separate, dy)
+        assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
+        assert dx.tobytes() == want_dx.tobytes()
+        assert x.tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_pool_gradient_reaches_a_conv_as_a_contiguous_array(self, stride):
+        """The pool's gradient is a broadcast view, over which einsum sums
+        in another order: the conv below it takes the contiguous array's bits."""
+        spec = NetworkSpec((3, 9, 9), (Conv2d(3, 4, 3, stride=stride), GlobalAveragePool()))
+        rng = np.random.default_rng(stride)
+        params = init_params(spec, 0)
+        x = rng.standard_normal((7,) + spec.input_shape)
+        dy = rng.standard_normal((7, 4))
+        grads, _ = lone_backward(spec, params, lone_forward(spec, params, x)[1], dy)
+        h_out = (9 - 3) // stride + 1
+        dmap = np.broadcast_to(dy[..., None, None] / h_out ** 2, (7, 4, h_out, h_out)).copy()
+        want = np.empty((4, 3, 3, 3))
+        for u in range(3):
+            for v in range(3):
+                window = x[:, :, u:u + stride * h_out:stride, v:v + stride * h_out:stride]
+                want[:, :, u, v] = np.einsum("noij,ncij->oc", dmap, window)
+        assert grads["layer0.weight"].tobytes() == want.tobytes()
+        assert grads["layer0.bias"].tobytes() == dmap.sum(axis=(0, 2, 3)).tobytes()
+
+
 def stack(rows):
     """The ParamSets of several models as one [M, *shape] stack."""
     return {name: np.stack([p[name] for p in rows]) for name in rows[0]}
@@ -322,10 +372,10 @@ class TestInputGradOff:
         params = stack([init_params(spec, seed) for seed in range(models)])
         x = rng.standard_normal((models, 5) + spec.input_shape)
         dy = rng.standard_normal((models, 5) + spec.output_shape)
-        _, cache = forward(spec, params, x)
-        full, dx = backward(spec, params, cache, dy)
+        # backward consumes its cache, so each pass gets a fresh forward.
+        full, dx = backward(spec, params, forward(spec, params, x)[1], dy)
         assert dx.shape == x.shape
-        grads, none = backward(spec, params, cache, dy, input_grad=False)
+        grads, none = backward(spec, params, forward(spec, params, x)[1], dy, input_grad=False)
         assert none is None
         assert grads.keys() == full.keys() == params.keys()
         assert all(grads[k].tobytes() == full[k].tobytes() for k in full), name
@@ -426,7 +476,8 @@ class TestConvSplit:
     @pytest.mark.parametrize("models", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_stacked_models_equal_serial_loop(self, stride, models, cin):
-        spec = NetworkSpec((cin, 28, 28), (Conv2d(cin, 8, 5, stride=stride), Relu(), GlobalAveragePool()))
+        # No relu: one would run in place on the cached conv map.
+        spec = NetworkSpec((cin, 28, 28), (Conv2d(cin, 8, 5, stride=stride), GlobalAveragePool()))
         rng = np.random.default_rng([5, stride, models, cin])
         x, w, b = conv_operands(rng, 2 * chunk_size(cin, stride) + 1, cin, models=models)
         _, cache = forward(spec, {"layer0.weight": w, "layer0.bias": b}, x)
