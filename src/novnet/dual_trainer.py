@@ -222,7 +222,8 @@ class TrainerState:
     schedule the rows share (the caller's first config; rows may differ
     only in mode and seed), `alpha2` is each row's effective membership
     weight, and `membership_rows` holds the indices of the rows whose mode
-    uses the membership loss.
+    uses the membership loss. `buffers` holds the backbone forward's
+    buffer sets (see step_buffers).
     """
 
     specs: tuple[NetworkSpec, NetworkSpec, NetworkSpec | None]
@@ -233,6 +234,7 @@ class TrainerState:
     alpha2: np.ndarray
     dual_rows: np.ndarray
     velocity: np.ndarray | None = None
+    buffers: dict = field(default_factory=dict)
 
     @classmethod
     def stack(cls, models, cfgs) -> "TrainerState":
@@ -259,6 +261,19 @@ class TrainerState:
                    groups["head_R"][0].head_R_spec if dual_rows.size else None),
             values=values, params=params, cfg=cfgs[0], membership_rows=np.flatnonzero(membership),
             alpha2=np.where(membership, cfgs[0].alpha2, 0.0), dual_rows=dual_rows)
+
+    def step_buffers(self, branch: str, batch: np.ndarray) -> "nn_core.ForwardBuffers | None":
+        """The buffer set the backbone forward of `branch` ("T" or "R")
+        fills on `batch`, one per branch and batch length: made by the
+        first step that needs it, in the thread that calls this, and kept
+        for later steps. None for a dense first layer, which needs none."""
+        backbone_spec = self.specs[0]
+        if not backbone_spec.per_sample_depth:
+            return None
+        key = branch, batch.shape[1]
+        if key not in self.buffers:
+            self.buffers[key] = nn_core.forward_buffers(backbone_spec, *batch.shape[:2])
+        return self.buffers[key]
 
     def where(self, row) -> str:
         """The suffix " of stacked model K" naming row K ("" for a lone model)."""
@@ -329,6 +344,13 @@ def _start_on_worker(job):
     return result
 
 
+def _run_here(job):
+    """Run job() now, in the calling thread; returns a function that
+    returns its result, as _start_on_worker does."""
+    result = job()
+    return lambda: result
+
+
 def _forget_worker() -> None:
     """A forked child has no copy of the worker thread; it starts its own."""
     global _worker_lock, _worker_jobs
@@ -347,62 +369,69 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     [4, M] loss components (ce_R, ce_T, m_T, cumulative) at the
     pre-update parameters.
 
-    The calling thread runs the known branch's forward, then the
-    reference branch's, so both branches' maps are held at once. For a
-    backbone with per-sample layers (conv2d, relu, pool before the first
-    dense one) the reference branch's cross-entropy and backward then run
-    on the worker thread while the calling thread runs the known
-    branch's; the two read the parameters and write only their own
-    caches. The reference gradients join the known ones after both end,
-    so every value takes the operations it takes on one thread.
+    The reference branch (backbone and head_R forward, cross-entropy,
+    head_R and backbone backward) is one job. For a backbone with
+    per-sample layers (conv2d, relu, pool before the first dense one) it
+    runs on the worker thread while the calling thread runs the known
+    branch; a dense backbone's runs first, in the calling thread. The
+    two branches read the parameters and write only their own caches and
+    buffer sets, which the calling thread makes (TrainerState.step_buffers)
+    before the hand-off, so the worker allocates no map. The step does
+    not end before the job does, even when the known branch raises. The
+    reference gradients join the known ones after both end, so every
+    value takes the operations it takes on one thread.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
     backbone, head_t, head_r = (state.params[group] for group in ("backbone", "head_T", "head_R"))
     rows = len(state.alpha2)
     x_t, y_t = batch_T
-
-    feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t)
-    f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
+    buffers_t = state.step_buffers("T", x_t)
     ce_r = np.zeros(rows)
     reference = None
     if batch_R is not None:
         x_r, y_r = batch_R
         dual = state.dual_rows
         backbone_r = {k: v[dual] for k, v in backbone.items()}
-        feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r)
-        f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
+        buffers_r = state.step_buffers("R", x_r)
 
-        def reference_backward():
+        def reference_branch():
+            feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r, buffers=buffers_r)
+            f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
             ce, ce_grad = cross_entropy_terms(f_r, y_r)
             head_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_grad)
             grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
             return ce, head_grads, grads
 
-        # A per-sample backbone's backward is mostly einsum, which runs
-        # without the GIL, so the reference branch's runs on the worker
-        # beside the known branch's. Dense backbones run it inline: their
+        # A per-sample backbone's passes are mostly einsum, which runs
+        # without the GIL, so its reference branch runs on the worker
+        # beside the known branch. Dense backbones run it here: their
         # small arrays would pass the GIL back and forth.
-        reference = (_start_on_worker(reference_backward) if backbone_spec.per_sample_depth
-                     else reference_backward)
-
-    ce_t, ce_t_grad = cross_entropy_terms(f_t, y_t)
-    # Only the membership rows compute the membership terms. The other
-    # rows keep zeros, which are still added (as alpha2 * 0), so their
-    # -0.0 gradients turn +0.0 whatever the stack holds. With no such
-    # row the call is skipped: with no rows it still costs most of a
-    # one-row call.
-    m_rows = state.membership_rows
-    m_t, m_t_grad = np.zeros(rows), np.zeros_like(f_t)
-    if m_rows.size:
-        m_t[m_rows], m_t_grad[m_rows] = membership_terms(f_t[m_rows], y_t[m_rows], cfg.lam)
-    upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
-    head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
-    backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
+        reference = (_start_on_worker if backbone_spec.per_sample_depth else _run_here)(reference_branch)
 
     head_r_grads: ParamSet = {}
+    try:
+        feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t, buffers=buffers_t)
+        f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
+        ce_t, ce_t_grad = cross_entropy_terms(f_t, y_t)
+        # Only the membership rows compute the membership terms. The other
+        # rows keep zeros, which are still added (as alpha2 * 0), so their
+        # -0.0 gradients turn +0.0 whatever the stack holds. With no such
+        # row the call is skipped: with no rows it still costs most of a
+        # one-row call.
+        m_rows = state.membership_rows
+        m_t, m_t_grad = np.zeros(rows), np.zeros_like(f_t)
+        if m_rows.size:
+            m_t[m_rows], m_t_grad[m_rows] = membership_terms(f_t[m_rows], y_t[m_rows], cfg.lam)
+        upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
+        head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
+        backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
+    finally:
+        # The job reads the parameters and writes the reference buffers,
+        # so it ends before the step does, whatever ends the known branch.
+        if reference is not None:
+            ce_r[dual], head_r_grads, backbone_r_grads = reference()
     if reference is not None:
-        ce_r[dual], head_r_grads, backbone_r_grads = reference()
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
@@ -517,11 +546,13 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
     Training k epochs gives, bit for bit, the parameters and history
     prefix that a longer run with the same seeds has after epoch k.
 
-    A backbone whose first layer is not dense runs each step's reference
-    backward on a worker thread, beside the known branch's, with the same
-    bits (see _lockstep_step). The worker is a daemon thread, started by
-    the first such step and kept for the process; a dense backbone runs
-    in the calling thread alone.
+    A backbone whose first layer is not dense runs each step's whole
+    reference branch on a worker thread, beside the known branch, with
+    the same bits (see _lockstep_step). Its forward passes fill buffer
+    sets that the stack keeps until training returns, one per branch and
+    batch length, each made by the calling thread. The worker is a daemon
+    thread, started by the first such step and kept for the process; a
+    dense backbone runs in the calling thread alone, with no buffer sets.
     """
     models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
     if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):

@@ -13,14 +13,15 @@ model is a one-row stack ({k: v[None]}, batch[None]). Dense layers run
 one stacked product; conv2d runs its kernel once per model. Each model's
 outputs are bit-identical to running it in a one-row stack.
 
-forward is a pure function of its arguments, and backward changes only
-the cache it consumes, so two calls with identical inputs return
-bit-identical outputs and may run concurrently on disjoint batches and
-caches. Only momentum_update changes parameter values.
+forward writes only its buffer set (see below), and backward changes
+only the cache it consumes, so two calls with identical inputs return
+bit-identical outputs and may run concurrently on disjoint batches,
+caches and buffer sets. Only momentum_update changes parameter values.
 
 The layers before the first dense one (conv2d, relu, pool) act on each
-sample alone, so forward runs them over sample chunks in buffers
-allocated once per call (see _per_sample_forward). The scoring forward
+sample alone, so forward runs them over sample chunks in one buffer set
+(see forward_buffers): a new one per call, unless the caller passes a
+set it keeps for many calls of one batch shape. The scoring forward
 (keep_cache=False) keeps no cache, so its memory does not grow with the
 batch. Dense layers multiply the whole batch in one product, because
 BLAS can give a row other bits inside a product of another row count.
@@ -244,7 +245,8 @@ def _as_batch(spec: NetworkSpec, params: ParamSet, batch: np.ndarray) -> np.ndar
     return batch
 
 
-def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: bool = True):
+def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: bool = True,
+            buffers: "ForwardBuffers | None" = None):
     """Run a stack of M models on their batches; returns (activations, cache).
 
     params holds [M, *shape] stacks and batch is [M, n, *input_shape]. The
@@ -256,12 +258,24 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
     consumes the cache. With keep_cache=False the cache is None and the
     layers before the first dense one hold one sample chunk's maps at a
     time; the activations are the same bits.
+
+    The layers before the first dense one write into a buffer set from
+    forward_buffers: `buffers`, made for this spec, M, n and keep_cache
+    (else UsageError), or a new one. The maps in the cache, and the
+    activations when no dense layer follows, are that set's arrays, so
+    with a kept set they hold their values only until its next forward.
     """
     x = _as_batch(spec, params, batch)
     cache = [] if keep_cache else None
     first_dense = spec.per_sample_depth
     if first_dense:
-        x = _per_sample_forward(spec, params, x, first_dense, cache)
+        if buffers is None:
+            buffers = forward_buffers(spec, *x.shape[:2], keep_cache)
+        elif (buffers.spec, buffers.models, buffers.n, buffers.keep_cache) != (spec, *x.shape[:2], keep_cache):
+            raise UsageError(f"buffers made for {buffers.models} model(s) of {buffers.n} samples, keep_cache="
+                             f"{buffers.keep_cache}{'' if buffers.spec == spec else ' and another spec'} do not "
+                             f"fit batch shape {x.shape}, keep_cache={keep_cache}")
+        x = _per_sample_forward(spec, params, x, buffers, cache)
     # Dense layers multiply the whole batch in one product: BLAS can give
     # a row other bits inside a product of another row count.
     for i, layer in enumerate(spec.layers[first_dense:], first_dense):
@@ -276,55 +290,78 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
     return x, cache
 
 
-def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, count: int,
-                        cache: "list | None") -> np.ndarray:
-    """Run layers 0..count-1 (conv2d, relu and pool) over sample chunks;
-    returns the last layer's whole-batch output and, with a cache,
-    appends each layer's input to it.
+@dataclass(frozen=True)
+class ForwardBuffers:
+    """The arrays a forward of `models` models on `n` samples of `spec`
+    fills in the layers before the first dense one, which run over sample
+    chunks of `chunk` samples: `maps[i]` is layer i's output and
+    `scratch[i]` a conv2d layer's patch or scratch buffer (see
+    _conv2d_buffer). A map spans the batch when the forward keeps its
+    cache or the layer is the last of them, else one chunk; a relu
+    between the first and the last of them shares its input's map."""
+
+    spec: NetworkSpec
+    models: int
+    n: int
+    keep_cache: bool
+    chunk: int
+    maps: list
+    scratch: dict
+
+
+def forward_buffers(spec: NetworkSpec, models: int, n: int, keep_cache: bool = True) -> ForwardBuffers:
+    """The buffer set that forward fills for `models` models on n samples.
 
     A chunk is the fewest samples that hold _CHUNK_MACS multiply-adds of
     the largest conv, counted at _MIN_CHANNEL_PAIRS channel pairs or more
-    (with no conv, the whole batch). A layer's output is a whole-batch
-    array when it is cached or last; otherwise it is a chunk buffer that
-    every chunk reuses. A relu between the first and the last layer runs
-    in place on its input's array, so a cache holds that array once, as
-    the relu's input and its output. Every value takes the same
-    operations in the same order at any chunk size.
+    (with no conv, the whole batch). Every forward takes its set from
+    here: a new one per call, or one its caller keeps and passes again.
     """
+    count = spec.per_sample_depth
     shapes = spec.layer_input_shapes()
-    models, n = x.shape[:2]
     conv_macs = [math.prod(shapes[i + 1][1:]) * layer.kernel ** 2
                  * max(layer.in_channels * layer.out_channels, _MIN_CHANNEL_PAIRS)
                  for i, layer in enumerate(spec.layers[:count]) if isinstance(layer, Conv2d)]
     chunk = -(-_CHUNK_MACS // max(conv_macs)) if conv_macs else max(n, 1)
     rows = min(chunk, n)
-
-    outs, whole, buffers = [], [], {}
+    maps, scratch = [], {}
     for i, layer in enumerate(spec.layers[:count]):
-        whole.append(cache is not None or i == count - 1)
         if isinstance(layer, Relu) and 0 < i < count - 1:
-            outs.append(outs[-1])
+            maps.append(maps[-1])
         else:
-            outs.append(np.empty((models, n if whole[i] else rows) + shapes[i + 1]))
+            maps.append(np.empty((models, n if keep_cache or i == count - 1 else rows) + shapes[i + 1]))
         if isinstance(layer, Conv2d):
-            buffers[i] = _conv2d_buffer(layer, rows, shapes[i + 1])
+            scratch[i] = _conv2d_buffer(layer, rows, shapes[i + 1])
+    return ForwardBuffers(spec, models, n, keep_cache, chunk, maps, scratch)
+
+
+def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, buffers: ForwardBuffers,
+                        cache: "list | None") -> np.ndarray:
+    """Run the layers before the first dense one (conv2d, relu and pool)
+    over sample chunks into the buffer set; returns the last layer's
+    whole-batch output and, with a cache, appends each layer's input to
+    it. A chunk's map is written at the chunk's rows of a map that spans
+    the batch, else at the start of its one-chunk map. Every value takes
+    the same operations in the same order at any chunk size.
+    """
+    n, chunk, maps = x.shape[1], buffers.chunk, buffers.maps
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
         h = x[:, s:e]
-        for i, layer in enumerate(spec.layers[:count]):
-            out = outs[i][:, s:e] if whole[i] else outs[i][:, :e - s]
+        for i, layer in enumerate(spec.layers[:len(maps)]):
+            out = maps[i][:, s:e] if maps[i].shape[1] == n else maps[i][:, :e - s]
             if isinstance(layer, Conv2d):
                 w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
                 for operands in zip(h, w, b, out):
-                    _conv2d_forward(*operands, layer.stride, buffers[i])
+                    _conv2d_forward(*operands, layer.stride, buffers.scratch[i])
             elif isinstance(layer, Relu):
                 np.maximum(h, 0.0, out=out)
             else:
                 h.mean(axis=(-2, -1), out=out)
             h = out
     if cache is not None:
-        cache.extend([x] + outs[:-1])
-    return outs[-1]
+        cache.extend([x] + maps[:-1])
+    return maps[-1]
 
 
 def _conv2d_buffer(layer: Conv2d, rows: int, out_shape: tuple[int, ...]) -> np.ndarray:

@@ -5,7 +5,9 @@ import os
 import select
 import signal
 import struct
+import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -936,59 +938,63 @@ def whole_set_step(rows):
 
 class TestBranchCacheLifetime:
     def test_known_branch_holds_one_map_per_conv_layer(self, monkeypatch):
-        """Both branches' maps are held while the reference backward runs;
-        the known branch's are one map per conv layer, which the relu
-        after it shares, and the pooled features."""
+        """The known branch's cache holds one map per conv layer, which the
+        relu after it shares, and the pooled features: the maps of the
+        buffer set the step keeps for it. The branches run at once, so the
+        known backbone's forward is found by its spec and thread."""
         rng = np.random.default_rng(0)
         spec = NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 3, 3), Relu(), nn_core.Conv2d(3, 2, 2), Relu(),
                                        nn_core.GlobalAveragePool()))
         model = build_dual_model(spec, 3, 2, seed=0)
         known = Dataset(rng.standard_normal((6, 1, 6, 6)), np.arange(6) % 3, ["a", "b", "c"], provenance="t")
         reference = Dataset(rng.standard_normal((4, 1, 6, 6)), np.arange(4) % 2, ["r0", "r1"], provenance="r")
-        real_forward, real_backward = nn_core.forward, nn_core.backward
-        caches, known_maps, alive = [], {}, []
+        real_forward, known_passes = nn_core.forward, []
 
         def forward_spy(spec, params, batch, *args, **kwargs):
             out, cache = real_forward(spec, params, batch, *args, **kwargs)
-            if not caches:  # the known branch's backbone: its maps and features
-                known_maps.update((id(a), weakref.ref(a)) for a in (*cache[1:], out))
-            caches.append(cache)
+            if spec == model.backbone_spec and threading.current_thread() is threading.main_thread():
+                known_passes.append((cache, out, kwargs["buffers"]))
             return out, cache
 
-        def backward_spy(spec, params, cache, *args, **kwargs):
-            if cache is caches[3]:  # the reference head: its backward starts
-                alive.append(sum(ref() is not None for ref in known_maps.values()))
-            return real_backward(spec, params, cache, *args, **kwargs)
-
         monkeypatch.setattr(nn_core, "forward", forward_spy)
-        monkeypatch.setattr(nn_core, "backward", backward_spy)
         train_one_step(model, known, reference)
-        assert len(caches) == 4
-        assert caches[0][1] is caches[0][2] and caches[0][3] is caches[0][4]
-        assert len(known_maps) == 3  # two conv maps and the pooled features
-        assert alive == [3]
+        ((cache, features, buffers),) = known_passes
+        assert cache[1] is cache[2] and cache[3] is cache[4]
+        maps = {id(a) for a in (*cache[1:], features)}
+        assert len(maps) == 3  # two conv maps and the pooled features
+        assert maps == {id(a) for a in buffers.maps}
 
     def test_no_map_outlives_its_step(self, monkeypatch):
-        """Once training returns, no branch's maps are alive: the worker
-        thread drops each job when it ends."""
-        real_forward, maps = nn_core.forward, []
+        """Once training returns, no branch's maps and no step buffer are
+        alive: the worker thread drops each job when it ends, and the
+        buffer sets go with the stack."""
+        real_forward, real_buffers, arrays = nn_core.forward, nn_core.forward_buffers, []
 
         def spy(*args, **kwargs):
             out, cache = real_forward(*args, **kwargs)
-            maps.extend(weakref.ref(a) for a in cache[1:])
+            arrays.extend(weakref.ref(a) for a in cache[1:])
             return out, cache
 
+        def buffers_spy(*args, **kwargs):
+            buffers = real_buffers(*args, **kwargs)
+            arrays.extend(weakref.ref(a) for a in (*buffers.maps, *buffers.scratch.values()))
+            return buffers
+
         monkeypatch.setattr(nn_core, "forward", spy)
+        monkeypatch.setattr(nn_core, "forward_buffers", buffers_spy)
         train_lockstep(*whole_set_step(2))
-        assert maps and all(ref() is None for ref in maps)
+        assert arrays and all(ref() is None for ref in arrays)
 
     def test_step_peak_is_bounded(self, monkeypatch):
         """One step of an 8-row conv-demo stack over the whole known (60)
-        and reference (120) sets peaks below 5 times its batches' bytes.
-        Measured on a 2-vCPU VM: 0.55-0.69 MB, which varies with how the
-        two threads' backward passes overlap. A step that held one
-        branch's maps at a time and copied the relu and pool maps peaked
-        at 1.02 MB; with both branches' maps held, 1.2-1.5 MB."""
+        and reference (120) sets peaks below 5 times its batches' bytes,
+        with both branches' buffer sets made in it. Measured on a 2-vCPU
+        VM: 0.66-0.75 MB (3.6-4.0 times), which varies with how the two
+        threads' passes overlap; 0.61-0.70 MB when only the reference
+        backward ran on the worker and each forward allocated its maps. A
+        step that held one branch's maps at a time and copied the relu and
+        pool maps peaked at 1.02 MB; with both branches' maps held and
+        copied, 1.2-1.5 MB."""
         real_step, steps = dual_trainer._lockstep_step, []
 
         def spy(state, batch_T, batch_R):
@@ -1012,21 +1018,76 @@ def worker_threads():
     return [t for t in threading.enumerate() if t.name == "novnet-worker"]
 
 
+def model_bytes(model):
+    return b"".join(v.tobytes() for group in (model.backbone, model.head_T, model.head_R) if group
+                    for v in group.values())
+
+
 def trained_bytes():
     """The parameter bytes of a one-epoch dual-full conv-demo training."""
     ((cfg, data),) = config_runs("conv-demo.json", ("dual-full",), reps=1)
     model, reference = untrained(cfg, data)
     train_lockstep([model], [data.train_T], [reference], [replace(cfg.training, epochs=1)])
-    return b"".join(v.tobytes() for group in (model.backbone, model.head_T, model.head_R) for v in group.values())
+    return model_bytes(model)
+
+
+def spy_on_buffers(monkeypatch):
+    """Record (thread, models, n) of every nn_core.forward_buffers call."""
+    real, made = nn_core.forward_buffers, []
+
+    def spy(spec, models, n, *args, **kwargs):
+        made.append((threading.current_thread(), models, n))
+        return real(spec, models, n, *args, **kwargs)
+
+    monkeypatch.setattr(nn_core, "forward_buffers", spy)
+    return made
+
+
+class Boom(Exception):
+    pass
 
 
 class TestReferenceWorker:
-    """A conv backbone's reference backward runs on one worker thread."""
+    """A conv backbone's reference branch runs on one worker thread."""
 
-    def test_dense_training_starts_no_thread(self):
+    def test_dense_training_starts_no_thread(self, monkeypatch):
+        """A dense backbone's step hands no job to the worker, which an
+        earlier test may have started, and makes no buffer set."""
+        made, started = spy_on_buffers(monkeypatch), []
+        real_start = dual_trainer._start_on_worker
+        monkeypatch.setattr(dual_trainer, "_start_on_worker", lambda job: started.append(job) or real_start(job))
         before = threading.active_count()
         experiments.train_models(config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=1))
         assert threading.active_count() == before
+        assert made == started == []
+
+    def test_every_step_buffer_is_made_by_the_calling_thread(self, monkeypatch):
+        """Two epochs of a ce-only and a dual-full conv-demo row: the known
+        branch keeps one set for its batches of 16 and one for the short
+        last batch of 12, the reference branch one for its batches of 16.
+        The calling thread makes each once, when the first step needs it."""
+        made = spy_on_buffers(monkeypatch)
+        runs = config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1)
+        experiments.train_models([(replace(cfg, training=replace(cfg.training, epochs=2)), data)
+                                  for cfg, data in runs])
+        main = threading.main_thread()
+        assert made == [(main, 2, 16), (main, 1, 16), (main, 2, 12)]
+
+    def test_short_last_batch_trains_as_inline_and_alone(self, monkeypatch):
+        """conv-demo's 60 known samples are no multiple of batch_size_T 16,
+        so each epoch ends on a batch of 12 with its own buffer set. A
+        stack of the ablation modes trains each row's bits alone, and the
+        stack's bits with the reference job run in the calling thread."""
+        runs = config_runs("conv-demo.json", experiments.ABLATION_MODES, reps=1)
+        assert len(runs[0][1].train_T) % runs[0][0].training.batch_size_T == 12
+        on_worker = experiments.train_models(runs)
+        for (cfg, data), (model, history) in zip(runs, on_worker):
+            alone, reference = untrained(cfg, data)
+            assert_trained_as_alone(model, history, alone, data.train_T, reference, cfg.training)
+        monkeypatch.setattr(dual_trainer, "_start_on_worker", dual_trainer._run_here)
+        inline = experiments.train_models(runs)
+        assert ([(model_bytes(m), [to_json(h) for h in history]) for m, history in on_worker]
+                == [(model_bytes(m), [to_json(h) for h in history]) for m, history in inline])
 
     def test_conv_trainings_share_one_worker(self):
         trained_bytes()
@@ -1036,22 +1097,68 @@ class TestReferenceWorker:
         assert threading.active_count() == after_first
         assert len(worker_threads()) == 1
 
-    def test_exception_in_the_worker_reaches_the_caller(self, monkeypatch):
-        want = trained_bytes()
-        real_backward = nn_core.backward
+    def test_rapid_thread_switches_keep_the_bits(self, monkeypatch):
+        """With the interpreter switching threads every microsecond, the
+        two branches' passes interleave finely and still train the bits
+        of the step run in one thread."""
+        with monkeypatch.context() as inline:
+            inline.setattr(dual_trainer, "_start_on_worker", dual_trainer._run_here)
+            want = trained_bytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = trained_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
-        class Boom(Exception):
-            pass
+    @pytest.mark.parametrize("function", ["forward", "backward"])
+    def test_exception_in_the_worker_reaches_the_caller(self, monkeypatch, function):
+        want = trained_bytes()
+        real = getattr(nn_core, function)
 
         def failing(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
-                raise Boom("raised on the worker")
+                raise Boom(f"raised in the worker's {function}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nn_core, function, failing)
+        with pytest.raises(Boom, match=f"raised in the worker's {function}"):
+            trained_bytes()
+        monkeypatch.undo()
+        assert trained_bytes() == want
+
+    def test_a_failed_step_leaves_no_job_running(self, monkeypatch):
+        """The known branch's backward raises while the worker's job runs
+        (each of its backward calls waits for the raise, then sleeps): the
+        exception reaches the caller only once the job has ended, and the
+        next training gives the same bits."""
+        want = trained_bytes()
+        real_backward, real_start = nn_core.backward, dual_trainer._start_on_worker
+        raised, ended = threading.Event(), []
+
+        def backward(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raised.set()
+                raise Boom("raised in the known branch")
+            raised.wait(10)
+            time.sleep(0.1)
             return real_backward(*args, **kwargs)
 
-        monkeypatch.setattr(nn_core, "backward", failing)
-        with pytest.raises(Boom, match="raised on the worker"):
+        def start(job):
+            def tracked():
+                try:
+                    return job()
+                finally:
+                    ended.append(True)
+            return real_start(tracked)
+
+        monkeypatch.setattr(nn_core, "backward", backward)
+        monkeypatch.setattr(dual_trainer, "_start_on_worker", start)
+        with pytest.raises(Boom, match="raised in the known branch"):
             trained_bytes()
-        monkeypatch.setattr(nn_core, "backward", real_backward)
+        assert ended == [True]
+        monkeypatch.undo()
         assert trained_bytes() == want
 
     def test_forked_child_trains_like_its_parent(self):

@@ -605,7 +605,8 @@ def most_conv_macs(spec):
 
 class TestCacheFreeForward:
     """forward(..., keep_cache=False) keeps no whole-batch maps before the
-    first dense layer, and returns the bits of the cached forward."""
+    first dense layer, and returns the bits of the cached forward; so does
+    a forward into a kept buffer set that an earlier batch filled."""
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["conv-relu-gap", "conv-relu-conv-relu-gap", "gap-relu", "conv-relu",
@@ -617,13 +618,28 @@ class TestCacheFreeForward:
         spec = cache_free_spec(kind, cin, side, stride)
         n = {"one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1, "2chunk": 2 * chunk}[batch]
         rows = [init_params(spec, [seed, m]) for m in range(models)]
-        x = np.random.default_rng(seed).standard_normal((models, n) + spec.input_shape)
+        x, earlier = np.random.default_rng(seed).standard_normal((2, models, n) + spec.input_shape)
         with mock.patch.object(nn_core, "_CHUNK_MACS", chunk * most_conv_macs(spec)):
             cached, cache = forward(spec, stack(rows), x)
             free, none = forward(spec, stack(rows), x, keep_cache=False)
+            kept = nn_core.forward_buffers(spec, models, n)
+            forward(spec, stack(rows), earlier, buffers=kept)
+            reused, _ = forward(spec, stack(rows), x, buffers=kept)
         assert none is None and len(cache) == len(spec.layers)
         expected = np.stack([whole_batch_forward(spec, params, x[m]) for m, params in enumerate(rows)])
-        assert free.tobytes() == cached.tobytes() == expected.tobytes()
+        assert free.tobytes() == cached.tobytes() == reused.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("models, n, keep_cache, spec", [
+        (2, 5, True, conv_spec()), (1, 4, True, conv_spec()), (1, 5, False, conv_spec()),
+        (1, 5, True, NetworkSpec((1, 6, 6), (Conv2d(1, 3, 3), Relu(), GlobalAveragePool(), Dense(3, 2)))),
+    ], ids=["models", "samples", "keep_cache", "spec"])
+    def test_a_kept_set_fits_only_its_forward(self, models, n, keep_cache, spec):
+        """A set made for another model count, batch length, keep_cache or
+        spec is refused before any layer runs."""
+        buffers = nn_core.forward_buffers(spec, models, n, keep_cache)
+        x = np.zeros((1, 5, 1, 6, 6))
+        with pytest.raises(UsageError, match="buffers made for"):
+            forward(conv_spec(), stack([init_params(conv_spec(), 0)]), x, buffers=buffers)
 
     @pytest.mark.parametrize("backbone", [
         NetworkSpec((1, 6, 6), (Conv2d(1, 3, 3), Relu(), GlobalAveragePool(), Dense(3, 5), Relu())),
