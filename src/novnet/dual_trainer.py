@@ -30,13 +30,9 @@ Training modes (ablation/baseline variants):
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
-import os
-import queue
 import struct
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -133,7 +129,9 @@ class DualBranchModel:
         """Backbone output for a batch, through the cache-free forward of
         a one-row stack: the conv, relu and pool layers before the first
         dense one run in reused sample-chunk buffers, so their memory does
-        not depend on the batch size; dense layers see the whole batch."""
+        not depend on the batch size, and a batch of more than one chunk
+        runs the second half of its chunks on the worker thread, with the
+        same bits; dense layers see the whole batch in the calling thread."""
         return _score(self.backbone_spec, self.backbone, x)
 
     def known_logits(self, x: np.ndarray) -> np.ndarray:
@@ -301,65 +299,6 @@ class TrainerState:
         self.velocity = nn_core.momentum_update(self.values, flat, self.velocity, self.cfg.lr, self.cfg.momentum)
 
 
-# The worker: one daemon thread, started on first use, that runs the
-# jobs _start_on_worker hands it, in order. Only the lockstep step of a
-# backbone with per-sample layers uses it.
-_worker_lock = threading.Lock()
-_worker_jobs: "queue.SimpleQueue | None" = None
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        _run(*jobs.get())
-
-
-def _run(context: contextvars.Context, job, done: queue.SimpleQueue) -> None:
-    """Run one job and hand back its result or exception. A frame of its
-    own drops the job, and the maps it holds, as soon as it ends."""
-    try:
-        done.put((True, context.run(job)))
-    except BaseException as exc:
-        done.put((False, exc))
-
-
-def _start_on_worker(job):
-    """Start job() on the worker thread; returns a function that waits for
-    it and returns its result or raises its exception. The job runs in a
-    copy of the caller's context, so np.errstate holds there too."""
-    global _worker_jobs
-    with _worker_lock:
-        if _worker_jobs is None:
-            _worker_jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_worker_jobs,), name="novnet-worker", daemon=True).start()
-        jobs = _worker_jobs
-    done = queue.SimpleQueue()
-    jobs.put((contextvars.copy_context(), job, done))
-
-    def result():
-        ok, value = done.get()
-        if not ok:
-            raise value
-        return value
-
-    return result
-
-
-def _run_here(job):
-    """Run job() now, in the calling thread; returns a function that
-    returns its result, as _start_on_worker does."""
-    result = job()
-    return lambda: result
-
-
-def _forget_worker() -> None:
-    """A forked child has no copy of the worker thread; it starts its own."""
-    global _worker_lock, _worker_jobs
-    _worker_lock, _worker_jobs = threading.Lock(), None
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
 def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     """One SGD step of every model in the stack.
 
@@ -407,7 +346,8 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         # without the GIL, so its reference branch runs on the worker
         # beside the known branch. Dense backbones run it here: their
         # small arrays would pass the GIL back and forth.
-        reference = (_start_on_worker if backbone_spec.per_sample_depth else _run_here)(reference_branch)
+        reference = (nn_core._start_on_worker if backbone_spec.per_sample_depth else nn_core._run_here)(
+            reference_branch)
 
     head_r_grads: ParamSet = {}
     try:
@@ -524,6 +464,23 @@ def _pool(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ys), offsets
 
 
+def _check_known_logits(state: TrainerState, x: np.ndarray, offsets: np.ndarray, n: int) -> None:
+    """Raise DivergenceError naming the first row whose known-head logits
+    on its epoch set (rows x[offsets + arange(n)]) are not all finite:
+    finite weights can still overflow them, and scoring would then fail.
+    One cache-free forward of the stack, the path scoring takes."""
+    backbone_spec, head_t_spec, _ = state.specs
+    rows = len(state.alpha2)
+    # Rows of one data rep share their epoch set, which is read in place.
+    batch = x[offsets + np.arange(n)] if offsets.any() else np.broadcast_to(x, (rows,) + x.shape)
+    with np.errstate(all="ignore"):
+        features, _ = nn_core.forward(backbone_spec, state.params["backbone"], batch, keep_cache=False)
+        logits, _ = nn_core.forward(head_t_spec, state.params["head_T"], features, keep_cache=False)
+    finite = np.isfinite(logits).reshape(rows, -1).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(f"non-finite known-head logit on the training data{state.where(finite.argmin())}")
+
+
 def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats]]:
     """Train M models in place for cfg.epochs epochs, each step of all of
     them one set of numpy calls; returns each model's history (per-epoch
@@ -545,14 +502,17 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
     once, by the Dataset invariants and the mode/dataset checks.
     Training k epochs gives, bit for bit, the parameters and history
     prefix that a longer run with the same seeds has after epoch k.
+    After the last update, one cache-free forward of each row's known
+    branch over its epoch set checks that the logits are finite: finite
+    weights can still overflow them (DivergenceError naming the row).
 
     A backbone whose first layer is not dense runs each step's whole
-    reference branch on a worker thread, beside the known branch, with
-    the same bits (see _lockstep_step). Its forward passes fill buffer
-    sets that the stack keeps until training returns, one per branch and
-    batch length, each made by the calling thread. The worker is a daemon
-    thread, started by the first such step and kept for the process; a
-    dense backbone runs in the calling thread alone, with no buffer sets.
+    reference branch on nn_core's worker thread, beside the known branch,
+    with the same bits (see _lockstep_step). Its forward passes fill
+    buffer sets that the stack keeps until the last step ends, one per
+    branch and batch length, each made by the calling thread. The worker
+    is a daemon thread, started on first use and kept for the process; a
+    dense backbone trains in the calling thread alone, with no buffer sets.
     """
     models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
     if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):
@@ -608,9 +568,13 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
         for history, means in zip(histories, (sums / steps).T):
             history.append(EpochStats(epoch, *(float(v) for v in means)))
     # Each step's loss check sees the previous update; the last update
-    # has no next step, so its result is checked here.
+    # has no next step, so its result is checked here, parameters first.
+    # The step buffer sets go first, so the logits check's scoring buffers
+    # do not add to them at the process's peak.
+    state.buffers.clear()
     try:
         state.check_finite(state.values, state.params, "parameter")
+        _check_known_logits(state, x_t, offsets_t, n)
     except DivergenceError as exc:
         raise DivergenceError(f"{exc} after the last update at epoch {cfg.epochs - 1}, step {steps - 1}") from None
     return histories

@@ -26,20 +26,31 @@ set it keeps for many calls of one batch shape. The scoring forward
 batch. Dense layers multiply the whole batch in one product, because
 BLAS can give a row other bits inside a product of another row count.
 Outputs are unchanged to the bit by the chunks. A conv2d layer with one
-input channel sums its kernel offsets in one einsum over a patch buffer;
-one with several input channels runs one einsum per offset on a strided
-view of its input, since its channel sum nests inside the offset sum
-(see _conv2d_forward). Both give the loop's bits. Everything runs in the
-calling thread.
+input channel sums its kernel offsets in one einsum over a patch buffer
+that one copy fills; one with several input channels runs one einsum
+per offset on a strided view of its input, since its channel sum nests
+inside the offset sum (see _conv2d_forward). Both give the loop's bits.
+
+A scoring forward of more than one chunk hands the second half of its
+chunks to the worker, one daemon thread that also runs a conv training
+step's reference branch (see _start_on_worker), and runs the first half
+itself; each half fills its own rows of the last per-sample map, with
+its own buffers, and the dense layers then run in the calling thread.
+A forward that keeps its cache runs every chunk in the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigError, DimensionError, UsageError, check_integer, check_keys, check_list, from_json,
                      naming, to_json)
@@ -257,7 +268,8 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
     gives the same mask; the layer after it shares that map. backward()
     consumes the cache. With keep_cache=False the cache is None and the
     layers before the first dense one hold one sample chunk's maps at a
-    time; the activations are the same bits.
+    time in each of two threads when there is more than one chunk (see
+    ForwardBuffers); the activations are the same bits.
 
     The layers before the first dense one write into a buffer set from
     forward_buffers: `buffers`, made for this spec, M, n and keep_cache
@@ -291,22 +303,34 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
 
 
 @dataclass(frozen=True)
+class Lane:
+    """The samples start:stop that one thread runs over sample chunks, and
+    the arrays it fills: `maps[i]` is layer i's output and `scratch[i]` a
+    conv2d layer's patch or scratch buffer (see _conv2d_buffer)."""
+
+    start: int
+    stop: int
+    maps: list
+    scratch: dict
+
+
+@dataclass(frozen=True)
 class ForwardBuffers:
     """The arrays a forward of `models` models on `n` samples of `spec`
     fills in the layers before the first dense one, which run over sample
-    chunks of `chunk` samples: `maps[i]` is layer i's output and
-    `scratch[i]` a conv2d layer's patch or scratch buffer (see
-    _conv2d_buffer). A map spans the batch when the forward keeps its
-    cache or the layer is the last of them, else one chunk; a relu
-    between the first and the last of them shares its input's map."""
+    chunks of `chunk` samples, one lane per thread: the calling thread's
+    first, then, for a scoring forward of more than one chunk, the
+    worker's, which takes the second half of the chunks. A map spans the
+    batch when the forward keeps its cache or the layer is the last of
+    them (the lanes share that one), else one chunk; a relu between the
+    first and the last of them shares its input's map."""
 
     spec: NetworkSpec
     models: int
     n: int
     keep_cache: bool
     chunk: int
-    maps: list
-    scratch: dict
+    lanes: tuple
 
 
 def forward_buffers(spec: NetworkSpec, models: int, n: int, keep_cache: bool = True) -> ForwardBuffers:
@@ -315,7 +339,8 @@ def forward_buffers(spec: NetworkSpec, models: int, n: int, keep_cache: bool = T
     A chunk is the fewest samples that hold _CHUNK_MACS multiply-adds of
     the largest conv, counted at _MIN_CHANNEL_PAIRS channel pairs or more
     (with no conv, the whole batch). Every forward takes its set from
-    here: a new one per call, or one its caller keeps and passes again.
+    here, in its calling thread: a new one per call, or one its caller
+    keeps and passes again.
     """
     count = spec.per_sample_depth
     shapes = spec.layer_input_shapes()
@@ -323,45 +348,132 @@ def forward_buffers(spec: NetworkSpec, models: int, n: int, keep_cache: bool = T
                  * max(layer.in_channels * layer.out_channels, _MIN_CHANNEL_PAIRS)
                  for i, layer in enumerate(spec.layers[:count]) if isinstance(layer, Conv2d)]
     chunk = -(-_CHUNK_MACS // max(conv_macs)) if conv_macs else max(n, 1)
-    rows = min(chunk, n)
-    maps, scratch = [], {}
-    for i, layer in enumerate(spec.layers[:count]):
-        if isinstance(layer, Relu) and 0 < i < count - 1:
-            maps.append(maps[-1])
-        else:
-            maps.append(np.empty((models, n if keep_cache or i == count - 1 else rows) + shapes[i + 1]))
-        if isinstance(layer, Conv2d):
-            scratch[i] = _conv2d_buffer(layer, rows, shapes[i + 1])
-    return ForwardBuffers(spec, models, n, keep_cache, chunk, maps, scratch)
+    chunks = -(-n // chunk)
+    split = n if keep_cache or chunks < 2 else chunk * -(-chunks // 2)
+    last = np.empty((models, n) + shapes[count])
+    lanes = []
+    for start, stop in [(0, split), (split, n)] if split < n else [(0, n)]:
+        rows = min(chunk, stop - start)
+        maps, scratch = [], {}
+        for i, layer in enumerate(spec.layers[:count]):
+            if i == count - 1:
+                maps.append(last)
+            elif isinstance(layer, Relu) and i > 0:
+                maps.append(maps[-1])
+            else:
+                maps.append(np.empty((models, n if keep_cache else rows) + shapes[i + 1]))
+            if isinstance(layer, Conv2d):
+                scratch[i] = _conv2d_buffer(layer, rows, shapes[i + 1])
+        lanes.append(Lane(start, stop, maps, scratch))
+    return ForwardBuffers(spec, models, n, keep_cache, chunk, tuple(lanes))
 
 
 def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, buffers: ForwardBuffers,
                         cache: "list | None") -> np.ndarray:
     """Run the layers before the first dense one (conv2d, relu and pool)
-    over sample chunks into the buffer set; returns the last layer's
-    whole-batch output and, with a cache, appends each layer's input to
-    it. A chunk's map is written at the chunk's rows of a map that spans
-    the batch, else at the start of its one-chunk map. Every value takes
-    the same operations in the same order at any chunk size.
-    """
-    n, chunk, maps = x.shape[1], buffers.chunk, buffers.maps
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
+    over sample chunks into the buffer set, each lane in its own thread;
+    returns the last layer's whole-batch output and, with a cache,
+    appends each layer's input to it. The call ends only when every lane
+    has, even when its own lane raises."""
+    here, *there = buffers.lanes
+    waits = [_start_on_worker(partial(_run_chunks, spec, params, x, buffers.chunk, lane)) for lane in there]
+    try:
+        _run_chunks(spec, params, x, buffers.chunk, here)
+    finally:
+        for wait in waits:
+            wait()
+    if cache is not None:
+        cache.extend([x] + here.maps[:-1])
+    return here.maps[-1]
+
+
+def _run_chunks(spec: NetworkSpec, params: ParamSet, x: np.ndarray, chunk: int, lane: Lane) -> None:
+    """Run the lane's samples through the layers before the first dense
+    one, chunk by chunk. A chunk's map is written at the chunk's rows of
+    a map that spans the batch, else at the start of its one-chunk map.
+    Every value takes the same operations in the same order at any chunk
+    size and in any lane."""
+    n, maps = x.shape[1], lane.maps
+    for s in range(lane.start, lane.stop, chunk):
+        e = min(s + chunk, lane.stop)
         h = x[:, s:e]
         for i, layer in enumerate(spec.layers[:len(maps)]):
             out = maps[i][:, s:e] if maps[i].shape[1] == n else maps[i][:, :e - s]
             if isinstance(layer, Conv2d):
                 w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
                 for operands in zip(h, w, b, out):
-                    _conv2d_forward(*operands, layer.stride, buffers.scratch[i])
+                    _conv2d_forward(*operands, layer.stride, lane.scratch[i])
             elif isinstance(layer, Relu):
                 np.maximum(h, 0.0, out=out)
             else:
                 h.mean(axis=(-2, -1), out=out)
             h = out
-    if cache is not None:
-        cache.extend([x] + maps[:-1])
-    return maps[-1]
+
+
+# The worker: one daemon thread, started on first use, that runs the
+# jobs _start_on_worker hands it, in order: the second half of a scoring
+# forward's chunks, and a conv training step's reference branch.
+_worker_lock = threading.Lock()
+_worker_jobs: "queue.SimpleQueue | None" = None
+_worker_thread: "threading.Thread | None" = None
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        _run(*jobs.get())
+
+
+def _run(context: contextvars.Context, job, done: queue.SimpleQueue) -> None:
+    """Run one job and hand back its result or exception. A frame of its
+    own drops the job, and the maps it holds, as soon as it ends."""
+    try:
+        done.put((True, context.run(job)))
+    except BaseException as exc:
+        done.put((False, exc))
+
+
+def _start_on_worker(job):
+    """Start job() on the worker thread; returns a function that waits for
+    it and returns its result or raises its exception. The job runs in a
+    copy of the caller's context, so np.errstate holds there too. Called
+    on the worker itself, it runs the job in place (_run_here), since the
+    worker cannot wait for a job queued behind its own."""
+    global _worker_jobs, _worker_thread
+    if threading.current_thread() is _worker_thread:
+        return _run_here(job)
+    with _worker_lock:
+        if _worker_jobs is None:
+            _worker_jobs = queue.SimpleQueue()
+            _worker_thread = threading.Thread(target=_serve, args=(_worker_jobs,), name="novnet-worker",
+                                              daemon=True)
+            _worker_thread.start()
+        jobs = _worker_jobs
+    done = queue.SimpleQueue()
+    jobs.put((contextvars.copy_context(), job, done))
+
+    def result():
+        ok, value = done.get()
+        if not ok:
+            raise value
+        return value
+
+    return result
+
+
+def _run_here(job):
+    """Run job() now, in the calling thread; returns a function that
+    returns its result, as _start_on_worker does."""
+    result = job()
+    return lambda: result
+
+
+def _forget_worker() -> None:
+    """A forked child has no copy of the worker thread; it starts its own."""
+    global _worker_lock, _worker_jobs, _worker_thread
+    _worker_lock, _worker_jobs, _worker_thread = threading.Lock(), None, None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _conv2d_buffer(layer: Conv2d, rows: int, out_shape: tuple[int, ...]) -> np.ndarray:
@@ -380,23 +492,24 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
     _conv2d_buffer made for at least len(x) samples.
 
     With one input channel, x's k² offset windows are copied into a
-    [k², n, h_out, w_out] patch buffer, offset first, and one einsum sums
-    them: each output adds the offsets in order, from zero, as the loop
-    below does. With several input channels each offset's channel sum
-    nests inside the offset sum, which no single einsum reproduces, so
-    those layers run the loop over kernel offsets, one einsum per offset
-    on a strided view of x into the scratch buffer. So does a chunk whose
-    patch holds one value (one sample, 1x1 output): the offset axis is
-    then einsum's only loop, and einsum sums it in another order.
+    [k², n, h_out, w_out] patch buffer, offset first, by one copy of a
+    window view (one call, where a copy per offset would take and drop
+    the GIL k² times), and one einsum sums them: each output adds the
+    offsets in order, from zero, as the loop below does. With several
+    input channels each offset's channel sum nests inside the offset sum,
+    which no single einsum reproduces, so those layers run the loop over
+    kernel offsets, one einsum per offset on a strided view of x into the
+    scratch buffer. So does a chunk whose patch holds one value (one
+    sample, 1x1 output): the offset axis is then einsum's only loop, and
+    einsum sums it in another order.
     """
     n, cin = x.shape[:2]
     k = w.shape[2]
     h_out, w_out = out.shape[2:]
     if cin == 1 and n * h_out * w_out > 1:
         patches = buffer[:, :n]
-        for u in range(k):
-            for v in range(k):
-                patches[u * k + v] = x[:, 0, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
+        windows = sliding_window_view(x[:, 0], (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        np.copyto(buffer.reshape(k, k, *buffer.shape[1:])[:, :, :n], windows.transpose(3, 4, 0, 1, 2))
         np.einsum("knij,ok->noij", patches, w.reshape(len(w), k * k), out=out)
         out += b[:, None, None]
         return

@@ -412,12 +412,16 @@ class TestBadInputExitsCleanly:
     @pytest.mark.parametrize("source,command,training,named", [
         (QUICK, "train", {}, "non-finite cumulative loss nan at epoch 0, step 1"),
         (QUICK, "ablate", {}, "non-finite cumulative loss nan of stacked model 0 at epoch 0, step 1"),
-        # One step: training ends with finite weights whose scores overflow.
-        (QUICK, "ablate", {"epochs": 1, "batch_size_T": 10**6}, "ROC needs finite scores"),
+        # One step: training ends with finite weights whose logits overflow,
+        # which the forward over the training data after the last update finds.
+        (QUICK, "train", {"epochs": 1, "batch_size_T": 10**6},
+         "non-finite known-head logit on the training data after the last update at epoch 0, step 0"),
+        (QUICK, "ablate", {"epochs": 1, "batch_size_T": 10**6}, "non-finite known-head logit on the training "
+         "data of stacked model 0 after the last update at epoch 0, step 0"),
         # A conv backbone: the reference branch's backward runs on the worker thread.
         (CONV_DEMO, "train", {}, "non-finite cumulative loss nan at epoch 0, step 1"),
         (CONV_DEMO, "ablate", {}, "non-finite cumulative loss nan of stacked model 0 at epoch 0, step 1"),
-    ], ids=["train", "ablate", "ablate-scores-overflow", "conv-train", "conv-ablate"])
+    ], ids=["train", "ablate", "train-scores-overflow", "ablate-scores-overflow", "conv-train", "conv-ablate"])
     def test_divergence(self, tmp_path, capsys, source, command, training, named):
         """A diverging run ends in one line, naming the epoch and step when
         training diverged: numpy's floating-point warnings never reach

@@ -30,7 +30,7 @@ from novnet.dual_trainer import (
     save_checkpoint,
     train_lockstep,
 )
-from novnet.errors import ConfigError, CorruptionError, DatasetError, FormatError, from_json, to_json
+from novnet.errors import ConfigError, CorruptionError, DatasetError, DivergenceError, FormatError, from_json, to_json
 from novnet.losses import cross_entropy_terms, membership_terms
 from novnet.nn_core import Dense, NetworkSpec, Relu
 
@@ -941,7 +941,8 @@ class TestBranchCacheLifetime:
         """The known branch's cache holds one map per conv layer, which the
         relu after it shares, and the pooled features: the maps of the
         buffer set the step keeps for it. The branches run at once, so the
-        known backbone's forward is found by its spec and thread."""
+        known backbone's forward is found by its spec, its thread and its
+        cache, which the scoring forward after the last update does not keep."""
         rng = np.random.default_rng(0)
         spec = NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 3, 3), Relu(), nn_core.Conv2d(3, 2, 2), Relu(),
                                        nn_core.GlobalAveragePool()))
@@ -952,7 +953,8 @@ class TestBranchCacheLifetime:
 
         def forward_spy(spec, params, batch, *args, **kwargs):
             out, cache = real_forward(spec, params, batch, *args, **kwargs)
-            if spec == model.backbone_spec and threading.current_thread() is threading.main_thread():
+            if (spec == model.backbone_spec and threading.current_thread() is threading.main_thread()
+                    and cache is not None):
                 known_passes.append((cache, out, kwargs["buffers"]))
             return out, cache
 
@@ -962,22 +964,24 @@ class TestBranchCacheLifetime:
         assert cache[1] is cache[2] and cache[3] is cache[4]
         maps = {id(a) for a in (*cache[1:], features)}
         assert len(maps) == 3  # two conv maps and the pooled features
-        assert maps == {id(a) for a in buffers.maps}
+        (lane,) = buffers.lanes
+        assert maps == {id(a) for a in lane.maps}
 
     def test_no_map_outlives_its_step(self, monkeypatch):
         """Once training returns, no branch's maps and no step buffer are
-        alive: the worker thread drops each job when it ends, and the
+        alive, nor any buffer of the scoring forward after the last
+        update: the worker thread drops each job when it ends, and the
         buffer sets go with the stack."""
         real_forward, real_buffers, arrays = nn_core.forward, nn_core.forward_buffers, []
 
         def spy(*args, **kwargs):
             out, cache = real_forward(*args, **kwargs)
-            arrays.extend(weakref.ref(a) for a in cache[1:])
+            arrays.extend(weakref.ref(a) for a in (cache or [None])[1:])
             return out, cache
 
         def buffers_spy(*args, **kwargs):
             buffers = real_buffers(*args, **kwargs)
-            arrays.extend(weakref.ref(a) for a in (*buffers.maps, *buffers.scratch.values()))
+            arrays.extend(weakref.ref(a) for lane in buffers.lanes for a in (*lane.maps, *lane.scratch.values()))
             return buffers
 
         monkeypatch.setattr(nn_core, "forward", spy)
@@ -1012,6 +1016,48 @@ class TestBranchCacheLifetime:
             tracemalloc.stop()
         ((peak, batches),) = steps
         assert peak < 5 * batches, (peak, batches)
+
+
+class TestKnownLogitsCheck:
+    """After the last update, train_lockstep runs one scoring forward of
+    every row's known branch over its epoch set."""
+
+    @pytest.mark.parametrize("sources", ["shared", "distinct"])
+    def test_overflowing_logits_name_their_row(self, monkeypatch, sources):
+        """Two rows of finite weights, on one epoch set or on two: the row
+        whose known head overflows its logits is named. The forward is the
+        scoring one, whose conv chunks (one sample each here) run in two
+        halves."""
+        models, known, _, cfgs = whole_set_step(2)
+        state = dual_trainer.TrainerState.stack(models, cfgs)
+        x, n = known[0].x, len(known[0])
+        if sources == "distinct":
+            x, offsets = np.concatenate([x, x[::-1]]), np.array([[0], [n]])
+        else:
+            offsets = np.zeros((2, 1), dtype=np.int64)
+        real_start, halves = nn_core._start_on_worker, []
+        monkeypatch.setattr(nn_core, "_start_on_worker", lambda job: halves.append(job) or real_start(job))
+        monkeypatch.setattr(nn_core, "_CHUNK_MACS", 1)
+        dual_trainer._check_known_logits(state, x, offsets, n)
+        head = state.params["head_T"]
+        head["layer0.weight"][1] = head["layer0.bias"][1] = np.finfo(np.float64).max
+        with pytest.raises(DivergenceError, match="^non-finite known-head logit on the training data of stacked "
+                                                  "model 1$"):
+            dual_trainer._check_known_logits(state, x, offsets, n)
+        assert len(halves) == 2
+
+    def test_step_buffers_are_dropped_before_the_check(self, monkeypatch):
+        """The step buffer sets are gone when the check's scoring buffers
+        are made, so the two do not add up at the process's peak."""
+        real, held = dual_trainer._check_known_logits, []
+
+        def check(state, *args):
+            held.append(dict(state.buffers))
+            return real(state, *args)
+
+        monkeypatch.setattr(dual_trainer, "_check_known_logits", check)
+        train_lockstep(*whole_set_step(2))
+        assert held == [{}]
 
 
 def worker_threads():
@@ -1054,8 +1100,8 @@ class TestReferenceWorker:
         """A dense backbone's step hands no job to the worker, which an
         earlier test may have started, and makes no buffer set."""
         made, started = spy_on_buffers(monkeypatch), []
-        real_start = dual_trainer._start_on_worker
-        monkeypatch.setattr(dual_trainer, "_start_on_worker", lambda job: started.append(job) or real_start(job))
+        real_start = nn_core._start_on_worker
+        monkeypatch.setattr(nn_core, "_start_on_worker", lambda job: started.append(job) or real_start(job))
         before = threading.active_count()
         experiments.train_models(config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=1))
         assert threading.active_count() == before
@@ -1065,13 +1111,15 @@ class TestReferenceWorker:
         """Two epochs of a ce-only and a dual-full conv-demo row: the known
         branch keeps one set for its batches of 16 and one for the short
         last batch of 12, the reference branch one for its batches of 16.
-        The calling thread makes each once, when the first step needs it."""
+        The calling thread makes each once, when the first step needs it,
+        and then the set of the scoring forward over the 60 training
+        samples after the last update."""
         made = spy_on_buffers(monkeypatch)
         runs = config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1)
         experiments.train_models([(replace(cfg, training=replace(cfg.training, epochs=2)), data)
                                   for cfg, data in runs])
         main = threading.main_thread()
-        assert made == [(main, 2, 16), (main, 1, 16), (main, 2, 12)]
+        assert made == [(main, 2, 16), (main, 1, 16), (main, 2, 12), (main, 2, 60)]
 
     def test_short_last_batch_trains_as_inline_and_alone(self, monkeypatch):
         """conv-demo's 60 known samples are no multiple of batch_size_T 16,
@@ -1084,7 +1132,7 @@ class TestReferenceWorker:
         for (cfg, data), (model, history) in zip(runs, on_worker):
             alone, reference = untrained(cfg, data)
             assert_trained_as_alone(model, history, alone, data.train_T, reference, cfg.training)
-        monkeypatch.setattr(dual_trainer, "_start_on_worker", dual_trainer._run_here)
+        monkeypatch.setattr(nn_core, "_start_on_worker", nn_core._run_here)
         inline = experiments.train_models(runs)
         assert ([(model_bytes(m), [to_json(h) for h in history]) for m, history in on_worker]
                 == [(model_bytes(m), [to_json(h) for h in history]) for m, history in inline])
@@ -1102,7 +1150,7 @@ class TestReferenceWorker:
         two branches' passes interleave finely and still train the bits
         of the step run in one thread."""
         with monkeypatch.context() as inline:
-            inline.setattr(dual_trainer, "_start_on_worker", dual_trainer._run_here)
+            inline.setattr(nn_core, "_start_on_worker", nn_core._run_here)
             want = trained_bytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1134,7 +1182,7 @@ class TestReferenceWorker:
         exception reaches the caller only once the job has ended, and the
         next training gives the same bits."""
         want = trained_bytes()
-        real_backward, real_start = nn_core.backward, dual_trainer._start_on_worker
+        real_backward, real_start = nn_core.backward, nn_core._start_on_worker
         raised, ended = threading.Event(), []
 
         def backward(*args, **kwargs):
@@ -1154,7 +1202,7 @@ class TestReferenceWorker:
             return real_start(tracked)
 
         monkeypatch.setattr(nn_core, "backward", backward)
-        monkeypatch.setattr(dual_trainer, "_start_on_worker", start)
+        monkeypatch.setattr(nn_core, "_start_on_worker", start)
         with pytest.raises(Boom, match="raised in the known branch"):
             trained_bytes()
         assert ended == [True]

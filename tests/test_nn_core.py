@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -683,6 +684,142 @@ class TestCacheFreeForward:
         size = chunk_size(1, 1)
         small, large = extra_peak(2 * size), extra_peak(8 * size)
         assert large <= small + (1 << 16), (small, large)
+
+
+class Boom(Exception):
+    pass
+
+
+def scoring_operands(cin, models, n, stride=1):
+    """A 1x28x28 (or cin-channel) conv-relu-gap-dense stack of `models`
+    rows and its [models, n, ...] batch."""
+    spec = NetworkSpec((cin, 28, 28), (Conv2d(cin, 8, 5, stride=stride), Relu(), GlobalAveragePool(), Dense(8, 3)))
+    params = stack([init_params(spec, [cin, m]) for m in range(models)])
+    return spec, params, np.random.default_rng([cin, models, n]).standard_normal((models, n, cin, 28, 28))
+
+
+def recorded_chunks(monkeypatch):
+    """Record (thread, samples) of every _conv2d_forward call, in order."""
+    real, chunks = nn_core._conv2d_forward, []
+
+    def spy(x, *args):
+        chunks.append((threading.current_thread(), len(x)))
+        return real(x, *args)
+
+    monkeypatch.setattr(nn_core, "_conv2d_forward", spy)
+    return chunks
+
+
+class TestScoringHalves:
+    """A scoring forward (keep_cache=False) of more than one chunk runs the
+    first half of its chunks in the calling thread and the second half on
+    the worker, with the bits of one thread."""
+
+    @pytest.mark.parametrize("kind", ["conv-relu-gap", "conv-relu-conv-relu-gap", "conv-relu"])
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("models", [1, 3])
+    @pytest.mark.parametrize("n, lanes", [(2, 1), (4, 2), (5, 2), (16, 2)], ids=["1", "2", "odd", "many"])
+    def test_bytes_equal_cached_and_one_chunk_calls(self, kind, cin, stride, models, n, lanes):
+        """One chunk, two, three (the last one short) and eight chunks of
+        two samples: the two-half forward gives the bits of the cached
+        forward, which runs every chunk in one thread, and of the serial
+        loop over the whole batch, and its layers before the first dense
+        one the bits of one call per chunk (a dense layer may give a row
+        other bits in a product of two rows)."""
+        spec = cache_free_spec(kind, cin, 7, stride)
+        per_sample = NetworkSpec(spec.input_shape, spec.layers[:spec.per_sample_depth])
+        rows = [init_params(spec, [cin, m]) for m in range(models)]
+        params = stack(rows)
+        x = np.random.default_rng([n, cin, stride, models]).standard_normal((models, n) + spec.input_shape)
+        with mock.patch.object(nn_core, "_CHUNK_MACS", 2 * most_conv_macs(spec)):
+            assert len(nn_core.forward_buffers(spec, models, n, keep_cache=False).lanes) == lanes
+            free, _ = forward(spec, params, x, keep_cache=False)
+            cached, _ = forward(spec, params, x)
+            features, _ = forward(per_sample, params, x, keep_cache=False)
+            per_chunk = np.concatenate([forward(per_sample, params, x[:, s:s + 2], keep_cache=False)[0]
+                                        for s in range(0, n, 2)], axis=1)
+        expected = np.stack([whole_batch_forward(spec, p, x[m]) for m, p in enumerate(rows)])
+        assert free.tobytes() == cached.tobytes() == expected.tobytes()
+        assert features.tobytes() == per_chunk.tobytes()
+
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_which_chunks_run_on_which_thread(self, monkeypatch, cin):
+        """Four full chunks and a short one: the calling thread runs the
+        first three, the worker the last two; a cached forward runs all
+        five in the calling thread."""
+        size = chunk_size(cin, 1)
+        spec, params, x = scoring_operands(cin, 1, 4 * size + 3)
+        chunks = recorded_chunks(monkeypatch)
+        forward(spec, params, x, keep_cache=False)
+        main = threading.current_thread()
+        assert [c for t, c in chunks if t is main] == [size] * 3
+        assert [(t.name, c) for t, c in chunks if t is not main] == [("novnet-worker", size), ("novnet-worker", 3)]
+        chunks.clear()
+        forward(spec, params, x)
+        assert chunks == [(main, size)] * 4 + [(main, 3)]
+
+    def test_every_buffer_is_made_by_the_calling_thread(self, monkeypatch):
+        """forward_buffers and every np.empty of a two-half scoring call run
+        in the calling thread, so the worker's malloc arena gets no map or
+        patch buffer."""
+        spec, params, x = scoring_operands(1, 2, 5 * chunk_size(1, 1))
+        real_empty, real_buffers, threads = np.empty, nn_core.forward_buffers, []
+
+        def empty(*args, **kwargs):
+            threads.append(("empty", threading.current_thread()))
+            return real_empty(*args, **kwargs)
+
+        def buffers(*args, **kwargs):
+            threads.append(("forward_buffers", threading.current_thread()))
+            return real_buffers(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(nn_core, "forward_buffers", buffers)
+        chunks = recorded_chunks(monkeypatch)
+        forward(spec, params, x, keep_cache=False)
+        assert {t.name for t, _ in chunks} == {threading.current_thread().name, "novnet-worker"}
+        assert ("forward_buffers", threading.current_thread()) in threads
+        assert {t for _, t in threads} == {threading.current_thread()}
+
+    def test_a_scoring_forward_inside_a_worker_job_finishes(self, monkeypatch):
+        """A worker job that scores runs both halves in place: the worker
+        cannot wait for a job queued behind its own."""
+        spec, params, x = scoring_operands(1, 1, 3 * chunk_size(1, 1))
+        want, _ = forward(spec, params, x, keep_cache=False)
+        chunks, got = recorded_chunks(monkeypatch), []
+        caller = threading.Thread(target=lambda: got.append(nn_core._start_on_worker(
+            lambda: forward(spec, params, x, keep_cache=False)[0])()), daemon=True)
+        caller.start()
+        caller.join(60)
+        if caller.is_alive():  # later tests get a worker of their own
+            nn_core._forget_worker()
+        assert not caller.is_alive(), "the scoring forward inside a worker job did not finish"
+        assert got[0].tobytes() == want.tobytes()
+        assert {t.name for t, _ in chunks} == {"novnet-worker"} and len(chunks) == 3
+
+    @pytest.mark.parametrize("failing", ["calling thread", "worker"])
+    def test_an_exception_in_either_half_reaches_the_caller_after_both_end(self, monkeypatch, failing):
+        """One half raises at once, the other sleeps and then runs: the
+        exception reaches the caller only once the other half has ended,
+        and the next forward gives the same bits."""
+        spec, params, x = scoring_operands(1, 1, 4 * chunk_size(1, 1))
+        want, _ = forward(spec, params, x, keep_cache=False)
+        real, ended = nn_core._run_chunks, []
+
+        def run_chunks(spec, params, x, chunk, lane):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "calling thread"):
+                raise Boom(f"raised in the {failing}'s half")
+            time.sleep(0.2)
+            real(spec, params, x, chunk, lane)
+            ended.append(lane.start)
+
+        monkeypatch.setattr(nn_core, "_run_chunks", run_chunks)
+        with pytest.raises(Boom, match=f"raised in the {failing}'s half"):
+            forward(spec, params, x, keep_cache=False)
+        assert len(ended) == 1
+        monkeypatch.undo()
+        assert forward(spec, params, x, keep_cache=False)[0].tobytes() == want.tobytes()
 
 
 class TestSgdStep:
