@@ -976,7 +976,7 @@ class TestBranchCacheLifetime:
 
         def spy(*args, **kwargs):
             out, cache = real_forward(*args, **kwargs)
-            arrays.extend(weakref.ref(a) for a in (cache or [None])[1:])
+            arrays.extend(weakref.ref(a) for a in (cache or [])[1:])
             return out, cache
 
         def buffers_spy(*args, **kwargs):
