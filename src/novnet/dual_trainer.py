@@ -346,8 +346,8 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         # without the GIL, so its reference branch runs on the worker
         # beside the known branch. Dense backbones run it here: their
         # small arrays would pass the GIL back and forth.
-        reference = (nn_core._start_on_worker if backbone_spec.per_sample_depth else nn_core._run_here)(
-            reference_branch)
+        run = nn_core._start_on_worker if backbone_spec.per_sample_depth else nn_core._run_here
+        reference = run(reference_branch)
 
     head_r_grads: ParamSet = {}
     try:

@@ -65,14 +65,10 @@ def test_a_gain_needs_nine_pairs_of_ten():
     """Nine of ten pairs better and a median gain past the parent's
     quartile distance count; eight of ten do not."""
     parent = [10.0 + k % 2 for k in range(10)]
-    nine = compare_better(parent, [12.0] * 9 + [9.0])
-    eight = compare_better(parent, [12.0] * 8 + [9.0, 9.0])
+    nine = bench_file.compare(parent, [12.0] * 9 + [9.0], "higher", 0.25)
+    eight = bench_file.compare(parent, [12.0] * 8 + [9.0, 9.0], "higher", 0.25)
     assert (nine["pairs_better"], nine["clears_parent_iqr"], nine["gain_counts"]) == (9, True, True)
     assert (eight["pairs_better"], eight["clears_parent_iqr"], eight["gain_counts"]) == (8, True, False)
-
-
-def compare_better(parent, change):
-    return bench_file.compare(parent, change, "higher", 0.25)
 
 
 def test_one_pair_has_no_spread():
