@@ -349,6 +349,8 @@ def forward_buffers(spec: NetworkSpec, models: int, n: int, keep_cache: bool = T
                  for i, layer in enumerate(spec.layers[:count]) if isinstance(layer, Conv2d)]
     chunk = -(-_CHUNK_MACS // max(conv_macs)) if conv_macs else max(n, 1)
     chunks = -(-n // chunk)
+    # The calling thread takes the larger half: the worker starts only
+    # after the hand-off.
     split = n if keep_cache or chunks < 2 else chunk * -(-chunks // 2)
     last = np.empty((models, n) + shapes[count])
     lanes = []
