@@ -1,21 +1,22 @@
 """Write a BENCH_<name>.json: the benchmark on two commits, in alternated pairs.
 
-    python3 scripts/bench_file.py --parent <rev> --change <rev> --out BENCH_<n>.json \
-        [--pairs 10] [--seconds 30] [--seed 0] [--workload conv-train ...]
+    python3 scripts/bench_file.py --parent <rev> --change <rev> --out BENCH_<n>.json [--seed 0]
 
 Run it from the repository root. Each commit's committed files are
 exported with `git archive` into a fresh directory under .bench_build/,
 so both sides are built the same way and nothing of the working tree
-reaches either. Pair k runs `python3 perfbench/run.py --workload <w>
---seed <seed + k> --seconds <s>` once on each side, the parent first in
-even pairs and the change first in odd ones. The file holds both
+reaches either. Pair k of PAIRS runs `python3 perfbench/run.py
+--workload <w> --seed <seed + k> --seconds <s>` once on each side for
+every workload of BENCHMARK.json, s being its run_seconds, the parent
+first in even pairs and the change first in odd ones. The file holds both
 commits, run.py's env block, the pair count, every run's metrics, per
 workload and side the median and quartiles of the end-to-end metrics,
 and per metric the median pair ratio (change / parent), whether the
 change's gain on the medians exceeds the parent's quartile distance, and
 whether it counts as a gain: that, in at least nine pairs of ten.
-check_schema() is the file's schema; the tier-1 suite applies it to
-every committed BENCH_*.json.
+check_schema() checks the file's top-level fields and run records, and
+summarize() gives the rest; the tier-1 suite applies both to every
+committed BENCH_*.json.
 """
 
 from __future__ import annotations
@@ -34,19 +35,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD_DIR = os.path.join(ROOT, ".bench_build")
 SCHEMA = 1
 SIDES = ("parent", "change")
+PAIRS = 10
+
+
+def benchmark() -> dict:
+    """BENCHMARK.json: the workloads, their run_seconds and the metrics."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
 
 
 def end_to_end() -> dict[str, dict]:
     """BENCHMARK.json's end-to-end metrics by name: their unit, better
     direction and regression bound."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    return {m["name"]: m for m in benchmark()["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
-    """The median and the quartiles (statistics.quantiles, inclusive)."""
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    """The median and the quartiles (statistics.quantiles, inclusive) of
+    two or more values."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -92,14 +98,12 @@ def summarize(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
 
 
 def check_schema(doc: dict) -> None:
-    """Raise ValueError naming the first field of a BENCH file that is
-    missing or of the wrong form."""
+    """Raise ValueError naming the first top-level field or run record of
+    a BENCH file that is missing or of the wrong form. The sides and
+    compare blocks are summarize()'s of the runs."""
     def need(ok: bool, what: str) -> None:
         if not ok:
             raise ValueError(f"BENCH file: {what}")
-
-    def number(value) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
 
     need(isinstance(doc, dict) and doc.get("schema") == SCHEMA, f"'schema' must be {SCHEMA}")
     for side in SIDES:
@@ -107,36 +111,22 @@ def check_schema(doc: dict) -> None:
         need(isinstance(commit, str) and len(commit) == 40, f"'{side}.commit' must be a full commit id")
     need(isinstance(doc.get("env"), dict) and "numpy" in doc["env"], "'env' must be run.py's env block")
     pairs = doc.get("pairs")
-    need(isinstance(pairs, int) and not isinstance(pairs, bool) and pairs >= 1, "'pairs' must be >= 1")
-    need(number(doc.get("seconds")), "'seconds' must be a number")
+    need(isinstance(pairs, int) and not isinstance(pairs, bool) and pairs >= 2, "'pairs' must be >= 2")
     need(isinstance(doc.get("seeds"), list) and len(doc["seeds"]) == pairs, "'seeds' must hold one seed per pair")
     workloads = doc.get("workloads")
     need(isinstance(workloads, dict) and workloads, "'workloads' must be a non-empty object")
     names = set(end_to_end())
     for workload, block in workloads.items():
-        where = f"workload {workload!r}"
-        need(isinstance(block, dict), f"{where} must be an object")
         for side in SIDES:
-            runs = block.get("runs", {}).get(side) if isinstance(block.get("runs"), dict) else None
-            need(isinstance(runs, list) and len(runs) == pairs, f"{where} needs {pairs} {side} runs")
+            runs = block.get("runs", {}).get(side) if isinstance(block, dict) else None
+            need(isinstance(runs, list) and len(runs) == pairs, f"workload {workload!r} needs {pairs} {side} runs")
             for run in runs:
                 need(isinstance(run, dict) and isinstance(run.get("correct"), bool)
                      and isinstance(run.get("failed"), int) and isinstance(run.get("metrics"), dict)
-                     and set(run["metrics"]) == names and all(map(number, run["metrics"].values())),
-                     f"{where} {side} run needs correct, failed and every end-to-end metric")
-            stats = block.get("sides", {}).get(side) if isinstance(block.get("sides"), dict) else None
-            need(isinstance(stats, dict) and set(stats) == names, f"{where} sides.{side} needs every metric")
-            for name, q in stats.items():
-                need(isinstance(q, dict) and set(q) == {"median", "q1", "q3"} and all(map(number, q.values()))
-                     and q["q1"] <= q["median"] <= q["q3"],
-                     f"{where} sides.{side}.{name} needs q1 <= median <= q3")
-        comparisons = block.get("compare")
-        need(isinstance(comparisons, dict) and set(comparisons) == names, f"{where} compare needs every metric")
-        for name, c in comparisons.items():
-            flags = ("clears_parent_iqr", "gain_counts", "within_bound")
-            need(isinstance(c, dict) and number(c.get("median_pair_ratio"))
-                 and all(isinstance(c.get(key), bool) for key in flags)
-                 and c.get("better") in ("higher", "lower"), f"{where} compare.{name} is incomplete")
+                     and set(run["metrics"]) == names
+                     and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                             for v in run["metrics"].values()),
+                     f"workload {workload!r} {side} run needs correct, failed and every end-to-end metric")
 
 
 def export(rev: str, directory: str) -> str:
@@ -168,31 +158,28 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append", choices=("ablate-dense", "conv-train", "eval-large"))
     args = parser.parse_args(argv)
-    workloads = args.workload or ["ablate-dense", "conv-train", "eval-large"]
+    bench = benchmark()
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     metrics = end_to_end()
     dirs = {side: os.path.join(BUILD_DIR, side) for side in SIDES}
     commits = {side: export(getattr(args, side), dirs[side]) for side in SIDES}
-    seeds = [args.seed + k for k in range(args.pairs)]
+    seeds = [args.seed + k for k in range(PAIRS)]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     env = None
     try:
         for k, seed in enumerate(seeds):
             for workload in workloads:
                 for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                    run_env, record = run_once(dirs[side], workload, seed, args.seconds)
+                    run_env, record = run_once(dirs[side], workload, seed, seconds)
                     runs[workload][side].append(record)
                     env = env or {key: v for key, v in run_env.items() if key not in ("git_commit", "seed")}
                     print(f"pair {k} {workload} {side}: {json.dumps(record['metrics'])}", file=sys.stderr)
     finally:
         shutil.rmtree(BUILD_DIR, ignore_errors=True)
     doc = {"schema": SCHEMA, "parent": {"commit": commits["parent"]}, "change": {"commit": commits["change"]},
-           "command": ["python3", "perfbench/run.py"], "seconds": args.seconds, "pairs": args.pairs,
-           "seeds": seeds, "env": env,
+           "command": bench["command"], "seconds": seconds, "pairs": PAIRS, "seeds": seeds, "env": env,
            "workloads": {w: {"runs": runs[w], **summarize(runs[w], metrics)} for w in workloads}}
     check_schema(doc)
     with open(args.out, "w") as fh:

@@ -466,19 +466,20 @@ def _pool(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _check_known_logits(state: TrainerState, x: np.ndarray, offsets: np.ndarray, n: int) -> None:
     """Raise DivergenceError naming the first row whose known-head logits
-    on its epoch set (rows x[offsets + arange(n)]) are not all finite:
-    finite weights can still overflow them, and scoring would then fail.
-    One cache-free forward of the stack, the path scoring takes."""
+    on its epoch set (x[offset:offset + n]) are not all finite: finite
+    weights can still overflow them, and scoring would then fail. Each
+    row runs alone through the cache-free forward that scoring takes,
+    on its epoch set read in place, so the check holds one row's maps at
+    a time however many rows the stack has."""
     backbone_spec, head_t_spec, _ = state.specs
-    rows = len(state.alpha2)
-    # Rows of one data rep share their epoch set, which is read in place.
-    batch = x[offsets + np.arange(n)] if offsets.any() else np.broadcast_to(x, (rows,) + x.shape)
-    with np.errstate(all="ignore"):
-        features, _ = nn_core.forward(backbone_spec, state.params["backbone"], batch, keep_cache=False)
-        logits, _ = nn_core.forward(head_t_spec, state.params["head_T"], features, keep_cache=False)
-    finite = np.isfinite(logits).reshape(rows, -1).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(f"non-finite known-head logit on the training data{state.where(finite.argmin())}")
+    for row, (start,) in enumerate(offsets):
+        backbone, head = ({key: v[row:row + 1] for key, v in state.params[group].items()}
+                          for group in ("backbone", "head_T"))
+        with np.errstate(all="ignore"):
+            features, _ = nn_core.forward(backbone_spec, backbone, x[None, start:start + n], keep_cache=False)
+            logits, _ = nn_core.forward(head_t_spec, head, features, keep_cache=False)
+        if not np.isfinite(logits).all():
+            raise DivergenceError(f"non-finite known-head logit on the training data{state.where(row)}")
 
 
 def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats]]:

@@ -1044,7 +1044,26 @@ class TestKnownLogitsCheck:
         with pytest.raises(DivergenceError, match="^non-finite known-head logit on the training data of stacked "
                                                   "model 1$"):
             dual_trainer._check_known_logits(state, x, offsets, n)
-        assert len(halves) == 2
+        assert len(halves) == 4  # one per row's forward, in each call
+
+    def test_peak_does_not_grow_with_the_rows(self):
+        """Rows on distinct epoch sets: the check's traced peak with 8 rows
+        is that of 1 row, since each row runs alone on its slice of the
+        pooled set. One forward of the stack over a gathered copy of the
+        rows' sets grew it with the rows."""
+        peaks = []
+        for rows in (1, 8):
+            models, known, _, cfgs = whole_set_step(rows)
+            state = dual_trainer.TrainerState.stack(models, cfgs)
+            n = len(known[0])
+            x, offsets = np.concatenate([known[0].x] * rows), n * np.arange(rows)[:, None]
+            tracemalloc.start()
+            try:
+                dual_trainer._check_known_logits(state, x, offsets, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     def test_step_buffers_are_dropped_before_the_check(self, monkeypatch):
         """The step buffer sets are gone when the check's scoring buffers
@@ -1112,14 +1131,14 @@ class TestReferenceWorker:
         branch keeps one set for its batches of 16 and one for the short
         last batch of 12, the reference branch one for its batches of 16.
         The calling thread makes each once, when the first step needs it,
-        and then the set of the scoring forward over the 60 training
-        samples after the last update."""
+        and then, after the last update, the set of each row's scoring
+        forward over its 60 training samples."""
         made = spy_on_buffers(monkeypatch)
         runs = config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1)
         experiments.train_models([(replace(cfg, training=replace(cfg.training, epochs=2)), data)
                                   for cfg, data in runs])
         main = threading.main_thread()
-        assert made == [(main, 2, 16), (main, 1, 16), (main, 2, 12), (main, 2, 60)]
+        assert made == [(main, 2, 16), (main, 1, 16), (main, 2, 12), (main, 1, 60), (main, 1, 60)]
 
     def test_short_last_batch_trains_as_inline_and_alone(self, monkeypatch):
         """conv-demo's 60 known samples are no multiple of batch_size_T 16,

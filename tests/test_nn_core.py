@@ -494,6 +494,15 @@ class TestConvSplit:
         w, b = rng.standard_normal((3, 3, 1, 1)), rng.standard_normal(3)
         assert conv_forward(x, w, b, 1).tobytes() == serial_conv2d_forward(x, w, b, 1).tobytes()
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_scattered_one_channel_batch_equals_serial_loop(self, stride):
+        """A one-channel batch stored with its axes reversed: its window
+        view is built on a contiguous copy of the samples."""
+        rng = np.random.default_rng(stride)
+        x = rng.standard_normal((9, 7, 1, 4)).transpose(3, 2, 1, 0)
+        w, b = rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2)
+        assert conv_forward(x, w, b, stride).tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
+
     @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_scratch_does_not_grow_with_the_batch(self, stride, cin):
