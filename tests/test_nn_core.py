@@ -495,11 +495,16 @@ class TestConvSplit:
         assert conv_forward(x, w, b, 1).tobytes() == serial_conv2d_forward(x, w, b, 1).tobytes()
 
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_scattered_one_channel_batch_equals_serial_loop(self, stride):
-        """A one-channel batch stored with its axes reversed: its window
-        view is built on a contiguous copy of the samples."""
+    @pytest.mark.parametrize("layout", ["reversed axes", "gaps between samples"])
+    def test_scattered_one_channel_batch_equals_serial_loop(self, layout, stride):
+        """A one-channel batch that is not C-contiguous, stored with its
+        axes reversed or with gaps between its samples: the window view is
+        built on a contiguous copy of the samples."""
         rng = np.random.default_rng(stride)
-        x = rng.standard_normal((9, 7, 1, 4)).transpose(3, 2, 1, 0)
+        if layout == "reversed axes":
+            x = rng.standard_normal((9, 7, 1, 4)).transpose(3, 2, 1, 0)
+        else:
+            x = rng.standard_normal((4, 2, 7, 9))[:, ::2]
         w, b = rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2)
         assert conv_forward(x, w, b, stride).tobytes() == serial_conv2d_forward(x, w, b, stride).tobytes()
 
