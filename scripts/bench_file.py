@@ -17,6 +17,14 @@ whether it counts as a gain: that, in at least nine pairs of ten.
 check_schema() checks the file's top-level fields and run records, and
 summarize() gives the rest; the tier-1 suite applies both to every
 committed BENCH_*.json.
+
+When the newest committed BENCH_<n>.json other than --out was measured
+on the same python, numpy, BLAS, CPU and core count, the file also holds
+a `previous` block: per workload and metric, the ratio of this file's
+parent median to that file's change median, checked against the bound.
+The two should measure the same code, so drift that each file hides
+inside its own pairs shows there. Otherwise it prints why and writes no
+block.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -36,6 +45,8 @@ BUILD_DIR = os.path.join(ROOT, ".bench_build")
 SCHEMA = 1
 SIDES = ("parent", "change")
 PAIRS = 10
+# The env keys that must agree for two files' medians to be compared.
+ENV_KEYS = ("python", "numpy", "blas", "cpu", "nproc")
 
 
 def benchmark() -> dict:
@@ -57,6 +68,13 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def worse_ratio(before: float, after: float, better: str) -> float:
+    """How far `after` is worse than `before`, relative to it: 0 when it
+    is not worse."""
+    worse = after - before if better == "lower" else before - after
+    return max(worse, 0.0) / abs(before) if before else 0.0
+
+
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """One metric over pairs (parent[k], change[k]).
 
@@ -71,7 +89,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     p, c = quartiles(parent), quartiles(change)
     gain = sign * (c["median"] - p["median"])
     iqr = p["q3"] - p["q1"]
-    worse = max(-gain, 0.0) / abs(p["median"]) if p["median"] else 0.0
+    worse = worse_ratio(p["median"], c["median"], better)
     better_pairs = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     return {
         "better": better,
@@ -95,6 +113,39 @@ def summarize(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
                                  [r["metrics"][name] for r in runs["change"]], m["better"], m["bound"])
                    for name, m in metrics.items()}
     return {"sides": sides, "compare": comparisons}
+
+
+def previous_block(doc: dict, previous: dict, name: str) -> "dict | None":
+    """The `previous` block of `doc` against the BENCH file `previous`,
+    named `name`: per workload and metric of both, the ratio of doc's
+    parent median to previous's change median and how far it is worse,
+    against the bound. None, after printing why, when their env blocks
+    differ on an ENV_KEYS key."""
+    differ = [key for key in ENV_KEYS if doc["env"].get(key) != previous["env"].get(key)]
+    if differ:
+        print(f"no 'previous' block: {name} ran on another {', '.join(differ)}", file=sys.stderr)
+        return None
+    workloads = {}
+    for workload, block in doc["workloads"].items():
+        if workload not in previous["workloads"]:
+            continue
+        before, after = previous["workloads"][workload]["sides"]["change"], block["sides"]["parent"]
+        workloads[workload] = {}
+        for metric, m in end_to_end().items():
+            if metric in before:
+                worse = worse_ratio(before[metric]["median"], after[metric]["median"], m["better"])
+                workloads[workload][metric] = {
+                    "ratio": after[metric]["median"] / before[metric]["median"],
+                    "worse_ratio": worse, "bound": m["bound"], "within_bound": worse <= m["bound"]}
+    return {"file": name, "commit": previous["change"]["commit"], "workloads": workloads}
+
+
+def newest_bench(names: list[str], out: str) -> "str | None":
+    """The BENCH_<n>.json of `names` with the largest n, leaving out `out`."""
+    numbered = [(int(m[1]), name) for name in names
+                if (m := re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(name)))
+                and os.path.abspath(os.path.join(ROOT, name)) != os.path.abspath(out)]
+    return max(numbered)[1] if numbered else None
 
 
 def check_schema(doc: dict) -> None:
@@ -182,6 +233,16 @@ def main(argv=None) -> int:
            "command": bench["command"], "seconds": seconds, "pairs": PAIRS, "seeds": seeds, "env": env,
            "workloads": {w: {"runs": runs[w], **summarize(runs[w], metrics)} for w in workloads}}
     check_schema(doc)
+    committed = subprocess.run(["git", "ls-files", "BENCH_*.json"], cwd=ROOT, check=True, capture_output=True,
+                               text=True).stdout.split()
+    name = newest_bench(committed, args.out)
+    if name is None:
+        print("no 'previous' block: no BENCH file is committed", file=sys.stderr)
+    else:
+        with open(os.path.join(ROOT, name)) as fh:
+            block = previous_block(doc, json.load(fh), name)
+        if block is not None:
+            doc["previous"] = block
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -342,13 +342,11 @@ def csv_text(header, columns) -> str:
     `columns`, which holds one sequence per header name, all of one
     length. There must be at least two columns (ValueError otherwise).
 
-    Each value is written as format(value, ""). That is str(value) for
-    str, int, float, bool, None and numpy's float64 and int64 scalars
-    (for a float, its shortest round-trip repr), but not for np.float32,
-    so callers pass Python scalars. One str.format call writes every
-    field with \\r\\n line ends and no field quoted: the text is byte for
-    byte what csv.writer writes. A field that csv.writer would quote,
-    one holding a comma, quote, CR or LF, raises ValueError instead.
+    Each value is written as str(value): for a float, its shortest
+    round-trip repr. One `%` call writes every field with \\r\\n line
+    ends and no field quoted: the text is byte for byte what csv.writer
+    writes. A field that csv.writer would quote, one holding a comma,
+    quote, CR or LF, raises ValueError instead.
     """
     width = len(header)
     if len(columns) != width or width < 2:
@@ -357,7 +355,7 @@ def csv_text(header, columns) -> str:
     flat = [*header, *[None] * (width * (rows - 1))]
     for j, column in enumerate(columns):
         flat[width + j::width] = column
-    text = (("{}," * (width - 1) + "{}\r\n") * rows).format(*flat)
+    text = (("%s," * (width - 1) + "%s\r\n") * rows) % tuple(flat)
     # A field holding a comma, quote, CR or LF adds to these counts.
     if (text.count(",") != (width - 1) * rows or text.count("\r") != rows or text.count("\n") != rows
             or '"' in text):

@@ -46,13 +46,13 @@ import math
 import os
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionError, UsageError, check_integer, check_keys, check_list, from_json,
-                     naming, to_json)
+                     naming)
 
 ParamSet = dict[str, np.ndarray]
 
@@ -125,9 +125,11 @@ class NetworkSpec:
         for j, size in enumerate(self.input_shape):
             check_integer(size, f"input_shape entry {j}", 1)
         for i, layer in enumerate(self.layers):
-            for key, value in to_json(layer).items():
-                if key != "kind":
-                    check_integer(value, f"layer {i} ({layer.kind}) {key!r}", 1)
+            # Every field, None too: to_json leaves None out.
+            for f in fields(layer):
+                if f.init:
+                    key = f.metadata.get("key", f.name)
+                    check_integer(getattr(layer, f.name), f"layer {i} ({layer.kind}) {key!r}", 1)
         self.layer_input_shapes()  # raises ConfigError on a bad chain
         pool_positions = [i for i, l in enumerate(self.layers) if isinstance(l, GlobalAveragePool)]
         if len(pool_positions) > 1:
@@ -262,10 +264,11 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
     params holds [M, *shape] stacks and batch is [M, n, *input_shape]. The
     activations, [M, n, *output_shape], are the raw final-layer values (no
     softmax or sigmoid applied). The cache holds each layer's input,
-    except that a relu between the first and the last layer before the
-    first dense one runs in place, so its cached map is its output, which
-    gives the same mask; the layer after it shares that map. backward()
-    consumes the cache. With keep_cache=False the cache is None and the
+    except that a relu runs in place, so its cached map is its output,
+    which gives the same mask, and the layer after it shares that map:
+    a relu between the first and the last layer before the first dense
+    one, and one after a dense layer unless it is the last layer.
+    backward() consumes the cache. With keep_cache=False the cache is None and the
     layers before the first dense one hold one sample chunk's maps at a
     time in each of two threads when there is more than one chunk (see
     ForwardBuffers); the activations are the same bits.
@@ -288,16 +291,19 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
                              f"fit batch shape {x.shape}, keep_cache={keep_cache}")
         x = _per_sample_forward(spec, params, x, buffers, cache)
     # Dense layers multiply the whole batch in one product: BLAS can give
-    # a row other bits inside a product of another row count.
+    # a row other bits inside a product of another row count. The bias
+    # and a relu after a dense layer act in place on its fresh product,
+    # except a last relu that keeps its cache: backward would write into
+    # the activations.
+    last = len(spec.layers) - 1
     for i, layer in enumerate(spec.layers[first_dense:], first_dense):
         if cache is not None:
             cache.append(x)
         if isinstance(layer, Dense):
-            w = params[f"layer{i}.weight"]
-            b = params[f"layer{i}.bias"]
-            x = x @ w.swapaxes(1, 2) + b[:, None, :]
+            x = x @ params[f"layer{i}.weight"].swapaxes(1, 2)
+            x += params[f"layer{i}.bias"][:, None, :]
         else:  # a dense output has rank 1, so only relu can follow one
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=None if cache is not None and i == last else x)
     return x, cache
 
 
