@@ -24,11 +24,12 @@ def runs_of(values_by_side):
                    for k, v in enumerate(values)] for side, values in values_by_side.items()}
 
 
-def synthetic_file():
-    runs = runs_of({"parent": [10.0, 11.0, 12.0, 13.0], "change": [14.0, 15.0, 16.0, 17.0]})
+def synthetic_file(parent=(10.0, 11.0, 12.0, 13.0), change=(14.0, 15.0, 16.0, 17.0)):
+    runs = runs_of({"parent": parent, "change": change})
     return {"schema": bench_file.SCHEMA, "parent": {"commit": "a" * 40}, "change": {"commit": "b" * 40},
             "command": ["python3", "perfbench/run.py"], "seconds": 30.0, "pairs": 4,
-            "seeds": list(range(4)), "env": {"numpy": "2.4.6"},
+            "seeds": list(range(4)), "env": {"python": "3.11.7", "numpy": "2.4.6", "blas": "openblas",
+                                             "cpu": "x86", "nproc": 2, "seed": 0},
             "workloads": {"conv-train": {"runs": runs, **bench_file.summarize(runs, METRICS)}}}
 
 
@@ -43,6 +44,9 @@ def test_committed_file_follows_the_schema(path):
     bench_file.check_schema(doc)
     for workload, block in doc["workloads"].items():
         assert block == {"runs": block["runs"], **bench_file.summarize(block["runs"], METRICS)}, workload
+    if "previous" in doc:
+        with open(os.path.join(ROOT, doc["previous"]["file"])) as fh:
+            assert doc["previous"] == bench_file.previous_block(doc, json.load(fh), doc["previous"]["file"])
 
 
 def test_summary_of_known_runs():
@@ -95,3 +99,47 @@ def test_schema_refuses_a_damaged_file(damage):
         doc["env"] = None
     with pytest.raises(ValueError, match="BENCH file"):
         bench_file.check_schema(doc)
+
+
+def test_previous_block_compares_the_parent_with_the_previous_change():
+    """The previous file's change median is 15.5; this file's parent median
+    16.5 is 1/15.5 worse for a lower-is-better metric, which passes the
+    25% bound of wall_s but not the 5% bound of peak_rss_mib."""
+    previous = synthetic_file()
+    doc = synthetic_file(parent=(15.0, 16.0, 17.0, 18.0))
+    block = bench_file.previous_block(doc, previous, "BENCH_35.json")
+    assert (block["file"], block["commit"], list(block["workloads"])) == ("BENCH_35.json", "b" * 40, ["conv-train"])
+    metrics = block["workloads"]["conv-train"]
+    assert set(metrics) == set(METRICS)
+    assert metrics["wall_s"]["ratio"] == pytest.approx(16.5 / 15.5)
+    assert metrics["wall_s"]["worse_ratio"] == pytest.approx(1 / 15.5)
+    assert (metrics["wall_s"]["bound"], metrics["wall_s"]["within_bound"]) == (0.25, True)
+    assert (metrics["peak_rss_mib"]["bound"], metrics["peak_rss_mib"]["within_bound"]) == (0.05, False)
+    assert (metrics["train_steps_per_s"]["worse_ratio"], metrics["train_steps_per_s"]["within_bound"]) == (0.0, True)
+
+
+def test_previous_block_leaves_out_a_workload_the_previous_file_lacks():
+    doc = synthetic_file()
+    previous = synthetic_file()
+    previous["workloads"] = {"eval-large": previous["workloads"].pop("conv-train")}
+    assert bench_file.previous_block(doc, previous, "BENCH_35.json")["workloads"] == {}
+
+
+@pytest.mark.parametrize("key", bench_file.ENV_KEYS)
+def test_previous_block_needs_the_same_platform(capsys, key):
+    """A differing python, numpy, BLAS, CPU or core count gives no block
+    and says why; another seed does not matter."""
+    previous, doc = synthetic_file(), synthetic_file()
+    doc["env"]["seed"] = 1
+    assert bench_file.previous_block(doc, previous, "BENCH_35.json") is not None
+    doc["env"][key] = "other"
+    assert bench_file.previous_block(doc, previous, "BENCH_35.json") is None
+    assert key in capsys.readouterr().err
+
+
+def test_newest_bench_is_the_largest_number_but_the_new_file():
+    names = ["BENCH_9.json", "BENCH_35.json", "BENCH_36.json", "BENCH_x.json", "scripts/bench_file.py"]
+    new = os.path.join(bench_file.ROOT, "BENCH_36.json")
+    assert bench_file.newest_bench(names, new) == "BENCH_35.json"
+    assert bench_file.newest_bench(names, "BENCH_99.json") == "BENCH_36.json"
+    assert bench_file.newest_bench(["BENCH_36.json"], new) is None

@@ -270,6 +270,23 @@ class TestBadInputExitsCleanly:
         named = {"input_shape": "input_shape", "layers": "out_channels"}.get(field, "'out'")
         assert named in err and "integer >= 1" in err
 
+    @pytest.mark.parametrize("name,key", [
+        ("benchmark-quick.json", "in"), ("benchmark-quick.json", "out"), ("conv-demo.json", "in_channels"),
+        ("conv-demo.json", "kernel"), ("conv-demo.json", "stride"),
+    ], ids=["dense-in", "dense-out", "conv-in_channels", "conv-kernel", "conv-stride"])
+    def test_null_layer_field(self, tmp_path, capsys, name, key):
+        """A null layer field is refused as config: not a TypeError in the
+        layer chain, nor a message about the head's input shape."""
+        with open(os.path.join(os.path.dirname(QUICK), name)) as fh:
+            cfg = json.load(fh)
+        layer = cfg["model"]["backbone"]["layers"][0]
+        layer[key] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        err = self.run_failing(["train", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert f"layer 0 ({layer['kind']}) {key!r} must be an integer >= 1, got None" in err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
     @pytest.mark.parametrize("entry,key,value", [
         ("benchmark", "seed", 1.7), ("benchmark", "seed", True), ("benchmark", "reference_clusters", 2.9),
         ("split", "seed", "2"), ("synthetic", "seed", 1.0), ("synthetic", "dimension", 3.0),

@@ -516,19 +516,21 @@ class TestWriteAtomic:
                 csv_text(header, columns)
 
     def test_csv_text_writes_numpy_scalars_bools_and_none_as_str(self):
-        """format(value, "") is str(value) for these; csv.writer itself
-        would write None as an empty field."""
+        """Each value is written as str(value); csv.writer itself would
+        write None as an empty field. np.float32(0.1) is written as its
+        str, 0.1, not as format(value, "") writes it."""
         columns = [[np.float64(0.1), np.float64(-0.0)], [np.int64(-3), np.int64(2**62)],
-                   [True, False], [None, None]]
-        assert csv_text(["f", "i", "b", "n"], columns) == (
-            "f,i,b,n\r\n0.1,-3,True,None\r\n-0.0,4611686018427387904,False,None\r\n")
+                   [True, False], [None, None], [np.float32(0.1), np.float32(-2.5)]]
+        assert csv_text(["f", "i", "b", "n", "g"], columns) == (
+            "f,i,b,n,g\r\n0.1,-3,True,None,0.1\r\n-0.0,4611686018427387904,False,None,-2.5\r\n")
 
-    # Fields that csv.writer leaves bare, including format syntax, which
-    # must be written as it is. NEEDS_QUOTES fields hold a comma, quote, CR
+    # Fields that csv.writer leaves bare, including str.format and %-format
+    # syntax, which must be written as it is. NEEDS_QUOTES fields hold a comma, quote, CR
     # or LF, which csv.writer would quote.
     BARE_TEXT = st.text(alphabet=st.characters(exclude_characters=',"\r\n'), max_size=5)
     CSV_FIELDS = st.one_of(st.text(alphabet="ab \u00e9{}", max_size=5), BARE_TEXT,
-                           st.sampled_from(["{", "}", "{0}", "{!r}"]), st.integers(), st.floats())
+                           st.sampled_from(["{", "}", "{0}", "{!r}", "{}", "%", "%s", "%%", "%(a)s"]),
+                           st.integers(), st.floats())
     NEEDS_QUOTES = st.tuples(BARE_TEXT, st.sampled_from(',"\r\n'), BARE_TEXT).map("".join)
 
     def draw_table(self, data):

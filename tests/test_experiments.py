@@ -1,10 +1,11 @@
 import copy
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS, benchmark, bundled
@@ -196,17 +197,33 @@ def small_integers_only(value) -> bool:
     return isinstance(value, bool) or not isinstance(value, int) or abs(value) <= 300
 
 
+class Draws:
+    """Stands in for st.data() in an @example: each draw returns the next
+    of the given values, and they repeat, so one example serves every
+    parametrized run."""
+
+    def __init__(self, *values):
+        self.values = itertools.cycle(values)
+
+    def draw(self, strategy, label=None):
+        return next(self.values)
+
+
 class TestAnyConfigEdit:
     @pytest.mark.parametrize("name", CONFIG_NAMES)
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
+    # The benchmark backbone's dense 'out' (object 6, key 2) set to null:
+    # it once parsed and then failed the round trip.
+    @example(data=Draws(6, None, True, 2, False))
     def test_parses_or_raises_config_error(self, name, data):
         """Add, delete or replace one key of any object in a bundled config."""
         raw = bundled(name)
-        target = data.draw(st.sampled_from(list(json_objects(raw))))
+        objects = list(json_objects(raw))
+        target = objects[data.draw(st.integers(0, len(objects) - 1))]
         value = data.draw(st.integers(-3, 300) | st.floats(-1.0, 2.0) | json_values)
         if target and data.draw(st.booleans()):
-            key = data.draw(st.sampled_from(sorted(target)))
+            key = sorted(target)[data.draw(st.integers(0, len(target) - 1))]
             if data.draw(st.booleans()):
                 del target[key]
             else:

@@ -700,6 +700,43 @@ class TestCacheFreeForward:
         assert large <= small + (1 << 16), (small, large)
 
 
+class TestDenseInPlace:
+    """A dense layer's bias, and a relu after it, act in place on the
+    layer's fresh product."""
+
+    @pytest.mark.parametrize("models", [1, 3])
+    @pytest.mark.parametrize("spec", [
+        NetworkSpec((8,), (Dense(8, 20), Relu(), Dense(20, 4), Relu())),
+        NetworkSpec((1, 6, 6), (Conv2d(1, 3, 3), Relu(), GlobalAveragePool(), Dense(3, 5), Relu(), Dense(5, 2))),
+    ], ids=["dense", "conv-head"])
+    def test_scoring_gives_the_cached_bits_and_leaves_its_inputs(self, spec, models):
+        """The cache-free activations are the cached forward's bits and a
+        whole-batch reference's; the batch and the parameters (with
+        nonzero biases) are as they were."""
+        rng = np.random.default_rng(models)
+        params = {name: rng.standard_normal((models,) + shape) for name, shape in param_shapes(spec).items()}
+        x = rng.standard_normal((models, 40) + spec.input_shape)
+        inputs = [a.copy() for a in (x, *params.values())]
+        free, _ = forward(spec, params, x, keep_cache=False)
+        cached, _ = forward(spec, params, x)
+        expected = np.stack([whole_batch_forward(spec, {k: v[m] for k, v in params.items()}, x[m])
+                             for m in range(models)])
+        assert free.tobytes() == cached.tobytes() == expected.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((x, *params.values()), inputs))
+
+    def test_backward_leaves_the_activations_of_a_last_relu(self):
+        """A last relu that keeps its cache writes a new array, so the
+        backward pass, which writes into its cached map, leaves the
+        activations as forward returned them."""
+        spec = NetworkSpec((8,), (Dense(8, 20), Relu()))
+        rng = np.random.default_rng(0)
+        params = stack([init_params(spec, seed) for seed in range(2)])
+        out, cache = forward(spec, params, rng.standard_normal((2, 6, 8)))
+        returned = out.copy()
+        backward(spec, params, cache, rng.standard_normal(out.shape))
+        assert out.tobytes() == returned.tobytes()
+
+
 class Boom(Exception):
     pass
 
