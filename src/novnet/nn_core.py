@@ -268,10 +268,11 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
     which gives the same mask, and the layer after it shares that map:
     a relu between the first and the last layer before the first dense
     one, and one after a dense layer unless it is the last layer.
-    backward() consumes the cache. With keep_cache=False the cache is None and the
-    layers before the first dense one hold one sample chunk's maps at a
-    time in each of two threads when there is more than one chunk (see
-    ForwardBuffers); the activations are the same bits.
+    backward() consumes the cache. With keep_cache=False the cache is
+    None and the layers before the first dense one hold one sample
+    chunk's maps at a time in each of two threads when there is more
+    than one chunk (see ForwardBuffers); the activations are the same
+    bits.
 
     The layers before the first dense one write into a buffer set from
     forward_buffers: `buffers`, made for this spec, M, n and keep_cache
@@ -295,7 +296,6 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
     # and a relu after a dense layer act in place on its fresh product,
     # except a last relu that keeps its cache: backward would write into
     # the activations.
-    last = len(spec.layers) - 1
     for i, layer in enumerate(spec.layers[first_dense:], first_dense):
         if cache is not None:
             cache.append(x)
@@ -303,7 +303,7 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
             x = x @ params[f"layer{i}.weight"].swapaxes(1, 2)
             x += params[f"layer{i}.bias"][:, None, :]
         else:  # a dense output has rank 1, so only relu can follow one
-            x = np.maximum(x, 0.0, out=None if cache is not None and i == last else x)
+            x = np.maximum(x, 0.0, out=None if cache is not None and i == len(spec.layers) - 1 else x)
     return x, cache
 
 
