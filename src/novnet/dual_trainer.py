@@ -130,8 +130,8 @@ class DualBranchModel:
         a one-row stack: the conv, relu and pool layers before the first
         dense one run in reused sample-chunk buffers, so their memory does
         not depend on the batch size, and a batch of more than one chunk
-        runs the second half of its chunks on the worker thread, with the
-        same bits; dense layers see the whole batch in the calling thread."""
+        runs in two halves through nn_core._fork_join, with the same bits;
+        dense layers see the whole batch in the calling thread."""
         return _score(self.backbone_spec, self.backbone, x)
 
     def known_logits(self, x: np.ndarray) -> np.ndarray:
@@ -308,17 +308,17 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     [4, M] loss components (ce_R, ce_T, m_T, cumulative) at the
     pre-update parameters.
 
-    The reference branch (backbone and head_R forward, cross-entropy,
-    head_R and backbone backward) is one job. For a backbone with
-    per-sample layers (conv2d, relu, pool before the first dense one) it
-    runs on the worker thread while the calling thread runs the known
-    branch; a dense backbone's runs first, in the calling thread. The
-    two branches read the parameters and write only their own caches and
-    buffer sets, which the calling thread makes (TrainerState.step_buffers)
-    before the hand-off, so the worker allocates no map. The step does
-    not end before the job does, even when the known branch raises. The
-    reference gradients join the known ones after both end, so every
-    value takes the operations it takes on one thread.
+    The known branch and the reference branch (backbone and head_R
+    forward, cross-entropy, head_R and backbone backward) are one job
+    each. For a backbone with per-sample layers (conv2d, relu, pool
+    before the first dense one) nn_core._fork_join runs them, the known
+    branch in the calling thread and the reference branch on the worker;
+    a dense backbone's run one after the other in the calling thread.
+    The two branches read the parameters and write only their own caches
+    and buffer sets, which the calling thread makes
+    (TrainerState.step_buffers) before the hand-off, so the worker
+    allocates no map. The reference gradients join the known ones after
+    both end, so every value takes the operations it takes on one thread.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
@@ -326,31 +326,8 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     rows = len(state.alpha2)
     x_t, y_t = batch_T
     buffers_t = state.step_buffers("T", x_t)
-    ce_r = np.zeros(rows)
-    reference = None
-    if batch_R is not None:
-        x_r, y_r = batch_R
-        dual = state.dual_rows
-        backbone_r = {k: v[dual] for k, v in backbone.items()}
-        buffers_r = state.step_buffers("R", x_r)
 
-        def reference_branch():
-            feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r, buffers=buffers_r)
-            f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
-            ce, ce_grad = cross_entropy_terms(f_r, y_r)
-            head_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_grad)
-            grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
-            return ce, head_grads, grads
-
-        # A per-sample backbone's passes are mostly einsum, which runs
-        # without the GIL, so its reference branch runs on the worker
-        # beside the known branch. Dense backbones run it here: their
-        # small arrays would pass the GIL back and forth.
-        run = nn_core._start_on_worker if backbone_spec.per_sample_depth else nn_core._run_here
-        reference = run(reference_branch)
-
-    head_r_grads: ParamSet = {}
-    try:
+    def known_branch():
         feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t, buffers=buffers_t)
         f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
         ce_t, ce_t_grad = cross_entropy_terms(f_t, y_t)
@@ -366,12 +343,33 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         upstream_t = cfg.alpha1 * ce_t_grad + state.alpha2[:, None, None] * m_t_grad
         head_t_grads, dfeat = nn_core.backward(head_t_spec, head_t, cache_ht, upstream_t)
         backbone_grads, _ = nn_core.backward(backbone_spec, backbone, cache_bt, dfeat, input_grad=False)
-    finally:
-        # The job reads the parameters and writes the reference buffers,
-        # so it ends before the step does, whatever ends the known branch.
-        if reference is not None:
-            ce_r[dual], head_r_grads, backbone_r_grads = reference()
-    if reference is not None:
+        return ce_t, m_t, head_t_grads, backbone_grads
+
+    jobs = [known_branch]
+    if batch_R is not None:
+        x_r, y_r = batch_R
+        dual = state.dual_rows
+        backbone_r = {k: v[dual] for k, v in backbone.items()}
+        buffers_r = state.step_buffers("R", x_r)
+
+        def reference_branch():
+            feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r, buffers=buffers_r)
+            f_r, cache_hr = nn_core.forward(head_r_spec, head_r, feat_r)
+            ce, ce_grad = cross_entropy_terms(f_r, y_r)
+            head_grads, dfeat_r = nn_core.backward(head_r_spec, head_r, cache_hr, ce_grad)
+            grads, _ = nn_core.backward(backbone_spec, backbone_r, cache_br, dfeat_r, input_grad=False)
+            return ce, head_grads, grads
+
+        jobs.append(reference_branch)
+
+    # A per-sample backbone's passes are mostly einsum, which runs without
+    # the GIL, so its branches run on two threads. A dense backbone's run
+    # here: their small arrays would pass the GIL back and forth.
+    results = nn_core._fork_join(jobs) if backbone_spec.per_sample_depth else [job() for job in jobs]
+    (ce_t, m_t, head_t_grads, backbone_grads), *reference = results
+    ce_r, head_r_grads = np.zeros(rows), {}
+    if reference:
+        ce_r[dual], head_r_grads, backbone_r_grads = reference[0]
         for name, g in backbone_r_grads.items():
             backbone_grads[name][dual] += g
 
@@ -464,20 +462,16 @@ def _pool(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ys), offsets
 
 
-def _check_known_logits(state: TrainerState, x: np.ndarray, offsets: np.ndarray, n: int) -> None:
+def _check_known_logits(state: TrainerState, models, x: np.ndarray, offsets: np.ndarray, n: int) -> None:
     """Raise DivergenceError naming the first row whose known-head logits
     on its epoch set (x[offset:offset + n]) are not all finite: finite
     weights can still overflow them, and scoring would then fail. Each
-    row runs alone through the cache-free forward that scoring takes,
-    on its epoch set read in place, so the check holds one row's maps at
-    a time however many rows the stack has."""
-    backbone_spec, head_t_spec, _ = state.specs
-    for row, (start,) in enumerate(offsets):
-        backbone, head = ({key: v[row:row + 1] for key, v in state.params[group].items()}
-                          for group in ("backbone", "head_T"))
+    row's model scores its epoch set, read in place, through
+    known_logits, whose dicts are views of the row, so the check holds
+    one row's maps at a time however many rows the stack has."""
+    for row, (model, (start,)) in enumerate(zip(models, offsets)):
         with np.errstate(all="ignore"):
-            features, _ = nn_core.forward(backbone_spec, backbone, x[None, start:start + n], keep_cache=False)
-            logits, _ = nn_core.forward(head_t_spec, head, features, keep_cache=False)
+            logits = model.known_logits(x[start:start + n])
         if not np.isfinite(logits).all():
             raise DivergenceError(f"non-finite known-head logit on the training data{state.where(row)}")
 
@@ -507,13 +501,12 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
     branch over its epoch set checks that the logits are finite: finite
     weights can still overflow them (DivergenceError naming the row).
 
-    A backbone whose first layer is not dense runs each step's whole
-    reference branch on nn_core's worker thread, beside the known branch,
-    with the same bits (see _lockstep_step). Its forward passes fill
-    buffer sets that the stack keeps until the last step ends, one per
-    branch and batch length, each made by the calling thread. The worker
-    is a daemon thread, started on first use and kept for the process; a
-    dense backbone trains in the calling thread alone, with no buffer sets.
+    A backbone whose first layer is not dense runs each step's two
+    branches through nn_core._fork_join, with the same bits (see
+    _lockstep_step). Its forward passes fill buffer sets that the stack
+    keeps until the last step ends, one per branch and batch length, each
+    made by the calling thread. A dense backbone trains in the calling
+    thread alone, with no buffer sets.
     """
     models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
     if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):
@@ -575,7 +568,7 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
     state.buffers.clear()
     try:
         state.check_finite(state.values, state.params, "parameter")
-        _check_known_logits(state, x_t, offsets_t, n)
+        _check_known_logits(state, models, x_t, offsets_t, n)
     except DivergenceError as exc:
         raise DivergenceError(f"{exc} after the last update at epoch {cfg.epochs - 1}, step {steps - 1}") from None
     return histories

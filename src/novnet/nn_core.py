@@ -31,12 +31,13 @@ that one copy fills; one with several input channels runs one einsum
 per offset on a strided view of its input, since its channel sum nests
 inside the offset sum (see _conv2d_forward). Both give the loop's bits.
 
-A scoring forward of more than one chunk hands the second half of its
-chunks to the worker, one daemon thread that also runs a conv training
-step's reference branch (see _start_on_worker), and runs the first half
-itself; each half fills its own rows of the last per-sample map, with
-its own buffers, and the dense layers then run in the calling thread.
-A forward that keeps its cache runs every chunk in the calling thread.
+A scoring forward of more than one chunk runs the first half of its
+chunks in the calling thread and the second half on the worker, one
+daemon thread that also runs a conv training step's reference branch;
+_fork_join holds the rules of that hand-off and its join. Each half
+fills its own rows of the last per-sample map, with its own buffers,
+and the dense layers then run in the calling thread. A forward that
+keeps its cache runs every chunk in the calling thread.
 """
 
 from __future__ import annotations
@@ -323,12 +324,12 @@ class Lane:
 class ForwardBuffers:
     """The arrays a forward of `models` models on `n` samples of `spec`
     fills in the layers before the first dense one, which run over sample
-    chunks of `chunk` samples, one lane per thread: the calling thread's
-    first, then, for a scoring forward of more than one chunk, the
-    worker's, which takes the second half of the chunks. A map spans the
-    batch when the forward keeps its cache or the layer is the last of
-    them (the lanes share that one), else one chunk; a relu between the
-    first and the last of them shares its input's map."""
+    chunks of `chunk` samples, one lane per _fork_join job: one, or for a
+    scoring forward of more than one chunk, two, the second taking the
+    second half of the chunks. A map spans the batch when the forward
+    keeps its cache or the layer is the last of them (the lanes share
+    that one), else one chunk; a relu between the first and the last of
+    them shares its input's map."""
 
     spec: NetworkSpec
     models: int
@@ -378,17 +379,11 @@ def forward_buffers(spec: NetworkSpec, models: int, n: int, keep_cache: bool = T
 def _per_sample_forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray, buffers: ForwardBuffers,
                         cache: "list | None") -> np.ndarray:
     """Run the layers before the first dense one (conv2d, relu and pool)
-    over sample chunks into the buffer set, each lane in its own thread;
-    returns the last layer's whole-batch output and, with a cache,
-    appends each layer's input to it. The call ends only when every lane
-    has, even when its own lane raises."""
-    here, *there = buffers.lanes
-    waits = [_start_on_worker(partial(_run_chunks, spec, params, x, buffers.chunk, lane)) for lane in there]
-    try:
-        _run_chunks(spec, params, x, buffers.chunk, here)
-    finally:
-        for wait in waits:
-            wait()
+    over sample chunks into the buffer set, the lanes as _fork_join's
+    jobs; returns the last layer's whole-batch output and, with a cache,
+    appends each layer's input to it."""
+    _fork_join([partial(_run_chunks, spec, params, x, buffers.chunk, lane) for lane in buffers.lanes])
+    here = buffers.lanes[0]
     if cache is not None:
         cache.extend([x] + here.maps[:-1])
     return here.maps[-1]
@@ -418,7 +413,7 @@ def _run_chunks(spec: NetworkSpec, params: ParamSet, x: np.ndarray, chunk: int, 
 
 
 # The worker: one daemon thread, started on first use, that runs the
-# jobs _start_on_worker hands it, in order: the second half of a scoring
+# jobs _fork_join queues, in order: the second half of a scoring
 # forward's chunks, and a conv training step's reference branch.
 _worker_lock = threading.Lock()
 _worker_jobs: "queue.SimpleQueue | None" = None
@@ -439,39 +434,36 @@ def _run(context: contextvars.Context, job, done: queue.SimpleQueue) -> None:
         done.put((False, exc))
 
 
-def _start_on_worker(job):
-    """Start job() on the worker thread; returns a function that waits for
-    it and returns its result or raises its exception. The job runs in a
-    copy of the caller's context, so np.errstate holds there too. Called
-    on the worker itself, it runs the job in place (_run_here), since the
-    worker cannot wait for a job queued behind its own."""
+def _fork_join(jobs: list) -> list:
+    """Run jobs[0] in the calling thread and queue the others, in order, on
+    the worker, each in a copy of the caller's context, so np.errstate
+    holds there too; returns their results in job order once every job
+    has ended. If any job raises, this raises the first exception in job
+    order, after every job has ended. With one job, or called on the
+    worker itself, it runs every job in place: the worker cannot wait for
+    a job queued behind its own."""
     global _worker_jobs, _worker_thread
-    if threading.current_thread() is _worker_thread:
-        return _run_here(job)
+    if len(jobs) < 2 or threading.current_thread() is _worker_thread:
+        return [job() for job in jobs]
     with _worker_lock:
         if _worker_jobs is None:
             _worker_jobs = queue.SimpleQueue()
             _worker_thread = threading.Thread(target=_serve, args=(_worker_jobs,), name="novnet-worker",
                                               daemon=True)
             _worker_thread.start()
-        jobs = _worker_jobs
+        worker = _worker_jobs
     done = queue.SimpleQueue()
-    jobs.put((contextvars.copy_context(), job, done))
-
-    def result():
-        ok, value = done.get()
+    for job in jobs[1:]:
+        worker.put((contextvars.copy_context(), job, done))
+    try:
+        outcomes = [(True, jobs[0]())]
+    except BaseException as exc:
+        outcomes = [(False, exc)]
+    outcomes += [done.get() for _ in jobs[1:]]
+    for ok, value in outcomes:
         if not ok:
             raise value
-        return value
-
-    return result
-
-
-def _run_here(job):
-    """Run job() now, in the calling thread; returns a function that
-    returns its result, as _start_on_worker does."""
-    result = job()
-    return lambda: result
+    return [value for _, value in outcomes]
 
 
 def _forget_worker() -> None:

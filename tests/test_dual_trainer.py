@@ -1035,16 +1035,16 @@ class TestKnownLogitsCheck:
             x, offsets = np.concatenate([x, x[::-1]]), np.array([[0], [n]])
         else:
             offsets = np.zeros((2, 1), dtype=np.int64)
-        real_start, halves = nn_core._start_on_worker, []
-        monkeypatch.setattr(nn_core, "_start_on_worker", lambda job: halves.append(job) or real_start(job))
+        real_fork_join, halves = nn_core._fork_join, []
+        monkeypatch.setattr(nn_core, "_fork_join", lambda jobs: halves.append(len(jobs)) or real_fork_join(jobs))
         monkeypatch.setattr(nn_core, "_CHUNK_MACS", 1)
-        dual_trainer._check_known_logits(state, x, offsets, n)
+        dual_trainer._check_known_logits(state, models, x, offsets, n)
         head = state.params["head_T"]
         head["layer0.weight"][1] = head["layer0.bias"][1] = np.finfo(np.float64).max
         with pytest.raises(DivergenceError, match="^non-finite known-head logit on the training data of stacked "
                                                   "model 1$"):
-            dual_trainer._check_known_logits(state, x, offsets, n)
-        assert len(halves) == 4  # one per row's forward, in each call
+            dual_trainer._check_known_logits(state, models, x, offsets, n)
+        assert halves == [2] * 4  # one per row's backbone forward, in each call
 
     def test_peak_does_not_grow_with_the_rows(self):
         """Rows on distinct epoch sets: the check's traced peak with 8 rows
@@ -1059,7 +1059,7 @@ class TestKnownLogitsCheck:
             x, offsets = np.concatenate([known[0].x] * rows), n * np.arange(rows)[:, None]
             tracemalloc.start()
             try:
-                dual_trainer._check_known_logits(state, x, offsets, n)
+                dual_trainer._check_known_logits(state, models, x, offsets, n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1108,6 +1108,11 @@ def spy_on_buffers(monkeypatch):
     return made
 
 
+def in_place(jobs):
+    """_fork_join with every job run in the calling thread."""
+    return [job() for job in jobs]
+
+
 class Boom(Exception):
     pass
 
@@ -1119,8 +1124,8 @@ class TestReferenceWorker:
         """A dense backbone's step hands no job to the worker, which an
         earlier test may have started, and makes no buffer set."""
         made, started = spy_on_buffers(monkeypatch), []
-        real_start = nn_core._start_on_worker
-        monkeypatch.setattr(nn_core, "_start_on_worker", lambda job: started.append(job) or real_start(job))
+        real_fork_join = nn_core._fork_join
+        monkeypatch.setattr(nn_core, "_fork_join", lambda jobs: started.append(jobs) or real_fork_join(jobs))
         before = threading.active_count()
         experiments.train_models(config_runs("benchmark-quick.json", experiments.ABLATION_MODES, reps=1))
         assert threading.active_count() == before
@@ -1151,7 +1156,7 @@ class TestReferenceWorker:
         for (cfg, data), (model, history) in zip(runs, on_worker):
             alone, reference = untrained(cfg, data)
             assert_trained_as_alone(model, history, alone, data.train_T, reference, cfg.training)
-        monkeypatch.setattr(nn_core, "_start_on_worker", nn_core._run_here)
+        monkeypatch.setattr(nn_core, "_fork_join", in_place)
         inline = experiments.train_models(runs)
         assert ([(model_bytes(m), [to_json(h) for h in history]) for m, history in on_worker]
                 == [(model_bytes(m), [to_json(h) for h in history]) for m, history in inline])
@@ -1169,7 +1174,7 @@ class TestReferenceWorker:
         two branches' passes interleave finely and still train the bits
         of the step run in one thread."""
         with monkeypatch.context() as inline:
-            inline.setattr(nn_core, "_start_on_worker", nn_core._run_here)
+            inline.setattr(nn_core, "_fork_join", in_place)
             want = trained_bytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1201,7 +1206,7 @@ class TestReferenceWorker:
         exception reaches the caller only once the job has ended, and the
         next training gives the same bits."""
         want = trained_bytes()
-        real_backward, real_start = nn_core.backward, nn_core._start_on_worker
+        real_backward, real_fork_join = nn_core.backward, nn_core._fork_join
         raised, ended = threading.Event(), []
 
         def backward(*args, **kwargs):
@@ -1212,16 +1217,20 @@ class TestReferenceWorker:
             time.sleep(0.1)
             return real_backward(*args, **kwargs)
 
-        def start(job):
+        def fork_join(jobs):
+            if len(jobs) == 1:  # a forward's chunks
+                return real_fork_join(jobs)
+            known, reference = jobs
+
             def tracked():
                 try:
-                    return job()
+                    return reference()
                 finally:
                     ended.append(True)
-            return real_start(tracked)
+            return real_fork_join([known, tracked])
 
         monkeypatch.setattr(nn_core, "backward", backward)
-        monkeypatch.setattr(nn_core, "_start_on_worker", start)
+        monkeypatch.setattr(nn_core, "_fork_join", fork_join)
         with pytest.raises(Boom, match="raised in the known branch"):
             trained_bytes()
         assert ended == [True]

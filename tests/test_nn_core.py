@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -839,8 +840,8 @@ class TestScoringHalves:
         spec, params, x = scoring_operands(1, 1, 3 * chunk_size(1, 1))
         want, _ = forward(spec, params, x, keep_cache=False)
         chunks, got = recorded_chunks(monkeypatch), []
-        caller = threading.Thread(target=lambda: got.append(nn_core._start_on_worker(
-            lambda: forward(spec, params, x, keep_cache=False)[0])()), daemon=True)
+        caller = threading.Thread(target=lambda: got.append(nn_core._fork_join(
+            [lambda: None, lambda: forward(spec, params, x, keep_cache=False)[0]])[1]), daemon=True)
         caller.start()
         caller.join(60)
         if caller.is_alive():  # later tests get a worker of their own
@@ -871,6 +872,81 @@ class TestScoringHalves:
         assert len(ended) == 1
         monkeypatch.undo()
         assert forward(spec, params, x, keep_cache=False)[0].tobytes() == want.tobytes()
+
+
+class TestForkJoin:
+    """_fork_join runs its first job in the calling thread and the others
+    on the worker, and returns or raises only once every job has ended."""
+
+    def test_results_come_back_in_job_order(self):
+        """jobs[1:] run in order on the worker; the results keep job order."""
+        ran = []
+
+        def job(i):
+            ran.append((i, threading.current_thread().name))
+            return i * i
+
+        assert nn_core._fork_join([partial(job, i) for i in range(4)]) == [0, 1, 4, 9]
+        assert [r for r in ran if r[0] == 0] == [(0, threading.current_thread().name)]
+        assert [r for r in ran if r[0] > 0] == [(i, "novnet-worker") for i in (1, 2, 3)]
+
+    def test_one_job_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(nn_core, "_worker_jobs", None)
+        monkeypatch.setattr(nn_core, "_worker_thread", None)
+        before = threading.active_count()
+        assert nn_core._fork_join([threading.current_thread]) == [threading.current_thread()]
+        assert threading.active_count() == before
+        assert nn_core._worker_jobs is None and nn_core._worker_thread is None
+
+    def test_the_callers_errstate_holds_in_a_worker_job(self):
+        """The worker runs its job in a copy of the caller's context, where
+        np.errstate keeps its settings."""
+        def divide():
+            return np.geterr()["divide"], np.float64(1.0) / np.float64(0.0)
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                nn_core._fork_join([lambda: None, divide])
+        with np.errstate(divide="ignore"):
+            assert nn_core._fork_join([lambda: None, divide])[1] == ("ignore", np.inf)
+
+    def test_two_callers_at_once_get_the_one_thread_bits(self):
+        """Two threads each score a two-half batch at the same time, so
+        their second halves queue on the one worker: each gets the bits of
+        the cached forward, which runs in one thread."""
+        operands = [scoring_operands(1, 1, 3 * chunk_size(1, 1) + k) for k in range(2)]
+        assert all(len(nn_core.forward_buffers(spec, 1, x.shape[1], keep_cache=False).lanes) == 2
+                   for spec, _, x in operands)
+        want = [forward(*args)[0].tobytes() for args in operands]
+        barrier, got = threading.Barrier(2), {}
+
+        def score(k):
+            barrier.wait(10)
+            got[k] = [forward(*operands[k], keep_cache=False)[0].tobytes() for _ in range(5)]
+
+        callers = [threading.Thread(target=score, args=(k,), daemon=True) for k in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+        assert got == {k: [want[k]] * 5 for k in range(2)}
+
+    def test_the_first_exception_in_job_order_is_raised_after_every_job_ends(self):
+        """Job 0 raises at once, job 1 sleeps and then raises: the caller
+        gets job 0's exception, only once job 1 has ended."""
+        ended = []
+
+        def first():
+            raise Boom("raised by job 0")
+
+        def second():
+            time.sleep(0.2)
+            ended.append(True)
+            raise Boom("raised by job 1")
+
+        with pytest.raises(Boom, match="raised by job 0"):
+            nn_core._fork_join([first, second])
+        assert ended == [True]
 
 
 class TestSgdStep:
