@@ -220,8 +220,7 @@ class TrainerState:
     schedule the rows share (the caller's first config; rows may differ
     only in mode and seed), `alpha2` is each row's effective membership
     weight, and `membership_rows` holds the indices of the rows whose mode
-    uses the membership loss. `buffers` holds the backbone forward's
-    buffer sets (see step_buffers).
+    uses the membership loss.
     """
 
     specs: tuple[NetworkSpec, NetworkSpec, NetworkSpec | None]
@@ -232,7 +231,6 @@ class TrainerState:
     alpha2: np.ndarray
     dual_rows: np.ndarray
     velocity: np.ndarray | None = None
-    buffers: dict = field(default_factory=dict)
 
     @classmethod
     def stack(cls, models, cfgs) -> "TrainerState":
@@ -259,19 +257,6 @@ class TrainerState:
                    groups["head_R"][0].head_R_spec if dual_rows.size else None),
             values=values, params=params, cfg=cfgs[0], membership_rows=np.flatnonzero(membership),
             alpha2=np.where(membership, cfgs[0].alpha2, 0.0), dual_rows=dual_rows)
-
-    def step_buffers(self, branch: str, batch: np.ndarray) -> "nn_core.ForwardBuffers | None":
-        """The buffer set the backbone forward of `branch` ("T" or "R")
-        fills on `batch`, one per branch and batch length: made by the
-        first step that needs it, in the thread that calls this, and kept
-        for later steps. None for a dense first layer, which needs none."""
-        backbone_spec = self.specs[0]
-        if not backbone_spec.per_sample_depth:
-            return None
-        key = branch, batch.shape[1]
-        if key not in self.buffers:
-            self.buffers[key] = nn_core.forward_buffers(backbone_spec, *batch.shape[:2])
-        return self.buffers[key]
 
     def where(self, row) -> str:
         """The suffix " of stacked model K" naming row K ("" for a lone model)."""
@@ -315,20 +300,20 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
     branch in the calling thread and the reference branch on the worker;
     a dense backbone's run one after the other in the calling thread.
     The two branches read the parameters and write only their own caches
-    and buffer sets, which the calling thread makes
-    (TrainerState.step_buffers) before the hand-off, so the worker
-    allocates no map. The reference gradients join the known ones after
-    both end, so every value takes the operations it takes on one thread.
+    and buffer sets, which live for this step and are made by the calling
+    thread: the known forward makes its own, and the reference set is
+    made before the hand-off, so the worker allocates no map. The
+    reference gradients join the known ones after both end, so every
+    value takes the operations it takes on one thread.
     """
     cfg = state.cfg
     backbone_spec, head_t_spec, head_r_spec = state.specs
     backbone, head_t, head_r = (state.params[group] for group in ("backbone", "head_T", "head_R"))
     rows = len(state.alpha2)
     x_t, y_t = batch_T
-    buffers_t = state.step_buffers("T", x_t)
 
     def known_branch():
-        feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t, buffers=buffers_t)
+        feat_t, cache_bt = nn_core.forward(backbone_spec, backbone, x_t)
         f_t, cache_ht = nn_core.forward(head_t_spec, head_t, feat_t)
         ce_t, ce_t_grad = cross_entropy_terms(f_t, y_t)
         # Only the membership rows compute the membership terms. The other
@@ -350,7 +335,8 @@ def _lockstep_step(state: TrainerState, batch_T, batch_R) -> np.ndarray:
         x_r, y_r = batch_R
         dual = state.dual_rows
         backbone_r = {k: v[dual] for k, v in backbone.items()}
-        buffers_r = state.step_buffers("R", x_r)
+        buffers_r = (nn_core.forward_buffers(backbone_spec, *x_r.shape[:2])
+                     if backbone_spec.per_sample_depth else None)
 
         def reference_branch():
             feat_r, cache_br = nn_core.forward(backbone_spec, backbone_r, x_r, buffers=buffers_r)
@@ -503,10 +489,9 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
 
     A backbone whose first layer is not dense runs each step's two
     branches through nn_core._fork_join, with the same bits (see
-    _lockstep_step). Its forward passes fill buffer sets that the stack
-    keeps until the last step ends, one per branch and batch length, each
-    made by the calling thread. A dense backbone trains in the calling
-    thread alone, with no buffer sets.
+    _lockstep_step). Its forward passes fill buffer sets that live for
+    one step, each made by the calling thread. A dense backbone trains in
+    the calling thread alone, with no buffer sets.
     """
     models, datasets_T, datasets_R, cfgs = (list(a) for a in (models, datasets_T, datasets_R, cfgs))
     if not models or not len(models) == len(datasets_T) == len(datasets_R) == len(cfgs):
@@ -563,9 +548,6 @@ def train_lockstep(models, datasets_T, datasets_R, cfgs) -> list[list[EpochStats
             history.append(EpochStats(epoch, *(float(v) for v in means)))
     # Each step's loss check sees the previous update; the last update
     # has no next step, so its result is checked here, parameters first.
-    # The step buffer sets go first, so the logits check's scoring buffers
-    # do not add to them at the process's peak.
-    state.buffers.clear()
     try:
         state.check_finite(state.values, state.params, "parameter")
         _check_known_logits(state, models, x_t, offsets_t, n)

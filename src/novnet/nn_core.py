@@ -20,16 +20,16 @@ caches and buffer sets. Only momentum_update changes parameter values.
 
 The layers before the first dense one (conv2d, relu, pool) act on each
 sample alone, so forward runs them over sample chunks in one buffer set
-(see forward_buffers): a new one per call, unless the caller passes a
-set it keeps for many calls of one batch shape. The scoring forward
-(keep_cache=False) keeps no cache, so its memory does not grow with the
-batch. Dense layers multiply the whole batch in one product, because
-BLAS can give a row other bits inside a product of another row count.
-Outputs are unchanged to the bit by the chunks. A conv2d layer with one
-input channel sums its kernel offsets in one einsum over a patch buffer
-that one copy fills; one with several input channels runs one einsum
-per offset on a strided view of its input, since its channel sum nests
-inside the offset sum (see _conv2d_forward). Both give the loop's bits.
+(see forward_buffers): a new one per call, or one the caller made for
+the call. The scoring forward (keep_cache=False) keeps no cache, so its
+memory does not grow with the batch. Dense layers multiply the whole
+batch in one product, because BLAS can give a row other bits inside a
+product of another row count. Outputs are unchanged to the bit by the
+chunks. A conv2d layer with one input channel sums its kernel offsets
+in one einsum over a patch buffer that one copy fills; one with several
+input channels runs one einsum per offset on a strided view of its
+input, since its channel sum nests inside the offset sum (see
+_conv2d_forward). Both give the loop's bits.
 
 A scoring forward of more than one chunk runs the first half of its
 chunks in the calling thread and the second half on the worker, one
@@ -279,7 +279,7 @@ def forward(spec: NetworkSpec, params: ParamSet, batch: np.ndarray, keep_cache: 
     forward_buffers: `buffers`, made for this spec, M, n and keep_cache
     (else UsageError), or a new one. The maps in the cache, and the
     activations when no dense layer follows, are that set's arrays, so
-    with a kept set they hold their values only until its next forward.
+    they hold their values only until the set's next forward.
     """
     x = _as_batch(spec, params, batch)
     cache = [] if keep_cache else None
@@ -344,9 +344,9 @@ def forward_buffers(spec: NetworkSpec, models: int, n: int, keep_cache: bool = T
 
     A chunk is the fewest samples that hold _CHUNK_MACS multiply-adds of
     the largest conv, counted at _MIN_CHANNEL_PAIRS channel pairs or more
-    (with no conv, the whole batch). Every forward takes its set from
-    here, in its calling thread: a new one per call, or one its caller
-    keeps and passes again.
+    (with no conv, the whole batch). Every forward fills a set from here:
+    a new one, or one its caller made, as a conv training step makes its
+    reference branch's in the calling thread before the hand-off.
     """
     count = spec.per_sample_depth
     shapes = spec.layer_input_shapes()

@@ -84,8 +84,10 @@ def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
 def calibrate_threshold(matched_scores, target_fnr: float) -> NoveltyThreshold:
     """Pick gamma as the ceil(target_fnr * n)-th smallest matched score.
 
-    Under the strict decision rule the realized false-negative rate on the
-    calibration set is (rank - 1) / n <= target_fnr.
+    The product is exact, with target_fnr taken as its repr writes it:
+    0.14 * 136,600 is 19,124, not the next integer above its float
+    product. Under the strict decision rule the realized false-negative
+    rate on the calibration set is (rank - 1) / n <= target_fnr.
     """
     # A stable sort keeps 0.0 and -0.0 in input order, so the sign of
     # gamma written to threshold.json does not depend on the sort routine.
@@ -97,9 +99,13 @@ def calibrate_threshold(matched_scores, target_fnr: float) -> NoveltyThreshold:
     if not np.all(np.isfinite(scores)):
         raise CalibrationError("cannot calibrate a threshold from non-finite matched scores")
     n = scores.size
-    # The 1e-12 slack stops float noise in target_fnr * n from pushing an
-    # exact integer product up to the next rank.
-    rank = max(1, math.ceil(target_fnr * n - 1e-12))
+    # repr writes the target as whole.fraction[e exponent]: the integer
+    # whole + fraction over 10**scale. The rank is the ceiling of that
+    # times n, in exact integers.
+    mantissa, _, exponent = repr(float(target_fnr)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    scale = len(fraction) - int(exponent or 0)
+    rank = -(-int(whole + fraction) * n // 10 ** scale)
     return NoveltyThreshold(gamma=float(scores[rank - 1]), percentile=target_fnr, sample_count=n)
 
 

@@ -936,31 +936,48 @@ def whole_set_step(rows):
     return models, [data.train_T] * rows, [data.reference] * rows, cfgs
 
 
+def train_two_conv_demo_epochs():
+    """Two epochs of a ce-only and a dual-full conv-demo row: 4 steps each,
+    the last on a short batch of 12."""
+    runs = config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1)
+    experiments.train_models([(replace(cfg, training=replace(cfg.training, epochs=2)), data) for cfg, data in runs])
+
+
 class TestBranchCacheLifetime:
     def test_known_branch_holds_one_map_per_conv_layer(self, monkeypatch):
         """The known branch's cache holds one map per conv layer, which the
         relu after it shares, and the pooled features: the maps of the
-        buffer set the step keeps for it. The branches run at once, so the
-        known backbone's forward is found by its spec, its thread and its
-        cache, which the scoring forward after the last update does not keep."""
+        buffer set its forward makes in the calling thread. The branches
+        run at once, so the known backbone's forward is found by its spec,
+        its thread and its cache, which the scoring forward after the last
+        update does not keep, and its set by its batch of 6 (the reference
+        batch holds 4) and its cache."""
         rng = np.random.default_rng(0)
         spec = NetworkSpec((1, 6, 6), (nn_core.Conv2d(1, 3, 3), Relu(), nn_core.Conv2d(3, 2, 2), Relu(),
                                        nn_core.GlobalAveragePool()))
         model = build_dual_model(spec, 3, 2, seed=0)
         known = Dataset(rng.standard_normal((6, 1, 6, 6)), np.arange(6) % 3, ["a", "b", "c"], provenance="t")
         reference = Dataset(rng.standard_normal((4, 1, 6, 6)), np.arange(4) % 2, ["r0", "r1"], provenance="r")
-        real_forward, known_passes = nn_core.forward, []
+        real_forward, real_buffers, known_passes, sets = nn_core.forward, nn_core.forward_buffers, [], []
 
         def forward_spy(spec, params, batch, *args, **kwargs):
             out, cache = real_forward(spec, params, batch, *args, **kwargs)
             if (spec == model.backbone_spec and threading.current_thread() is threading.main_thread()
                     and cache is not None):
-                known_passes.append((cache, out, kwargs["buffers"]))
+                known_passes.append((cache, out))
             return out, cache
 
+        def buffers_spy(*args, **kwargs):
+            buffers = real_buffers(*args, **kwargs)
+            if threading.current_thread() is threading.main_thread():
+                sets.append(buffers)
+            return buffers
+
         monkeypatch.setattr(nn_core, "forward", forward_spy)
+        monkeypatch.setattr(nn_core, "forward_buffers", buffers_spy)
         train_one_step(model, known, reference)
-        ((cache, features, buffers),) = known_passes
+        ((cache, features),) = known_passes
+        (buffers,) = [b for b in sets if b.n == len(known) and b.keep_cache]
         assert cache[1] is cache[2] and cache[3] is cache[4]
         maps = {id(a) for a in (*cache[1:], features)}
         assert len(maps) == 3  # two conv maps and the pooled features
@@ -970,8 +987,8 @@ class TestBranchCacheLifetime:
     def test_no_map_outlives_its_step(self, monkeypatch):
         """Once training returns, no branch's maps and no step buffer are
         alive, nor any buffer of the scoring forward after the last
-        update: the worker thread drops each job when it ends, and the
-        buffer sets go with the stack."""
+        update: the worker thread drops each job when it ends, and each
+        step's buffer sets die with the step."""
         real_forward, real_buffers, arrays = nn_core.forward, nn_core.forward_buffers, []
 
         def spy(*args, **kwargs):
@@ -1065,18 +1082,29 @@ class TestKnownLogitsCheck:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
 
-    def test_step_buffers_are_dropped_before_the_check(self, monkeypatch):
-        """The step buffer sets are gone when the check's scoring buffers
-        are made, so the two do not add up at the process's peak."""
-        real, held = dual_trainer._check_known_logits, []
+    def test_no_step_set_outlives_its_step(self, monkeypatch):
+        """Every map and scratch array of every buffer set that a step
+        makes is dead once the step returns, so none is alive when the
+        check's scoring sets are made and the two do not add up at the
+        process's peak. Two epochs of a ce-only and a dual-full conv-demo
+        row: 8 steps, each with a known and a reference set."""
+        real_step, real_buffers, made, steps = dual_trainer._lockstep_step, nn_core.forward_buffers, [], []
 
-        def check(state, *args):
-            held.append(dict(state.buffers))
-            return real(state, *args)
+        def buffers_spy(*args, **kwargs):
+            buffers = real_buffers(*args, **kwargs)
+            made.append([weakref.ref(a) for lane in buffers.lanes for a in (*lane.maps, *lane.scratch.values())])
+            return buffers
 
-        monkeypatch.setattr(dual_trainer, "_check_known_logits", check)
-        train_lockstep(*whole_set_step(2))
-        assert held == [{}]
+        def step_spy(*args):
+            made.clear()
+            result = real_step(*args)
+            steps.append((len(made), all(ref() is None for refs in made for ref in refs)))
+            return result
+
+        monkeypatch.setattr(nn_core, "forward_buffers", buffers_spy)
+        monkeypatch.setattr(dual_trainer, "_lockstep_step", step_spy)
+        train_two_conv_demo_epochs()
+        assert steps == [(2, True)] * 8
 
 
 def worker_threads():
@@ -1132,18 +1160,17 @@ class TestReferenceWorker:
         assert made == started == []
 
     def test_every_step_buffer_is_made_by_the_calling_thread(self, monkeypatch):
-        """Two epochs of a ce-only and a dual-full conv-demo row: the known
-        branch keeps one set for its batches of 16 and one for the short
-        last batch of 12, the reference branch one for its batches of 16.
-        The calling thread makes each once, when the first step needs it,
-        and then, after the last update, the set of each row's scoring
-        forward over its 60 training samples."""
+        """Two epochs of a ce-only and a dual-full conv-demo row: each step
+        makes one set per branch in the calling thread, the reference
+        branch's (its one dual row's batch of 16) before the hand-off, then
+        the known branch's (both rows' batch of 16, or the short last
+        batch of 12). After the last update the calling thread makes the
+        set of each row's scoring forward over its 60 training samples."""
         made = spy_on_buffers(monkeypatch)
-        runs = config_runs("conv-demo.json", ("ce-only", "dual-full"), reps=1)
-        experiments.train_models([(replace(cfg, training=replace(cfg.training, epochs=2)), data)
-                                  for cfg, data in runs])
+        train_two_conv_demo_epochs()
         main = threading.main_thread()
-        assert made == [(main, 2, 16), (main, 1, 16), (main, 2, 12), (main, 1, 60), (main, 1, 60)]
+        epoch = [(main, 1, 16), (main, 2, 16)] * 3 + [(main, 1, 16), (main, 2, 12)]
+        assert made == epoch * 2 + [(main, 1, 60)] * 2
 
     def test_short_last_batch_trains_as_inline_and_alone(self, monkeypatch):
         """conv-demo's 60 known samples are no multiple of batch_size_T 16,

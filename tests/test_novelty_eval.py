@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,9 +170,15 @@ class TestCalibrateThreshold:
 
     @settings(max_examples=300, deadline=None)
     @given(scores=score_lists, target=st.floats(0.001, 0.999))
+    # 0.14 * 136,600 is 19,124 exactly; its float product is a hair above.
+    @example(scores=[float(s) for s in range(136_600)], target=0.14)
+    @example(scores=[float(s) for s in range(100_000)], target=1.5e-05)  # repr in exponent form
     def test_matches_sorted_list_reference(self, scores, target):
         t = calibrate_threshold(scores, target)
-        rank = max(1, math.ceil(target * len(scores) - 1e-12))
+        # The rank is the least integer at or above the exact product of n
+        # and the target as written, found by counting up.
+        product = Fraction(repr(target)) * len(scores)
+        rank = next(r for r in range(1, len(scores) + 1) if product <= r)
         gamma = sorted(scores)[rank - 1]  # stable: equal scores keep input order
         assert repr(t.gamma) == repr(gamma)
         assert realized_fnr(scores, t) == sum(1 for s in scores if s < gamma) / len(scores)
