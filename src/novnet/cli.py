@@ -50,10 +50,9 @@ def _load_config(args) -> experiments.ExperimentConfig:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     # Training reads only the train split and, when its mode uses it, the
-    # reference data: the novel split is not kept, and the test split is
-    # dropped before training.
-    roles = ("known", "reference") if cfg.training.uses_reference else ("known",)
-    data = replace(experiments.assemble_datasets(cfg.dataset, roles), test_T=None)
+    # reference data; the test and novel splits are never built.
+    splits = ("train_T", "reference") if cfg.training.uses_reference else ("train_T",)
+    data = experiments.assemble_datasets(cfg.dataset, splits)
     [(model, history)] = experiments.train_models([(cfg, data)])
 
     history_path = os.path.join(args.out, "history.csv")
@@ -73,15 +72,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint).model
-    data = experiments.assemble_datasets(cfg.dataset, ("known", "novel"))
+    data = experiments.assemble_datasets(cfg.dataset, ("test_T", "novel"))
     records, roc, accuracy = experiments.evaluate_detection(model, data)
-    scores_text, roc_text = novelty_eval.report_texts(records, roc)
     summary = {
         "auc": round(roc.auc, 4),
         "accuracy": round(accuracy, 4),
         "n_known_test": len(data.test_T),
         "n_novel_test": len(data.novel),
     }
+    del data  # the reports read only the score table and the ROC
+    scores_text, roc_text = novelty_eval.report_texts(records, roc)
     # All three files are placed, or none.
     write_all_atomic({
         os.path.join(args.out, "scores.csv"): scores_text,
@@ -95,7 +95,7 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint).model
-    data = experiments.assemble_datasets(cfg.dataset, ("known",))
+    data = experiments.assemble_datasets(cfg.dataset, ("test_T",))
     scores = novelty_eval.score_dataset(model, data.test_T, is_novel=False).score
     threshold = novelty_eval.calibrate_threshold(scores, cfg.evaluation.target_fnr)
     payload = {

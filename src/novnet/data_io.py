@@ -236,11 +236,21 @@ def check_fits_in_memory(values: int, what: str, error: type[NovnetError] = Data
                     f"{memory} bytes of physical memory")
 
 
-def check_roles(roles) -> None:
-    """Raise UsageError unless every entry of `roles` is one of ROLES."""
-    unknown = [role for role in roles if role not in ROLES]
-    if unknown:
-        raise UsageError(f"unknown roles {unknown}; roles are {list(ROLES)}")
+def fraction_count(fraction: float, n: int, up: bool) -> int:
+    """fraction * n rounded down, or up when `up`, exactly, with fraction
+    taken as its repr writes it: 0.14 * 100 is 14, not 15 as the ceiling
+    of its float product 14.000000000000002 gives, and 0.29 * 100 is 29,
+    not 28 as the floor of 28.999999999999996 gives.
+
+    repr writes a float as whole.fraction[e exponent]: the integer whole
+    + fraction over a power of ten, so the product is a ratio of integers.
+    """
+    mantissa, _, exponent = repr(float(fraction)).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    scale = len(digits) - int(exponent or 0)
+    numerator = int(whole + digits) * n * 10 ** max(-scale, 0)
+    denominator = 10 ** max(scale, 0)
+    return -(-numerator // denominator) if up else numerator // denominator
 
 
 def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple[Dataset | None, ...]:
@@ -255,7 +265,9 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
     unscaled and unshifted. The clusters after the last one of a role in
     `roles` are not drawn. The memory check counts every cluster, drawn
     or not."""
-    check_roles(roles)
+    unknown = [role for role in roles if role not in ROLES]
+    if unknown:
+        raise UsageError(f"unknown roles {unknown}; roles are {list(ROLES)}")
     samples = sum(c.count for c in spec.clusters)
     what = f"synthetic 'clusters' of {samples} samples x {spec.dimension} values"
     check_fits_in_memory(samples * spec.dimension, what)
@@ -288,14 +300,14 @@ def synth_gaussian(spec: SyntheticSpec, roles: tuple[str, ...] = ROLES) -> tuple
 
 def split_known_novel(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Alphabetical class split: the first floor(known_fraction * K)
-    class names become the known set, the rest the novel set; a
-    known_fraction that was not given is 0.5. Labels are re-densified
-    within each side."""
+    class names (the product taken exactly, see fraction_count) become the
+    known set, the rest the novel set; a known_fraction that was not given
+    is 0.5. Labels are re-densified within each side."""
     if dataset.n_classes < 2:
         raise ProtocolError("known/novel split needs at least 2 classes")
     ordered = sorted(dataset.class_names)
     fraction = 0.5 if spec.known_fraction is None else spec.known_fraction
-    n_known = int(fraction * len(ordered))
+    n_known = fraction_count(fraction, len(ordered), up=False)
     if n_known < 1 or n_known >= len(ordered):
         raise ProtocolError(f"known_fraction {fraction} leaves {n_known} known of {len(ordered)} classes")
     known_names = ordered[:n_known]
@@ -312,11 +324,17 @@ def _subset_by_names(dataset: Dataset, names: list[str], tag: str) -> Dataset:
     return Dataset(dataset.x[keep], labels[keep], list(names), provenance=f"{dataset.provenance}#{tag}")
 
 
-def split_train_test(dataset: Dataset, seed: int, train_fraction: float = 0.5) -> tuple[Dataset, Dataset]:
-    """Per-class random split; odd counts give the extra sample to train.
+def split_train_test(dataset: Dataset, seed: int, train_fraction: float = 0.5, train: bool = True,
+                     test: bool = True) -> tuple[Dataset | None, Dataset | None]:
+    """Per-class random split: ceil(train_fraction * count) samples of
+    each class (the product taken exactly, see fraction_count) go to
+    train, the rest to test.
 
     Every class must have at least 2 samples so both halves contain every
     class. Deterministic given seed; both halves keep the dataset's order.
+    Only the halves asked for by `train` and `test` are built, the other
+    is None; every class's permutation is drawn either way, so a built
+    half has the same bytes.
     """
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
@@ -325,16 +343,21 @@ def split_train_test(dataset: Dataset, seed: int, train_fraction: float = 0.5) -
         if len(idx) < 2:
             raise ProtocolError(f"class {dataset.class_names[label]!r} has {len(idx)} sample(s); needs >= 2")
         order = rng.permutation(len(idx))
-        n_train = int(np.ceil(train_fraction * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
+        n_train = min(max(fraction_count(train_fraction, len(idx), up=True), 1), len(idx) - 1)
         train_idx.append(idx[order[:n_train]])
         test_idx.append(idx[order[n_train:]])
-    train, test = (
-        Dataset(dataset.x[idx], dataset.y[idx], list(dataset.class_names),
-                provenance=f"{dataset.provenance}#{tag}")
-        for idx, tag in ((np.sort(np.concatenate(train_idx)), "train"),
-                         (np.sort(np.concatenate(test_idx)), "test")))
-    return train, test
+
+    def half(parts, tag):
+        idx = np.sort(np.concatenate(parts))
+        return Dataset(dataset.x[idx], dataset.y[idx], list(dataset.class_names),
+                       provenance=f"{dataset.provenance}#{tag}")
+
+    return half(train_idx, "train") if train else None, half(test_idx, "test") if test else None
+
+
+# Rows that csv_text formats in one `%` call: its field tuple and format
+# string stay this many rows long, however long the table.
+CSV_BLOCK_ROWS = 1024
 
 
 def csv_text(header, columns) -> str:
@@ -343,19 +366,27 @@ def csv_text(header, columns) -> str:
     length. There must be at least two columns (ValueError otherwise).
 
     Each value is written as str(value): for a float, its shortest
-    round-trip repr. One `%` call writes every field with \\r\\n line
-    ends and no field quoted: the text is byte for byte what csv.writer
-    writes. A field that csv.writer would quote, one holding a comma,
-    quote, CR or LF, raises ValueError instead.
+    round-trip repr. One `%` call per block of CSV_BLOCK_ROWS rows writes
+    every field with \\r\\n line ends and no field quoted, and the blocks
+    are joined once: the text is byte for byte what csv.writer writes. A
+    field that csv.writer would quote, one holding a comma, quote, CR or
+    LF, raises ValueError instead.
     """
     width = len(header)
     if len(columns) != width or width < 2:
         raise ValueError(f"{width} header names for {len(columns)} columns; a table needs at least 2")
     rows = 1 + len(columns[0])
-    flat = [*header, *[None] * (width * (rows - 1))]
-    for j, column in enumerate(columns):
-        flat[width + j::width] = column
-    text = (("%s," * (width - 1) + "%s\r\n") * rows) % tuple(flat)
+    if any(len(column) != rows - 1 for column in columns):
+        raise ValueError(f"columns of {sorted({len(column) for column in columns})} rows; all need one length")
+    line = "%s," * (width - 1) + "%s\r\n"
+    blocks = [line % tuple(header)]
+    for start in range(0, rows - 1, CSV_BLOCK_ROWS):
+        count = min(CSV_BLOCK_ROWS, rows - 1 - start)
+        flat = [None] * (width * count)
+        for j, column in enumerate(columns):
+            flat[j::width] = column[start:start + count]
+        blocks.append((line * count) % tuple(flat))
+    text = "".join(blocks)
     # A field holding a comma, quote, CR or LF adds to these counts.
     if (text.count(",") != (width - 1) * rows or text.count("\r") != rows or text.count("\n") != rows
             or '"' in text):

@@ -165,10 +165,15 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentData:
-    train_T: Dataset
-    test_T: Dataset | None  # None while `novnet train` trains
+    """The assembled splits; one that its caller does not read is None."""
+
+    train_T: Dataset | None
+    test_T: Dataset | None
     novel: Dataset | None
     reference: Dataset | None
+
+
+SPLITS = tuple(ExperimentData.__dataclass_fields__)
 
 
 def parse_experiment_config(source) -> ExperimentConfig:
@@ -197,7 +202,7 @@ def parse_experiment_config(source) -> ExperimentConfig:
                             evaluation=from_json(EvalConfig, raw.get("evaluation", {}), "evaluation section"))
 
 
-def assemble_datasets(section: DatasetConfig, roles: tuple[str, ...] = data_io.ROLES) -> ExperimentData:
+def assemble_datasets(section: DatasetConfig, splits: tuple[str, ...] = SPLITS) -> ExperimentData:
     """Turn the dataset section into train/test/novel/reference datasets
     following the split protocol.
 
@@ -205,16 +210,19 @@ def assemble_datasets(section: DatasetConfig, roles: tuple[str, ...] = data_io.R
     generator), or `csv`/`idx` files with an alphabetical known/novel
     split. A reference dataset comes from synthetic roles or from
     `reference_csv`, never both; its class names must not intersect the
-    known ones. `roles` names the roles the caller reads; it must hold
-    "known", whose split gives train_T and test_T. Another role's dataset
-    is None, and a synthetic source draws no cluster after the last one of
-    these roles (no drawn byte changes). The memory check still counts
-    every cluster, and `reference_csv` is still loaded, since its
-    class-overlap check validates the config.
+    known ones. `splits` names the ExperimentData fields the caller reads
+    and must hold train_T or test_T, the halves of the known split; a
+    split it does not name is never built and is None. A synthetic source
+    draws no cluster after the last one of the roles these splits take,
+    and the known split draws its permutations either way, so no built
+    byte changes. The memory check still counts every cluster, and
+    `reference_csv` is still loaded, since its class-overlap check
+    validates the config.
     """
-    data_io.check_roles(roles)
-    if "known" not in roles:
-        raise UsageError(f"roles {list(roles)} must include 'known'")
+    unknown = [name for name in splits if name not in SPLITS]
+    if unknown or not {"train_T", "test_T"} & set(splits):
+        raise UsageError(f"splits {list(splits)} must be of {list(SPLITS)} and include train_T or test_T")
+    roles = ("known",) + tuple(role for role in ("novel", "reference") if role in splits)
     reference = None
     if section.benchmark is not None:
         spec = make_benchmark_spec(section.benchmark.seed, section.benchmark.reference_clusters)
@@ -235,7 +243,8 @@ def assemble_datasets(section: DatasetConfig, roles: tuple[str, ...] = data_io.R
         if overlap:
             raise ProtocolError(f"reference classes must not intersect known classes: {sorted(overlap)}")
 
-    train_t, test_t = data_io.split_train_test(known, section.split.seed, section.split.train_fraction)
+    train_t, test_t = data_io.split_train_test(known, section.split.seed, section.split.train_fraction,
+                                               train="train_T" in splits, test="test_T" in splits)
     data = ExperimentData(train_T=train_t, test_T=test_t, novel=novel if "novel" in roles else None,
                           reference=reference if "reference" in roles else None)
     if section.reshape is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Dataset, csv_text
+from .data_io import Dataset, csv_text, fraction_count
 from .dual_trainer import DualBranchModel
 from .errors import CalibrationError, EvaluationError, ProtocolError
 
@@ -84,10 +84,11 @@ def score_dataset(model: DualBranchModel, dataset: Dataset, is_novel: bool,
 def calibrate_threshold(matched_scores, target_fnr: float) -> NoveltyThreshold:
     """Pick gamma as the ceil(target_fnr * n)-th smallest matched score.
 
-    The product is exact, with target_fnr taken as its repr writes it:
-    0.14 * 136,600 is 19,124, not the next integer above its float
-    product. Under the strict decision rule the realized false-negative
-    rate on the calibration set is (rank - 1) / n <= target_fnr.
+    The product is exact, with target_fnr taken as its repr writes it
+    (fraction_count): 0.14 * 136,600 is 19,124, not the next integer
+    above its float product. Under the strict decision rule the realized
+    false-negative rate on the calibration set is (rank - 1) / n <=
+    target_fnr.
     """
     # A stable sort keeps 0.0 and -0.0 in input order, so the sign of
     # gamma written to threshold.json does not depend on the sort routine.
@@ -99,13 +100,7 @@ def calibrate_threshold(matched_scores, target_fnr: float) -> NoveltyThreshold:
     if not np.all(np.isfinite(scores)):
         raise CalibrationError("cannot calibrate a threshold from non-finite matched scores")
     n = scores.size
-    # repr writes the target as whole.fraction[e exponent]: the integer
-    # whole + fraction over 10**scale. The rank is the ceiling of that
-    # times n, in exact integers.
-    mantissa, _, exponent = repr(float(target_fnr)).partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    scale = len(fraction) - int(exponent or 0)
-    rank = -(-int(whole + fraction) * n // 10 ** scale)
+    rank = fraction_count(target_fnr, n, up=True)
     return NoveltyThreshold(gamma=float(scores[rank - 1]), percentile=target_fnr, sample_count=n)
 
 
@@ -188,20 +183,26 @@ def report_texts(records: np.ndarray, roc: RocResult) -> tuple[str, str]:
     fpr and tpr share their distinct values, each formatted once.
     """
     score = records["score"]
-    texts = np.array([str(v) for v in score.tolist()], dtype=object)
+    texts = [str(v) for v in score.tolist()]
     keys, first = np.unique(score.view(np.int64), return_index=True)
     wanted = roc.thresholds[1:].view(np.int64)
     at = np.searchsorted(keys, wanted)
     if np.any(at == keys.size) or not np.array_equal(keys[at], wanted):
         raise EvaluationError("ROC thresholds must be scores of the score table")
+    # Each O(rows) intermediate is deleted once its last use is done, and
+    # roc.csv is written first, so only the score texts and the columns of
+    # scores.csv are alive while scores.csv is formatted.
+    threshold_texts = [str(math.inf), *map(texts.__getitem__, first[at].tolist())]
+    del keys, first, at
     rates = np.concatenate([roc.fpr, roc.tpr])
-    _, rate_first, rate_at = np.unique(rates.view(np.int64), return_index=True, return_inverse=True)
-    rate_texts = np.array([str(v) for v in rates[rate_first].tolist()], dtype=object)[rate_at]
+    rate_first, rate_at = np.unique(rates.view(np.int64), return_index=True, return_inverse=True)[1:]
+    rate_texts = np.array([str(v) for v in rates[rate_first].tolist()], dtype=object)[rate_at].tolist()
+    del rates, rate_first, rate_at
+    roc_text = csv_text(["threshold", "fpr", "tpr"],
+                        [threshold_texts, rate_texts[:roc.fpr.size], rate_texts[roc.fpr.size:]])
+    del threshold_texts, rate_texts
     scores = csv_text(SCORE_CSV_HEADER, [
-        texts.tolist() if name == "score"
+        texts if name == "score"
         else records[name].astype(np.int64).tolist() if name == "is_novel"
         else records[name].tolist() for name in SCORE_CSV_HEADER])
-    roc_text = csv_text(["threshold", "fpr", "tpr"], [[str(math.inf), *texts[first[at]].tolist()],
-                                                      rate_texts[:roc.fpr.size].tolist(),
-                                                      rate_texts[roc.fpr.size:].tolist()])
     return scores, f"{roc_text}auc,{roc.auc!r}\r\n"

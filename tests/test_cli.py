@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from novnet import cli, experiments
+from novnet import cli, experiments, novelty_eval
 from novnet.dual_trainer import TrainingConfig, build_dual_model, load_checkpoint, save_checkpoint
 from novnet.experiments import assemble_datasets, parse_experiment_config
 from novnet.nn_core import Conv2d, Dense, GlobalAveragePool, NetworkSpec, Relu
@@ -947,32 +947,70 @@ class TestReshapePath:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "run" / "checkpoint.nvfg").exists()
 
-    def test_train_holds_no_test_or_novel_split(self, tmp_path, monkeypatch):
-        """`train` reads only the train split and the reference data: the
-        assembled known-test and novel arrays are gone while it trains."""
-        import pathlib
-        demo = pathlib.Path(__file__).resolve().parent.parent / "configs" / "conv-demo.json"
-        cfg = json.loads(demo.read_text())
+    def assembled_by(self, tmp_path, monkeypatch, commands):
+        """The ExperimentData each command of `commands` assembles, in
+        order, on conv-demo's config trained for one epoch; `eval` and
+        `calibrate` read the checkpoint that `train` writes."""
+        with open(CONV_DEMO) as fh:
+            cfg = json.load(fh)
         cfg["training"]["epochs"] = 1
         config = tmp_path / "conv.json"
         config.write_text(json.dumps(cfg))
-        real_assemble, real_train = experiments.assemble_datasets, experiments.train_lockstep
+        real_assemble, assembled = experiments.assemble_datasets, []
+
+        def assemble(*args, **kwargs):
+            assembled.append(real_assemble(*args, **kwargs))
+            return assembled[-1]
+
+        monkeypatch.setattr(experiments, "assemble_datasets", assemble)
+        run = tmp_path / "run"
+        for command in commands:
+            checkpoint = [] if command == "train" else ["--checkpoint", str(run / "checkpoint.nvfg")]
+            assert cli.main([command, "--config", str(config), "--out", str(run)] + checkpoint) == 0
+        return assembled
+
+    def test_train_holds_no_test_or_novel_split(self, tmp_path, monkeypatch):
+        """`train` reads only the train split and the reference data: its
+        assembled data has no known-test and no novel split at all."""
+        [data] = self.assembled_by(tmp_path, monkeypatch, ["train"])
+        assert (data.test_T, data.novel) == (None, None)
+        assert data.train_T is not None and data.reference is not None  # conv-demo trains dual-full
+
+    def test_eval_and_calibrate_hold_no_train_split(self, tmp_path, monkeypatch):
+        """`eval` reads the known-test and novel splits, `calibrate` the
+        known-test split alone: neither assembles a train split."""
+        _, evaluated, calibrated = self.assembled_by(tmp_path, monkeypatch, ["train", "eval", "calibrate"])
+        assert (evaluated.train_T, evaluated.reference) == (None, None)
+        assert evaluated.test_T is not None and evaluated.novel is not None
+        assert (calibrated.train_T, calibrated.novel, calibrated.reference) == (None, None, None)
+        assert calibrated.test_T is not None
+
+    def test_eval_frees_its_splits_before_the_reports(self, tmp_path, monkeypatch):
+        """The report texts read only the score table and the ROC: no
+        array of eval's assembled splits is alive while they are made."""
+        config, run = tmp_path / "conv.json", tmp_path / "run"
+        with open(CONV_DEMO) as fh:
+            cfg = json.load(fh)
+        cfg["training"]["epochs"] = 1
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(config), "--out", str(run)]) == 0
+        real_assemble, real_report = experiments.assemble_datasets, novelty_eval.report_texts
         assembled, alive = [], []
 
         def assemble(*args, **kwargs):
             data = real_assemble(*args, **kwargs)
-            assembled.extend(weakref.ref(a) for ds in (data.test_T, data.novel) if ds is not None
-                             for a in (ds.x, ds.y))
+            assembled.extend(weakref.ref(a) for ds in vars(data).values() if ds is not None for a in (ds.x, ds.y))
             return data
 
-        def train_lockstep(*args, **kwargs):
+        def report_texts(*args, **kwargs):
             alive.append([ref() is not None for ref in assembled])
-            return real_train(*args, **kwargs)
+            return real_report(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "assemble_datasets", assemble)
-        monkeypatch.setattr(experiments, "train_lockstep", train_lockstep)
-        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
-        assert assembled and alive == [[False] * len(assembled)]
+        monkeypatch.setattr(novelty_eval, "report_texts", report_texts)
+        assert cli.main(["eval", "--config", str(config), "--checkpoint", str(run / "checkpoint.nvfg"),
+                         "--out", str(run)]) == 0
+        assert len(assembled) == 4 and alive == [[False] * 4]
 
     def test_bad_reshape_rejected(self, tmp_path, capsys):
         cfg = json.loads(write_config(tmp_path).read_text())

@@ -2,14 +2,17 @@ import csv
 import errno
 import io
 import os
+import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from novnet import data_io
 from novnet.data_io import (
     ROLES,
     ClusterSpec,
@@ -371,7 +374,51 @@ class TestSplitKnownNovel:
         assert novel.class_names == ["zebra"]
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(fraction=st.floats(0.01, 0.99), classes=st.integers(2, 200))
+    # Float products a hair below the integer: 28.999999999999996,
+    # 62.99999999999999 and 28.999999999999996.
+    @example(fraction=0.29, classes=100)
+    @example(fraction=0.7, classes=90)
+    @example(fraction=0.58, classes=50)
+    def test_known_count_is_the_exact_floor(self, fraction, classes):
+        """floor(fraction * K) classes are known, the product taken with
+        the fraction as its repr writes it; a count of 0 or K is refused."""
+        ds = Dataset(np.zeros((classes, 1)), np.arange(classes), [f"c{i:03d}" for i in range(classes)], "x")
+        want = math.floor(Fraction(repr(fraction)) * classes)
+        if not 1 <= want < classes:
+            with pytest.raises(ProtocolError, match=f"leaves {want} known"):
+                split_known_novel(ds, SplitSpec(known_fraction=fraction))
+            return
+        known, novel = split_known_novel(ds, SplitSpec(known_fraction=fraction))
+        assert (known.n_classes, novel.n_classes) == (want, classes - want)
+
+
 class TestSplitTrainTest:
+    @settings(max_examples=300, deadline=None)
+    @given(fraction=st.floats(0.01, 0.99), count=st.integers(2, 1000))
+    @example(fraction=0.14, count=100)  # 0.14 * 100 is 14.000000000000002 as a float
+    def test_train_count_is_the_exact_ceiling(self, fraction, count):
+        """ceil(fraction * count) samples of a class train, the product
+        taken with the fraction as its repr writes it, and each half
+        keeps at least one sample."""
+        ds = Dataset(np.zeros((count, 1)), np.zeros(count, dtype=np.int64), ["a"], "x")
+        train, test = split_train_test(ds, seed=0, train_fraction=fraction)
+        want = min(max(math.ceil(Fraction(repr(fraction)) * count), 1), count - 1)
+        assert (len(train), len(test)) == (want, count - want)
+
+    @pytest.mark.parametrize("train, test", [(True, False), (False, True), (False, False)])
+    def test_a_half_not_asked_for_is_none_and_the_other_keeps_its_bytes(self, train, test):
+        ds = four_class_dataset()
+        both = split_train_test(ds, seed=3, train_fraction=0.3)
+        halves = split_train_test(ds, seed=3, train_fraction=0.3, train=train, test=test)
+        for wanted, got, want in zip((train, test), halves, both):
+            if not wanted:
+                assert got is None
+            else:
+                assert (got.x.tobytes(), got.y.tobytes(), got.class_names, got.provenance) == \
+                    (want.x.tobytes(), want.y.tobytes(), want.class_names, want.provenance)
+
     def test_even_count(self):
         rng = np.random.default_rng(9)
         ds = Dataset(rng.standard_normal((20, 2)), np.arange(20) % 2, ["a", "b"], "x")
@@ -510,10 +557,23 @@ class TestWriteAtomic:
         assert csv_text(["a", "b"], [[1], ["x y"]]) == "a,b\r\n1,x y\r\n"
         # Columns of unequal lengths, fewer or more columns than names,
         # fewer than two columns, and a field that csv.writer would quote.
-        for header, columns in ((["a", "b"], [[1, 2], [3]]), (["a", "b"], [[1]]), (["a"], [[1], [2]]),
+        for header, columns in ((["a", "b"], [[1, 2], [3]]), (["a", "b"], [[], [3]]), (["a", "b"], [[1]]),
+                                (["a"], [[1], [2]]),
                                 ([], []), (["a"], [[1]]), (["a"], [[""]]), (["a", "b"], [[1], ["x,y"]])):
             with pytest.raises(ValueError):
                 csv_text(header, columns)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, data_io.CSV_BLOCK_ROWS])
+    def test_csv_text_blocks_give_csv_writer_text(self, monkeypatch, block):
+        """Tables cut into row blocks of every fill, the last one full,
+        partial or absent, give csv.writer's text; past the real block
+        size too."""
+        monkeypatch.setattr(data_io, "CSV_BLOCK_ROWS", block)
+        for rows in list(range(8)) + [2 * block + 1]:
+            table = [["a", "b", "c"], *([i, f"{i}.5", -i] for i in range(rows))]
+            buf = io.StringIO()
+            csv.writer(buf).writerows(table)
+            assert csv_text(table[0], [[row[j] for row in table[1:]] for j in range(3)]) == buf.getvalue()
 
     def test_csv_text_writes_numpy_scalars_bools_and_none_as_str(self):
         """Each value is written as str(value); csv.writer itself would

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import CONFIGS, benchmark, bundled
 from novnet import data_io
-from novnet.data_io import ROLES, SplitSpec, synth_gaussian
+from novnet.data_io import SplitSpec, synth_gaussian
 from novnet.errors import ConfigError, DatasetError, NovnetError, ProtocolError, UsageError, to_json
 from novnet import experiments
 from novnet.experiments import (
     ABLATION_MODES,
     BENCHMARK_DIMENSION,
+    SPLITS,
     BENCHMARK_SAMPLES_PER_CLUSTER,
     DatasetConfig,
     ablation_means,
@@ -30,6 +32,8 @@ from novnet.experiments import (
 
 
 CONFIG_NAMES = ["benchmark.json", "benchmark-quick.json", "conv-demo.json"]
+# The splits `train` (without and with reference data), `eval` and `calibrate` assemble.
+COMMAND_SPLITS = (("train_T",), ("train_T", "reference"), ("test_T", "novel"), ("test_T",))
 
 
 class TestBenchmarkSpec:
@@ -322,37 +326,68 @@ class TestAssembleDatasets:
         section = DatasetConfig.from_dict(section)
         monkeypatch.setattr(data_io.ClusterSpec, "__post_init__", None)  # make_benchmark_spec builds none
         monkeypatch.setattr(np.random, "default_rng", None)  # synth_gaussian draws nothing
-        for roles in (ROLES, ("known", "novel"), ("known",)):  # every cluster counts, drawn or not
+        for splits in COMMAND_SPLITS + (SPLITS,):  # every cluster counts, drawn or not
             with pytest.raises(DatasetError, match=named + ".* exceed the .* bytes of physical memory"):
-                assemble_datasets(section, roles)
+                assemble_datasets(section, splits)
 
-    @pytest.mark.parametrize("source", ["benchmark", "conv-demo"])
-    def test_without_reference_known_and_novel_bytes_unchanged(self, source):
-        section = DatasetConfig.from_dict({"benchmark": {"seed": 3}} if source == "benchmark"
-                                          else bundled("conv-demo.json")["dataset"])
+    @pytest.mark.parametrize("source", ["benchmark", "conv-demo", "csv"])
+    def test_each_command_builds_only_its_splits_with_unchanged_bytes(self, source, tmp_path):
+        if source == "csv":
+            path = tmp_path / "d.csv"
+            path.write_text("label,f0,f1\n" + "".join(f"{name},{i}.5,{i * i}.0\n" for name in "abcd"
+                                                    for i in range(5)))
+            raw = {"csv": {"path": str(path)}, "split": {"known_fraction": 0.5, "seed": 2}}
+        else:
+            raw = {"benchmark": {"seed": 3}} if source == "benchmark" else bundled("conv-demo.json")["dataset"]
+        section = DatasetConfig.from_dict(raw)
         full = assemble_datasets(section)
-        # eval's, calibrate's and train's roles: each split they keep has the full draw's bytes.
-        for roles, kept in ((("known", "novel"), "novel"), (("known",), None), (("known", "reference"), "reference")):
-            lean = assemble_datasets(section, roles)
-            for name in ("novel", "reference"):
-                assert (getattr(lean, name) is None) == (name != kept)
-            for name in ("train_T", "test_T") + ((kept,) if kept else ()):
+        # train's (without and with reference data), eval's and calibrate's
+        # splits: each one built has the full assembly's bytes, the rest are None.
+        for splits in COMMAND_SPLITS:
+            lean = assemble_datasets(section, splits)
+            for name in SPLITS:
                 got, want = getattr(lean, name), getattr(full, name)
-                assert (got.x.tobytes(), got.y.tobytes(), got.class_names) == \
-                    (want.x.tobytes(), want.y.tobytes(), want.class_names)
+                if name not in splits or want is None:
+                    assert got is None, name
+                else:
+                    assert (got.x.tobytes(), got.y.tobytes(), got.class_names, got.provenance) == \
+                        (want.x.tobytes(), want.y.tobytes(), want.class_names, want.provenance)
 
-    @pytest.mark.parametrize("build, roles", [
-        ("assemble", ("novel",)), ("assemble", ()), ("assemble", ("known", "bogus")),
-        ("synth", ("bogus",)), ("synth", ("known", "bogus"))])
-    def test_bad_roles_rejected(self, build, roles):
-        """A role outside ROLES, or assembled roles without "known", is a
+    @pytest.mark.parametrize("splits", COMMAND_SPLITS)
+    def test_assembly_peak_holds_the_known_split_and_the_splits_built(self, splits):
+        """At eval-large's geometry with 10 times its samples (20,000 per
+        cluster: eval scores 120,000 rows), a command's assembly peaks at
+        the known split's bytes plus those of the splits it returns, plus
+        the split's index arrays (3 int64 per known sample). Building the
+        half of the known split a command never reads would add half the
+        known split's bytes (calibrate: 12.5 MiB traced, against 9.5)."""
+        section = DatasetConfig(synthetic=make_benchmark_spec(0, samples_per_cluster=20_000))
+        full = assemble_datasets(section)
+        known_bytes = sum(ds.x.nbytes + ds.y.nbytes for ds in (full.train_T, full.test_T))
+        known_rows = len(full.train_T) + len(full.test_T)
+        del full
+        tracemalloc.start()
+        try:
+            data = assemble_datasets(section, splits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        built = sum(ds.x.nbytes + ds.y.nbytes for ds in vars(data).values() if ds is not None)
+        assert peak <= known_bytes + built + 3 * 8 * known_rows, f"{peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("build, names", [
+        ("assemble", ("novel",)), ("assemble", ()), ("assemble", ("train_T", "bogus")), ("assemble", ("known",)),
+        ("assemble", ("reference", "novel")), ("synth", ("bogus",)), ("synth", ("known", "bogus"))])
+    def test_bad_splits_and_roles_rejected(self, build, names):
+        """A split outside the ExperimentData fields, assembled splits
+        without train_T or test_T, or a role outside ROLES, is a
         UsageError before anything is drawn."""
         section = benchmark().dataset
-        with pytest.raises(UsageError, match="roles"):
+        with pytest.raises(UsageError, match="splits" if build == "assemble" else "roles"):
             if build == "assemble":
-                assemble_datasets(section, roles)
+                assemble_datasets(section, names)
             else:
-                synth_gaussian(make_benchmark_spec(section.benchmark.seed), roles)
+                synth_gaussian(make_benchmark_spec(section.benchmark.seed), names)
 
 
 class TestRunExperiment:
