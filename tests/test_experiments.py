@@ -17,8 +17,8 @@ from novnet import experiments
 from novnet.experiments import (
     ABLATION_MODES,
     BENCHMARK_DIMENSION,
-    SPLITS,
     BENCHMARK_SAMPLES_PER_CLUSTER,
+    SPLITS,
     DatasetConfig,
     ablation_means,
     ablation_seed,
